@@ -6,92 +6,14 @@ single-atom extraction; a shortest-move planner relocates buffered atoms
 into a target structure each cycle. The package reproduces the measured
 per-cycle observables (defect-free success rate, buffer fill fraction,
 reservoir depletion) and exposes every model parameter for sweeps.
+
+Everything else is imported from its module (``tweezersim.config``,
+``tweezersim.harness``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    ArrayLayout,
-    LayoutError,
-    Position,
-    SiteRole,
-    TrapSite,
-    build_hex_grid,
-    distance,
-    layout_from_preset,
-    reference_layout,
-)
-from .stochastic import (
-    ExtractionModel,
-    LossModel,
-    ReservoirState,
-    RngStream,
-    TransportModel,
-    reservoir_decay,
-    sample_extraction,
-    sample_survival,
-    sample_transport,
-    survival_probability,
-)
-from .planner import (
-    Assignment,
-    Move,
-    MovePlan,
-    PlanError,
-    exhaustive_assignment,
-    optimal_assignment,
-    plan_buffer_refill,
-    plan_target_fill,
-)
-from .engine import (
-    Counters,
-    CycleRecord,
-    EngineError,
-    EventLog,
-    PlanConflictError,
-    SimulationModels,
-    SystemState,
-    TimingModel,
-    check_conservation,
-    init_sequence,
-    run_cycle,
-    run_realization,
-    step_fill_targets,
-    step_image,
-    step_refill_buffers,
-)
-from .config import ConfigError, ExperimentConfig, load_config
-from .harness import (
-    CalibrationError,
-    CalibrationResult,
-    ExperimentStats,
-    calibrate_depletion,
-    cumulative_success_rate,
-    run_experiment,
-    write_outputs,
-)
+from .config import ExperimentConfig
+from .harness import run_experiment
 
-__all__ = [
-    "__version__",
-    # geometry
-    "ArrayLayout", "LayoutError", "Position", "SiteRole", "TrapSite",
-    "build_hex_grid", "distance", "layout_from_preset", "reference_layout",
-    # stochastic
-    "ExtractionModel", "LossModel", "ReservoirState", "RngStream",
-    "TransportModel", "reservoir_decay", "sample_extraction",
-    "sample_survival", "sample_transport", "survival_probability",
-    # planner
-    "Assignment", "Move", "MovePlan", "PlanError", "exhaustive_assignment",
-    "optimal_assignment", "plan_buffer_refill", "plan_target_fill",
-    # engine
-    "Counters", "CycleRecord", "EngineError", "EventLog",
-    "PlanConflictError", "SimulationModels", "SystemState", "TimingModel",
-    "check_conservation", "init_sequence", "run_cycle", "run_realization",
-    "step_fill_targets", "step_image", "step_refill_buffers",
-    # config
-    "ConfigError", "ExperimentConfig", "load_config",
-    # harness
-    "CalibrationError", "CalibrationResult", "ExperimentStats",
-    "calibrate_depletion", "cumulative_success_rate", "run_experiment",
-    "write_outputs",
-]
+__all__ = ["__version__", "ExperimentConfig", "run_experiment"]

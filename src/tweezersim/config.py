@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .engine import SimulationModels, TimingModel
 from .geometry import (
@@ -53,49 +53,58 @@ _SUCCESS_DEFINITIONS = {
 }
 
 
+def _key(section: str, default):
+    """A config field read from the INI ``[section]`` under its own name."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class ExperimentConfig:
-    """Fully resolved run parameters; defaults match the reference setup."""
+    """Fully resolved run parameters; defaults match the reference setup.
 
-    # [run]
-    n_replicas: int = 2500
-    n_cycles: int = 15
-    master_seed: int = 42
-    success_definition: str = "first-achievement"
-    ci_method: str = "normal"
-    # [layout]
+    Each field tagged by :func:`_key` is one INI key: the tag gives its
+    section and the annotation its type. Range and choice checks live in the
+    models ``build_models`` assembles; only the ``[run]`` keys, which no
+    model sees, are checked here.
+    """
+
+    n_replicas: int = _key("run", 2500)
+    n_cycles: int = _key("run", 15)
+    master_seed: int = _key("run", 42)
+    success_definition: str = _key("run", "first-achievement")
+    ci_method: str = _key("run", "normal")
+    # [layout] is parsed by hand; see _parse_layout_section
     layout: ArrayLayout = field(default_factory=reference_layout)
     layout_preset: str | None = "paper-hex-6"
-    # [stochastic]
-    lifetime_array_s: float = 10.0
-    lifetime_reservoir_s: float = 5.0
-    p_transport: float = 0.753
-    p_stay_on_failure: float = DEFAULT_STAY_ON_FAILURE
-    p_blockade_plateau: float = 0.596
-    mean_ensemble_at_full: float = DEFAULT_ENSEMBLE_MEAN
-    n_reference: int = 80
-    reservoir_mean: float = 80.0
-    refill_rate: float = 0.0
-    # [timing]
-    t_mot: float = 1.8
-    t_molasses: float = 0.040
-    t_reservoir_transfer: float = 0.020
-    t_image: float = 0.130
-    t_analysis_fill: float = 0.065
-    t_buffer_refill: float = 0.035
-    t_ramp: float = 130e-6
-    t_move: float = 310e-6
-    t_image_loss: float | None = None
-    # [engine]
-    transport_failure: str = "mixed"
-    fill_strategy: str = "global"
-    speed_um_per_s: float | None = None
+    lifetime_array_s: float = _key("stochastic", 10.0)
+    lifetime_reservoir_s: float = _key("stochastic", 5.0)
+    p_transport: float = _key("stochastic", 0.753)
+    p_stay_on_failure: float = _key("stochastic", DEFAULT_STAY_ON_FAILURE)
+    p_blockade_plateau: float = _key("stochastic", 0.596)
+    mean_ensemble_at_full: float = _key("stochastic", DEFAULT_ENSEMBLE_MEAN)
+    n_reference: int = _key("stochastic", 80)
+    reservoir_mean: float = _key("stochastic", 80.0)
+    refill_rate: float = _key("stochastic", 0.0)
+    t_mot: float = _key("timing", 1.8)
+    t_molasses: float = _key("timing", 0.040)
+    t_reservoir_transfer: float = _key("timing", 0.020)
+    t_image: float = _key("timing", 0.130)
+    t_analysis_fill: float = _key("timing", 0.065)
+    t_buffer_refill: float = _key("timing", 0.035)
+    t_ramp: float = _key("timing", 130e-6)
+    t_move: float = _key("timing", 310e-6)
+    t_image_loss: float | None = _key("timing", None)
+    transport_failure: str = _key("engine", "mixed")
+    fill_strategy: str = _key("engine", "global")
 
     def __post_init__(self):
-        if self.n_replicas < 1:
-            raise ConfigError("run.n_replicas must be at least 1")
-        if self.n_cycles < 1:
-            raise ConfigError("run.n_cycles must be at least 1")
+        for key in ("n_replicas", "n_cycles"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"run.{key} must be at least 1")
+        if self.master_seed < 0:
+            raise ConfigError(
+                f"run.master_seed must be nonnegative, got {self.master_seed}"
+            )
         try:
             self.success_definition = _SUCCESS_DEFINITIONS[self.success_definition]
         except KeyError:
@@ -107,79 +116,46 @@ class ExperimentConfig:
             raise ConfigError(
                 f"run.ci_method must be 'normal' or 'wilson', got {self.ci_method!r}"
             )
-        for key in ("p_transport", "p_stay_on_failure", "p_blockade_plateau"):
-            value = getattr(self, key)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"stochastic.{key} must be within [0, 1], got {value}")
-        for key in ("lifetime_array_s", "lifetime_reservoir_s", "mean_ensemble_at_full"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"stochastic.{key} must be positive")
-        if self.n_reference < 1:
-            raise ConfigError("stochastic.n_reference must be at least 1")
-        if self.reservoir_mean < 0:
-            raise ConfigError("stochastic.reservoir_mean must be nonnegative")
-        if self.refill_rate < 0:
-            raise ConfigError("stochastic.refill_rate must be nonnegative")
-        for key in (
-            "t_mot", "t_molasses", "t_reservoir_transfer", "t_image",
-            "t_analysis_fill", "t_buffer_refill", "t_ramp", "t_move",
-        ):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"timing.{key} must be nonnegative")
-        if self.t_image_loss is not None and self.t_image_loss < 0:
-            raise ConfigError("timing.t_image_loss must be nonnegative")
-        if self.transport_failure not in ("lose", "stay", "mixed"):
-            raise ConfigError(
-                f"engine.transport_failure must be 'lose', 'stay' or 'mixed', "
-                f"got {self.transport_failure!r}"
-            )
-        if self.fill_strategy not in ("global", "per-vacancy"):
-            raise ConfigError(
-                f"engine.fill_strategy must be 'global' or 'per-vacancy', "
-                f"got {self.fill_strategy!r}"
-            )
-        if self.speed_um_per_s is not None and self.speed_um_per_s <= 0:
-            raise ConfigError("engine.speed_um_per_s must be positive")
+        self.build_models()
+
+    def _section(self, name: str) -> dict:
+        return {key: getattr(self, key) for key in _SECTIONS[name]}
 
     def build_models(self) -> SimulationModels:
-        """Assemble the validated model bundle for the engine."""
-        # The plateau is the fill fraction read out one image after a refill,
-        # so invert the decay accumulated over that window out of it.
-        window = self.t_buffer_refill + (
-            self.t_image if self.t_image_loss is None else self.t_image_loss
-        )
+        """Assemble the validated model bundle for the engine.
+
+        The models check every value they take; their errors name the
+        offending ``section.key`` and are raised here as :class:`ConfigError`.
+        """
         try:
+            loss = LossModel(self.lifetime_array_s, self.lifetime_reservoir_s)
+            timing = self._section("timing")
+            transport = TransportModel(
+                self.p_transport, timing.pop("t_ramp"), timing.pop("t_move")
+            )
+            timing = TimingModel(**timing)
+            # The plateau is the fill fraction read out one image after a
+            # refill, so invert the decay accumulated over that window out of it.
+            window = timing.t_buffer_refill + timing.image_loss_window
             extraction = ExtractionModel.from_plateau(
                 self.p_blockade_plateau,
                 self.mean_ensemble_at_full,
                 self.n_reference,
-                observation_survival=math.exp(-window / self.lifetime_array_s),
+                observation_survival=math.exp(-window / loss.lifetime_array),
+            )
+            return SimulationModels(
+                layout=self.layout,
+                loss=loss,
+                transport=transport,
+                extraction=extraction,
+                timing=timing,
+                reservoir_mean=self.reservoir_mean,
+                refill_rate=self.refill_rate,
+                p_stay_on_failure=self.p_stay_on_failure,
+                **self._section("engine"),
             )
         except ValueError as exc:
-            raise ConfigError(f"stochastic.p_blockade_plateau: {exc}") from None
-        return SimulationModels(
-            layout=self.layout,
-            loss=LossModel(self.lifetime_array_s, self.lifetime_reservoir_s),
-            transport=TransportModel(self.p_transport, self.t_ramp, self.t_move),
-            extraction=extraction,
-            timing=TimingModel(
-                t_mot=self.t_mot,
-                t_molasses=self.t_molasses,
-                t_reservoir_transfer=self.t_reservoir_transfer,
-                t_image=self.t_image,
-                t_analysis_fill=self.t_analysis_fill,
-                t_buffer_refill=self.t_buffer_refill,
-                t_ramp=self.t_ramp,
-                t_move=self.t_move,
-                t_image_loss=self.t_image_loss,
-            ),
-            reservoir_mean=self.reservoir_mean,
-            refill_rate=self.refill_rate,
-            transport_failure=self.transport_failure,
-            p_stay_on_failure=self.p_stay_on_failure,
-            fill_strategy=self.fill_strategy,
-            speed_um_per_s=self.speed_um_per_s,
-        )
+            raise ConfigError(str(exc)) from None
 
     def resolved(self) -> dict:
         """Plain nested dict of every effective parameter, for run metadata.
@@ -188,105 +164,60 @@ class ExperimentConfig:
         is self-contained even when a preset was used.
         """
         layout = self.layout
-        return {
-            "run": {
-                "n_replicas": self.n_replicas,
-                "n_cycles": self.n_cycles,
-                "master_seed": self.master_seed,
-                "success_definition": self.success_definition,
-                "ci_method": self.ci_method,
-            },
-            "layout": {
-                "preset": self.layout_preset,
-                "sites": [
-                    [s.id, s.pos.x, s.pos.y, s.role.value]
-                    for s in sorted(layout.sites, key=lambda s: s.id)
-                ],
-                "reservoir": [layout.reservoir_pos.x, layout.reservoir_pos.y],
-                "scan_range": layout.scan_range,
-                "base_pitch": layout.base_pitch,
-                "effective_pitch": layout.effective_pitch,
-                "metadata": dict(layout.metadata),
-            },
-            "stochastic": {
-                "lifetime_array_s": self.lifetime_array_s,
-                "lifetime_reservoir_s": self.lifetime_reservoir_s,
-                "p_transport": self.p_transport,
-                "p_stay_on_failure": self.p_stay_on_failure,
-                "p_blockade_plateau": self.p_blockade_plateau,
-                "mean_ensemble_at_full": self.mean_ensemble_at_full,
-                "n_reference": self.n_reference,
-                "reservoir_mean": self.reservoir_mean,
-                "refill_rate": self.refill_rate,
-            },
-            "timing": {
-                "t_mot": self.t_mot,
-                "t_molasses": self.t_molasses,
-                "t_reservoir_transfer": self.t_reservoir_transfer,
-                "t_image": self.t_image,
-                "t_analysis_fill": self.t_analysis_fill,
-                "t_buffer_refill": self.t_buffer_refill,
-                "t_ramp": self.t_ramp,
-                "t_move": self.t_move,
-                "t_image_loss": self.t_image_loss,
-            },
-            "engine": {
-                "transport_failure": self.transport_failure,
-                "fill_strategy": self.fill_strategy,
-                "speed_um_per_s": self.speed_um_per_s,
-            },
+        resolved = {name: self._section(name) for name in _SECTIONS}
+        resolved["layout"] = {
+            "preset": self.layout_preset,
+            "sites": [
+                [s.id, s.pos.x, s.pos.y, s.role.value]
+                for s in sorted(layout.sites, key=lambda s: s.id)
+            ],
+            "reservoir": [layout.reservoir_pos.x, layout.reservoir_pos.y],
+            "scan_range": layout.scan_range,
+            "base_pitch": layout.base_pitch,
+            "effective_pitch": layout.effective_pitch,
+            "metadata": dict(layout.metadata),
         }
+        return resolved
 
 
-_INT_KEYS = {"n_replicas", "n_cycles", "master_seed", "n_reference"}
-_STR_KEYS = {"success_definition", "ci_method", "transport_failure", "fill_strategy"}
+# INI section -> key -> annotated type, read off the field tags.
+_SECTIONS: dict[str, dict[str, str]] = {}
+for _f in fields(ExperimentConfig):
+    if "section" in _f.metadata:
+        _SECTIONS.setdefault(_f.metadata["section"], {})[_f.name] = _f.type
 
-_SECTION_KEYS = {
-    "run": {"n_replicas", "n_cycles", "master_seed", "success_definition", "ci_method"},
-    "layout": {"preset", "sites", "reservoir", "scan_range", "base_pitch", "effective_pitch"},
-    "stochastic": {
-        "lifetime_array_s", "lifetime_reservoir_s", "p_transport",
-        "p_stay_on_failure", "p_blockade_plateau", "mean_ensemble_at_full",
-        "n_reference", "reservoir_mean", "refill_rate",
-    },
-    "timing": {
-        "t_mot", "t_molasses", "t_reservoir_transfer", "t_image",
-        "t_analysis_fill", "t_buffer_refill", "t_ramp", "t_move", "t_image_loss",
-    },
-    "engine": {"transport_failure", "fill_strategy", "speed_um_per_s"},
-}
+_INLINE_LAYOUT_KEYS = ("sites", "reservoir", "scan_range", "base_pitch", "effective_pitch")
+_LAYOUT_KEYS = ("preset",) + _INLINE_LAYOUT_KEYS
 
 
-def _convert(section: str, key: str, raw: str):
+def _convert(section: str, key: str, raw: str, kind: str = "float"):
     raw = raw.strip()
-    if key in _STR_KEYS:
+    if kind == "str":
         return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ConfigError(f"{section}.{key} must be {kind}, got {raw!r}") from None
+        noun = "an integer" if kind == "int" else "a number"
+        raise ConfigError(f"{section}.{key} must be {noun}, got {raw!r}") from None
 
 
 def _parse_layout_section(section: configparser.SectionProxy) -> tuple[ArrayLayout, str | None]:
     preset = section.get("preset", "").strip()
-    inline_keys = [k for k in ("sites", "reservoir", "scan_range") if k in section]
-    if preset and inline_keys:
-        raise ConfigError(
-            f"layout.preset excludes inline keys ({', '.join(inline_keys)})"
-        )
+    given = ", ".join(f"layout.{k}" for k in _INLINE_LAYOUT_KEYS if k in section)
+    if preset and given:
+        raise ConfigError(f"layout.preset excludes inline keys ({given})")
     if preset:
         try:
             return layout_from_preset(preset), preset
         except ValueError as exc:
             raise ConfigError(f"layout.preset: {exc}") from None
-    if not inline_keys:
+    if not given:
         return reference_layout(), "paper-hex-6"
-    for key in ("sites", "reservoir", "scan_range", "base_pitch", "effective_pitch"):
+    for key in _INLINE_LAYOUT_KEYS:
         if key not in section:
-            raise ConfigError(f"layout.{key} is required for an inline layout")
+            raise ConfigError(
+                f"layout.{key} is required for an inline layout (given {given})"
+            )
     rows = []
     for lineno, line in enumerate(section["sites"].strip().splitlines(), start=1):
         parts = line.split()
@@ -330,20 +261,19 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     kwargs = {}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        keys = _LAYOUT_KEYS if section == "layout" else _SECTIONS.get(section)
+        if keys is None:
             raise ConfigError(
                 f"unknown config section [{section}]; expected one of "
-                f"{sorted(_SECTION_KEYS)}"
+                f"{sorted([*_SECTIONS, 'layout'])}"
             )
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in keys:
                 raise ConfigError(
-                    f"unknown key {section}.{key}; expected one of "
-                    f"{sorted(_SECTION_KEYS[section])}"
+                    f"unknown key {section}.{key}; expected one of {sorted(keys)}"
                 )
-            if section == "layout":
-                continue
-            kwargs[key] = _convert(section, key, parser[section][key])
+            if section != "layout":
+                kwargs[key] = _convert(section, key, parser[section][key], keys[key])
     if parser.has_section("layout"):
         kwargs["layout"], kwargs["layout_preset"] = _parse_layout_section(
             parser["layout"]

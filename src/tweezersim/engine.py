@@ -69,14 +69,12 @@ class TimingModel:
     t_image: float = 0.130
     t_analysis_fill: float = 0.065
     t_buffer_refill: float = 0.035
-    t_ramp: float = 130e-6
-    t_move: float = 310e-6
     t_image_loss: float | None = None
 
     def __post_init__(self):
         for name in (
             "t_mot", "t_molasses", "t_reservoir_transfer", "t_image",
-            "t_analysis_fill", "t_buffer_refill", "t_ramp", "t_move",
+            "t_analysis_fill", "t_buffer_refill",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"timing.{name} must be nonnegative")
@@ -114,7 +112,6 @@ class SimulationModels:
     transport_failure: str = "mixed"
     p_stay_on_failure: float = 2 / 3
     fill_strategy: str = "global"  # or "per-vacancy"
-    speed_um_per_s: float | None = None  # distance-proportional moves when set
 
     def __post_init__(self):
         if self.reservoir_mean < 0:
@@ -136,8 +133,6 @@ class SimulationModels:
                 f"engine.fill_strategy must be 'global' or 'per-vacancy', "
                 f"got {self.fill_strategy!r}"
             )
-        if self.speed_um_per_s is not None and self.speed_um_per_s <= 0:
-            raise ValueError("engine.speed_um_per_s must be positive")
 
 
 @dataclass
@@ -472,7 +467,6 @@ def run_cycle(
         state.belief,
         layout,
         transport=models.transport,
-        speed_um_per_s=models.speed_um_per_s,
         strategy=models.fill_strategy,
     )
     state = step_fill_targets(state, plan, models, rng, log, replica)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .engine import CycleRecord, EventLog, run_realization
 
 __all__ = [
@@ -178,14 +178,10 @@ class CalibrationError(RuntimeError):
 
 
 def _mean_delivered(config: ExperimentConfig, ensemble_mean: float, n_replicas: int) -> float:
-    cfg = dataclasses.replace(config, mean_ensemble_at_full=ensemble_mean)
-    models = cfg.build_models()
-    n_engine_cycles = cfg.n_cycles + 1
-    total = 0
-    for i in range(n_replicas):
-        records = run_realization(models, cfg.master_seed, n_engine_cycles, replica=i)
-        total += records[-1].delivered_cum
-    return total / n_replicas
+    cfg = dataclasses.replace(
+        config, mean_ensemble_at_full=ensemble_mean, n_replicas=n_replicas
+    )
+    return run_experiment(cfg)[0].mean_delivered
 
 
 def calibrate_depletion(
@@ -206,10 +202,10 @@ def calibrate_depletion(
     practice. ``evaluate`` may override the objective, mainly for tests.
     """
     if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
+        raise ConfigError(f"tolerance must be nonnegative, got {tolerance}")
     lo, hi = bracket
     if not 0 < lo < hi:
-        raise ValueError(f"invalid bracket {bracket}")
+        raise ConfigError(f"invalid bracket {bracket}")
     if evaluate is None:
         def evaluate(m: float) -> float:
             return _mean_delivered(config, m, n_replicas)

@@ -88,20 +88,11 @@ def _require_coverage(belief: Occupancy, layout: ArrayLayout) -> None:
         )
 
 
-def _move_duration(
-    dist: float, transport: TransportModel, speed_um_per_s: float | None
-) -> float:
-    if speed_um_per_s is None:
-        return transport.move_duration
-    return 2.0 * transport.t_ramp + dist / speed_um_per_s
-
-
 def plan_target_fill(
     belief: Occupancy,
     layout: ArrayLayout,
     *,
     transport: TransportModel | None = None,
-    speed_um_per_s: float | None = None,
     strategy: str = "global",
 ) -> MovePlan:
     """Shortest-move-first plan filling empty target sites from occupied
@@ -113,14 +104,13 @@ def plan_target_fill(
     vacancies in id order and gives each its nearest remaining source, an
     alternative reading of shortest-move sorting kept for comparison runs.
 
-    The plan always contains min(#vacancies, #occupied buffers) moves. Move
-    durations are the fixed ramp-translate-ramp time unless a transport
-    speed is given, which makes the translate leg distance-proportional.
+    The plan always contains min(#vacancies, #occupied buffers) moves, each
+    lasting the transport's fixed ramp-translate-ramp time.
     """
     _require_coverage(belief, layout)
     if strategy not in ("global", "per-vacancy"):
         raise PlanError(f"unknown fill strategy {strategy!r}")
-    transport = transport if transport is not None else TransportModel()
+    duration = (transport if transport is not None else TransportModel()).move_duration
     vacancies = [t for t in layout.target_ids if not belief[t]]
     sources = [b for b in layout.buffer_ids if belief[b]]
     moves: list[Move] = []
@@ -131,7 +121,7 @@ def plan_target_fill(
                 for v in vacancies
                 for s in sources
             )
-            moves.append(Move(src, dst, d, _move_duration(d, transport, speed_um_per_s)))
+            moves.append(Move(src, dst, d, duration))
             vacancies.remove(dst)
             sources.remove(src)
     else:
@@ -139,7 +129,7 @@ def plan_target_fill(
             if not sources:
                 break
             d, src = min((layout.site_distance(s, dst), s) for s in sources)
-            moves.append(Move(src, dst, d, _move_duration(d, transport, speed_um_per_s)))
+            moves.append(Move(src, dst, d, duration))
             sources.remove(src)
     return MovePlan(tuple(moves))
 
@@ -161,9 +151,6 @@ class Assignment:
 
     pairs: tuple[tuple[int, int], ...]
     total_distance: float
-
-
-_EXHAUSTIVE_LIMIT = 8
 
 
 def _cost_matrix(vacancies: Sequence[Position], sources: Sequence[Position]) -> np.ndarray:
@@ -207,14 +194,11 @@ def optimal_assignment(
 ) -> Assignment:
     """Minimum-total-distance matching of size min(#vacancies, #sources).
 
-    Small instances are solved by exhaustive enumeration; larger ones fall
-    back to the Hungarian-style solver from scipy.
+    Solved exactly at every size by scipy's Hungarian-style solver;
+    :func:`exhaustive_assignment` is the independent test oracle.
     """
-    nv, ns = len(vacancies), len(sources)
-    if nv == 0 or ns == 0:
+    if len(vacancies) == 0 or len(sources) == 0:
         return Assignment((), 0.0)
-    if max(nv, ns) <= _EXHAUSTIVE_LIMIT:
-        return exhaustive_assignment(vacancies, sources)
     cost = _cost_matrix(vacancies, sources)
     rows, cols = linear_sum_assignment(cost)
     pairs = tuple(sorted((int(r), int(c)) for r, c in zip(rows, cols)))

@@ -61,6 +61,11 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be within [0, 1], got {value}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass
 class LossModel:
     """One-body trap lifetimes in seconds; ``math.inf`` disables a channel."""
@@ -69,8 +74,8 @@ class LossModel:
     lifetime_reservoir: float = 5.0
 
     def __post_init__(self):
-        if self.lifetime_array <= 0 or self.lifetime_reservoir <= 0:
-            raise ValueError("lifetimes must be positive")
+        _check_positive("stochastic.lifetime_array_s", self.lifetime_array)
+        _check_positive("stochastic.lifetime_reservoir_s", self.lifetime_reservoir)
 
 
 @dataclass
@@ -82,9 +87,10 @@ class TransportModel:
     t_move: float = 310e-6  # s, tweezer translation
 
     def __post_init__(self):
-        _check_probability("p_success", self.p_success)
-        if self.t_ramp < 0 or self.t_move < 0:
-            raise ValueError("move durations must be nonnegative")
+        _check_probability("stochastic.p_transport", self.p_success)
+        for name in ("t_ramp", "t_move"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"timing.{name} must be nonnegative")
 
     @property
     def move_duration(self) -> float:
@@ -109,10 +115,8 @@ class ExtractionModel:
 
     def __post_init__(self):
         _check_probability("p_blockade", self.p_blockade)
-        if self.mean_ensemble_at_full <= 0:
-            raise ValueError("mean_ensemble_at_full must be positive")
-        if self.n_reference <= 0:
-            raise ValueError("n_reference must be positive")
+        _check_positive("stochastic.mean_ensemble_at_full", self.mean_ensemble_at_full)
+        _check_positive("stochastic.n_reference", self.n_reference)
 
     @classmethod
     def from_plateau(
@@ -131,7 +135,8 @@ class ExtractionModel:
         it out; the default 1.0 treats the plateau as the bare delivery
         probability at full reservoir.
         """
-        _check_probability("plateau", plateau)
+        _check_probability("stochastic.p_blockade_plateau", plateau)
+        _check_positive("stochastic.mean_ensemble_at_full", mean_ensemble_at_full)
         if not 0.0 < observation_survival <= 1.0:
             raise ValueError(
                 f"observation_survival must be within (0, 1], got {observation_survival}"
@@ -140,8 +145,8 @@ class ExtractionModel:
         p_blockade = plateau / (saturation * observation_survival)
         if p_blockade > 1.0:
             raise ValueError(
-                f"plateau {plateau} unreachable with ensemble mean "
-                f"{mean_ensemble_at_full} (requires p_blockade {p_blockade:.4g} > 1)"
+                f"stochastic.p_blockade_plateau {plateau} unreachable with ensemble "
+                f"mean {mean_ensemble_at_full} (requires p_blockade {p_blockade:.4g} > 1)"
             )
         return cls(p_blockade, mean_ensemble_at_full, n_reference)
 

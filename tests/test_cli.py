@@ -94,6 +94,24 @@ def test_missing_config_file_exits_2(capsys):
     assert err.startswith("error:")
 
 
+def test_negative_seed_exits_2(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--replicas", "5", "--seed", "-1")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "run.master_seed" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value,key",
+    [("--replicas", "0", "n_replicas"), ("--tolerance", "-1", "tolerance")],
+)
+def test_bad_calibrate_argument_exits_2(capsys, flag, value, key):
+    code, _, err = run_cli(capsys, "calibrate", flag, value)
+    assert code == 2
+    assert err.startswith("error:")
+    assert key in err
+
+
 def test_unbracketed_calibration_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "calibrate", "--target-delivered", "0",

@@ -59,6 +59,7 @@ def test_success_definition_aliases():
     [
         ("n_replicas", 0, "run.n_replicas"),
         ("n_cycles", 0, "run.n_cycles"),
+        ("master_seed", -1, "run.master_seed"),
         ("p_transport", 1.5, "stochastic.p_transport"),
         ("p_stay_on_failure", -0.1, "stochastic.p_stay_on_failure"),
         ("lifetime_array_s", 0.0, "stochastic.lifetime_array_s"),
@@ -67,7 +68,6 @@ def test_success_definition_aliases():
         ("t_image", -0.1, "timing.t_image"),
         ("transport_failure", "drop", "engine.transport_failure"),
         ("fill_strategy", "none", "engine.fill_strategy"),
-        ("speed_um_per_s", 0.0, "engine.speed_um_per_s"),
     ],
 )
 def test_validation_names_offending_key(field, value, key):
@@ -171,13 +171,20 @@ sites =
         with pytest.raises(ConfigError, match="layout"):
             load_config(write_ini(tmp_path, body))
 
+    def test_pitch_without_sites(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"layout\.base_pitch"):
+            load_config(write_ini(tmp_path, "[layout]\nbase_pitch = 5\n"))
+
+    def test_pitch_with_preset(self, tmp_path):
+        body = "[layout]\npreset = paper-hex-6\neffective_pitch = 5\n"
+        with pytest.raises(ConfigError, match=r"layout\.effective_pitch"):
+            load_config(write_ini(tmp_path, body))
+
 
 def test_reference_ini_matches_defaults():
-    cfg = load_config("configs/reference.ini")
-    d = ExperimentConfig()
-    assert cfg.n_replicas == d.n_replicas
-    assert cfg.mean_ensemble_at_full == d.mean_ensemble_at_full
-    assert cfg.transport_failure == d.transport_failure
+    cfg = load_config("configs/reference.ini").resolved()
+    d = ExperimentConfig().resolved()
     # the INI rounds the retention probability to 4 decimals
-    assert cfg.p_stay_on_failure == pytest.approx(d.p_stay_on_failure, abs=1e-4)
-    assert cfg.layout.site_ids == d.layout.site_ids
+    stay = cfg["stochastic"].pop("p_stay_on_failure")
+    assert stay == pytest.approx(d["stochastic"].pop("p_stay_on_failure"), abs=1e-4)
+    assert cfg == d

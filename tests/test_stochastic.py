@@ -118,6 +118,10 @@ class TestExtractionModel:
         with pytest.raises(ValueError, match="unreachable"):
             ExtractionModel.from_plateau(0.596, 0.5, 80)
 
+    def test_from_plateau_rejects_nonpositive_mean(self):
+        with pytest.raises(ValueError, match=r"stochastic\.mean_ensemble_at_full"):
+            ExtractionModel.from_plateau(0.596, 0.0, 80)
+
     def test_from_plateau_rejects_bad_survival(self):
         with pytest.raises(ValueError):
             ExtractionModel.from_plateau(0.5, 10.0, 80, observation_survival=0.0)
