@@ -99,9 +99,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("n_replicas", "n_cycles"):
-            if getattr(self, key) < 1:
+            if not getattr(self, key) >= 1:
                 raise ConfigError(f"run.{key} must be at least 1")
-        if self.master_seed < 0:
+        if not self.master_seed >= 0:
             raise ConfigError(
                 f"run.master_seed must be nonnegative, got {self.master_seed}"
             )

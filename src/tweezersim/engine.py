@@ -21,9 +21,12 @@ from .stochastic import (
     ReservoirState,
     RngStream,
     TransportModel,
+    _check_nonnegative,
+    _check_probability,
     sample_extraction,
-    sample_survival,
+    sample_survival,  # unused here; perfbench/tracing.py rebinds this name
     sample_transport,
+    survival_probability,
     reservoir_decay,
 )
 
@@ -76,10 +79,9 @@ class TimingModel:
             "t_mot", "t_molasses", "t_reservoir_transfer", "t_image",
             "t_analysis_fill", "t_buffer_refill",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"timing.{name} must be nonnegative")
-        if self.t_image_loss is not None and self.t_image_loss < 0:
-            raise ValueError("timing.t_image_loss must be nonnegative")
+            _check_nonnegative(f"timing.{name}", getattr(self, name))
+        if self.t_image_loss is not None:
+            _check_nonnegative("timing.t_image_loss", self.t_image_loss)
 
     @property
     def cycle_duration(self) -> float:
@@ -114,20 +116,14 @@ class SimulationModels:
     fill_strategy: str = "global"  # or "per-vacancy"
 
     def __post_init__(self):
-        if self.reservoir_mean < 0:
-            raise ValueError("stochastic.reservoir_mean must be nonnegative")
-        if self.refill_rate < 0:
-            raise ValueError("stochastic.refill_rate must be nonnegative")
+        _check_nonnegative("stochastic.reservoir_mean", self.reservoir_mean)
+        _check_nonnegative("stochastic.refill_rate", self.refill_rate)
         if self.transport_failure not in ("lose", "stay", "mixed"):
             raise ValueError(
                 f"engine.transport_failure must be 'lose', 'stay' or 'mixed', "
                 f"got {self.transport_failure!r}"
             )
-        if not 0.0 <= self.p_stay_on_failure <= 1.0:
-            raise ValueError(
-                "stochastic.p_stay_on_failure must be within [0, 1], "
-                f"got {self.p_stay_on_failure}"
-            )
+        _check_probability("stochastic.p_stay_on_failure", self.p_stay_on_failure)
         if self.fill_strategy not in ("global", "per-vacancy"):
             raise ValueError(
                 f"engine.fill_strategy must be 'global' or 'per-vacancy', "
@@ -221,18 +217,10 @@ class EventLog:
     ) -> None:
         self.rows.append((
             replica, cycle, step, state.clock, state.reservoir.n_atoms,
-            occupancy_mask(state.truth, layout),
-            occupancy_mask(state.belief, layout),
+            layout.occupancy_mask(state.truth),
+            layout.occupancy_mask(state.belief),
             src, dst, dist_um, duration_s, outcome,
         ))
-
-
-def occupancy_mask(occ: Occupancy, layout: ArrayLayout) -> int:
-    mask = 0
-    for sid, filled in occ.items():
-        if filled:
-            mask |= 1 << layout.index_of(sid)
-    return mask
 
 
 def _models_of(config) -> SimulationModels:
@@ -248,13 +236,17 @@ def _decay_step(
     """One-body losses over ``dt`` for array atoms and the reservoir.
 
     Truth-only: the controller never sees decay until the next image.
+    Each trapped atom takes one uniform, in site order, and survives when
+    it falls below the window's survival probability.
     """
     if dt > 0.0:
         counters = state.counters
-        lifetime = models.loss.lifetime_array
-        for sid, filled in state.truth.items():
-            if filled and not sample_survival(rng, dt, lifetime):
-                state.truth[sid] = False
+        truth = state.truth
+        p = survival_probability(dt, models.loss.lifetime_array)
+        trapped = [sid for sid, filled in truth.items() if filled]
+        for sid, u in zip(trapped, rng.uniforms(len(trapped))):
+            if not u < p:
+                truth[sid] = False
                 counters.array_decay_loss += 1
         lost, added = reservoir_decay(rng, state.reservoir, dt, models.loss)
         counters.reservoir_decay_loss += lost

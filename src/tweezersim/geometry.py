@@ -107,6 +107,10 @@ class ArrayLayout:
     tweezers can reach, centered on the centroid of the trap sites. Every
     site and the reservoir must lie inside it. ``metadata`` carries inert
     physical constants through to output headers; it is never interpreted.
+
+    Id lists, distances and occupancy bits are computed once here.
+    ``plan_memo`` is where the planner memoises plans for this layout; it
+    holds derived values only and takes no part in equality.
     """
 
     sites: tuple[TrapSite, ...]
@@ -119,9 +123,9 @@ class ArrayLayout:
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
         self._validate()
-        ids = sorted(s.id for s in self.sites)
-        index = {sid: k for k, sid in enumerate(ids)}
         by_id = {s.id: s for s in self.sites}
+        ids = tuple(sorted(by_id))
+        index = {sid: k for k, sid in enumerate(ids)}
         n = len(ids)
         dmat = np.zeros((n, n))
         for a in self.sites:
@@ -129,9 +133,14 @@ class ArrayLayout:
                 dmat[index[a.id], index[b.id]] = distance(a.pos, b.pos)
         rdist = {s.id: distance(s.pos, self.reservoir_pos) for s in self.sites}
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_bit", {sid: 1 << k for k, sid in index.items()})
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_dmat", dmat)
         object.__setattr__(self, "_rdist", rdist)
+        object.__setattr__(self, "_site_ids", ids)
+        for name, role in (("_buffer_ids", SiteRole.BUFFER), ("_target_ids", SiteRole.TARGET)):
+            object.__setattr__(self, name, tuple(i for i in ids if by_id[i].role is role))
+        object.__setattr__(self, "plan_memo", {})
 
     def _validate(self) -> None:
         if not self.sites:
@@ -139,8 +148,13 @@ class ArrayLayout:
         ids = [s.id for s in self.sites]
         if len(set(ids)) != len(ids):
             raise LayoutError("site ids must be unique within a layout")
-        if self.base_pitch <= 0 or self.effective_pitch <= 0:
-            raise LayoutError("pitches must be positive")
+        if not (self.base_pitch > 0 and self.effective_pitch > 0):
+            raise LayoutError(
+                f"pitches must be positive, got base_pitch {self.base_pitch} "
+                f"and effective_pitch {self.effective_pitch}"
+            )
+        if not self.scan_range > 0:
+            raise LayoutError(f"scan_range must be positive, got {self.scan_range}")
         ratio = self.effective_pitch / self.base_pitch
         if not (math.isclose(ratio, 1.0, rel_tol=1e-9) or math.isclose(ratio, 2.0, rel_tol=1e-9)):
             raise LayoutError(
@@ -170,16 +184,16 @@ class ArrayLayout:
     # -- lookups --------------------------------------------------------
 
     @property
-    def site_ids(self) -> list[int]:
-        return sorted(s.id for s in self.sites)
+    def site_ids(self) -> tuple[int, ...]:
+        return self._site_ids
 
     @property
-    def buffer_ids(self) -> list[int]:
-        return sorted(s.id for s in self.sites if s.role is SiteRole.BUFFER)
+    def buffer_ids(self) -> tuple[int, ...]:
+        return self._buffer_ids
 
     @property
-    def target_ids(self) -> list[int]:
-        return sorted(s.id for s in self.sites if s.role is SiteRole.TARGET)
+    def target_ids(self) -> tuple[int, ...]:
+        return self._target_ids
 
     def site(self, site_id: int) -> TrapSite:
         return self._by_id[site_id]
@@ -188,6 +202,17 @@ class ArrayLayout:
         """Stable 0-based index of a site (ascending id order); bit position
         in occupancy bitmasks."""
         return self._index[site_id]
+
+    def occupancy_mask(self, occupancy: Mapping[int, bool]) -> int:
+        """Bitmask of the occupied sites (bit ``index_of(id)``); raises
+        KeyError for an id that is not a site of this layout."""
+        bit = self._bit
+        mask = 0
+        for sid, filled in occupancy.items():
+            b = bit[sid]
+            if filled:
+                mask |= b
+        return mask
 
     def site_distance(self, a_id: int, b_id: int) -> float:
         return float(self._dmat[self._index[a_id], self._index[b_id]])

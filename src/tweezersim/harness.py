@@ -250,19 +250,16 @@ def calibrate_depletion(
 
 # -- output files -------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
 def _write_csv(path: str, header, rows) -> None:
+    """CSV with floats as ``.10g`` and every other value as ``str(v)``."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(
+                [format(v, ".10g") if isinstance(v, float) else str(v) for v in row]
+                for row in rows
+            )
     except OSError as exc:
         raise OSError(f"writing {path} failed: {exc.strerror}") from exc
 

@@ -42,7 +42,7 @@ class PlanError(ValueError):
     """Raised when a plan request is inconsistent with the layout."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One single-atom transport: ``src`` site (or RESERVOIR) to ``dst``."""
 
@@ -78,14 +78,32 @@ class MovePlan:
         return iter(self.moves)
 
 
-def _require_coverage(belief: Occupancy, layout: ArrayLayout) -> None:
-    if set(belief) != set(layout.site_ids):
-        missing = set(layout.site_ids) - set(belief)
-        extra = set(belief) - set(layout.site_ids)
-        raise PlanError(
-            f"belief must cover exactly the layout sites "
-            f"(missing {sorted(missing)}, extraneous {sorted(extra)})"
-        )
+# Most plans the layout's memo keeps: 2^13, one per believed occupancy of
+# the 13-site reference layout. A full memo keeps what it has and plans the
+# rest afresh.
+MEMO_CAP = 8192
+
+
+def _belief_mask(belief: Occupancy, layout: ArrayLayout) -> int:
+    """Occupancy bitmask of ``belief``, which must name every layout site
+    and nothing else."""
+    if len(belief) == len(layout.site_ids):
+        try:
+            return layout.occupancy_mask(belief)
+        except KeyError:
+            pass
+    missing = set(layout.site_ids) - set(belief)
+    extra = set(belief) - set(layout.site_ids)
+    raise PlanError(
+        f"belief must cover exactly the layout sites "
+        f"(missing {sorted(missing)}, extraneous {sorted(extra)})"
+    )
+
+
+def _remember(layout: ArrayLayout, key, value):
+    if len(layout.plan_memo) < MEMO_CAP:
+        layout.plan_memo[key] = value
+    return value
 
 
 def plan_target_fill(
@@ -105,12 +123,16 @@ def plan_target_fill(
     alternative reading of shortest-move sorting kept for comparison runs.
 
     The plan always contains min(#vacancies, #occupied buffers) moves, each
-    lasting the transport's fixed ramp-translate-ramp time.
+    lasting the transport's fixed ramp-translate-ramp time. Plans are
+    memoised on the layout by (belief mask, strategy, move duration).
     """
-    _require_coverage(belief, layout)
+    duration = (transport if transport is not None else TransportModel()).move_duration
+    key = (_belief_mask(belief, layout), strategy, duration)
+    plan = layout.plan_memo.get(key)
+    if plan is not None:
+        return plan
     if strategy not in ("global", "per-vacancy"):
         raise PlanError(f"unknown fill strategy {strategy!r}")
-    duration = (transport if transport is not None else TransportModel()).move_duration
     vacancies = [t for t in layout.target_ids if not belief[t]]
     sources = [b for b in layout.buffer_ids if belief[b]]
     moves: list[Move] = []
@@ -131,16 +153,21 @@ def plan_target_fill(
             d, src = min((layout.site_distance(s, dst), s) for s in sources)
             moves.append(Move(src, dst, d, duration))
             sources.remove(src)
-    return MovePlan(tuple(moves))
+    return _remember(layout, key, MovePlan(tuple(moves)))
 
 
 def plan_buffer_refill(belief: Occupancy, layout: ArrayLayout) -> list[int]:
     """Buffer sites believed empty, ordered nearest-to-reservoir first
-    (ties by site id); the destinations of the next extraction round."""
-    _require_coverage(belief, layout)
-    empty = [b for b in layout.buffer_ids if not belief[b]]
-    empty.sort(key=lambda b: (layout.reservoir_distance(b), b))
-    return empty
+    (ties by site id); the destinations of the next extraction round.
+
+    Memoised on the layout by belief mask; every call returns a new list."""
+    key = _belief_mask(belief, layout)
+    order = layout.plan_memo.get(key)
+    if order is None:
+        empty = [b for b in layout.buffer_ids if not belief[b]]
+        empty.sort(key=lambda b: (layout.reservoir_distance(b), b))
+        order = _remember(layout, key, tuple(empty))
+    return list(order)
 
 
 # -- assignment oracle --------------------------------------------------

@@ -46,6 +46,11 @@ class RngStream:
     def random(self) -> float:
         return float(self._gen.random())
 
+    def uniforms(self, n: int) -> list[float]:
+        """``n`` uniforms in one call, identical to ``n`` calls of
+        :meth:`random` and advancing the stream by as much."""
+        return self._gen.random(n).tolist()
+
     def bernoulli(self, p: float) -> bool:
         return self._gen.random() < p
 
@@ -61,9 +66,15 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be within [0, 1], got {value}")
 
 
+# Written as ``not value > 0`` and ``not value >= 0`` so NaN fails too.
 def _check_positive(name: str, value: float) -> None:
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not value >= 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass
@@ -89,8 +100,7 @@ class TransportModel:
     def __post_init__(self):
         _check_probability("stochastic.p_transport", self.p_success)
         for name in ("t_ramp", "t_move"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"timing.{name} must be nonnegative")
+            _check_nonnegative(f"timing.{name}", getattr(self, name))
 
     @property
     def move_duration(self) -> float:
@@ -169,18 +179,16 @@ class ReservoirState:
     refill_rate: float = 0.0
 
     def __post_init__(self):
-        if self.n_atoms < 0:
-            raise ValueError("reservoir population cannot be negative")
-        if self.refill_rate < 0:
-            raise ValueError("refill_rate must be nonnegative")
+        _check_nonnegative("reservoir population", self.n_atoms)
+        _check_nonnegative("stochastic.refill_rate", self.refill_rate)
 
 
 def survival_probability(dt: float, lifetime: float) -> float:
     """Probability that a trapped atom survives ``dt`` seconds,
     ``exp(-dt / lifetime)``."""
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    if lifetime <= 0:
+    if not lifetime > 0:
         raise ValueError(f"lifetime must be positive, got {lifetime}")
     return math.exp(-dt / lifetime)
 

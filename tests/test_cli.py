@@ -88,6 +88,38 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "n_replicas" in err
 
 
+INLINE_LAYOUT = """[layout]
+sites =
+    0 0.0 0.0 buffer
+    1 20.0 0.0 target
+reservoir = -50.0 0.0
+base_pitch = 20.0
+effective_pitch = 20.0
+"""
+
+
+@pytest.mark.parametrize(
+    "body,key",
+    [
+        ("[timing]\nt_mot = nan\n", "timing.t_mot"),
+        ("[timing]\nt_ramp = nan\n", "timing.t_ramp"),
+        ("[stochastic]\nrefill_rate = nan\n", "stochastic.refill_rate"),
+        (INLINE_LAYOUT + "scan_range = nan\n", "layout: scan_range"),
+    ],
+    ids=["t_mot", "t_ramp", "refill_rate", "scan_range"],
+)
+def test_nan_config_value_exits_2(tmp_path, capsys, body, key):
+    ini = tmp_path / "nan.ini"
+    ini.write_text("[run]\nn_replicas = 3\nn_cycles = 2\n" + body)
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(ini), "--out", str(tmp_path / "res")
+    )
+    assert code == 2
+    assert err.startswith("error:")
+    assert key in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", "/no/such/file.ini")
     assert code == 2

@@ -68,11 +68,26 @@ def test_success_definition_aliases():
         ("t_image", -0.1, "timing.t_image"),
         ("transport_failure", "drop", "engine.transport_failure"),
         ("fill_strategy", "none", "engine.fill_strategy"),
+        ("t_mot", math.nan, "timing.t_mot"),
+        ("t_image_loss", math.nan, "timing.t_image_loss"),
+        ("t_ramp", math.nan, "timing.t_ramp"),
+        ("refill_rate", math.nan, "stochastic.refill_rate"),
+        ("reservoir_mean", math.nan, "stochastic.reservoir_mean"),
+        ("lifetime_reservoir_s", math.nan, "stochastic.lifetime_reservoir_s"),
+        ("mean_ensemble_at_full", math.nan, "stochastic.mean_ensemble_at_full"),
+        ("n_replicas", math.nan, "run.n_replicas"),
     ],
 )
 def test_validation_names_offending_key(field, value, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         ExperimentConfig(**{field: value})
+
+
+def test_infinite_lifetimes_stay_legal():
+    models = ExperimentConfig(
+        lifetime_array_s=math.inf, lifetime_reservoir_s=math.inf
+    ).build_models()
+    assert models.loss.lifetime_array == math.inf
 
 
 def test_unreachable_plateau_is_config_error():

@@ -15,7 +15,6 @@ from tweezersim.engine import (
     TimingModel,
     check_conservation,
     init_sequence,
-    occupancy_mask,
     run_cycle,
     run_realization,
     step_fill_targets,
@@ -103,12 +102,12 @@ def test_init_sequence_population_statistics():
 def test_occupancy_mask():
     models = models_with()
     state = init_sequence(models, RngStream(3, 0))
-    assert occupancy_mask(state.truth, models.layout) == 0
+    assert models.layout.occupancy_mask(state.truth) == 0
     state.truth[0] = True
     state.truth[12] = True
     idx0 = models.layout.index_of(0)
     idx12 = models.layout.index_of(12)
-    assert occupancy_mask(state.truth, models.layout) == (1 << idx0) | (1 << idx12)
+    assert models.layout.occupancy_mask(state.truth) == (1 << idx0) | (1 << idx12)
 
 
 def test_step_image_syncs_belief():

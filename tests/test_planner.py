@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from tweezersim.planner import (
     Assignment,
     Move,
     MovePlan,
+    MEMO_CAP,
     PlanError,
     exhaustive_assignment,
     optimal_assignment,
@@ -62,6 +64,49 @@ def test_plan_requires_full_coverage():
 def test_unknown_strategy():
     with pytest.raises(PlanError):
         plan_target_fill(belief_with(set()), LAYOUT, strategy="sideways")
+
+
+def mask_belief(mask):
+    return {sid: bool(mask >> LAYOUT.index_of(sid) & 1) for sid in LAYOUT.site_ids}
+
+
+@pytest.mark.parametrize("strategy", ["global", "per-vacancy"])
+def test_memoised_plans_equal_fresh_plans(strategy):
+    # Every believed occupancy of the 13-site layout, planned into an empty
+    # memo and again once it is full (fill and refill plans together exceed
+    # the cap), against plans from a layout whose memo is emptied first.
+    memo, fresh = reference_layout(), reference_layout()
+    for _ in range(2):
+        for mask in range(1 << len(LAYOUT.site_ids)):
+            belief = mask_belief(mask)
+            fresh.plan_memo.clear()
+            expected = plan_target_fill(belief, fresh, strategy=strategy)
+            fresh.plan_memo.clear()
+            assert plan_target_fill(belief, memo, strategy=strategy) == expected
+            assert plan_buffer_refill(belief, memo) == plan_buffer_refill(belief, fresh)
+    assert len(memo.plan_memo) == MEMO_CAP
+
+
+def test_memo_keeps_coverage_errors_and_fresh_refill_lists():
+    layout = reference_layout()
+    belief = belief_with(set())
+    plan_target_fill(belief, layout)
+    first = plan_buffer_refill(belief, layout)
+    first.clear()
+    assert plan_buffer_refill(belief, layout) == sorted(
+        LAYOUT.buffer_ids, key=lambda b: (LAYOUT.reservoir_distance(b), b)
+    )
+    missing = dict(belief)
+    del missing[12]
+    swapped = {**missing, 99: False}
+    for bad, words in (
+        (missing, "missing [12]"),
+        ({**belief, 99: False}, "extraneous [99]"),
+        (swapped, "missing [12], extraneous [99]"),
+    ):
+        for plan in (plan_target_fill, plan_buffer_refill):
+            with pytest.raises(PlanError, match=re.escape(words)):
+                plan(bad, layout)
 
 
 class TestPlanTargetFill:

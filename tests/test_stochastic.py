@@ -43,6 +43,22 @@ class TestRngStream:
         assert isinstance(rng.bernoulli(0.5), bool)
         assert 0.0 <= rng.random() < 1.0
 
+    @pytest.mark.parametrize("seed,replica", [(42, 0), (42, 2499), (7, 3)])
+    def test_uniforms_equal_scalar_draws(self, seed, replica):
+        # The engine takes a window's survival uniforms in one call; the
+        # stream must advance exactly as with one random() per atom, with
+        # the binomial and Poisson draws of the same cycle in between.
+        bulk, scalar = RngStream(seed, replica), RngStream(seed, replica)
+        for n in (0, 1, 13, 7, 2, 0, 5):
+            assert bulk.uniforms(n) == [scalar.random() for _ in range(n)]
+            assert bulk.binomial(80, 0.97) == scalar.binomial(80, 0.97)
+            assert bulk.poisson(13.56) == scalar.poisson(13.56)
+            assert bulk.bernoulli(0.753) == scalar.bernoulli(0.753)
+        assert bulk.random() == scalar.random()
+
+    def test_uniforms_prefix_stable(self):
+        assert RngStream(42, 9).uniforms(4) == RngStream(42, 9).uniforms(10)[:4]
+
 
 def test_survival_probability_closed_form():
     assert survival_probability(0.0, 10.0) == 1.0
