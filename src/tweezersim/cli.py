@@ -41,9 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="success counting: first achievement (default) or maintained completion",
     )
     sim.add_argument(
-        "--transport-failure", choices=("lose", "stay", "mixed"),
-        help="failed moves lose the atom, keep it in the source trap, or "
-        "draw between the two (default mixed)",
+        "--p-stay-on-failure", metavar="P", type=float,
+        help="override stochastic.p_stay_on_failure: chance that a failed move "
+        "keeps its atom in the source trap (0 loses it, 1 keeps it)",
     )
 
     cal = sub.add_parser("calibrate", help="fit the extraction ensemble mean to a delivery target")
@@ -79,8 +79,8 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         overrides["master_seed"] = args.seed
     if args.success_def is not None:
         overrides["success_definition"] = args.success_def
-    if args.transport_failure is not None:
-        overrides["transport_failure"] = args.transport_failure
+    if args.p_stay_on_failure is not None:
+        overrides["p_stay_on_failure"] = args.p_stay_on_failure
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config

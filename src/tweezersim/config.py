@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 
 from .engine import SimulationModels, TimingModel
 from .geometry import (
+    PRESETS,
     ArrayLayout,
     layout_from_preset,
     layout_from_site_rows,
@@ -75,7 +76,6 @@ class ExperimentConfig:
     ci_method: str = _key("run", "normal")
     # [layout] is parsed by hand; see _parse_layout_section
     layout: ArrayLayout = field(default_factory=reference_layout)
-    layout_preset: str | None = "paper-hex-6"
     lifetime_array_s: float = _key("stochastic", 10.0)
     lifetime_reservoir_s: float = _key("stochastic", 5.0)
     p_transport: float = _key("stochastic", 0.753)
@@ -94,7 +94,6 @@ class ExperimentConfig:
     t_ramp: float = _key("timing", 130e-6)
     t_move: float = _key("timing", 310e-6)
     t_image_loss: float | None = _key("timing", None)
-    transport_failure: str = _key("engine", "mixed")
     fill_strategy: str = _key("engine", "global")
 
     def __post_init__(self):
@@ -161,12 +160,12 @@ class ExperimentConfig:
         """Plain nested dict of every effective parameter, for run metadata.
 
         The layout is always expanded to explicit site rows so the record
-        is self-contained even when a preset was used.
+        is self-contained; ``preset`` names the preset it equals, if any.
         """
         layout = self.layout
         resolved = {name: self._section(name) for name in _SECTIONS}
         resolved["layout"] = {
-            "preset": self.layout_preset,
+            "preset": next((n for n, make in PRESETS.items() if make() == layout), None),
             "sites": [
                 [s.id, s.pos.x, s.pos.y, s.role.value]
                 for s in sorted(layout.sites, key=lambda s: s.id)
@@ -201,18 +200,18 @@ def _convert(section: str, key: str, raw: str, kind: str = "float"):
         raise ConfigError(f"{section}.{key} must be {noun}, got {raw!r}") from None
 
 
-def _parse_layout_section(section: configparser.SectionProxy) -> tuple[ArrayLayout, str | None]:
+def _parse_layout_section(section: configparser.SectionProxy) -> ArrayLayout:
     preset = section.get("preset", "").strip()
     given = ", ".join(f"layout.{k}" for k in _INLINE_LAYOUT_KEYS if k in section)
     if preset and given:
         raise ConfigError(f"layout.preset excludes inline keys ({given})")
     if preset:
         try:
-            return layout_from_preset(preset), preset
+            return layout_from_preset(preset)
         except ValueError as exc:
             raise ConfigError(f"layout.preset: {exc}") from None
     if not given:
-        return reference_layout(), "paper-hex-6"
+        return reference_layout()
     for key in _INLINE_LAYOUT_KEYS:
         if key not in section:
             raise ConfigError(
@@ -244,7 +243,7 @@ def _parse_layout_section(section: configparser.SectionProxy) -> tuple[ArrayLayo
         )
     except ValueError as exc:
         raise ConfigError(f"layout: {exc}") from None
-    return layout, None
+    return layout
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -275,7 +274,5 @@ def load_config(path: str) -> ExperimentConfig:
             if section != "layout":
                 kwargs[key] = _convert(section, key, parser[section][key], keys[key])
     if parser.has_section("layout"):
-        kwargs["layout"], kwargs["layout_preset"] = _parse_layout_section(
-            parser["layout"]
-        )
+        kwargs["layout"] = _parse_layout_section(parser["layout"])
     return ExperimentConfig(**kwargs)

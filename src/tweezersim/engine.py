@@ -107,22 +107,16 @@ class SimulationModels:
     transport: TransportModel
     extraction: ExtractionModel
     timing: TimingModel
-    reservoir_mean: float = 80.0
-    refill_rate: float = 0.0
-    # Failed moves: "lose" drops the atom, "stay" leaves it in the source
-    # trap, "mixed" draws between the two with the retention probability.
-    transport_failure: str = "mixed"
-    p_stay_on_failure: float = 2 / 3
-    fill_strategy: str = "global"  # or "per-vacancy"
+    reservoir_mean: float
+    refill_rate: float
+    # A failed move leaves the atom in its source trap with this
+    # probability and drops it otherwise; 0 and 1 take no draw.
+    p_stay_on_failure: float
+    fill_strategy: str  # "global" or "per-vacancy"
 
     def __post_init__(self):
         _check_nonnegative("stochastic.reservoir_mean", self.reservoir_mean)
         _check_nonnegative("stochastic.refill_rate", self.refill_rate)
-        if self.transport_failure not in ("lose", "stay", "mixed"):
-            raise ValueError(
-                f"engine.transport_failure must be 'lose', 'stay' or 'mixed', "
-                f"got {self.transport_failure!r}"
-            )
         _check_probability("stochastic.p_stay_on_failure", self.p_stay_on_failure)
         if self.fill_strategy not in ("global", "per-vacancy"):
             raise ValueError(
@@ -305,12 +299,14 @@ def step_fill_targets(
 
     Belief assumes every move succeeds (source empty, destination occupied);
     truth records the sampled outcome. A believed-occupied but truly empty
-    source executes as a null transport. A failed transport loses the atom
-    (``lose``), returns it to the source (``stay``), or draws between the
-    two with probability ``p_stay_on_failure`` of retention (``mixed``).
+    source executes as a null transport. A failed transport returns the atom
+    to the source with probability ``p_stay_on_failure`` and loses it
+    otherwise; at 0 or 1 no retention draw is taken. Every move lasts the
+    transport's fixed ramp-translate-ramp time.
     """
     counters = state.counters
     layout = models.layout
+    p_stay = models.p_stay_on_failure
     for move in plan:
         if not state.belief.get(move.src, False):
             raise PlanConflictError(
@@ -330,11 +326,7 @@ def step_fill_targets(
                 state.truth[move.dst] = True
                 outcome = "ok"
             else:
-                retained = models.transport_failure == "stay" or (
-                    models.transport_failure == "mixed"
-                    and rng.bernoulli(models.p_stay_on_failure)
-                )
-                if retained:
+                if p_stay >= 1.0 or (p_stay > 0.0 and rng.bernoulli(p_stay)):
                     state.truth[move.src] = True
                     outcome = "stay"
                 else:
@@ -348,7 +340,7 @@ def step_fill_targets(
             log.add(
                 replica, state.cycle_index, "fill", state, layout,
                 src=move.src, dst=move.dst, dist_um=move.dist,
-                duration_s=move.duration, outcome=outcome,
+                duration_s=models.transport.move_duration, outcome=outcome,
             )
     if log is not None and not plan.moves:
         log.add(replica, state.cycle_index, "fill", state, layout)
@@ -369,8 +361,9 @@ def step_refill_buffers(
 
     Delivered atoms enter truth immediately but stay believed-empty until
     the next image, so the planner never sources an unverified refill. A
-    listed site already holding an atom (possible under ``stay`` transport
-    failures) is skipped without touching the reservoir.
+    listed site already holding an atom (possible when a failed transport
+    kept its atom in the source trap) is skipped without touching the
+    reservoir.
     """
     counters = state.counters
     layout = models.layout
@@ -455,12 +448,7 @@ def run_cycle(
         delivered_cum=c.delivered,
         reservoir_decay_cum=c.reservoir_decay_loss,
     )
-    plan = plan_target_fill(
-        state.belief,
-        layout,
-        transport=models.transport,
-        strategy=models.fill_strategy,
-    )
+    plan = plan_target_fill(state.belief, layout, strategy=models.fill_strategy)
     state = step_fill_targets(state, plan, models, rng, log, replica)
     refill_list = plan_buffer_refill(state.belief, layout)
     state = step_refill_buffers(state, refill_list, models, rng, log, replica)

@@ -108,9 +108,10 @@ class ArrayLayout:
     site and the reservoir must lie inside it. ``metadata`` carries inert
     physical constants through to output headers; it is never interpreted.
 
-    Id lists, distances and occupancy bits are computed once here.
-    ``plan_memo`` is where the planner memoises plans for this layout; it
-    holds derived values only and takes no part in equality.
+    Id lists, distances, occupancy bits and the refill order (buffers
+    nearest the reservoir first, ties by id) are computed once here.
+    ``plan_memo`` is where the planner memoises fill plans for this layout;
+    it holds derived values only and takes no part in equality.
     """
 
     sites: tuple[TrapSite, ...]
@@ -140,11 +141,16 @@ class ArrayLayout:
         object.__setattr__(self, "_site_ids", ids)
         for name, role in (("_buffer_ids", SiteRole.BUFFER), ("_target_ids", SiteRole.TARGET)):
             object.__setattr__(self, name, tuple(i for i in ids if by_id[i].role is role))
+        object.__setattr__(
+            self, "refill_order",
+            tuple(sorted(self._buffer_ids, key=lambda b: (rdist[b], b))),
+        )
         object.__setattr__(self, "plan_memo", {})
 
     def _validate(self) -> None:
-        if not self.sites:
-            raise LayoutError("layout must contain at least one site")
+        for role in SiteRole:
+            if not any(s.role is role for s in self.sites):
+                raise LayoutError(f"layout must contain at least one {role.value} site")
         ids = [s.id for s in self.sites]
         if len(set(ids)) != len(ids):
             raise LayoutError("site ids must be unique within a layout")

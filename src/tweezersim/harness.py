@@ -201,8 +201,10 @@ def calibrate_depletion(
     seed (common random numbers), which keeps the response monotone in
     practice. ``evaluate`` may override the objective, mainly for tests.
     """
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise ConfigError(f"tolerance must be nonnegative, got {tolerance}")
+    if not math.isfinite(target_delivered):
+        raise ConfigError(f"target_delivered must be finite, got {target_delivered}")
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ConfigError(f"invalid bracket {bracket}")

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import ArrayLayout, Position, distance
-from .stochastic import TransportModel
 
 __all__ = [
     "RESERVOIR",
@@ -49,7 +48,6 @@ class Move:
     src: int
     dst: int
     dist: float  # µm
-    duration: float  # s
 
     def __post_init__(self):
         if self.src == self.dst:
@@ -78,9 +76,9 @@ class MovePlan:
         return iter(self.moves)
 
 
-# Most plans the layout's memo keeps: 2^13, one per believed occupancy of
-# the 13-site reference layout. A full memo keeps what it has and plans the
-# rest afresh.
+# Most fill plans the layout's memo keeps: 2^13, one per believed occupancy
+# of the 13-site reference layout. A full memo keeps what it has and plans
+# the rest afresh.
 MEMO_CAP = 8192
 
 
@@ -100,17 +98,10 @@ def _belief_mask(belief: Occupancy, layout: ArrayLayout) -> int:
     )
 
 
-def _remember(layout: ArrayLayout, key, value):
-    if len(layout.plan_memo) < MEMO_CAP:
-        layout.plan_memo[key] = value
-    return value
-
-
 def plan_target_fill(
     belief: Occupancy,
     layout: ArrayLayout,
     *,
-    transport: TransportModel | None = None,
     strategy: str = "global",
 ) -> MovePlan:
     """Shortest-move-first plan filling empty target sites from occupied
@@ -122,12 +113,10 @@ def plan_target_fill(
     vacancies in id order and gives each its nearest remaining source, an
     alternative reading of shortest-move sorting kept for comparison runs.
 
-    The plan always contains min(#vacancies, #occupied buffers) moves, each
-    lasting the transport's fixed ramp-translate-ramp time. Plans are
-    memoised on the layout by (belief mask, strategy, move duration).
+    The plan always contains min(#vacancies, #occupied buffers) moves.
+    Plans are memoised on the layout by (belief mask, strategy).
     """
-    duration = (transport if transport is not None else TransportModel()).move_duration
-    key = (_belief_mask(belief, layout), strategy, duration)
+    key = (_belief_mask(belief, layout), strategy)
     plan = layout.plan_memo.get(key)
     if plan is not None:
         return plan
@@ -143,7 +132,7 @@ def plan_target_fill(
                 for v in vacancies
                 for s in sources
             )
-            moves.append(Move(src, dst, d, duration))
+            moves.append(Move(src, dst, d))
             vacancies.remove(dst)
             sources.remove(src)
     else:
@@ -151,23 +140,21 @@ def plan_target_fill(
             if not sources:
                 break
             d, src = min((layout.site_distance(s, dst), s) for s in sources)
-            moves.append(Move(src, dst, d, duration))
+            moves.append(Move(src, dst, d))
             sources.remove(src)
-    return _remember(layout, key, MovePlan(tuple(moves)))
+    plan = MovePlan(tuple(moves))
+    if len(layout.plan_memo) < MEMO_CAP:
+        layout.plan_memo[key] = plan
+    return plan
 
 
 def plan_buffer_refill(belief: Occupancy, layout: ArrayLayout) -> list[int]:
     """Buffer sites believed empty, ordered nearest-to-reservoir first
     (ties by site id); the destinations of the next extraction round.
 
-    Memoised on the layout by belief mask; every call returns a new list."""
-    key = _belief_mask(belief, layout)
-    order = layout.plan_memo.get(key)
-    if order is None:
-        empty = [b for b in layout.buffer_ids if not belief[b]]
-        empty.sort(key=lambda b: (layout.reservoir_distance(b), b))
-        order = _remember(layout, key, tuple(empty))
-    return list(order)
+    Filters the layout's fixed refill order; every call returns a new list."""
+    _belief_mask(belief, layout)  # coverage check only
+    return [b for b in layout.refill_order if not belief[b]]
 
 
 # -- assignment oracle --------------------------------------------------

@@ -158,19 +158,17 @@ def test_acceptance_6_survival_statistics():
 
 
 def _random_soak_config(rng):
-    failure = rng.choice(["lose", "stay", "mixed"])
     return ExperimentConfig(
         n_replicas=1,
         n_cycles=rng.randint(3, 10),
         lifetime_array_s=rng.uniform(2.0, 30.0),
         lifetime_reservoir_s=rng.uniform(2.0, 10.0),
         p_transport=rng.uniform(0.3, 1.0),
-        p_stay_on_failure=rng.uniform(0.0, 1.0),
+        p_stay_on_failure=rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]),
         p_blockade_plateau=rng.uniform(0.3, 0.7),
         mean_ensemble_at_full=rng.uniform(3.0, 20.0),
         reservoir_mean=rng.uniform(20.0, 120.0),
         refill_rate=rng.choice([0.0, rng.uniform(0.0, 5.0)]),
-        transport_failure=failure,
         fill_strategy=rng.choice(["global", "per-vacancy"]),
         t_image_loss=rng.choice([None, 0.100]),
     )

@@ -43,12 +43,17 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert meta["config"]["run"]["n_replicas"] == 25
 
 
-def test_simulate_accepts_mode_flags(capsys):
+def test_simulate_accepts_mode_flags(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--replicas", "20", "--cycles", "2",
-        "--success-def", "maintained", "--transport-failure", "stay",
+        "--success-def", "maintained", "--p-stay-on-failure", "1",
+        "--out", str(tmp_path),
     )
     assert code == 0
+    config = json.loads((tmp_path / "run_meta.json").read_text())["config"]
+    assert config["run"]["success_definition"] == "maintained"
+    assert config["stochastic"]["p_stay_on_failure"] == 1.0
+    assert "transport_failure" not in config["engine"]
 
 
 def test_simulate_reads_config_file(tmp_path, capsys):
@@ -120,6 +125,21 @@ def test_nan_config_value_exits_2(tmp_path, capsys, body, key):
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("role", ["buffer", "target"])
+def test_layout_without_a_role_exits_2(tmp_path, capsys, role):
+    # every site of one role: no buffer to fill targets from, or no target
+    ini = tmp_path / "one_role.ini"
+    ini.write_text(
+        "[run]\nn_replicas = 3\nn_cycles = 2\n"
+        + INLINE_LAYOUT.replace("buffer", role).replace("target", role)
+        + "scan_range = 250.0\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", "--config", str(ini))
+    assert code == 2
+    assert err.startswith("error: layout:")
+    assert out == ""
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", "/no/such/file.ini")
     assert code == 2
@@ -135,7 +155,12 @@ def test_negative_seed_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "flag,value,key",
-    [("--replicas", "0", "n_replicas"), ("--tolerance", "-1", "tolerance")],
+    [
+        ("--replicas", "0", "n_replicas"),
+        ("--tolerance", "-1", "tolerance"),
+        ("--tolerance", "nan", "tolerance"),
+        ("--target-delivered", "nan", "target_delivered"),
+    ],
 )
 def test_bad_calibrate_argument_exits_2(capsys, flag, value, key):
     code, _, err = run_cli(capsys, "calibrate", flag, value)

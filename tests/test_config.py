@@ -1,15 +1,20 @@
 """Configuration parsing, validation, and model assembly."""
 
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweezersim.config import (
     DEFAULT_ENSEMBLE_MEAN,
+    DEFAULT_STAY_ON_FAILURE,
     ConfigError,
     ExperimentConfig,
     load_config,
 )
+from tweezersim.geometry import layout_from_site_rows
 
 
 def write_ini(tmp_path, body, name="run.ini"):
@@ -23,7 +28,7 @@ def test_defaults_build():
     models = cfg.build_models()
     assert models.layout.site_ids == cfg.layout.site_ids
     assert models.transport.p_success == 0.753
-    assert models.transport_failure == "mixed"
+    assert models.p_stay_on_failure == DEFAULT_STAY_ON_FAILURE
 
 
 def test_plateau_inversion_in_build():
@@ -66,7 +71,6 @@ def test_success_definition_aliases():
         ("n_reference", 0, "stochastic.n_reference"),
         ("refill_rate", -1.0, "stochastic.refill_rate"),
         ("t_image", -0.1, "timing.t_image"),
-        ("transport_failure", "drop", "engine.transport_failure"),
         ("fill_strategy", "none", "engine.fill_strategy"),
         ("t_mot", math.nan, "timing.t_mot"),
         ("t_image_loss", math.nan, "timing.t_image_loss"),
@@ -125,14 +129,12 @@ mean_ensemble_at_full = 12.0
 [timing]
 t_image = 0.1
 [engine]
-transport_failure = stay
 fill_strategy = per-vacancy
 """
         cfg = load_config(write_ini(tmp_path, body))
         assert cfg.master_seed == 9
         assert cfg.success_definition == "maintained"
         assert cfg.p_stay_on_failure == 0.5
-        assert cfg.transport_failure == "stay"
         assert cfg.t_image == 0.1
         assert cfg.build_models().fill_strategy == "per-vacancy"
 
@@ -149,6 +151,12 @@ fill_strategy = per-vacancy
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_ini(tmp_path, "[run]\nreplicas = 10\n"))
+
+    def test_failure_mode_key_is_gone(self, tmp_path):
+        # the retention probability alone decides what a failed move does
+        body = "[engine]\ntransport_failure = stay\n"
+        with pytest.raises(ConfigError, match=r"unknown key engine\.transport_failure"):
+            load_config(write_ini(tmp_path, body))
 
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -171,7 +179,7 @@ effective_pitch = 20.0
 scan_range = 250.0
 """
         cfg = load_config(write_ini(tmp_path, body))
-        assert cfg.layout_preset is None
+        assert cfg.resolved()["layout"]["preset"] is None
         assert list(cfg.layout.site_ids) == [0, 1, 2]
         assert list(cfg.layout.buffer_ids) == [0, 1]
         assert cfg.layout.reservoir_pos.x == -50.0
@@ -203,3 +211,83 @@ def test_reference_ini_matches_defaults():
     stay = cfg["stochastic"].pop("p_stay_on_failure")
     assert stay == pytest.approx(d["stochastic"].pop("p_stay_on_failure"), abs=1e-4)
     assert cfg == d
+
+
+# -- INI round trip ---------------------------------------------------------
+
+# A layout given as an object, not through an INI file; sites in id order,
+# as resolved() lists them.
+CUSTOM_LAYOUT = layout_from_site_rows(
+    [
+        (0, 0.0, 0.0, "buffer"),
+        (1, 20.0, 0.0, "buffer"),
+        (2, 40.0, 0.0, "target"),
+        (3, 60.5, 10.25, "target"),
+    ],
+    (-50.0, 0.0),
+    scan_range=250.0,
+    base_pitch=20.0,
+    effective_pitch=20.0,
+)
+
+
+def resolved_as_ini(resolved):
+    """INI text for a resolved() dict; floats by repr, so they read back
+    exactly, and unset keys left out."""
+    lines = []
+    for section, values in resolved.items():
+        lines.append(f"[{section}]")
+        if section == "layout":
+            if values["preset"] is not None:
+                lines.append(f"preset = {values['preset']}")
+                continue
+            lines.append("sites =")
+            lines += [f"    {sid} {x!r} {y!r} {role}" for sid, x, y, role in values["sites"]]
+            lines.append("reservoir = {!r} {!r}".format(*values["reservoir"]))
+            for key in ("scan_range", "base_pitch", "effective_pitch"):
+                lines.append(f"{key} = {values[key]!r}")
+            continue
+        for key, value in values.items():
+            if value is not None:
+                lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def round_trip(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "resolved.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(resolved_as_ini(cfg.resolved()))
+        return load_config(path)
+
+
+def test_ini_round_trip_defaults():
+    cfg = ExperimentConfig()
+    assert round_trip(cfg) == cfg
+
+
+def test_ini_round_trip_custom_layout():
+    cfg = ExperimentConfig(layout=CUSTOM_LAYOUT)
+    assert cfg.resolved()["layout"]["preset"] is None
+    assert round_trip(cfg) == cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p_stay=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    t_image_loss=st.one_of(st.none(), st.floats(0.0, 0.2)),
+    fill_strategy=st.sampled_from(["global", "per-vacancy"]),
+    ci_method=st.sampled_from(["normal", "wilson"]),
+    success_definition=st.sampled_from(["first-achievement", "maintained"]),
+    p_transport=st.floats(0.3, 1.0),
+    lifetime_array_s=st.floats(2.0, 30.0),
+    refill_rate=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    n_cycles=st.integers(3, 10),
+    layout=st.sampled_from(["preset", "custom"]),
+)
+def test_ini_round_trip_soak_space(layout, **values):
+    values["p_stay_on_failure"] = values.pop("p_stay")
+    if layout == "custom":
+        values["layout"] = CUSTOM_LAYOUT
+    cfg = ExperimentConfig(**values)
+    assert round_trip(cfg) == cfg

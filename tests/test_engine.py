@@ -60,10 +60,6 @@ class TestTimingModel:
 
 
 class TestSimulationModelsValidation:
-    def test_bad_failure_mode(self):
-        with pytest.raises(ValueError, match="transport_failure"):
-            models_with(transport_failure="teleport")
-
     def test_bad_stay_probability(self):
         with pytest.raises(ValueError, match="p_stay_on_failure"):
             models_with(p_stay_on_failure=1.5)
@@ -73,8 +69,8 @@ class TestSimulationModelsValidation:
             models_with(fill_strategy="closest-ish")
 
     def test_defaults_mixed(self):
+        # a failed move draws between keeping and losing its atom
         m = models_with()
-        assert m.transport_failure == "mixed"
         assert m.p_stay_on_failure == pytest.approx(2 / 3)
 
 
@@ -127,7 +123,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(5, 0)
         state = init_sequence(models, rng)
-        plan = MovePlan((Move(0, 7, 10.0, 1e-3),))
+        plan = MovePlan((Move(0, 7, 10.0),))
         with pytest.raises(PlanConflictError, match="belief marks empty"):
             step_fill_targets(state, plan, models, rng)
 
@@ -137,28 +133,28 @@ class TestFillStep:
         state = init_sequence(models, rng)
         state.belief[0] = True  # stale belief, no atom in truth
         log = EventLog()
-        plan = MovePlan((Move(0, 7, 10.0, 1e-3),))
+        plan = MovePlan((Move(0, 7, 10.0),))
         state = step_fill_targets(state, plan, models, rng, log)
         assert state.truth[7] is False
         assert state.belief[7] is True  # belief still assumes success
         assert log.rows[-1][-1] == "null"
 
     def test_lose_mode_drops_atom(self):
-        models = models_with(**DEGENERATE | dict(p_transport=0.0, transport_failure="lose"))
+        models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=0.0))
         rng = RngStream(7, 0)
         state = init_sequence(models, rng)
         state.truth[0] = state.belief[0] = True
-        plan = MovePlan((Move(0, 7, 10.0, 1e-3),))
+        plan = MovePlan((Move(0, 7, 10.0),))
         state = step_fill_targets(state, plan, models, rng)
         assert state.truth[0] is False and state.truth[7] is False
         assert state.counters.transport_loss == 1
 
     def test_stay_mode_keeps_atom_in_source(self):
-        models = models_with(**DEGENERATE | dict(p_transport=0.0, transport_failure="stay"))
+        models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=1.0))
         rng = RngStream(8, 0)
         state = init_sequence(models, rng)
         state.truth[0] = state.belief[0] = True
-        plan = MovePlan((Move(0, 7, 10.0, 1e-3),))
+        plan = MovePlan((Move(0, 7, 10.0),))
         state = step_fill_targets(state, plan, models, rng)
         assert state.truth[0] is True and state.truth[7] is False
         assert state.counters.transport_loss == 0
@@ -167,16 +163,25 @@ class TestFillStep:
 
     @pytest.mark.parametrize("p_stay,loss", [(1.0, 0), (0.0, 1)])
     def test_mixed_mode_extremes(self, p_stay, loss):
+        # at 0 and 1 the outcome is certain, so no retention draw is taken
         models = models_with(**DEGENERATE | dict(
-            p_transport=0.0, transport_failure="mixed", p_stay_on_failure=p_stay,
+            p_transport=0.0, p_stay_on_failure=p_stay,
         ))
-        rng = RngStream(9, 0)
+        draws = []
+
+        class CountingStream(RngStream):
+            def bernoulli(self, p):
+                draws.append(p)
+                return super().bernoulli(p)
+
+        rng = CountingStream(9, 0)
         state = init_sequence(models, rng)
         state.truth[0] = state.belief[0] = True
-        plan = MovePlan((Move(0, 7, 10.0, 1e-3),))
+        plan = MovePlan((Move(0, 7, 10.0),))
         state = step_fill_targets(state, plan, models, rng)
         assert state.counters.transport_loss == loss
         assert state.truth[0] is (loss == 0)
+        assert draws == [0.0]  # the transport draw only
 
     def test_transport_into_occupied_site_raises(self):
         models = models_with(**DEGENERATE)
@@ -184,7 +189,7 @@ class TestFillStep:
         state = init_sequence(models, rng)
         state.truth[0] = state.belief[0] = True
         state.truth[7] = True  # desynced: belief says empty
-        plan = MovePlan((Move(0, 7, 10.0, 1e-3),))
+        plan = MovePlan((Move(0, 7, 10.0),))
         with pytest.raises(EngineError, match="occupied site"):
             step_fill_targets(state, plan, models, rng)
 
@@ -294,6 +299,20 @@ def test_event_log_structure():
     for row in log.rows:
         if row[2] == "image":
             assert row[5] == row[6]
+
+
+def test_fill_rows_carry_move_duration():
+    # every move lasts the configured ramp-translate-ramp time; rows
+    # without a move leave the field blank
+    cfg = ExperimentConfig(t_ramp=100e-6, t_move=250e-6)
+    log = EventLog()
+    run_realization(cfg, seed=19, n_cycles=4, log=log)
+    duration = cfg.build_models().transport.move_duration
+    assert duration == pytest.approx(450e-6)
+    moves = [row for row in log.rows if row[2] == "fill" and row[7] != ""]
+    assert moves
+    assert all(row[10] == duration for row in moves)
+    assert all(row[10] == "" for row in log.rows if row[2] != "fill" or row[7] == "")
 
 
 def test_refill_hook_feeds_reservoir():

@@ -205,3 +205,14 @@ def test_site_rows_round_trip():
         assert rebuilt.site_distance(sid, ref.site_ids[0]) == pytest.approx(
             ref.site_distance(sid, ref.site_ids[0])
         )
+
+
+@pytest.mark.parametrize("role", list(SiteRole))
+def test_layout_needs_a_site_of_each_role(role):
+    # a single-role layout has nothing to fill from or nothing to fill
+    sites = [TrapSite(s.id, s.pos, role) for s in _square_sites(3, 10.0)]
+    with pytest.raises(LayoutError, match="at least one"):
+        ArrayLayout(
+            sites=tuple(sites), reservoir_pos=Position(-50.0, 0.0),
+            scan_range=250.0, base_pitch=10.0, effective_pitch=10.0,
+        )

@@ -19,8 +19,14 @@ GOLDEN = {
         "72c323683986066670865d4cb9ed63a11ecb17cc5c6db483fdd2d6d3fae817a6",
         "7f8d946aaf71f37d7ed37a0747721732c9c33333595ce3ac2c4e777257adf21f",
     ),
+    # a failed move always loses its atom, then always keeps it
+    "lose": (
+        {"p_stay_on_failure": 0.0},
+        "2ab2e9e6b51fb83053fd2aa699324031e45b88e98ce348964809bdfe65b3f226",
+        "3bfa20b91ee0a29797fb8a7dd8a85bf3e1cd31bc5e729f643edddbe8032f7334",
+    ),
     "stay": (
-        {"transport_failure": "stay"},
+        {"p_stay_on_failure": 1.0},
         "172f7235399322143961aeecf5899fbe89bed5eda9bbbdc3a10bce326dd4b7f5",
         "ec713dd9665a6f374151f4a3088315dad38ba6972c7d231d40b3cf265dc85cee",
     ),

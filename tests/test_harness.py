@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from tweezersim.config import ExperimentConfig
+from tweezersim.config import ConfigError, ExperimentConfig
 from tweezersim.engine import CycleRecord
 from tweezersim.harness import (
     CalibrationError,
@@ -183,6 +183,20 @@ class TestCalibration:
             calibrate_depletion(SMALL, tolerance=-1.0)
         with pytest.raises(ValueError):
             calibrate_depletion(SMALL, bracket=(5.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "argument", [{"tolerance": math.nan}, {"target_delivered": math.nan}]
+    )
+    def test_nan_argument_rejected_before_any_evaluation(self, argument):
+        calls = []
+
+        def g(m):
+            calls.append(m)
+            return 20.0 / m
+
+        with pytest.raises(ConfigError, match=next(iter(argument))):
+            calibrate_depletion(SMALL, evaluate=g, **argument)
+        assert calls == []
 
     def test_simulated_calibration_small(self):
         res = calibrate_depletion(

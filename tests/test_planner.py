@@ -44,12 +44,12 @@ def test_reservoir_sentinel():
 
 def test_move_rejects_self_loop():
     with pytest.raises(PlanError):
-        Move(3, 3, 0.0, 1e-3)
+        Move(3, 3, 0.0)
 
 
 def test_plan_rejects_duplicate_endpoints():
-    mv = Move(0, 7, 10.0, 1e-3)
-    dup_src = Move(0, 8, 12.0, 1e-3)
+    mv = Move(0, 7, 10.0)
+    dup_src = Move(0, 8, 12.0)
     with pytest.raises(PlanError):
         MovePlan((mv, dup_src))
 
@@ -73,8 +73,8 @@ def mask_belief(mask):
 @pytest.mark.parametrize("strategy", ["global", "per-vacancy"])
 def test_memoised_plans_equal_fresh_plans(strategy):
     # Every believed occupancy of the 13-site layout, planned into an empty
-    # memo and again once it is full (fill and refill plans together exceed
-    # the cap), against plans from a layout whose memo is emptied first.
+    # memo and again once it is full, against plans from a layout whose memo
+    # is emptied first; refill lists against their definition.
     memo, fresh = reference_layout(), reference_layout()
     for _ in range(2):
         for mask in range(1 << len(LAYOUT.site_ids)):
@@ -83,7 +83,10 @@ def test_memoised_plans_equal_fresh_plans(strategy):
             expected = plan_target_fill(belief, fresh, strategy=strategy)
             fresh.plan_memo.clear()
             assert plan_target_fill(belief, memo, strategy=strategy) == expected
-            assert plan_buffer_refill(belief, memo) == plan_buffer_refill(belief, fresh)
+            empty = [b for b in LAYOUT.buffer_ids if not belief[b]]
+            assert plan_buffer_refill(belief, memo) == sorted(
+                empty, key=lambda b: (LAYOUT.reservoir_distance(b), b)
+            )
     assert len(memo.plan_memo) == MEMO_CAP
 
 
@@ -135,11 +138,6 @@ class TestPlanTargetFill:
         belief = belief_with({0, 1, 2})
         for mv in plan_target_fill(belief, LAYOUT):
             assert mv.dist == pytest.approx(LAYOUT.site_distance(mv.src, mv.dst))
-
-    def test_fixed_move_duration(self):
-        plan = plan_target_fill(belief_with({0, 1}), LAYOUT)
-        for mv in plan:
-            assert mv.duration == pytest.approx(570e-6)
 
     def test_deterministic(self):
         belief = belief_with({0, 3, 5, 9})
