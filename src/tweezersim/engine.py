@@ -11,6 +11,7 @@ conservation can be checked exactly.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .geometry import ArrayLayout
@@ -182,6 +183,12 @@ class EventLog:
     moves contribute one row with the move fields blank; fill and refill
     contribute one row per move. Masks are occupancy bitmasks over sites in
     id order (bit i = i-th smallest site id).
+
+    The log is stored by column: the integer columns unboxed in
+    ``array("q")`` (the masks switch to Python ints once one no longer fits
+    in 63 bits), ``clock_s`` in ``array("d")``, and the rest as lists of
+    references to the few objects they repeat. ``columns`` hands the
+    column sequences to a writer; ``rows`` builds the row tuples on demand.
     """
 
     COLUMNS = (
@@ -191,10 +198,42 @@ class EventLog:
     )
 
     def __init__(self):
-        self.rows: list[tuple] = []
+        self._columns = [
+            array("q"), array("q"), [], array("d"), array("q"),
+            array("q"), array("q"), [], [], [], [], [],
+        ]
+        # (layout, occupancy copy, mask) last seen for truth and for belief
+        self._seen: list[tuple | None] = [None, None]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._columns[0])
+
+    @property
+    def columns(self) -> tuple:
+        """One sequence per entry of ``COLUMNS``, all ``len(self)`` long."""
+        return tuple(self._columns)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """The rows as tuples, built afresh on each access."""
+        return list(zip(*self._columns))
+
+    def _mask(self, slot: int, occupancy: Occupancy, layout: ArrayLayout) -> int:
+        # consecutive rows mostly repeat an occupancy (83 % of truth and
+        # 87 % of belief rows in the reference log): reuse its mask
+        seen = self._seen[slot]
+        if seen is not None and seen[0] is layout and seen[1] == occupancy:
+            return seen[2]
+        mask = layout.occupancy_mask(occupancy)
+        self._seen[slot] = (layout, dict(occupancy), mask)
+        return mask
+
+    def _widen_masks(self, truth: int, belief: int) -> None:
+        # a mask past 63 bits: keep both mask columns as exact Python ints
+        n = len(self)
+        cols = self._columns
+        cols[5] = [*cols[5][:n], truth]
+        cols[6] = [*cols[6][:n], belief]
 
     def add(
         self,
@@ -209,12 +248,25 @@ class EventLog:
         duration_s="",
         outcome="",
     ) -> None:
-        self.rows.append((
-            replica, cycle, step, state.clock, state.reservoir.n_atoms,
-            layout.occupancy_mask(state.truth),
-            layout.occupancy_mask(state.belief),
-            src, dst, dist_um, duration_s, outcome,
-        ))
+        truth = self._mask(0, state.truth, layout)
+        belief = self._mask(1, state.belief, layout)
+        (replicas, cycles, steps, clocks, reservoirs, truths, beliefs,
+         srcs, dsts, dists, durations, outcomes) = self._columns
+        try:
+            truths.append(truth)
+            beliefs.append(belief)
+        except OverflowError:
+            self._widen_masks(truth, belief)
+        replicas.append(replica)
+        cycles.append(cycle)
+        steps.append(step)
+        clocks.append(state.clock)
+        reservoirs.append(state.reservoir.n_atoms)
+        srcs.append(src)
+        dsts.append(dst)
+        dists.append(dist_um)
+        durations.append(duration_s)
+        outcomes.append(outcome)
 
 
 def _models_of(config) -> SimulationModels:
@@ -238,10 +290,11 @@ def _decay_step(
         truth = state.truth
         p = survival_probability(dt, models.loss.lifetime_array)
         trapped = [sid for sid, filled in truth.items() if filled]
-        for sid, u in zip(trapped, rng.uniforms(len(trapped))):
-            if not u < p:
-                truth[sid] = False
-                counters.array_decay_loss += 1
+        if trapped:  # no draw for an empty array: random(0) advances nothing
+            for sid, u in zip(trapped, rng.uniforms(len(trapped))):
+                if not u < p:
+                    truth[sid] = False
+                    counters.array_decay_loss += 1
         lost, added = reservoir_decay(rng, state.reservoir, dt, models.loss)
         counters.reservoir_decay_loss += lost
         counters.refilled += added
@@ -307,6 +360,7 @@ def step_fill_targets(
     counters = state.counters
     layout = models.layout
     p_stay = models.p_stay_on_failure
+    duration = models.transport.move_duration  # one float shared by the rows
     for move in plan:
         if not state.belief.get(move.src, False):
             raise PlanConflictError(
@@ -340,7 +394,7 @@ def step_fill_targets(
             log.add(
                 replica, state.cycle_index, "fill", state, layout,
                 src=move.src, dst=move.dst, dist_um=move.dist,
-                duration_s=models.transport.move_duration, outcome=outcome,
+                duration_s=duration, outcome=outcome,
             )
     if log is not None and not plan.moves:
         log.add(replica, state.cycle_index, "fill", state, layout)
@@ -437,11 +491,13 @@ def run_cycle(
     layout = models.layout
     state, observation = step_image(state, models, rng, log, replica)
     c = state.counters
+    observed = observation.__getitem__
+    targets = layout.target_ids
     record = CycleRecord(
         cycle_index=state.cycle_index,
-        target_complete=all(observation[t] for t in layout.target_ids),
-        n_buffer_filled=sum(observation[b] for b in layout.buffer_ids),
-        n_target_filled=sum(observation[t] for t in layout.target_ids),
+        target_complete=all(map(observed, targets)),
+        n_buffer_filled=sum(map(observed, layout.buffer_ids)),
+        n_target_filled=sum(map(observed, targets)),
         n_reservoir=state.reservoir.n_atoms,
         clock_at_image=state.clock,
         extracted_cum=c.extracted,

@@ -108,8 +108,9 @@ class ArrayLayout:
     site and the reservoir must lie inside it. ``metadata`` carries inert
     physical constants through to output headers; it is never interpreted.
 
-    Id lists, distances, occupancy bits and the refill order (buffers
-    nearest the reservoir first, ties by id) are computed once here.
+    ``sites`` is kept sorted by id. Id lists, distances, occupancy bits and
+    the refill order (buffers nearest the reservoir first, ties by id) are
+    computed once here.
     ``plan_memo`` is where the planner memoises fill plans for this layout;
     it holds derived values only and takes no part in equality.
     """
@@ -124,6 +125,8 @@ class ArrayLayout:
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
         self._validate()
+        # in id order, so equal geometries compare equal however listed
+        object.__setattr__(self, "sites", tuple(sorted(self.sites, key=lambda s: s.id)))
         by_id = {s.id: s for s in self.sites}
         ids = tuple(sorted(by_id))
         index = {sid: k for k, sid in enumerate(ids)}

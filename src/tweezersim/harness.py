@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +129,9 @@ def run_experiment(
         records = run_realization(
             models, config.master_seed, n_engine_cycles, replica=i, log=log
         )
-        for k, rec in enumerate(records):
-            complete[i, k] = rec.target_complete
-            buffer_counts[i, k] = rec.n_buffer_filled
-            reservoir_counts[i, k] = rec.n_reservoir
+        complete[i] = [rec.target_complete for rec in records]
+        buffer_counts[i] = [rec.n_buffer_filled for rec in records]
+        reservoir_counts[i] = [rec.n_reservoir for rec in records]
         delivered[i] = records[-1].delivered_cum
     success = _success_matrix(complete, config.success_definition).mean(axis=0)[1:]
     halfwidth = binomial_halfwidth if config.ci_method == "normal" else wilson_halfwidth
@@ -252,16 +253,87 @@ def calibrate_depletion(
 
 # -- output files -------------------------------------------------------
 
-def _write_csv(path: str, header, rows) -> None:
-    """CSV with floats as ``.10g`` and every other value as ``str(v)``."""
+# Rows the CSV writer joins and writes at a time, and the most distinct
+# texts one memo keeps; past that, new values are rendered but not kept.
+_CHUNK_ROWS = 4096
+_TEXT_CAP = 1 << 16
+
+
+def _field(value) -> str:
+    """One CSV field: a float as ``.10g``, any other value as ``str(v)``,
+    quoted where ``csv.writer`` would quote it (text with a character it
+    may treat specially goes through ``csv.writer`` itself)."""
+    text = format(value, ".10g") if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\n\r\0'):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        text = buf.getvalue()[:-1]
+    return text
+
+
+class _Texts(dict):
+    """Field text by value, rendered on first sight. One instance only ever
+    sees ``str`` values plus values of one numeric type, so equal keys print
+    alike; float zeros and NaN are not kept (``0.0 == -0.0`` yet they print
+    differently)."""
+
+    def __missing__(self, value):
+        text = _field(value)
+        if len(self) < _TEXT_CAP and (
+            not isinstance(value, float) or (value != 0 and value == value)
+        ):
+            self[value] = text
+        return text
+
+
+class _ColumnTexts:
+    """Renders one column block by block, each distinct value once.
+
+    ``True``, ``1`` and ``1.0`` compare equal but print differently, so a
+    block's values share a memo keyed by plain value only when the block
+    holds strings plus at most one of ``int``, ``bool`` and ``float``;
+    any other block is rendered value by value.
+    """
+
+    def __init__(self):
+        self._memos = {}  # str or the block's numeric type -> _Texts
+
+    def render(self, values) -> list[str]:
+        if isinstance(values, array):
+            kinds = {float if values.typecode in "fd" else int}
+        else:
+            kinds = set(map(type, values)) - {str}
+        if len(kinds) > 1 or not kinds <= {int, bool, float}:
+            return [_field(v) for v in values]
+        memo = self._memos.setdefault(kinds.pop() if kinds else str, _Texts())
+        return list(map(memo.__getitem__, values))
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """Write equal-length ``columns`` under ``header`` as CSV, byte for byte
+    what ``csv.writer`` writes for the rows of :func:`_field` texts.
+
+    Each distinct value of a column is rendered once; rows are joined and
+    written ``_CHUNK_ROWS`` at a time, so neither the file nor a column of
+    text is ever held whole.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    texts = [_ColumnTexts() for _ in columns]
+
+    def lines(cells) -> str:
+        if len(cells) == 1:  # a lone empty field is written as ""
+            cells = [[t or '""' for t in cells[0]]]
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
+
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(
-                [format(v, ".10g") if isinstance(v, float) else str(v) for v in row]
-                for row in rows
-            )
+            fh.write(lines([[_field(name)] for name in header]))
+            for start in range(0, n_rows, _CHUNK_ROWS):
+                stop = start + _CHUNK_ROWS
+                fh.write(lines([
+                    column_texts.render(column[start:stop])
+                    for column_texts, column in zip(texts, columns)
+                ]))
     except OSError as exc:
         raise OSError(f"writing {path} failed: {exc.strerror}") from exc
 
@@ -292,13 +364,14 @@ def write_outputs(
             "cycle", "success_rate", "success_ci", "buffer_fill_mean",
             "buffer_fill_ci", "reservoir_norm", "reservoir_std",
         ),
-        zip(
+        (
             stats.cycles, stats.success_rate, stats.success_ci,
             stats.buffer_fill_mean, stats.buffer_fill_ci,
             stats.reservoir_norm, stats.reservoir_std,
         ),
     )
-    _write_csv(paths["events"], EventLog.COLUMNS, log.rows if log is not None else ())
+    events = log.columns if log is not None else [()] * len(EventLog.COLUMNS)
+    _write_csv(paths["events"], EventLog.COLUMNS, events)
     meta = {
         "version": __version__,
         "config": config.resolved(),

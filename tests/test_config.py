@@ -1,5 +1,6 @@
 """Configuration parsing, validation, and model assembly."""
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -14,7 +15,7 @@ from tweezersim.config import (
     ExperimentConfig,
     load_config,
 )
-from tweezersim.geometry import layout_from_site_rows
+from tweezersim.geometry import layout_from_site_rows, reference_layout
 
 
 def write_ini(tmp_path, body, name="run.ini"):
@@ -269,6 +270,25 @@ def test_ini_round_trip_defaults():
 def test_ini_round_trip_custom_layout():
     cfg = ExperimentConfig(layout=CUSTOM_LAYOUT)
     assert cfg.resolved()["layout"]["preset"] is None
+    assert round_trip(cfg) == cfg
+
+
+def reversed_reference_layout():
+    ref = reference_layout()
+    return dataclasses.replace(ref, sites=ref.sites[::-1])
+
+
+def test_layout_equality_ignores_site_order():
+    assert reversed_reference_layout() == reference_layout()
+
+
+def test_reordered_reference_layout_resolves_to_preset():
+    cfg = ExperimentConfig(layout=reversed_reference_layout())
+    assert cfg.resolved()["layout"]["preset"] == "paper-hex-6"
+
+
+def test_ini_round_trip_reordered_layout():
+    cfg = ExperimentConfig(layout=reversed_reference_layout())
     assert round_trip(cfg) == cfg
 
 

@@ -1,7 +1,9 @@
 """Cycle engine: timing, truth/belief bookkeeping, conservation, traces."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from tweezersim.engine import (
     step_image,
     step_refill_buffers,
 )
+from tweezersim.geometry import build_hex_grid, layout_from_site_rows
 from tweezersim.planner import Move, MovePlan, plan_buffer_refill, plan_target_fill
 from tweezersim.stochastic import RngStream
 
@@ -338,3 +341,89 @@ def test_counters_monotone_and_reservoir_nonnegative(seed):
         assert cur.n_reservoir >= 0
     for row in log.rows:
         assert row[4] >= 0
+
+
+def test_event_log_retains_at_most_120_bytes_per_row():
+    models = ExperimentConfig().build_models()
+    replicas = range(300)
+    for replica in replicas:  # fill the layout's plan memo before measuring
+        run_realization(models, 5, 16, replica=replica)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = EventLog()
+        for replica in replicas:
+            run_realization(models, 5, 16, replica=replica, log=log)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) > 30_000
+    assert retained / len(log) <= 120
+
+
+def test_event_log_rows_keep_their_types():
+    log = EventLog()
+    run_realization(ExperimentConfig(), seed=19, n_cycles=6, log=log)
+    rows = log.rows
+    assert len(rows) == len(log)
+    for row in rows:
+        assert [type(v) for v in row[:7]] == [int, int, str, float, int, int, int]
+    moves = [row for row in rows if row[2] == "fill" and row[7] != ""]
+    refills = [row for row in rows if row[7] == "R"]
+    blanks = [row for row in rows if row[2] in ("init", "image")]
+    assert moves and refills and blanks
+    assert all(type(row[10]) is float and type(row[9]) is float for row in moves)
+    assert all(type(row[8]) is int and type(row[9]) is float and row[10] == "" for row in refills)
+    assert all(row[7:] == ("",) * 5 for row in blanks)
+    # the rows of one fill step share one duration object
+    by_step = {}
+    for row in moves:
+        by_step.setdefault((row[0], row[1]), set()).add(id(row[10]))
+    assert all(len(ids) == 1 for ids in by_step.values())
+
+
+def big_hex_models():
+    # 91 sites: more than a 63-bit mask can hold
+    positions = build_hex_grid(5, 15.8)
+    rows = [(k, p.x, p.y, "buffer" if p.x < 0 else "target") for k, p in enumerate(positions)]
+    layout = layout_from_site_rows(
+        rows, (-120.0, 0.0), scan_range=250.0, base_pitch=15.8, effective_pitch=15.8,
+    )
+    return ExperimentConfig(layout=layout).build_models()
+
+
+def test_event_log_masks_exact_past_63_sites():
+    models = big_hex_models()
+    layout = models.layout
+    assert len(layout.site_ids) > 63
+    state = init_sequence(models, RngStream(3, 0))
+    log = EventLog()
+    log.add(0, 0, "init", state, layout)  # fits the unboxed column
+    top, low = layout.site_ids[-1], layout.site_ids[0]
+    state.truth[top] = state.truth[low] = True
+    state.belief[low] = True
+    log.add(0, 1, "image", state, layout)  # truth past 63 bits, belief not
+    state.belief = dict(state.truth)
+    log.add(0, 1, "image", state, layout)
+    truth_masks = [row[5] for row in log.rows]
+    belief_masks = [row[6] for row in log.rows]
+    small = 1 << layout.index_of(low)
+    big = (1 << layout.index_of(top)) | small
+    assert truth_masks == [0, big, big]
+    assert belief_masks == [0, small, big]
+    assert len(log) == 3 and all(len(column) == 3 for column in log.columns)
+
+
+def test_event_log_masks_match_records_past_63_sites():
+    models = big_hex_models()
+    layout = models.layout
+    target_bits = sum(1 << layout.index_of(t) for t in layout.target_ids)
+    log = EventLog()
+    records = run_realization(models, seed=8, n_cycles=4, log=log)
+    images = [row for row in log.rows if row[2] == "image"]
+    assert max(row[5] for row in images) >= 1 << 63
+    for row, record in zip(images, records):
+        assert row[5] == row[6]
+        assert bin(row[5] & target_bits).count("1") == record.n_target_filled

@@ -1,13 +1,17 @@
 """Ensemble harness: statistics, calibration, and output files."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
+from array import array
 
 import pytest
 
+from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
-from tweezersim.engine import CycleRecord
+from tweezersim.engine import CycleRecord, EventLog
 from tweezersim.harness import (
     CalibrationError,
     binomial_halfwidth,
@@ -236,3 +240,81 @@ class TestOutputs:
         lines = open(paths["events"]).readlines()
         assert len(lines) == 1
         assert lines[0].startswith("replica,cycle,step,")
+
+
+# -- CSV writer against the reference formatter ---------------------------
+
+def reference_csv(header, rows) -> bytes:
+    """The writer's reference: csv.writer over the rows, floats as
+    ``.10g`` and every other value as ``str(v)``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [format(v, ".10g") if isinstance(v, float) else str(v) for v in row]
+        for row in rows
+    )
+    return buf.getvalue().encode("utf-8")
+
+
+def written_csv(tmp_path, header, columns) -> bytes:
+    path = tmp_path / "out.csv"
+    harness._write_csv(str(path), header, columns)
+    return path.read_bytes()
+
+
+# values that compare equal but print differently, plus blanks and text
+ADVERSARIAL = [True, 1, 1.0, 1e10, 10**10, 0.0, -0.0, math.nan, math.inf, "", "R"]
+
+
+def adversarial_columns():
+    n = len(ADVERSARIAL)
+    mixed = [ADVERSARIAL[(k + shift) % n] for shift in range(n) for k in range(n)]
+    rows = len(mixed)
+    return [
+        mixed,
+        mixed[::-1],
+        [0.0, -0.0, 1.5, -0.0, 0.0, math.nan, -math.inf, 1e10] * (rows // 8) + [2.5] * (rows % 8),
+        [1, True, 1, "", False, 0] * (rows // 6) + [1] * (rows % 6),
+        array("d", [0.0, -0.0, math.nan, 1e10, 1.0, 0.1]) * (rows // 6) + array("d", [3.0] * (rows % 6)),
+        array("q", [1, 10**10, 0, -5]) * (rows // 4) + array("q", [7] * (rows % 4)),
+        ['a,b', 'say "hi"', "two\nlines", "cr\r", " pad ", "R"] * (rows // 6) + ["x"] * (rows % 6),
+    ]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 4096])
+def test_writer_matches_reference_on_adversarial_values(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", chunk_rows)
+    columns = adversarial_columns()
+    header = ["mixed", "reversed", "floats", "ints,bools", "d", "q", 'quote"d']
+    assert written_csv(tmp_path, header, columns) == reference_csv(header, zip(*columns))
+
+
+def test_writer_keeps_equal_values_of_other_types_apart(tmp_path, monkeypatch):
+    # one column whose type changes between blocks; each block shares a memo
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 2)
+    column = [1, 1, True, True, 1.0, 1.0, -0.0, 0.0, 10**10, 1e10]
+    assert written_csv(tmp_path, ["v"], [column]) == reference_csv(["v"], zip(column))
+
+
+def test_writer_single_column_blanks_and_empty_table(tmp_path):
+    column = ["", "a", "", 0.0]
+    assert written_csv(tmp_path, [""], [column]) == reference_csv([""], zip(column))
+    header = ["a", "b"]
+    assert written_csv(tmp_path, header, [(), ()]) == reference_csv(header, [])
+
+
+def test_events_longer_than_a_chunk_match_reference(tmp_path):
+    cfg = ExperimentConfig(n_replicas=300, n_cycles=3)
+    stats, log = run_experiment(cfg, collect_events=True)
+    assert len(log) > 2 * harness._CHUNK_ROWS
+    paths = write_outputs(stats, log, str(tmp_path / "out"), cfg)
+    with open(paths["events"], "rb") as fh:
+        assert fh.read() == reference_csv(EventLog.COLUMNS, log.rows)
+    fig4_rows = zip(
+        stats.cycles, stats.success_rate, stats.success_ci, stats.buffer_fill_mean,
+        stats.buffer_fill_ci, stats.reservoir_norm, stats.reservoir_std,
+    )
+    with open(paths["fig4"], "rb") as fh:
+        fig4 = fh.read()
+    assert fig4 == reference_csv(fig4.decode().splitlines()[0].split(","), fig4_rows)
