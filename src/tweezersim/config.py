@@ -174,7 +174,6 @@ class ExperimentConfig:
             "scan_range": layout.scan_range,
             "base_pitch": layout.base_pitch,
             "effective_pitch": layout.effective_pitch,
-            "metadata": dict(layout.metadata),
         }
         return resolved
 

@@ -19,7 +19,6 @@ from .planner import MovePlan, Occupancy, plan_buffer_refill, plan_target_fill
 from .stochastic import (
     ExtractionModel,
     LossModel,
-    ReservoirState,
     RngStream,
     TransportModel,
     _check_nonnegative,
@@ -67,13 +66,13 @@ class TimingModel:
     ``None`` uses the full ``t_image`` for both clock and losses.
     """
 
-    t_mot: float = 1.8
-    t_molasses: float = 0.040
-    t_reservoir_transfer: float = 0.020
-    t_image: float = 0.130
-    t_analysis_fill: float = 0.065
-    t_buffer_refill: float = 0.035
-    t_image_loss: float | None = None
+    t_mot: float
+    t_molasses: float
+    t_reservoir_transfer: float
+    t_image: float
+    t_analysis_fill: float
+    t_buffer_refill: float
+    t_image_loss: float | None
 
     def __post_init__(self):
         for name in (
@@ -124,6 +123,14 @@ class SimulationModels:
                 f"engine.fill_strategy must be 'global' or 'per-vacancy', "
                 f"got {self.fill_strategy!r}"
             )
+        # the longest fill plan moves one atom into every target it can
+        layout, move = self.layout, self.transport.move_duration
+        n_moves = min(len(layout.target_ids), len(layout.buffer_ids))
+        if n_moves * move > self.timing.t_analysis_fill:
+            raise ValueError(
+                f"timing.t_analysis_fill {self.timing.t_analysis_fill} s cannot "
+                f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
+            )
 
 
 @dataclass
@@ -141,12 +148,14 @@ class Counters:
 
 @dataclass
 class SystemState:
-    """Mutable state of one realization."""
+    """Mutable state of one realization; the engine steps change it in
+    place. ``replica`` labels the realization's log rows."""
 
     truth: Occupancy
     belief: Occupancy
-    reservoir: ReservoirState
+    n_reservoir: int
     clock: float
+    replica: int
     cycle_index: int = 0
     n_initial_reservoir: int = 0
     counters: Counters = field(default_factory=Counters)
@@ -237,8 +246,6 @@ class EventLog:
 
     def add(
         self,
-        replica: int,
-        cycle: int,
         step: str,
         state: SystemState,
         layout: ArrayLayout,
@@ -257,23 +264,16 @@ class EventLog:
             beliefs.append(belief)
         except OverflowError:
             self._widen_masks(truth, belief)
-        replicas.append(replica)
-        cycles.append(cycle)
+        replicas.append(state.replica)
+        cycles.append(state.cycle_index)
         steps.append(step)
         clocks.append(state.clock)
-        reservoirs.append(state.reservoir.n_atoms)
+        reservoirs.append(state.n_reservoir)
         srcs.append(src)
         dsts.append(dst)
         dists.append(dist_um)
         durations.append(duration_s)
         outcomes.append(outcome)
-
-
-def _models_of(config) -> SimulationModels:
-    # accept either a prebuilt bundle or a config object that makes one
-    if isinstance(config, SimulationModels):
-        return config
-    return config.build_models()
 
 
 def _decay_step(
@@ -295,28 +295,29 @@ def _decay_step(
                 if not u < p:
                     truth[sid] = False
                     counters.array_decay_loss += 1
-        lost, added = reservoir_decay(rng, state.reservoir, dt, models.loss)
+        lost, added = reservoir_decay(
+            rng, state.n_reservoir, dt, models.loss, models.refill_rate
+        )
+        state.n_reservoir += added - lost
         counters.reservoir_decay_loss += lost
         counters.refilled += added
 
 
-def init_sequence(config, rng: RngStream) -> SystemState:
+def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
     """Prepare a realization: cooled cloud transferred into the reservoir,
     all array sites empty, clock at the end of the preparation stages.
 
-    ``config`` may be a :class:`SimulationModels` bundle or any object with
-    a ``build_models()`` method. The reservoir population is Poisson with
-    the configured mean.
+    The reservoir population is Poisson with the configured mean; the state
+    takes its replica label from ``rng``.
     """
-    models = _models_of(config)
     n0 = rng.poisson(models.reservoir_mean) if models.reservoir_mean > 0 else 0
     empty = {sid: False for sid in models.layout.site_ids}
     return SystemState(
         truth=dict(empty),
         belief=dict(empty),
-        reservoir=ReservoirState(n0, models.refill_rate),
+        n_reservoir=n0,
         clock=models.timing.init_duration,
-        cycle_index=0,
+        replica=rng.replica,
         n_initial_reservoir=n0,
     )
 
@@ -326,18 +327,15 @@ def step_image(
     models: SimulationModels,
     rng: RngStream,
     log: EventLog | None = None,
-    replica: int = 0,
-) -> tuple[SystemState, Occupancy]:
+) -> None:
     """Fluorescence image: decay over the imaging window, then belief is
-    reset to truth (perfect detection). Returns the observed occupancy."""
+    reset to truth (perfect detection)."""
     timing = models.timing
     _decay_step(state, timing.image_loss_window, models, rng)
     state.clock += timing.t_image
     state.belief = dict(state.truth)
-    observation = dict(state.truth)
     if log is not None:
-        log.add(replica, state.cycle_index, "image", state, models.layout)
-    return state, observation
+        log.add("image", state, models.layout)
 
 
 def step_fill_targets(
@@ -346,8 +344,7 @@ def step_fill_targets(
     models: SimulationModels,
     rng: RngStream,
     log: EventLog | None = None,
-    replica: int = 0,
-) -> SystemState:
+) -> None:
     """Execute the fill plan move by move, then advance the analysis window.
 
     Belief assumes every move succeeds (source empty, destination occupied);
@@ -392,15 +389,13 @@ def step_fill_targets(
         state.belief[move.dst] = True
         if log is not None:
             log.add(
-                replica, state.cycle_index, "fill", state, layout,
-                src=move.src, dst=move.dst, dist_um=move.dist,
-                duration_s=duration, outcome=outcome,
+                "fill", state, layout, src=move.src, dst=move.dst,
+                dist_um=move.dist, duration_s=duration, outcome=outcome,
             )
     if log is not None and not plan.moves:
-        log.add(replica, state.cycle_index, "fill", state, layout)
+        log.add("fill", state, layout)
     _decay_step(state, models.timing.t_analysis_fill, models, rng)
     state.clock += models.timing.t_analysis_fill
-    return state
 
 
 def step_refill_buffers(
@@ -409,8 +404,7 @@ def step_refill_buffers(
     models: SimulationModels,
     rng: RngStream,
     log: EventLog | None = None,
-    replica: int = 0,
-) -> SystemState:
+) -> None:
     """One extraction attempt per listed buffer site, then the refill window.
 
     Delivered atoms enter truth immediately but stay believed-empty until
@@ -430,8 +424,9 @@ def step_refill_buffers(
             outcome = "skip"
         else:
             removed, delivered = sample_extraction(
-                rng, state.reservoir, models.extraction
+                rng, state.n_reservoir, models.extraction
             )
+            state.n_reservoir -= removed
             counters.extracted += removed
             if delivered:
                 state.truth[sid] = True
@@ -443,15 +438,13 @@ def step_refill_buffers(
                 outcome = "empty" if removed == 0 else "blocked"
         if log is not None:
             log.add(
-                replica, state.cycle_index, "refill", state, layout,
-                src="R", dst=sid, dist_um=layout.reservoir_distance(sid),
-                outcome=outcome,
+                "refill", state, layout, src="R", dst=sid,
+                dist_um=layout.reservoir_distance(sid), outcome=outcome,
             )
     if log is not None and not refill_list:
-        log.add(replica, state.cycle_index, "refill", state, layout)
+        log.add("refill", state, layout)
     _decay_step(state, models.timing.t_buffer_refill, models, rng)
     state.clock += models.timing.t_buffer_refill
-    return state
 
 
 def check_conservation(state: SystemState) -> None:
@@ -459,7 +452,7 @@ def check_conservation(state: SystemState) -> None:
     c = state.counters
     supplied = state.n_initial_reservoir + c.refilled
     accounted = (
-        state.reservoir.n_atoms
+        state.n_reservoir
         + state.n_trapped
         + c.blockade_loss
         + c.transport_loss
@@ -480,36 +473,36 @@ def run_cycle(
     models: SimulationModels,
     rng: RngStream,
     log: EventLog | None = None,
-    replica: int = 0,
-) -> tuple[SystemState, CycleRecord]:
+) -> CycleRecord:
     """One full cycle: image, fill targets, refill buffers.
 
     The returned record is the imaging observation at the START of the
-    cycle; this cycle's fill and refill are only visible in the next one.
+    cycle, read from truth right after the image, where belief equals it;
+    this cycle's fill and refill are only visible in the next one.
     """
     state.cycle_index += 1
     layout = models.layout
-    state, observation = step_image(state, models, rng, log, replica)
+    step_image(state, models, rng, log)
     c = state.counters
-    observed = observation.__getitem__
+    observed = state.truth.__getitem__
     targets = layout.target_ids
     record = CycleRecord(
         cycle_index=state.cycle_index,
         target_complete=all(map(observed, targets)),
         n_buffer_filled=sum(map(observed, layout.buffer_ids)),
         n_target_filled=sum(map(observed, targets)),
-        n_reservoir=state.reservoir.n_atoms,
+        n_reservoir=state.n_reservoir,
         clock_at_image=state.clock,
         extracted_cum=c.extracted,
         delivered_cum=c.delivered,
         reservoir_decay_cum=c.reservoir_decay_loss,
     )
     plan = plan_target_fill(state.belief, layout, strategy=models.fill_strategy)
-    state = step_fill_targets(state, plan, models, rng, log, replica)
+    step_fill_targets(state, plan, models, rng, log)
     refill_list = plan_buffer_refill(state.belief, layout)
-    state = step_refill_buffers(state, refill_list, models, rng, log, replica)
+    step_refill_buffers(state, refill_list, models, rng, log)
     check_conservation(state)
-    return state, record
+    return record
 
 
 def run_realization(
@@ -521,18 +514,16 @@ def run_realization(
 ) -> list[CycleRecord]:
     """Run one realization: preparation plus ``n_cycles`` cycles.
 
-    Deterministic given (config, seed, replica); the records of two runs
-    with identical arguments are identical.
+    ``config`` may be a :class:`SimulationModels` bundle or any object with
+    a ``build_models()`` method. Deterministic given (config, seed,
+    replica); the records of two runs with identical arguments are
+    identical.
     """
     if n_cycles < 1:
         raise ValueError("run.n_cycles must be at least 1")
-    models = _models_of(config)
+    models = config if isinstance(config, SimulationModels) else config.build_models()
     rng = RngStream(seed, replica)
     state = init_sequence(models, rng)
     if log is not None:
-        log.add(replica, 0, "init", state, models.layout)
-    records = []
-    for _ in range(n_cycles):
-        state, record = run_cycle(state, models, rng, log, replica)
-        records.append(record)
-    return records
+        log.add("init", state, models.layout)
+    return [run_cycle(state, models, rng, log) for _ in range(n_cycles)]

@@ -8,7 +8,7 @@ concurrent simulation replicas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -105,8 +105,8 @@ class ArrayLayout:
 
     ``scan_range`` is the half-width (µm) of the square region the transport
     tweezers can reach, centered on the centroid of the trap sites. Every
-    site and the reservoir must lie inside it. ``metadata`` carries inert
-    physical constants through to output headers; it is never interpreted.
+    site and the reservoir must lie inside it. A layout carries geometry
+    only.
 
     ``sites`` is kept sorted by id. Id lists, distances, occupancy bits and
     the refill order (buffers nearest the reservoir first, ties by id) are
@@ -120,7 +120,6 @@ class ArrayLayout:
     effective_pitch: float
     reservoir_pos: Position
     scan_range: float
-    metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "sites", tuple(self.sites))
@@ -232,17 +231,6 @@ class ArrayLayout:
 
 # -- presets ------------------------------------------------------------
 
-# Inert physical constants of the reference apparatus, carried into output
-# headers only.
-_REFERENCE_METADATA = {
-    "array_trap_depth_uK": "600(200)",
-    "array_waist_um": "2.0(2)",
-    "reservoir_trap_depth_uK": "600(200)",
-    "reservoir_waist_um": "14.6(1)",
-    "transport_waist_um": "2.2(1)",
-    "reservoir_two_body_loss": "folded into the reservoir lifetime constant",
-}
-
 _BASE_PITCH = 7.9  # µm, full lattice
 _EFFECTIVE_PITCH = 15.8  # µm, every second lenslet masked off
 _RESERVOIR_GAP = 41.0  # µm from the nearest buffer site
@@ -258,6 +246,11 @@ def reference_layout() -> ArrayLayout:
     Buffer sites get ids 0..6 (0 = block center), target sites 7..12, both
     in ring sweep order. The reservoir sits on the -x axis at 41 µm from the
     closest buffer sites.
+
+    The reference apparatus, for the record (the model uses none of these):
+    array and reservoir trap depths 600(200) µK, waists 2.0(2) µm (array),
+    14.6(1) µm (reservoir) and 2.2(1) µm (transport tweezer); two-body loss
+    in the reservoir is folded into its lifetime constant.
     """
     pitch = _EFFECTIVE_PITCH
     column = pitch * math.sqrt(3.0) / 2.0
@@ -280,7 +273,6 @@ def reference_layout() -> ArrayLayout:
         effective_pitch=pitch,
         reservoir_pos=reservoir,
         scan_range=_SCAN_RANGE,
-        metadata=dict(_REFERENCE_METADATA),
     )
 
 
@@ -305,7 +297,6 @@ def layout_from_site_rows(
     scan_range: float,
     base_pitch: float,
     effective_pitch: float,
-    metadata: Mapping[str, str] | None = None,
 ) -> ArrayLayout:
     """Build a layout from plain (id, x, y, role) rows, as read from a
     config file."""
@@ -324,5 +315,4 @@ def layout_from_site_rows(
         effective_pitch=effective_pitch,
         reservoir_pos=Position(*reservoir),
         scan_range=scan_range,
-        metadata=dict(metadata or {}),
     )

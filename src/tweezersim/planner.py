@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import ArrayLayout, Position, distance
 
@@ -209,8 +208,11 @@ def optimal_assignment(
     """Minimum-total-distance matching of size min(#vacancies, #sources).
 
     Solved exactly at every size by scipy's Hungarian-style solver;
-    :func:`exhaustive_assignment` is the independent test oracle.
+    :func:`exhaustive_assignment` is the independent test oracle. scipy
+    is imported here, not with the module, so simulating never loads it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if len(vacancies) == 0 or len(sources) == 0:
         return Assignment((), 0.0)
     cost = _cost_matrix(vacancies, sources)

@@ -3,7 +3,8 @@
 Covers one-body survival in the traps, transport success, collisional-blockade
 extraction of single atoms from the reservoir, and reservoir depletion. All
 draws go through an explicit :class:`RngStream` so ensembles are reproducible
-replica by replica.
+replica by replica. The draws take plain counts and return what they drew;
+they change none of their arguments, so the caller owns all state.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "LossModel",
     "TransportModel",
     "ExtractionModel",
-    "ReservoirState",
     "survival_probability",
     "sample_survival",
     "sample_transport",
@@ -81,8 +81,8 @@ def _check_nonnegative(name: str, value: float) -> None:
 class LossModel:
     """One-body trap lifetimes in seconds; ``math.inf`` disables a channel."""
 
-    lifetime_array: float = 10.0
-    lifetime_reservoir: float = 5.0
+    lifetime_array: float
+    lifetime_reservoir: float
 
     def __post_init__(self):
         _check_positive("stochastic.lifetime_array_s", self.lifetime_array)
@@ -93,9 +93,9 @@ class LossModel:
 class TransportModel:
     """Single-atom transport: success probability and move timings."""
 
-    p_success: float = 0.753
-    t_ramp: float = 130e-6  # s, one intensity ramp; two per move
-    t_move: float = 310e-6  # s, tweezer translation
+    p_success: float
+    t_ramp: float  # s, one intensity ramp; two per move
+    t_move: float  # s, tweezer translation
 
     def __post_init__(self):
         _check_probability("stochastic.p_transport", self.p_success)
@@ -167,22 +167,6 @@ class ExtractionModel:
         return self.p_blockade * (1.0 - math.exp(-lam))
 
 
-@dataclass
-class ReservoirState:
-    """Current reservoir population and the optional refill hook.
-
-    ``refill_rate`` (atoms/s) models continuous external reloading and
-    defaults to off.
-    """
-
-    n_atoms: int
-    refill_rate: float = 0.0
-
-    def __post_init__(self):
-        _check_nonnegative("reservoir population", self.n_atoms)
-        _check_nonnegative("stochastic.refill_rate", self.refill_rate)
-
-
 def survival_probability(dt: float, lifetime: float) -> float:
     """Probability that a trapped atom survives ``dt`` seconds,
     ``exp(-dt / lifetime)``."""
@@ -204,45 +188,40 @@ def sample_transport(rng: RngStream, model: TransportModel) -> bool:
 
 
 def sample_extraction(
-    rng: RngStream, reservoir: ReservoirState, model: ExtractionModel
+    rng: RngStream, n_atoms: int, model: ExtractionModel
 ) -> tuple[int, bool]:
-    """One extraction attempt into a single trap site.
+    """One extraction attempt into a single trap site from a reservoir of
+    ``n_atoms``.
 
-    Draws the ensemble size, removes it from the reservoir, and reports
-    ``(atoms_removed, single_atom_delivered)``. An empty reservoir yields
-    ``(0, False)``.
+    Draws the ensemble size and returns ``(atoms_removed,
+    single_atom_delivered)``; the caller takes the removed atoms out of the
+    reservoir. An empty reservoir yields ``(0, False)``.
     """
-    if reservoir.n_atoms == 0:
+    if n_atoms == 0:
         return 0, False
-    lam = model.mean_ensemble_at_full * min(
-        1.0, reservoir.n_atoms / model.n_reference
-    )
-    k = min(rng.poisson(lam), reservoir.n_atoms)
-    reservoir.n_atoms -= k
+    lam = model.mean_ensemble_at_full * min(1.0, n_atoms / model.n_reference)
+    k = min(rng.poisson(lam), n_atoms)
     delivered = k >= 1 and rng.bernoulli(model.p_blockade)
     return k, delivered
 
 
 def reservoir_decay(
-    rng: RngStream, reservoir: ReservoirState, dt: float, loss: LossModel
+    rng: RngStream, n_atoms: int, dt: float, loss: LossModel, refill_rate: float
 ) -> tuple[int, int]:
-    """Binomial thinning of the reservoir over ``dt`` seconds, plus the
-    stochastically rounded refill when a refill rate is configured.
+    """Binomial thinning of a reservoir of ``n_atoms`` over ``dt`` seconds,
+    plus the stochastically rounded refill at ``refill_rate`` atoms/s.
 
-    Mutates ``reservoir`` in place and returns ``(atoms_lost, atoms_added)``
-    so callers can keep exact loss ledgers.
+    Returns ``(atoms_lost, atoms_added)``; the caller applies both, which
+    keeps exact loss ledgers.
     """
     p = survival_probability(dt, loss.lifetime_reservoir)
     lost = 0
-    if reservoir.n_atoms > 0 and p < 1.0:
-        survivors = rng.binomial(reservoir.n_atoms, p)
-        lost = reservoir.n_atoms - survivors
-        reservoir.n_atoms = survivors
+    if n_atoms > 0 and p < 1.0:
+        lost = n_atoms - rng.binomial(n_atoms, p)
     added = 0
-    if reservoir.refill_rate > 0.0 and dt > 0.0:
-        mean = reservoir.refill_rate * dt
+    if refill_rate > 0.0 and dt > 0.0:
+        mean = refill_rate * dt
         whole = int(mean)
         frac = mean - whole
         added = whole + (1 if rng.bernoulli(frac) else 0)
-        reservoir.n_atoms += added
     return lost, added

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from tweezersim.config import ExperimentConfig
-from tweezersim.engine import EventLog, TimingModel, run_realization
+from tweezersim.engine import EventLog, run_realization
 from tweezersim.harness import calibrate_depletion, run_experiment, write_outputs
 from tweezersim.geometry import reference_layout
 from tweezersim.planner import exhaustive_assignment, plan_target_fill
@@ -85,7 +85,7 @@ def test_acceptance_3_cumulative_success(full_ensemble):
 
 def test_acceptance_4_timing(full_ensemble):
     cfg, _, _ = full_ensemble
-    timing = TimingModel()
+    timing = cfg.build_models().timing
     records = run_realization(cfg, seed=cfg.master_seed, n_cycles=6)
     gaps = [
         b.clock_at_image - a.clock_at_image

@@ -1,9 +1,13 @@
 """Command-line interface: flags, outputs, and error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tweezersim
 from tweezersim.cli import main
 
 
@@ -123,6 +127,35 @@ def test_nan_config_value_exits_2(tmp_path, capsys, body, key):
     assert err.startswith("error:")
     assert key in err
     assert not (tmp_path / "res").exists()
+
+
+def test_fill_window_shorter_than_longest_plan_exits_2(tmp_path, capsys):
+    # the reference plan takes 6 moves of 570 us, 3.42 ms in all
+    ini = tmp_path / "slow.ini"
+    ini.write_text("[run]\nn_replicas = 3\nn_cycles = 2\n[timing]\nt_analysis_fill = 0.003\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(ini))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "timing.t_analysis_fill" in err
+    assert out == ""
+
+
+def test_simulating_never_imports_scipy():
+    # scipy serves the assignment oracle only; a fresh interpreter that
+    # loads the CLI and runs an ensemble must not pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tweezersim.__file__)))
+    code = (
+        "import sys, tweezersim.cli\n"
+        "from tweezersim import ExperimentConfig, run_experiment\n"
+        "run_experiment(ExperimentConfig(n_replicas=2, n_cycles=3))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("role", ["buffer", "target"])

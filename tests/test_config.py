@@ -81,6 +81,8 @@ def test_success_definition_aliases():
         ("lifetime_reservoir_s", math.nan, "stochastic.lifetime_reservoir_s"),
         ("mean_ensemble_at_full", math.nan, "stochastic.mean_ensemble_at_full"),
         ("n_replicas", math.nan, "run.n_replicas"),
+        # 6 moves of 2 x 130 us + 11 ms outlast the 65 ms fill window
+        ("t_move", 0.011, "timing.t_analysis_fill"),
     ],
 )
 def test_validation_names_offending_key(field, value, key):
@@ -106,6 +108,17 @@ def test_resolved_covers_every_section():
     assert r["stochastic"]["p_stay_on_failure"] == pytest.approx(2 / 3)
     assert len(r["layout"]["sites"]) == 13
     assert r["layout"]["preset"] == "paper-hex-6"
+
+
+def test_every_resolved_layout_key_is_accepted(tmp_path):
+    # what resolved() writes under "layout" must be readable back from
+    # [layout]; a key load_config rejects cannot round-trip
+    for key in ExperimentConfig(layout=CUSTOM_LAYOUT).resolved()["layout"]:
+        path = write_ini(tmp_path, f"[layout]\n{key} = 1\n", name=f"{key}.ini")
+        try:
+            load_config(path)
+        except ConfigError as exc:
+            assert "unknown key" not in str(exc), key
 
 
 class TestLoadConfig:

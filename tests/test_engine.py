@@ -14,7 +14,6 @@ from tweezersim.engine import (
     EventLog,
     PlanConflictError,
     SimulationModels,
-    TimingModel,
     check_conservation,
     init_sequence,
     run_cycle,
@@ -47,19 +46,19 @@ DEGENERATE = dict(
 
 class TestTimingModel:
     def test_cycle_duration(self):
-        assert TimingModel().cycle_duration == pytest.approx(0.230)
+        assert models_with().timing.cycle_duration == pytest.approx(0.230)
 
     def test_init_duration(self):
-        assert TimingModel().init_duration == pytest.approx(1.86)
+        assert models_with().timing.init_duration == pytest.approx(1.86)
 
     def test_image_loss_window_defaults_to_image(self):
-        t = TimingModel()
+        t = models_with().timing
         assert t.image_loss_window == t.t_image
-        assert TimingModel(t_image_loss=0.1).image_loss_window == 0.1
+        assert dataclasses.replace(t, t_image_loss=0.1).image_loss_window == 0.1
 
     def test_negative_duration_names_key(self):
         with pytest.raises(ValueError, match="timing.t_image"):
-            TimingModel(t_image=-0.1)
+            dataclasses.replace(models_with().timing, t_image=-0.1)
 
 
 class TestSimulationModelsValidation:
@@ -84,7 +83,9 @@ def test_init_sequence_state():
     assert state.cycle_index == 0
     assert not any(state.truth.values())
     assert not any(state.belief.values())
-    assert state.reservoir.n_atoms == state.n_initial_reservoir
+    assert state.n_reservoir == state.n_initial_reservoir
+    assert state.replica == 0
+    assert init_sequence(models, RngStream(1, 7)).replica == 7
 
 
 def test_init_sequence_population_statistics():
@@ -115,9 +116,9 @@ def test_step_image_syncs_belief():
     state = init_sequence(models, rng)
     state.truth[5] = True  # belief lags until the image
     clock0 = state.clock
-    state, observation = step_image(state, models, rng)
+    assert step_image(state, models, rng) is None
     assert state.belief == state.truth
-    assert observation[5] is True
+    assert state.truth[5] is True
     assert state.clock == pytest.approx(clock0 + models.timing.t_image)
 
 
@@ -137,7 +138,7 @@ class TestFillStep:
         state.belief[0] = True  # stale belief, no atom in truth
         log = EventLog()
         plan = MovePlan((Move(0, 7, 10.0),))
-        state = step_fill_targets(state, plan, models, rng, log)
+        assert step_fill_targets(state, plan, models, rng, log) is None
         assert state.truth[7] is False
         assert state.belief[7] is True  # belief still assumes success
         assert log.rows[-1][-1] == "null"
@@ -148,7 +149,7 @@ class TestFillStep:
         state = init_sequence(models, rng)
         state.truth[0] = state.belief[0] = True
         plan = MovePlan((Move(0, 7, 10.0),))
-        state = step_fill_targets(state, plan, models, rng)
+        step_fill_targets(state, plan, models, rng)
         assert state.truth[0] is False and state.truth[7] is False
         assert state.counters.transport_loss == 1
 
@@ -158,7 +159,7 @@ class TestFillStep:
         state = init_sequence(models, rng)
         state.truth[0] = state.belief[0] = True
         plan = MovePlan((Move(0, 7, 10.0),))
-        state = step_fill_targets(state, plan, models, rng)
+        step_fill_targets(state, plan, models, rng)
         assert state.truth[0] is True and state.truth[7] is False
         assert state.counters.transport_loss == 0
         # belief still claims the move happened; the next image corrects it
@@ -181,7 +182,7 @@ class TestFillStep:
         state = init_sequence(models, rng)
         state.truth[0] = state.belief[0] = True
         plan = MovePlan((Move(0, 7, 10.0),))
-        state = step_fill_targets(state, plan, models, rng)
+        step_fill_targets(state, plan, models, rng)
         assert state.counters.transport_loss == loss
         assert state.truth[0] is (loss == 0)
         assert draws == [0.0]  # the transport draw only
@@ -211,10 +212,10 @@ class TestRefillStep:
         rng = RngStream(12, 0)
         state = init_sequence(models, rng)
         state.truth[3] = True  # atom parked by an earlier failed retry
-        n0 = state.reservoir.n_atoms
+        n0 = state.n_reservoir
         log = EventLog()
-        state = step_refill_buffers(state, [3], models, rng, log)
-        assert state.reservoir.n_atoms == n0
+        assert step_refill_buffers(state, [3], models, rng, log) is None
+        assert state.n_reservoir == n0
         assert state.counters.extracted == 0
         assert log.rows[-1][-1] == "skip"
 
@@ -222,7 +223,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(13, 0)
         state = init_sequence(models, rng)
-        state = step_refill_buffers(state, [3, 4], models, rng)
+        step_refill_buffers(state, [3, 4], models, rng)
         assert state.truth[3] is True and state.truth[4] is True
         assert state.belief[3] is False and state.belief[4] is False
         c = state.counters
@@ -234,7 +235,7 @@ class TestRefillStep:
 def test_check_conservation_detects_leak():
     models = models_with(**DEGENERATE)
     state = init_sequence(models, RngStream(14, 0))
-    state.reservoir.n_atoms -= 1  # vanish an atom outside any channel
+    state.n_reservoir -= 1  # vanish an atom outside any channel
     with pytest.raises(EngineError, match="conservation"):
         check_conservation(state)
 
@@ -243,7 +244,7 @@ def test_run_cycle_first_record_is_empty_array():
     models = models_with()
     rng = RngStream(15, 0)
     state = init_sequence(models, rng)
-    state, record = run_cycle(state, models, rng)
+    record = run_cycle(state, models, rng)
     assert record.cycle_index == 1
     assert record.n_buffer_filled == 0
     assert record.n_target_filled == 0
@@ -400,13 +401,14 @@ def test_event_log_masks_exact_past_63_sites():
     assert len(layout.site_ids) > 63
     state = init_sequence(models, RngStream(3, 0))
     log = EventLog()
-    log.add(0, 0, "init", state, layout)  # fits the unboxed column
+    log.add("init", state, layout)  # fits the unboxed column
     top, low = layout.site_ids[-1], layout.site_ids[0]
     state.truth[top] = state.truth[low] = True
     state.belief[low] = True
-    log.add(0, 1, "image", state, layout)  # truth past 63 bits, belief not
+    state.cycle_index = 1
+    log.add("image", state, layout)  # truth past 63 bits, belief not
     state.belief = dict(state.truth)
-    log.add(0, 1, "image", state, layout)
+    log.add("image", state, layout)
     truth_masks = [row[5] for row in log.rows]
     belief_masks = [row[6] for row in log.rows]
     small = 1 << layout.index_of(low)

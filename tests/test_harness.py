@@ -8,6 +8,7 @@ import math
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
@@ -87,6 +88,35 @@ class TestCumulativeSuccess:
         reps = [flags_to_records([False]), flags_to_records([False, True])]
         with pytest.raises(ValueError, match="differing cycle counts"):
             cumulative_success_rate(reps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(1, 3),
+    master_seed=st.integers(0, 2**31),
+    n_cycles=st.integers(3, 6),
+    lifetime_array_s=st.floats(2.0, 30.0),
+    lifetime_reservoir_s=st.floats(2.0, 10.0),
+    p_transport=st.floats(0.3, 1.0),
+    p_stay_on_failure=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    p_blockade_plateau=st.floats(0.3, 0.7),
+    mean_ensemble_at_full=st.floats(3.0, 20.0),
+    reservoir_mean=st.floats(20.0, 120.0),
+    refill_rate=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    fill_strategy=st.sampled_from(["global", "per-vacancy"]),
+    t_image_loss=st.sampled_from([None, 0.100]),
+)
+def test_growing_the_ensemble_keeps_earlier_replicas(n, k, **values):
+    # replica i draws from the (master_seed, i) stream alone, so the first n
+    # replicas of an ensemble of n + k log exactly the rows of an ensemble of n
+    cfg = ExperimentConfig(n_replicas=n, **values)
+    _, small = run_experiment(cfg, collect_events=True)
+    _, large = run_experiment(
+        dataclasses.replace(cfg, n_replicas=n + k), collect_events=True
+    )
+    assert {row[0] for row in large.rows} == set(range(n + k))
+    assert small.rows == [row for row in large.rows if row[0] < n]
 
 
 class TestRunExperiment:

@@ -1,15 +1,15 @@
 """Random-process layer: streams, survival, transport, extraction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tweezersim.config import ExperimentConfig
 from tweezersim.stochastic import (
     ExtractionModel,
-    LossModel,
-    ReservoirState,
     RngStream,
     TransportModel,
     reservoir_decay,
@@ -18,6 +18,10 @@ from tweezersim.stochastic import (
     sample_transport,
     survival_probability,
 )
+
+MODELS = ExperimentConfig().build_models()
+LOSS = MODELS.loss
+LOSSLESS_RESERVOIR = dataclasses.replace(LOSS, lifetime_reservoir=math.inf)
 
 
 class TestRngStream:
@@ -95,9 +99,9 @@ def test_sample_survival_statistics():
 
 def test_loss_model_rejects_nonpositive_lifetime():
     with pytest.raises(ValueError):
-        LossModel(lifetime_array=0.0)
+        dataclasses.replace(LOSS, lifetime_array=0.0)
     with pytest.raises(ValueError):
-        LossModel(lifetime_reservoir=-1.0)
+        dataclasses.replace(LOSS, lifetime_reservoir=-1.0)
 
 
 class TestTransportModel:
@@ -107,11 +111,12 @@ class TestTransportModel:
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError):
-            TransportModel(1.2)
+            dataclasses.replace(MODELS.transport, p_success=1.2)
 
     def test_sampling_statistics(self):
         rng = RngStream(5)
-        m = TransportModel(0.753)
+        m = MODELS.transport
+        assert m.p_success == 0.753
         n = 20000
         hits = sum(sample_transport(rng, m) for _ in range(n))
         sigma = math.sqrt(0.753 * 0.247 / n)
@@ -170,22 +175,31 @@ class TestSampleExtraction:
 
     def test_empty_reservoir(self):
         rng = RngStream(0)
-        res = ReservoirState(0)
-        assert sample_extraction(rng, res, self.model) == (0, False)
+        assert sample_extraction(rng, 0, self.model) == (0, False)
 
     def test_never_negative(self):
         rng = RngStream(3)
-        res = ReservoirState(5)
+        n = 5
         for _ in range(50):
-            k, _delivered = sample_extraction(rng, res, self.model)
+            k, _delivered = sample_extraction(rng, n, self.model)
+            n -= k
             assert k >= 0
-            assert res.n_atoms >= 0
+            assert n >= 0
+
+    def test_draws_bite_then_blockade(self):
+        # the ensemble size, capped at the population, then the blockade
+        # draw when any atom was caught
+        rng, ref = RngStream(5), RngStream(5)
+        for n in (1, 3, 40, 80, 200):
+            lam = self.model.mean_ensemble_at_full * min(1.0, n / self.model.n_reference)
+            k = min(ref.poisson(lam), n)
+            delivered = k >= 1 and ref.bernoulli(self.model.p_blockade)
+            assert sample_extraction(rng, n, self.model) == (k, delivered)
 
     def test_delivery_requires_extraction(self):
         rng = RngStream(4)
         for _ in range(200):
-            res = ReservoirState(2)
-            k, delivered = sample_extraction(rng, res, self.model)
+            k, delivered = sample_extraction(rng, 2, self.model)
             if delivered:
                 assert k >= 1
 
@@ -196,8 +210,7 @@ class TestSampleExtraction:
         lam = self.model.mean_ensemble_at_full * n0 / self.model.n_reference
         bites = []
         for _ in range(trials):
-            res = ReservoirState(n0)
-            k, _ = sample_extraction(rng, res, self.model)
+            k, _ = sample_extraction(rng, n0, self.model)
             bites.append(k)
         mean = np.mean(bites)
         sigma = math.sqrt(lam / trials)
@@ -207,18 +220,16 @@ class TestSampleExtraction:
 class TestReservoirDecay:
     def test_returns_loss_and_refill(self):
         rng = RngStream(2)
-        res = ReservoirState(100)
-        lost, added = reservoir_decay(rng, res, 0.5, LossModel())
+        lost, added = reservoir_decay(rng, 100, 0.5, LOSS, 0.0)
         assert lost >= 0 and added == 0
-        assert res.n_atoms == 100 - lost
+        assert lost == 100 - RngStream(2).binomial(100, math.exp(-0.5 / 5.0))
 
     def test_loss_statistics(self):
         rng = RngStream(6)
         p_lose = 1 - math.exp(-0.5 / 5.0)
         total, trials, n0 = 0, 2000, 200
         for _ in range(trials):
-            res = ReservoirState(n0)
-            lost, _ = reservoir_decay(rng, res, 0.5, LossModel())
+            lost, _ = reservoir_decay(rng, n0, 0.5, LOSS, 0.0)
             total += lost
         mean = total / trials
         sigma = math.sqrt(n0 * p_lose * (1 - p_lose) / trials)
@@ -226,27 +237,14 @@ class TestReservoirDecay:
 
     def test_infinite_lifetime_no_loss(self):
         rng = RngStream(8)
-        res = ReservoirState(50)
-        lost, _ = reservoir_decay(
-            rng, res, 10.0, LossModel(lifetime_reservoir=math.inf)
-        )
-        assert lost == 0 and res.n_atoms == 50
+        assert reservoir_decay(rng, 50, 10.0, LOSSLESS_RESERVOIR, 0.0) == (0, 0)
 
     def test_refill_mean_rate(self):
         rng = RngStream(12)
         rate, dt, trials = 3.7, 0.230, 4000
         total = 0
         for _ in range(trials):
-            res = ReservoirState(10, refill_rate=rate)
-            _, added = reservoir_decay(
-                rng, res, dt, LossModel(lifetime_reservoir=math.inf)
-            )
+            _, added = reservoir_decay(rng, 10, dt, LOSSLESS_RESERVOIR, rate)
             total += added
         mean = total / trials
         assert abs(mean - rate * dt) < 0.05  # stochastic rounding is unbiased
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            ReservoirState(-1)
-        with pytest.raises(ValueError):
-            ReservoirState(1, refill_rate=-0.5)
