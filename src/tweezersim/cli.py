@@ -6,6 +6,7 @@ to a delivered-atom target.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 
@@ -14,6 +15,7 @@ from .harness import (
     CalibrationError,
     calibrate_depletion,
     run_experiment,
+    stream_events,
     write_outputs,
 )
 
@@ -86,9 +88,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return config
 
 
-def _run_simulate(args) -> int:
-    config = _apply_overrides(_load(args), args)
-    stats, log = run_experiment(config, collect_events=args.out is not None)
+def _print_table(config: ExperimentConfig, stats) -> None:
     print(
         f"{config.n_replicas} replicas x {config.n_cycles} cycles, "
         f"seed {config.master_seed}"
@@ -101,10 +101,20 @@ def _run_simulate(args) -> int:
             f"   {stats.reservoir_norm[k]:.4f}     {stats.reservoir_std[k]:.4f}"
         )
     print(f"mean atoms delivered per realization: {stats.mean_delivered:.3f}")
-    if args.out:
-        paths = write_outputs(stats, log, args.out, config)
-        for name in ("fig4", "events", "run_meta"):
-            print(f"wrote {paths[name]}")
+
+
+def _run_simulate(args) -> int:
+    config = _apply_overrides(_load(args), args)
+    # with --out, events.csv is open before the first replica runs and is
+    # written while the ensemble runs
+    events = stream_events(args.out) if args.out else contextlib.nullcontext()
+    with events as log:
+        stats, log = run_experiment(config, log=log)
+        _print_table(config, stats)
+        if args.out:
+            paths = write_outputs(stats, log, args.out, config)
+            for name in ("fig4", "events", "run_meta"):
+                print(f"wrote {paths[name]}")
     return 0
 
 

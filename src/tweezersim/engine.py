@@ -198,6 +198,13 @@ class EventLog:
     in 63 bits), ``clock_s`` in ``array("d")``, and the rest as lists of
     references to the few objects they repeat. ``columns`` hands the
     column sequences to a writer; ``rows`` builds the row tuples on demand.
+
+    With a ``sink`` (an object with ``write(columns)`` and ``close()``, such
+    as the CSV writer of :func:`tweezersim.harness.stream_events`), the log
+    keeps only the rows not yet handed on: :meth:`flush` passes the buffered
+    columns to the sink and starts a new buffer, :meth:`close` flushes the
+    rest and closes the sink. ``len`` counts every row added, ``columns``
+    and ``rows`` the buffered ones only.
     """
 
     COLUMNS = (
@@ -206,26 +213,48 @@ class EventLog:
         "duration_s", "outcome",
     )
 
-    def __init__(self):
-        self._columns = [
-            array("q"), array("q"), [], array("d"), array("q"),
-            array("q"), array("q"), [], [], [], [], [],
-        ]
+    def __init__(self, sink=None):
+        self.sink = sink
+        self._flushed = 0  # rows already handed to the sink
+        self._columns = self._empty_columns()
         # (layout, occupancy copy, mask) last seen for truth and for belief
         self._seen: list[tuple | None] = [None, None]
 
+    @staticmethod
+    def _empty_columns() -> list:
+        return [
+            array("q"), array("q"), [], array("d"), array("q"),
+            array("q"), array("q"), [], [], [], [], [],
+        ]
+
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return self._flushed + len(self._columns[0])
 
     @property
     def columns(self) -> tuple:
-        """One sequence per entry of ``COLUMNS``, all ``len(self)`` long."""
+        """One sequence per entry of ``COLUMNS``, all as long as the buffer."""
         return tuple(self._columns)
 
     @property
     def rows(self) -> list[tuple]:
-        """The rows as tuples, built afresh on each access."""
+        """The buffered rows as tuples, built afresh on each access."""
         return list(zip(*self._columns))
+
+    def flush(self, min_rows: int = 0) -> None:
+        """Hand the buffered rows to the sink, once there are at least
+        ``min_rows`` of them, and start a new buffer; without a sink, keep
+        them."""
+        n = len(self._columns[0])
+        if self.sink is not None and n and n >= min_rows:
+            self.sink.write(self._columns)
+            self._flushed += n
+            self._columns = self._empty_columns()
+
+    def close(self) -> None:
+        """Flush every buffered row and close the sink, if there is one."""
+        if self.sink is not None:
+            self.flush()
+            self.sink.close()
 
     def _mask(self, slot: int, occupancy: Occupancy, layout: ArrayLayout) -> int:
         # consecutive rows mostly repeat an occupancy (83 % of truth and
@@ -239,8 +268,9 @@ class EventLog:
 
     def _widen_masks(self, truth: int, belief: int) -> None:
         # a mask past 63 bits: keep both mask columns as exact Python ints
-        n = len(self)
+        # until the next flush
         cols = self._columns
+        n = len(cols[0])
         cols[5] = [*cols[5][:n], truth]
         cols[6] = [*cols[6][:n], belief]
 

@@ -11,6 +11,7 @@ runs one extra engine cycle beyond the reported range.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -35,6 +36,7 @@ __all__ = [
     "binomial_halfwidth",
     "wilson_halfwidth",
     "calibrate_depletion",
+    "stream_events",
     "write_outputs",
 ]
 
@@ -108,9 +110,14 @@ def cumulative_success_rate(
 
 
 def run_experiment(
-    config: ExperimentConfig, collect_events: bool = False
+    config: ExperimentConfig, log: EventLog | None = None
 ) -> tuple[ExperimentStats, EventLog | None]:
     """Run the full ensemble and reduce it to per-cycle statistics.
+
+    Every replica's steps and moves are added to ``log`` when one is given,
+    and the log is returned beside the statistics. A log with a sink (see
+    :func:`stream_events`) is flushed at replica boundaries once it holds a
+    block of rows, so it never holds more than a block plus one replica.
 
     Deterministic for a fixed config: replica i always draws from the
     stream keyed by (master_seed, i), so enlarging the ensemble never
@@ -120,7 +127,6 @@ def run_experiment(
     n_buffers = len(models.layout.buffer_ids)
     n_rep = config.n_replicas
     n_engine_cycles = config.n_cycles + 1
-    log = EventLog() if collect_events else None
     complete = np.zeros((n_rep, n_engine_cycles), dtype=bool)
     buffer_counts = np.zeros((n_rep, n_engine_cycles), dtype=np.int64)
     reservoir_counts = np.zeros((n_rep, n_engine_cycles), dtype=np.int64)
@@ -133,6 +139,8 @@ def run_experiment(
         buffer_counts[i] = [rec.n_buffer_filled for rec in records]
         reservoir_counts[i] = [rec.n_reservoir for rec in records]
         delivered[i] = records[-1].delivered_cum
+        if log is not None:
+            log.flush(_CHUNK_ROWS)
     success = _success_matrix(complete, config.success_definition).mean(axis=0)[1:]
     halfwidth = binomial_halfwidth if config.ci_method == "normal" else wilson_halfwidth
     success_ci = [halfwidth(float(p), n_rep) for p in success]
@@ -200,7 +208,9 @@ def calibrate_depletion(
     (bigger bites drain the reservoir sooner), so the root is bracketed by
     evaluating both ends first. Every evaluation reuses the same master
     seed (common random numbers), which keeps the response monotone in
-    practice. ``evaluate`` may override the objective, mainly for tests.
+    practice; a midpoint whose value falls outside the values at the current
+    bracket ends raises :class:`CalibrationError` rather than being bisected
+    through. ``evaluate`` may override the objective, mainly for tests.
     """
     if not tolerance >= 0:
         raise ConfigError(f"tolerance must be nonnegative, got {tolerance}")
@@ -239,8 +249,14 @@ def calibrate_depletion(
             best = (mid, g_mid)
         if abs(g_mid - target_delivered) <= tolerance:
             return CalibrationResult(mid, g_mid, evaluations)
+        if not min(g_lo, g_hi) <= g_mid <= max(g_lo, g_hi):
+            raise CalibrationError(
+                f"objective is not monotone: delivered {g_mid:.3f} at ensemble "
+                f"mean {mid:.4f} lies outside {g_lo:.3f} at {lo:.4f} and "
+                f"{g_hi:.3f} at {hi:.4f}"
+            )
         if (g_lo - target_delivered) * (g_mid - target_delivered) <= 0:
-            hi = mid
+            hi, g_hi = mid, g_mid
         else:
             lo, g_lo = mid, g_mid
         if hi - lo < 1e-3:
@@ -257,6 +273,10 @@ def calibrate_depletion(
 # texts one memo keeps; past that, new values are rendered but not kept.
 _CHUNK_ROWS = 4096
 _TEXT_CAP = 1 << 16
+_FIG4_HEADER = (
+    "cycle", "success_rate", "success_ci", "buffer_fill_mean",
+    "buffer_fill_ci", "reservoir_norm", "reservoir_std",
+)
 
 
 def _field(value) -> str:
@@ -309,33 +329,89 @@ class _ColumnTexts:
         return list(map(memo.__getitem__, values))
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """Write equal-length ``columns`` under ``header`` as CSV, byte for byte
-    what ``csv.writer`` writes for the rows of :func:`_field` texts.
+def _lines(cells) -> str:
+    """CSV lines of equal-length lists of field texts, one list per column."""
+    if len(cells) == 1:  # a lone empty field is written as ""
+        cells = [[t or '""' for t in cells[0]]]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
-    Each distinct value of a column is rendered once; rows are joined and
-    written ``_CHUNK_ROWS`` at a time, so neither the file nor a column of
-    text is ever held whole.
+
+class _CsvWriter:
+    """An open CSV file under ``header``, written block by block, byte for
+    byte what ``csv.writer`` writes for the rows of :func:`_field` texts.
+
+    Each column keeps one :class:`_ColumnTexts` across blocks, so a distinct
+    value is rendered once per file; rows are joined and written
+    ``_CHUNK_ROWS`` at a time, so no column of text is ever held whole. A
+    failed open, write or close raises ``OSError("writing <path> failed:
+    ...")``; leaving a ``with`` block closes the file, also on an error.
     """
-    n_rows = len(columns[0]) if columns else 0
-    texts = [_ColumnTexts() for _ in columns]
 
-    def lines(cells) -> str:
-        if len(cells) == 1:  # a lone empty field is written as ""
-            cells = [[t or '""' for t in cells[0]]]
-        return "\n".join(map(",".join, zip(*cells))) + "\n"
+    def __init__(self, path: str, header):
+        self.path = path
+        try:
+            self._fh = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise self._failed(exc) from exc
+        self._texts = [_ColumnTexts() for _ in header]
+        self._write([[_field(name)] for name in header])
 
+    def _failed(self, exc: OSError) -> OSError:
+        return OSError(f"writing {self.path} failed: {exc.strerror}")
+
+    def _write(self, cells) -> None:
+        try:
+            self._fh.write(_lines(cells))
+        except OSError as exc:
+            raise self._failed(exc) from exc
+
+    def write(self, columns) -> None:
+        """Append equal-length ``columns`` as rows."""
+        n_rows = len(columns[0]) if columns else 0
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            self._write([
+                texts.render(column[start:stop])
+                for texts, column in zip(self._texts, columns)
+            ])
+
+    def close(self) -> None:
+        """Flush and close the file; a second call does nothing."""
+        try:
+            self._fh.close()
+        except OSError as exc:
+            raise self._failed(exc) from exc
+
+    def __enter__(self) -> "_CsvWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:  # keep the error in flight, not one from closing
+            with contextlib.suppress(OSError):
+                self._fh.close()
+
+
+def _make_out_dir(out_dir: str) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(lines([[_field(name)] for name in header]))
-            for start in range(0, n_rows, _CHUNK_ROWS):
-                stop = start + _CHUNK_ROWS
-                fh.write(lines([
-                    column_texts.render(column[start:stop])
-                    for column_texts, column in zip(texts, columns)
-                ]))
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        raise OSError(f"writing {path} failed: {exc.strerror}") from exc
+        raise OSError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+
+
+@contextlib.contextmanager
+def stream_events(out_dir: str):
+    """Create ``out_dir`` and open its ``events.csv``; yield an
+    :class:`EventLog` that writes its rows there block by block.
+
+    Pass the log to :func:`run_experiment` and then to
+    :func:`write_outputs`, which finishes the file. Leaving the block
+    closes the file whatever happened inside it.
+    """
+    _make_out_dir(out_dir)
+    with _CsvWriter(os.path.join(out_dir, "events.csv"), EventLog.COLUMNS) as sink:
+        yield EventLog(sink)
 
 
 def write_outputs(
@@ -346,32 +422,35 @@ def write_outputs(
 ) -> dict[str, str]:
     """Write fig4.csv, events.csv, and run_meta.json into ``out_dir``.
 
-    Outputs are byte-stable for identical inputs: fixed float formatting,
-    sorted JSON keys, no timestamps. Returns the written paths by name.
+    ``events.csv`` holds the rows of ``log``: an in-memory log is written
+    here, a log from :func:`stream_events` on the same directory is
+    finished (its last rows flushed and the file closed), and ``None``
+    gives the header alone. Outputs are byte-stable for identical inputs:
+    fixed float formatting, sorted JSON keys, no timestamps. Returns the
+    written paths by name.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    _make_out_dir(out_dir)
     paths = {
         "fig4": os.path.join(out_dir, "fig4.csv"),
         "events": os.path.join(out_dir, "events.csv"),
         "run_meta": os.path.join(out_dir, "run_meta.json"),
     }
-    _write_csv(
-        paths["fig4"],
-        (
-            "cycle", "success_rate", "success_ci", "buffer_fill_mean",
-            "buffer_fill_ci", "reservoir_norm", "reservoir_std",
-        ),
-        (
+    with _CsvWriter(paths["fig4"], _FIG4_HEADER) as fig4:
+        fig4.write((
             stats.cycles, stats.success_rate, stats.success_ci,
             stats.buffer_fill_mean, stats.buffer_fill_ci,
             stats.reservoir_norm, stats.reservoir_std,
-        ),
-    )
-    events = log.columns if log is not None else [()] * len(EventLog.COLUMNS)
-    _write_csv(paths["events"], EventLog.COLUMNS, events)
+        ))
+    if log is not None and log.sink is not None:
+        if os.path.abspath(log.sink.path) != os.path.abspath(paths["events"]):
+            raise ValueError(
+                f"the event log streams to {log.sink.path}, not {paths['events']}"
+            )
+        log.close()
+    else:
+        with _CsvWriter(paths["events"], EventLog.COLUMNS) as events:
+            if log is not None:
+                events.write(log.columns)
     meta = {
         "version": __version__,
         "config": config.resolved(),

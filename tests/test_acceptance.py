@@ -195,8 +195,8 @@ def test_acceptance_7_invariant_soak(tmp_path_factory):
     cfg = ExperimentConfig(n_replicas=200, n_cycles=8, master_seed=777)
     out1 = tmp_path_factory.mktemp("soak_a")
     out2 = tmp_path_factory.mktemp("soak_b")
-    stats1, log1 = run_experiment(cfg, collect_events=True)
-    stats2, log2 = run_experiment(cfg, collect_events=True)
+    stats1, log1 = run_experiment(cfg, log=EventLog())
+    stats2, log2 = run_experiment(cfg, log=EventLog())
     p1 = write_outputs(stats1, log1, str(out1), cfg)
     p2 = write_outputs(stats2, log2, str(out2), cfg)
     monotone = all(

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -416,6 +417,40 @@ def test_event_log_masks_exact_past_63_sites():
     assert truth_masks == [0, big, big]
     assert belief_masks == [0, small, big]
     assert len(log) == 3 and all(len(column) == 3 for column in log.columns)
+
+
+class RecordingSink:
+    def __init__(self):
+        self.blocks, self.closed = [], False
+
+    def write(self, columns):
+        self.blocks.append([list(column) for column in columns])
+
+    def close(self):
+        self.closed = True
+
+
+def test_streaming_event_log_starts_unboxed_after_a_widened_block():
+    models = big_hex_models()
+    layout = models.layout
+    state = init_sequence(models, RngStream(3, 0))
+    sink = RecordingSink()
+    log = EventLog(sink)
+    top = layout.site_ids[-1]
+    state.truth[top] = True
+    log.add("image", state, layout)  # widens the mask columns
+    log.flush(2)  # one row buffered: kept
+    assert sink.blocks == [] and len(log) == 1
+    state.truth[top] = False
+    log.add("image", state, layout)
+    log.flush(2)
+    assert len(sink.blocks) == 1 and len(log) == 2 and log.rows == []
+    assert sink.blocks[0][5] == [1 << layout.index_of(top), 0]
+    log.add("init", state, layout)  # a mask that fits: unboxed again
+    assert type(log.columns[5]) is array and type(log.columns[6]) is array
+    log.close()
+    assert sink.closed and len(log) == 3
+    assert [block[2] for block in sink.blocks] == [["image", "image"], ["init"]]
 
 
 def test_event_log_masks_match_records_past_63_sites():

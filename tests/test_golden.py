@@ -11,6 +11,7 @@ import math
 import pytest
 
 from tweezersim.config import ExperimentConfig
+from tweezersim.engine import EventLog
 from tweezersim.harness import run_experiment, write_outputs
 
 GOLDEN = {
@@ -63,6 +64,6 @@ def sha256(path):
 def test_outputs_match_golden_hashes(case, tmp_path):
     overrides, fig4, events = GOLDEN[case]
     cfg = ExperimentConfig(n_replicas=30, n_cycles=8, master_seed=11, **overrides)
-    stats, log = run_experiment(cfg, collect_events=True)
+    stats, log = run_experiment(cfg, log=EventLog())
     paths = write_outputs(stats, log, str(tmp_path), cfg)
     assert (sha256(paths["fig4"]), sha256(paths["events"])) == (fig4, events)

@@ -13,12 +13,14 @@ from hypothesis import given, settings, strategies as st
 from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
 from tweezersim.engine import CycleRecord, EventLog
+from tweezersim.geometry import build_hex_grid, layout_from_site_rows
 from tweezersim.harness import (
     CalibrationError,
     binomial_halfwidth,
     calibrate_depletion,
     cumulative_success_rate,
     run_experiment,
+    stream_events,
     wilson_halfwidth,
     write_outputs,
 )
@@ -111,9 +113,9 @@ def test_growing_the_ensemble_keeps_earlier_replicas(n, k, **values):
     # replica i draws from the (master_seed, i) stream alone, so the first n
     # replicas of an ensemble of n + k log exactly the rows of an ensemble of n
     cfg = ExperimentConfig(n_replicas=n, **values)
-    _, small = run_experiment(cfg, collect_events=True)
+    _, small = run_experiment(cfg, log=EventLog())
     _, large = run_experiment(
-        dataclasses.replace(cfg, n_replicas=n + k), collect_events=True
+        dataclasses.replace(cfg, n_replicas=n + k), log=EventLog()
     )
     assert {row[0] for row in large.rows} == set(range(n + k))
     assert small.rows == [row for row in large.rows if row[0] < n]
@@ -165,7 +167,7 @@ class TestRunExperiment:
         assert a == b
 
     def test_event_collection(self):
-        stats, log = run_experiment(SMALL, collect_events=True)
+        stats, log = run_experiment(SMALL, log=EventLog())
         assert log is not None and len(log.rows) > 0
         replicas = {row[0] for row in log.rows}
         assert replicas == set(range(60))
@@ -202,6 +204,23 @@ class TestCalibration:
                 SMALL, target_delivered=0.0, tolerance=0.1,
                 bracket=(1.0, 4.0), evaluate=lambda m: 20.0 / m,
             )
+
+    def test_non_monotone_objective_is_reported(self):
+        # a bump between the bracket ends: the first midpoint lies above both
+        calls = []
+
+        def g(m):
+            calls.append(m)
+            return 30.0 if 2.0 < m < 3.0 else 20.0 / m
+
+        with pytest.raises(CalibrationError, match="not monotone") as info:
+            calibrate_depletion(
+                SMALL, target_delivered=10.0, tolerance=0.1,
+                bracket=(1.0, 4.0), evaluate=g,
+            )
+        assert calls == [1.0, 4.0, 2.5]
+        assert "30.000 at ensemble mean 2.5000" in str(info.value)
+        assert "20.000 at 1.0000 and 5.000 at 4.0000" in str(info.value)
 
     def test_step_objective_reports_best(self):
         # jump straight over the target: no m ever lands inside tolerance
@@ -243,7 +262,7 @@ class TestCalibration:
 
 class TestOutputs:
     def test_files_and_schema(self, tmp_path):
-        stats, log = run_experiment(SMALL, collect_events=True)
+        stats, log = run_experiment(SMALL, log=EventLog())
         paths = write_outputs(stats, log, str(tmp_path / "out"), SMALL)
         header = open(paths["fig4"]).readline().strip()
         assert header == (
@@ -257,9 +276,9 @@ class TestOutputs:
         assert meta["config"]["run"]["n_cycles"] == 6
 
     def test_byte_identical_outputs(self, tmp_path):
-        stats, log = run_experiment(SMALL, collect_events=True)
+        stats, log = run_experiment(SMALL, log=EventLog())
         p1 = write_outputs(stats, log, str(tmp_path / "a"), SMALL)
-        stats2, log2 = run_experiment(SMALL, collect_events=True)
+        stats2, log2 = run_experiment(SMALL, log=EventLog())
         p2 = write_outputs(stats2, log2, str(tmp_path / "b"), SMALL)
         for name in ("fig4", "events", "run_meta"):
             assert open(p1[name], "rb").read() == open(p2[name], "rb").read()
@@ -289,7 +308,8 @@ def reference_csv(header, rows) -> bytes:
 
 def written_csv(tmp_path, header, columns) -> bytes:
     path = tmp_path / "out.csv"
-    harness._write_csv(str(path), header, columns)
+    with harness._CsvWriter(str(path), header) as writer:
+        writer.write(columns)
     return path.read_bytes()
 
 
@@ -336,7 +356,7 @@ def test_writer_single_column_blanks_and_empty_table(tmp_path):
 
 def test_events_longer_than_a_chunk_match_reference(tmp_path):
     cfg = ExperimentConfig(n_replicas=300, n_cycles=3)
-    stats, log = run_experiment(cfg, collect_events=True)
+    stats, log = run_experiment(cfg, log=EventLog())
     assert len(log) > 2 * harness._CHUNK_ROWS
     paths = write_outputs(stats, log, str(tmp_path / "out"), cfg)
     with open(paths["events"], "rb") as fh:
@@ -348,3 +368,62 @@ def test_events_longer_than_a_chunk_match_reference(tmp_path):
     with open(paths["fig4"], "rb") as fh:
         fig4 = fh.read()
     assert fig4 == reference_csv(fig4.decode().splitlines()[0].split(","), fig4_rows)
+
+
+# -- events.csv streamed while the ensemble runs ----------------------------
+
+def hex_config(**overrides) -> ExperimentConfig:
+    # 91 sites: the mask columns widen past 63 bits within every replica
+    rows = [
+        (k, p.x, p.y, "buffer" if p.x < 0 else "target")
+        for k, p in enumerate(build_hex_grid(5, 15.8))
+    ]
+    layout = layout_from_site_rows(
+        rows, (-120.0, 0.0), scan_range=250.0, base_pitch=15.8, effective_pitch=15.8,
+    )
+    return ExperimentConfig(layout=layout, **overrides)
+
+
+def assert_streamed_equals_in_memory(tmp_path, monkeypatch, cfg, chunk_rows):
+    stats, whole = run_experiment(cfg, log=EventLog())
+    expected = write_outputs(stats, whole, str(tmp_path / "whole"), cfg)
+    if callable(chunk_rows):
+        chunk_rows = chunk_rows(len(whole))
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", chunk_rows)
+    out = str(tmp_path / "streamed")
+    with stream_events(out) as log:
+        stats_streamed, log = run_experiment(cfg, log=log)
+        assert stats_streamed == stats
+        assert len(log) == len(whole)
+        assert len(log.rows) < chunk_rows  # flushed at every full block
+        paths = write_outputs(stats, log, out, cfg)
+    assert len(log) == len(whole) and log.rows == []
+    for name in ("fig4", "events", "run_meta"):
+        with open(paths[name], "rb") as got, open(expected[name], "rb") as want:
+            assert got.read() == want.read(), name
+
+
+# a block size that divides the log exactly, and one row either side
+BLOCK_SIZES = [
+    1, 3, 4096, lambda n: n, lambda n: n - 1, lambda n: n + 1, lambda n: n // 2,
+]
+BLOCK_IDS = ["1", "3", "4096", "n", "n-1", "n+1", "n/2"]
+
+
+@pytest.mark.parametrize("chunk_rows", BLOCK_SIZES, ids=BLOCK_IDS)
+def test_streamed_events_equal_the_in_memory_log(tmp_path, monkeypatch, chunk_rows):
+    cfg = ExperimentConfig(n_replicas=12, n_cycles=4)
+    assert_streamed_equals_in_memory(tmp_path, monkeypatch, cfg, chunk_rows)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 4096])
+def test_streamed_events_equal_past_63_sites(tmp_path, monkeypatch, chunk_rows):
+    cfg = hex_config(n_replicas=4, n_cycles=2)
+    assert_streamed_equals_in_memory(tmp_path, monkeypatch, cfg, chunk_rows)
+
+
+def test_streamed_log_must_finish_in_its_own_directory(tmp_path):
+    with stream_events(str(tmp_path / "a")) as log:
+        stats, log = run_experiment(SMALL, log=log)
+        with pytest.raises(ValueError, match="streams to"):
+            write_outputs(stats, log, str(tmp_path / "b"), SMALL)
