@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .engine import SimulationModels, TimingModel
@@ -97,6 +98,15 @@ class ExperimentConfig:
     fill_strategy: str = _key("engine", "global")
 
     def __post_init__(self):
+        for section, keys in _SECTIONS.items():
+            for key, kind in keys.items():
+                value = getattr(self, key)
+                if kind == "int" and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                ):
+                    raise ConfigError(
+                        f"{section}.{key} must be an integer, got {value!r}"
+                    )
         for key in ("n_replicas", "n_cycles"):
             if not getattr(self, key) >= 1:
                 raise ConfigError(f"run.{key} must be at least 1")

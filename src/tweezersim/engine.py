@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .geometry import ArrayLayout
 from .planner import MovePlan, Occupancy, plan_buffer_refill, plan_target_fill
@@ -57,13 +58,14 @@ class PlanConflictError(EngineError):
     """A plan contradicts the belief it was supposedly built from."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingModel:
     """Wall-clock durations of the sequence, in seconds.
 
     ``t_image_loss`` optionally narrows the decay window during imaging to
-    the bare exposure when readout overhead should not count as trap time;
-    ``None`` uses the full ``t_image`` for both clock and losses.
+    the bare exposure when readout overhead should not count as trap time,
+    so it may not exceed ``t_image``; ``None`` uses the full ``t_image`` for
+    both clock and losses.
     """
 
     t_mot: float
@@ -82,6 +84,11 @@ class TimingModel:
             _check_nonnegative(f"timing.{name}", getattr(self, name))
         if self.t_image_loss is not None:
             _check_nonnegative("timing.t_image_loss", self.t_image_loss)
+            if not self.t_image_loss <= self.t_image:
+                raise ValueError(
+                    f"timing.t_image_loss {self.t_image_loss} s must not exceed "
+                    f"timing.t_image {self.t_image} s"
+                )
 
     @property
     def cycle_duration(self) -> float:
@@ -98,9 +105,25 @@ class TimingModel:
         return self.t_image if self.t_image_loss is None else self.t_image_loss
 
 
-@dataclass
+def _occupancy_getter(ids: tuple[int, ...]):
+    """Function from an occupancy to the tuple of its values at ``ids``
+    (``itemgetter`` alone returns a bare value for a single id)."""
+    if len(ids) == 1:
+        (sid,) = ids
+        return lambda occupancy: (occupancy[sid],)
+    return itemgetter(*ids)
+
+
+@dataclass(frozen=True)
 class SimulationModels:
-    """Everything a realization needs besides its RNG stream."""
+    """Everything a realization needs besides its RNG stream.
+
+    Values derived from the models are decided once here and take no part
+    in equality: the array survival probability of each decay window
+    (``survival_image``, ``survival_fill``, ``survival_refill``) and
+    ``targets_of`` / ``buffers_of``, which read an occupancy's target and
+    buffer values as tuples in id order.
+    """
 
     layout: ArrayLayout
     loss: LossModel
@@ -131,6 +154,15 @@ class SimulationModels:
                 f"timing.t_analysis_fill {self.timing.t_analysis_fill} s cannot "
                 f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
             )
+        timing, lifetime = self.timing, self.loss.lifetime_array
+        for name, window in (
+            ("survival_image", timing.image_loss_window),
+            ("survival_fill", timing.t_analysis_fill),
+            ("survival_refill", timing.t_buffer_refill),
+        ):
+            object.__setattr__(self, name, survival_probability(window, lifetime))
+        object.__setattr__(self, "targets_of", _occupancy_getter(layout.target_ids))
+        object.__setattr__(self, "buffers_of", _occupancy_getter(layout.buffer_ids))
 
 
 @dataclass
@@ -307,24 +339,28 @@ class EventLog:
 
 
 def _decay_step(
-    state: SystemState, dt: float, models: SimulationModels, rng: RngStream
+    state: SystemState, dt: float, p: float, models: SimulationModels,
+    rng: RngStream,
 ) -> None:
     """One-body losses over ``dt`` for array atoms and the reservoir.
 
     Truth-only: the controller never sees decay until the next image.
     Each trapped atom takes one uniform, in site order, and survives when
-    it falls below the window's survival probability.
+    it falls below ``p``, the window's array survival probability; when
+    even the largest uniform does, no atom is lost and no site is visited.
     """
     if dt > 0.0:
         counters = state.counters
         truth = state.truth
-        p = survival_probability(dt, models.loss.lifetime_array)
-        trapped = [sid for sid, filled in truth.items() if filled]
-        if trapped:  # no draw for an empty array: random(0) advances nothing
-            for sid, u in zip(trapped, rng.uniforms(len(trapped))):
-                if not u < p:
-                    truth[sid] = False
-                    counters.array_decay_loss += 1
+        n_trapped = sum(truth.values())
+        if n_trapped:  # no draw for an empty array: random(0) advances nothing
+            uniforms = rng.uniforms(n_trapped)
+            if not max(uniforms) < p:
+                trapped = [sid for sid, filled in truth.items() if filled]
+                for sid, u in zip(trapped, uniforms):
+                    if not u < p:
+                        truth[sid] = False
+                        counters.array_decay_loss += 1
         lost, added = reservoir_decay(
             rng, state.n_reservoir, dt, models.loss, models.refill_rate
         )
@@ -361,7 +397,7 @@ def step_image(
     """Fluorescence image: decay over the imaging window, then belief is
     reset to truth (perfect detection)."""
     timing = models.timing
-    _decay_step(state, timing.image_loss_window, models, rng)
+    _decay_step(state, timing.image_loss_window, models.survival_image, models, rng)
     state.clock += timing.t_image
     state.belief = dict(state.truth)
     if log is not None:
@@ -424,7 +460,9 @@ def step_fill_targets(
             )
     if log is not None and not plan.moves:
         log.add("fill", state, layout)
-    _decay_step(state, models.timing.t_analysis_fill, models, rng)
+    _decay_step(
+        state, models.timing.t_analysis_fill, models.survival_fill, models, rng
+    )
     state.clock += models.timing.t_analysis_fill
 
 
@@ -441,7 +479,8 @@ def step_refill_buffers(
     the next image, so the planner never sources an unverified refill. A
     listed site already holding an atom (possible when a failed transport
     kept its atom in the source trap) is skipped without touching the
-    reservoir.
+    reservoir; an empty reservoir yields ``empty`` without an extraction
+    draw.
     """
     counters = state.counters
     layout = models.layout
@@ -452,6 +491,8 @@ def step_refill_buffers(
             )
         if state.truth[sid]:
             outcome = "skip"
+        elif state.n_reservoir == 0:
+            outcome = "empty"
         else:
             removed, delivered = sample_extraction(
                 rng, state.n_reservoir, models.extraction
@@ -473,7 +514,9 @@ def step_refill_buffers(
             )
     if log is not None and not refill_list:
         log.add("refill", state, layout)
-    _decay_step(state, models.timing.t_buffer_refill, models, rng)
+    _decay_step(
+        state, models.timing.t_buffer_refill, models.survival_refill, models, rng
+    )
     state.clock += models.timing.t_buffer_refill
 
 
@@ -514,13 +557,12 @@ def run_cycle(
     layout = models.layout
     step_image(state, models, rng, log)
     c = state.counters
-    observed = state.truth.__getitem__
-    targets = layout.target_ids
+    targets = models.targets_of(state.truth)
     record = CycleRecord(
         cycle_index=state.cycle_index,
-        target_complete=all(map(observed, targets)),
-        n_buffer_filled=sum(map(observed, layout.buffer_ids)),
-        n_target_filled=sum(map(observed, targets)),
+        target_complete=all(targets),
+        n_buffer_filled=sum(models.buffers_of(state.truth)),
+        n_target_filled=sum(targets),
         n_reservoir=state.n_reservoir,
         clock_at_image=state.clock,
         extracted_cum=c.extracted,

@@ -77,7 +77,7 @@ def _check_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossModel:
     """One-body trap lifetimes in seconds; ``math.inf`` disables a channel."""
 
@@ -89,7 +89,7 @@ class LossModel:
         _check_positive("stochastic.lifetime_reservoir_s", self.lifetime_reservoir)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransportModel:
     """Single-atom transport: success probability and move timings."""
 
@@ -108,7 +108,7 @@ class TransportModel:
         return 2.0 * self.t_ramp + self.t_move
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtractionModel:
     """Single-atom extraction from the reservoir via collisional blockade.
 
@@ -214,10 +214,11 @@ def reservoir_decay(
     Returns ``(atoms_lost, atoms_added)``; the caller applies both, which
     keeps exact loss ledgers.
     """
-    p = survival_probability(dt, loss.lifetime_reservoir)
     lost = 0
-    if n_atoms > 0 and p < 1.0:
-        lost = n_atoms - rng.binomial(n_atoms, p)
+    if n_atoms > 0:
+        p = survival_probability(dt, loss.lifetime_reservoir)
+        if p < 1.0:
+            lost = n_atoms - rng.binomial(n_atoms, p)
     added = 0
     if refill_rate > 0.0 and dt > 0.0:
         mean = refill_rate * dt

@@ -81,6 +81,11 @@ def test_success_definition_aliases():
         ("lifetime_reservoir_s", math.nan, "stochastic.lifetime_reservoir_s"),
         ("mean_ensemble_at_full", math.nan, "stochastic.mean_ensemble_at_full"),
         ("n_replicas", math.nan, "run.n_replicas"),
+        ("n_replicas", 2.5, "run.n_replicas"),
+        ("n_cycles", 2.5, "run.n_cycles"),
+        ("master_seed", 1.5, "run.master_seed"),
+        ("n_reference", 2.5, "stochastic.n_reference"),
+        ("t_image_loss", 0.131, "timing.t_image_loss"),
         # 6 moves of 2 x 130 us + 11 ms outlast the 65 ms fill window
         ("t_move", 0.011, "timing.t_analysis_fill"),
     ],
@@ -308,7 +313,8 @@ def test_ini_round_trip_reordered_layout():
 @settings(max_examples=60, deadline=None)
 @given(
     p_stay=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    t_image_loss=st.one_of(st.none(), st.floats(0.0, 0.2)),
+    # the imaging decay window may narrow t_image but not outlast it
+    t_image_loss=st.one_of(st.none(), st.floats(0.0, ExperimentConfig.t_image)),
     fill_strategy=st.sampled_from(["global", "per-vacancy"]),
     ci_method=st.sampled_from(["normal", "wilson"]),
     success_definition=st.sampled_from(["first-achievement", "maintained"]),

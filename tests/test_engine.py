@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import (
+    Counters,
     EngineError,
     EventLog,
     PlanConflictError,
@@ -25,7 +26,7 @@ from tweezersim.engine import (
 )
 from tweezersim.geometry import build_hex_grid, layout_from_site_rows
 from tweezersim.planner import Move, MovePlan, plan_buffer_refill, plan_target_fill
-from tweezersim.stochastic import RngStream
+from tweezersim.stochastic import RngStream, survival_probability
 
 
 def models_with(**overrides):
@@ -75,6 +76,65 @@ class TestSimulationModelsValidation:
         # a failed move draws between keeping and losing its atom
         m = models_with()
         assert m.p_stay_on_failure == pytest.approx(2 / 3)
+
+
+class TestDerivedModelValues:
+    def test_window_survival_decided_once(self):
+        models = models_with(t_image_loss=0.02)
+        for name, window in (
+            ("survival_image", 0.02),
+            ("survival_fill", models.timing.t_analysis_fill),
+            ("survival_refill", models.timing.t_buffer_refill),
+        ):
+            assert getattr(models, name) == survival_probability(
+                window, models.loss.lifetime_array
+            )
+
+    def test_window_survival_follows_replaced_timing(self):
+        models = models_with()
+        timing = dataclasses.replace(
+            models.timing, t_image_loss=0.05, t_analysis_fill=0.08,
+            t_buffer_refill=0.04,
+        )
+        replaced = dataclasses.replace(models, timing=timing)
+        lifetime = models.loss.lifetime_array
+        assert replaced.survival_image == survival_probability(0.05, lifetime)
+        assert replaced.survival_fill == survival_probability(0.08, lifetime)
+        assert replaced.survival_refill == survival_probability(0.04, lifetime)
+        assert replaced.survival_fill != models.survival_fill
+
+    @pytest.mark.parametrize(
+        "owner,field",
+        [
+            (None, "reservoir_mean"),
+            ("loss", "lifetime_array"),
+            ("transport", "p_success"),
+            ("extraction", "p_blockade"),
+            ("timing", "t_image"),
+        ],
+    )
+    def test_models_are_frozen(self, owner, field):
+        models = models_with()
+        target = models if owner is None else getattr(models, owner)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, field, 1.0)
+
+    def test_site_getters_return_tuples_for_a_single_site(self):
+        layout = layout_from_site_rows(
+            [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
+            (-41.0, 0.0), 250.0, 7.9, 15.8,
+        )
+        models = models_with(layout=layout)
+        assert models.targets_of({0: False, 1: True}) == (True,)
+        assert models.buffers_of({0: False, 1: True}) == (False,)
+        reference = models_with()
+        truth = {sid: sid % 2 == 0 for sid in reference.layout.site_ids}
+        assert reference.targets_of(truth) == tuple(
+            truth[t] for t in reference.layout.target_ids
+        )
+        assert reference.buffers_of(truth) == tuple(
+            truth[b] for b in reference.layout.buffer_ids
+        )
 
 
 def test_init_sequence_state():
@@ -219,6 +279,22 @@ class TestRefillStep:
         assert state.n_reservoir == n0
         assert state.counters.extracted == 0
         assert log.rows[-1][-1] == "skip"
+
+    def test_empty_reservoir_takes_no_draw(self):
+        models = models_with()
+        rng = RngStream(15, 0)
+        state = init_sequence(models, rng)
+        state.n_reservoir = state.n_initial_reservoir = 0
+        refill_list = list(models.layout.refill_order)
+        before = rng._gen.bit_generator.state
+        log = EventLog()
+        step_refill_buffers(state, refill_list, models, rng, log)
+        assert rng._gen.bit_generator.state == before
+        assert [(row[8], row[11]) for row in log.rows] == [
+            (sid, "empty") for sid in refill_list
+        ]
+        assert state.counters == Counters()
+        check_conservation(state)
 
     def test_delivery_updates_truth_not_belief(self):
         models = models_with(**DEGENERATE)

@@ -12,7 +12,14 @@ import pytest
 
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import EventLog
+from tweezersim.geometry import layout_from_site_rows
 from tweezersim.harness import run_experiment, write_outputs
+
+# one buffer beside one target, the smallest layout the engine accepts
+TWO_SITE = layout_from_site_rows(
+    [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
+    reservoir=(-41.0, 0.0), scan_range=250.0, base_pitch=7.9, effective_pitch=15.8,
+)
 
 GOLDEN = {
     "default": (
@@ -51,6 +58,23 @@ GOLDEN = {
         {"lifetime_array_s": math.inf},
         "e3545098d8c8b39ba836d6055c27dd643307c821d0ec8be823997c5adde33540",
         "cfbfa50a7698d451dc128eb79a2aaa9de14e484a9e47af1602315b553390b520",
+    ),
+    # over a third of the decay windows that hold atoms lose one
+    "short-lifetime": (
+        {"lifetime_array_s": 0.5},
+        "eca73729a3b2be935fc5264281cf6664f63d63e31e86b249ca2511635e28fe54",
+        "a54f857084172a6a4075f509910b7c1f1f60afb29146e574e7ec1f9e0c6d90be",
+    ),
+    # most refill attempts find the reservoir empty
+    "dry-reservoir": (
+        {"reservoir_mean": 5.0},
+        "355e20095addaf7d7763846f4eeaf1a6b3cca400a4da64c1c34296ff24578de0",
+        "a0b04719189fb56289b22dcd66b64aa2b1fcd8e29be4b1f4533a1187602a7225",
+    ),
+    "two-site": (
+        {"layout": TWO_SITE},
+        "550efba90dc41da7ad1006b0cda23a35a359e5d8b23694f184928e942d9c72de",
+        "60ac0d4d1a4bdb053859bd6ad2872d512f3c9716df261cbc8c8a16cabbc184ff",
     ),
 }
 
