@@ -2,7 +2,7 @@
 
 A realization starts from an atom reservoir and an empty array, then repeats
 image -> fill targets from buffers -> refill buffers from the reservoir.
-Ground-truth occupancy and the controller's belief are tracked separately:
+Ground-truth and believed occupancy bitmasks are tracked separately:
 belief is reset to truth at each imaging step, assumes success for planned
 transports in between, and treats freshly refilled buffers as empty until the
 next image confirms them. Every atom is accounted for in integer counters so
@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter
 
-from .geometry import ArrayLayout
-from .planner import MovePlan, Occupancy, plan_buffer_refill, plan_target_fill
+from .geometry import ArrayLayout, MaskOccupancy
+from .planner import MovePlan, plan_buffer_refill, plan_target_fill
 from .stochastic import (
     ExtractionModel,
     LossModel,
@@ -105,24 +104,15 @@ class TimingModel:
         return self.t_image if self.t_image_loss is None else self.t_image_loss
 
 
-def _occupancy_getter(ids: tuple[int, ...]):
-    """Function from an occupancy to the tuple of its values at ``ids``
-    (``itemgetter`` alone returns a bare value for a single id)."""
-    if len(ids) == 1:
-        (sid,) = ids
-        return lambda occupancy: (occupancy[sid],)
-    return itemgetter(*ids)
-
-
 @dataclass(frozen=True)
 class SimulationModels:
     """Everything a realization needs besides its RNG stream.
 
     Values derived from the models are decided once here and take no part
     in equality: the array survival probability of each decay window
-    (``survival_image``, ``survival_fill``, ``survival_refill``) and
-    ``targets_of`` / ``buffers_of``, which read an occupancy's target and
-    buffer values as tuples in id order.
+    (``survival_image``, ``survival_fill``, ``survival_refill``) and the
+    bitmasks of all target and all buffer sites (``target_bits``,
+    ``buffer_bits``).
     """
 
     layout: ArrayLayout
@@ -161,8 +151,9 @@ class SimulationModels:
             ("survival_refill", timing.t_buffer_refill),
         ):
             object.__setattr__(self, name, survival_probability(window, lifetime))
-        object.__setattr__(self, "targets_of", _occupancy_getter(layout.target_ids))
-        object.__setattr__(self, "buffers_of", _occupancy_getter(layout.buffer_ids))
+        bits = layout.site_bits
+        object.__setattr__(self, "target_bits", sum(bits[t] for t in layout.target_ids))
+        object.__setattr__(self, "buffer_bits", sum(bits[b] for b in layout.buffer_ids))
 
 
 @dataclass
@@ -181,10 +172,11 @@ class Counters:
 @dataclass
 class SystemState:
     """Mutable state of one realization; the engine steps change it in
-    place. ``replica`` labels the realization's log rows."""
+    place. ``truth`` and ``belief`` are occupancy bitmasks (bit k = k-th
+    smallest site id); ``replica`` labels the realization's log rows."""
 
-    truth: Occupancy
-    belief: Occupancy
+    truth: int
+    belief: int
     n_reservoir: int
     clock: float
     replica: int
@@ -194,7 +186,7 @@ class SystemState:
 
     @property
     def n_trapped(self) -> int:
-        return sum(self.truth.values())
+        return self.truth.bit_count()
 
 
 @dataclass(frozen=True)
@@ -222,8 +214,8 @@ class EventLog:
     Each row is (replica, cycle, step, clock_s, n_reservoir, truth_mask,
     belief_mask, src, dst, dist_um, duration_s, outcome). Steps without
     moves contribute one row with the move fields blank; fill and refill
-    contribute one row per move. Masks are occupancy bitmasks over sites in
-    id order (bit i = i-th smallest site id).
+    contribute one row per move. The masks are the state's occupancy
+    bitmasks (bit i = i-th smallest site id).
 
     The log is stored by column: the integer columns unboxed in
     ``array("q")`` (the masks switch to Python ints once one no longer fits
@@ -249,8 +241,6 @@ class EventLog:
         self.sink = sink
         self._flushed = 0  # rows already handed to the sink
         self._columns = self._empty_columns()
-        # (layout, occupancy copy, mask) last seen for truth and for belief
-        self._seen: list[tuple | None] = [None, None]
 
     @staticmethod
     def _empty_columns() -> list:
@@ -288,16 +278,6 @@ class EventLog:
             self.flush()
             self.sink.close()
 
-    def _mask(self, slot: int, occupancy: Occupancy, layout: ArrayLayout) -> int:
-        # consecutive rows mostly repeat an occupancy (83 % of truth and
-        # 87 % of belief rows in the reference log): reuse its mask
-        seen = self._seen[slot]
-        if seen is not None and seen[0] is layout and seen[1] == occupancy:
-            return seen[2]
-        mask = layout.occupancy_mask(occupancy)
-        self._seen[slot] = (layout, dict(occupancy), mask)
-        return mask
-
     def _widen_masks(self, truth: int, belief: int) -> None:
         # a mask past 63 bits: keep both mask columns as exact Python ints
         # until the next flush
@@ -310,22 +290,19 @@ class EventLog:
         self,
         step: str,
         state: SystemState,
-        layout: ArrayLayout,
         src="",
         dst="",
         dist_um="",
         duration_s="",
         outcome="",
     ) -> None:
-        truth = self._mask(0, state.truth, layout)
-        belief = self._mask(1, state.belief, layout)
         (replicas, cycles, steps, clocks, reservoirs, truths, beliefs,
          srcs, dsts, dists, durations, outcomes) = self._columns
         try:
-            truths.append(truth)
-            beliefs.append(belief)
+            truths.append(state.truth)
+            beliefs.append(state.belief)
         except OverflowError:
-            self._widen_masks(truth, belief)
+            self._widen_masks(state.truth, state.belief)
         replicas.append(state.replica)
         cycles.append(state.cycle_index)
         steps.append(step)
@@ -345,21 +322,22 @@ def _decay_step(
     """One-body losses over ``dt`` for array atoms and the reservoir.
 
     Truth-only: the controller never sees decay until the next image.
-    Each trapped atom takes one uniform, in site order, and survives when
-    it falls below ``p``, the window's array survival probability; when
-    even the largest uniform does, no atom is lost and no site is visited.
+    Each trapped atom (set bit, lowest first) takes one uniform and survives
+    when it falls below ``p``, the window's array survival probability; when
+    even the largest uniform does, no atom is lost and no bit is visited.
     """
     if dt > 0.0:
         counters = state.counters
-        truth = state.truth
-        n_trapped = sum(truth.values())
+        n_trapped = state.truth.bit_count()
         if n_trapped:  # no draw for an empty array: random(0) advances nothing
             uniforms = rng.uniforms(n_trapped)
             if not max(uniforms) < p:
-                trapped = [sid for sid, filled in truth.items() if filled]
-                for sid, u in zip(trapped, uniforms):
+                rest = state.truth
+                for u in uniforms:
+                    bit = rest & -rest
+                    rest ^= bit
                     if not u < p:
-                        truth[sid] = False
+                        state.truth ^= bit
                         counters.array_decay_loss += 1
         lost, added = reservoir_decay(
             rng, state.n_reservoir, dt, models.loss, models.refill_rate
@@ -377,10 +355,9 @@ def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
     takes its replica label from ``rng``.
     """
     n0 = rng.poisson(models.reservoir_mean) if models.reservoir_mean > 0 else 0
-    empty = {sid: False for sid in models.layout.site_ids}
     return SystemState(
-        truth=dict(empty),
-        belief=dict(empty),
+        truth=0,
+        belief=0,
         n_reservoir=n0,
         clock=models.timing.init_duration,
         replica=rng.replica,
@@ -399,9 +376,9 @@ def step_image(
     timing = models.timing
     _decay_step(state, timing.image_loss_window, models.survival_image, models, rng)
     state.clock += timing.t_image
-    state.belief = dict(state.truth)
+    state.belief = state.truth
     if log is not None:
-        log.add("image", state, models.layout)
+        log.add("image", state)
 
 
 def step_fill_targets(
@@ -421,45 +398,43 @@ def step_fill_targets(
     transport's fixed ramp-translate-ramp time.
     """
     counters = state.counters
-    layout = models.layout
+    bits = models.layout.site_bits
     p_stay = models.p_stay_on_failure
     duration = models.transport.move_duration  # one float shared by the rows
     for move in plan:
-        if not state.belief.get(move.src, False):
+        src, dst = bits[move.src], bits[move.dst]
+        if not state.belief & src:
             raise PlanConflictError(
                 f"fill plan sources site {move.src} which belief marks empty"
             )
-        if state.belief.get(move.dst, False):
+        if state.belief & dst:
             raise PlanConflictError(
                 f"fill plan targets site {move.dst} which belief marks occupied"
             )
-        if state.truth[move.src]:
-            state.truth[move.src] = False
+        if state.truth & src:
+            state.truth ^= src
             if sample_transport(rng, models.transport):
-                if state.truth[move.dst]:
-                    raise EngineError(
-                        f"transport into occupied site {move.dst}"
-                    )
-                state.truth[move.dst] = True
+                if state.truth & dst:
+                    raise EngineError(f"transport into occupied site {move.dst}")
+                state.truth |= dst
                 outcome = "ok"
             else:
                 if p_stay >= 1.0 or (p_stay > 0.0 and rng.bernoulli(p_stay)):
-                    state.truth[move.src] = True
+                    state.truth |= src
                     outcome = "stay"
                 else:
                     counters.transport_loss += 1
                     outcome = "lost"
         else:
             outcome = "null"
-        state.belief[move.src] = False
-        state.belief[move.dst] = True
+        state.belief ^= src | dst  # source set, destination clear
         if log is not None:
             log.add(
-                "fill", state, layout, src=move.src, dst=move.dst,
+                "fill", state, src=move.src, dst=move.dst,
                 dist_um=move.dist, duration_s=duration, outcome=outcome,
             )
     if log is not None and not plan.moves:
-        log.add("fill", state, layout)
+        log.add("fill", state)
     _decay_step(
         state, models.timing.t_analysis_fill, models.survival_fill, models, rng
     )
@@ -485,11 +460,12 @@ def step_refill_buffers(
     counters = state.counters
     layout = models.layout
     for sid in refill_list:
-        if state.belief[sid]:
+        bit = layout.site_bits[sid]
+        if state.belief & bit:
             raise PlanConflictError(
                 f"refill list contains site {sid} which belief marks occupied"
             )
-        if state.truth[sid]:
+        if state.truth & bit:
             outcome = "skip"
         elif state.n_reservoir == 0:
             outcome = "empty"
@@ -500,7 +476,7 @@ def step_refill_buffers(
             state.n_reservoir -= removed
             counters.extracted += removed
             if delivered:
-                state.truth[sid] = True
+                state.truth |= bit
                 counters.delivered += 1
                 counters.blockade_loss += removed - 1
                 outcome = "delivered"
@@ -509,11 +485,11 @@ def step_refill_buffers(
                 outcome = "empty" if removed == 0 else "blocked"
         if log is not None:
             log.add(
-                "refill", state, layout, src="R", dst=sid,
+                "refill", state, src="R", dst=sid,
                 dist_um=layout.reservoir_distance(sid), outcome=outcome,
             )
     if log is not None and not refill_list:
-        log.add("refill", state, layout)
+        log.add("refill", state)
     _decay_step(
         state, models.timing.t_buffer_refill, models.survival_refill, models, rng
     )
@@ -557,21 +533,22 @@ def run_cycle(
     layout = models.layout
     step_image(state, models, rng, log)
     c = state.counters
-    targets = models.targets_of(state.truth)
+    targets = state.truth & models.target_bits
     record = CycleRecord(
         cycle_index=state.cycle_index,
-        target_complete=all(targets),
-        n_buffer_filled=sum(models.buffers_of(state.truth)),
-        n_target_filled=sum(targets),
+        target_complete=targets == models.target_bits,
+        n_buffer_filled=(state.truth & models.buffer_bits).bit_count(),
+        n_target_filled=targets.bit_count(),
         n_reservoir=state.n_reservoir,
         clock_at_image=state.clock,
         extracted_cum=c.extracted,
         delivered_cum=c.delivered,
         reservoir_decay_cum=c.reservoir_decay_loss,
     )
-    plan = plan_target_fill(state.belief, layout, strategy=models.fill_strategy)
+    fill = models.fill_strategy
+    plan = plan_target_fill(MaskOccupancy(layout, state.belief), layout, strategy=fill)
     step_fill_targets(state, plan, models, rng, log)
-    refill_list = plan_buffer_refill(state.belief, layout)
+    refill_list = plan_buffer_refill(MaskOccupancy(layout, state.belief), layout)
     step_refill_buffers(state, refill_list, models, rng, log)
     check_conservation(state)
     return record
@@ -597,5 +574,5 @@ def run_realization(
     rng = RngStream(seed, replica)
     state = init_sequence(models, rng)
     if log is not None:
-        log.add("init", state, models.layout)
+        log.add("init", state)
     return [run_cycle(state, models, rng, log) for _ in range(n_cycles)]

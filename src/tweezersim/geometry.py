@@ -8,9 +8,9 @@ concurrent simulation replicas.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "SiteRole",
     "TrapSite",
     "ArrayLayout",
+    "MaskOccupancy",
     "LayoutError",
     "build_hex_grid",
     "reference_layout",
@@ -108,9 +109,9 @@ class ArrayLayout:
     site and the reservoir must lie inside it. A layout carries geometry
     only.
 
-    ``sites`` is kept sorted by id. Id lists, distances, occupancy bits and
-    the refill order (buffers nearest the reservoir first, ties by id) are
-    computed once here.
+    ``sites`` is kept sorted by id. Id lists, distances, ``site_bits`` (id
+    -> occupancy bit, ``1 << index_of(id)``) and the refill order (buffers
+    nearest the reservoir first, ties by id) are computed once here.
     ``plan_memo`` is where the planner memoises fill plans for this layout;
     it holds derived values only and takes no part in equality.
     """
@@ -136,7 +137,7 @@ class ArrayLayout:
                 dmat[index[a.id], index[b.id]] = distance(a.pos, b.pos)
         rdist = {s.id: distance(s.pos, self.reservoir_pos) for s in self.sites}
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_bit", {sid: 1 << k for k, sid in index.items()})
+        object.__setattr__(self, "site_bits", {sid: 1 << k for sid, k in index.items()})
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_dmat", dmat)
         object.__setattr__(self, "_rdist", rdist)
@@ -214,7 +215,7 @@ class ArrayLayout:
     def occupancy_mask(self, occupancy: Mapping[int, bool]) -> int:
         """Bitmask of the occupied sites (bit ``index_of(id)``); raises
         KeyError for an id that is not a site of this layout."""
-        bit = self._bit
+        bit = self.site_bits
         mask = 0
         for sid, filled in occupancy.items():
             b = bit[sid]
@@ -227,6 +228,24 @@ class ArrayLayout:
 
     def reservoir_distance(self, site_id: int) -> float:
         return self._rdist[site_id]
+
+
+class MaskOccupancy(Mapping):
+    """Read-only ``site id -> occupied`` view of a layout's occupancy bitmask."""
+
+    __slots__ = ("layout", "mask")
+
+    def __init__(self, layout: ArrayLayout, mask: int):
+        self.layout, self.mask = layout, mask
+
+    def __getitem__(self, site_id: int) -> bool:
+        return bool(self.mask & self.layout.site_bits[site_id])
+
+    def __iter__(self):
+        return iter(self.layout._site_ids)
+
+    def __len__(self) -> int:
+        return len(self.layout._site_ids)
 
 
 # -- presets ------------------------------------------------------------

@@ -9,12 +9,12 @@ ground truth; the cycle engine reconciles the two at each imaging step.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import ArrayLayout, Position, distance
+from .geometry import ArrayLayout, MaskOccupancy, Position, distance
 
 __all__ = [
     "RESERVOIR",
@@ -32,8 +32,8 @@ __all__ = [
 # Sentinel source id for extraction moves out of the reservoir.
 RESERVOIR = -1
 
-# Believed occupancy: site id -> occupied?
-Occupancy = dict[int, bool]
+# Believed occupancy: site id -> occupied? (a dict or a MaskOccupancy)
+Occupancy = Mapping[int, bool]
 
 
 class PlanError(ValueError):
@@ -83,7 +83,9 @@ MEMO_CAP = 8192
 
 def _belief_mask(belief: Occupancy, layout: ArrayLayout) -> int:
     """Occupancy bitmask of ``belief``, which must name every layout site
-    and nothing else."""
+    and nothing else; a mask view of ``layout`` hands over its mask."""
+    if type(belief) is MaskOccupancy and belief.layout is layout:
+        return belief.mask
     if len(belief) == len(layout.site_ids):
         try:
             return layout.occupancy_mask(belief)
@@ -152,8 +154,8 @@ def plan_buffer_refill(belief: Occupancy, layout: ArrayLayout) -> list[int]:
     (ties by site id); the destinations of the next extraction round.
 
     Filters the layout's fixed refill order; every call returns a new list."""
-    _belief_mask(belief, layout)  # coverage check only
-    return [b for b in layout.refill_order if not belief[b]]
+    mask, bits = _belief_mask(belief, layout), layout.site_bits
+    return [b for b in layout.refill_order if not mask & bits[b]]
 
 
 # -- assignment oracle --------------------------------------------------

@@ -25,6 +25,8 @@ SUCC8 = (0.868, 0.05)
 SUCC15 = (0.915, 0.05)
 
 LAYOUT = reference_layout()
+TARGET_BITS = sum(1 << LAYOUT.index_of(t) for t in LAYOUT.target_ids)
+BUFFER_BITS = sum(1 << LAYOUT.index_of(b) for b in LAYOUT.buffer_ids)
 
 
 def _report(num, name, ok, detail):
@@ -177,7 +179,8 @@ def _random_soak_config(rng):
 def test_acceptance_7_invariant_soak(tmp_path_factory):
     rng = random.Random(555)
     # 200 randomized realizations: conservation is checked inside every
-    # cycle, masks must agree at each image, counters must be monotone
+    # cycle, masks must agree at each image, each cycle record must read
+    # its image row's truth mask, counters must be monotone
     for replica in range(200):
         cfg = _random_soak_config(rng)
         log = EventLog()
@@ -187,6 +190,13 @@ def test_acceptance_7_invariant_soak(tmp_path_factory):
             if row[2] == "image":
                 assert row[5] == row[6]  # belief equals truth after imaging
             assert bin(row[5]).count("1") <= len(LAYOUT.site_ids)
+        images = [row for row in log.rows if row[2] == "image"]
+        assert len(images) == len(records)
+        for row, record in zip(images, records):
+            targets = row[5] & TARGET_BITS
+            assert record.target_complete == (targets == TARGET_BITS)
+            assert record.n_target_filled == bin(targets).count("1")
+            assert record.n_buffer_filled == bin(row[5] & BUFFER_BITS).count("1")
         for a, b in zip(records, records[1:]):
             assert b.extracted_cum >= a.extracted_cum
             assert b.delivered_cum >= a.delivered_cum

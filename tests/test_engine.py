@@ -24,13 +24,20 @@ from tweezersim.engine import (
     step_image,
     step_refill_buffers,
 )
-from tweezersim.geometry import build_hex_grid, layout_from_site_rows
+from tweezersim.geometry import MaskOccupancy, layout_from_site_rows
 from tweezersim.planner import Move, MovePlan, plan_buffer_refill, plan_target_fill
 from tweezersim.stochastic import RngStream, survival_probability
+
+from conftest import hex_layout
 
 
 def models_with(**overrides):
     return dataclasses.replace(ExperimentConfig(), **overrides).build_models()
+
+
+def bits(models, *site_ids):
+    """Occupancy bitmask of ``site_ids`` in the layout of ``models``."""
+    return sum(1 << models.layout.index_of(sid) for sid in site_ids)
 
 
 # All-success limit: transports and extractions never fail, nothing decays.
@@ -119,22 +126,20 @@ class TestDerivedModelValues:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(target, field, 1.0)
 
-    def test_site_getters_return_tuples_for_a_single_site(self):
+    def test_target_and_buffer_bits_cover_their_sites(self):
         layout = layout_from_site_rows(
             [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
             (-41.0, 0.0), 250.0, 7.9, 15.8,
         )
         models = models_with(layout=layout)
-        assert models.targets_of({0: False, 1: True}) == (True,)
-        assert models.buffers_of({0: False, 1: True}) == (False,)
+        assert (models.buffer_bits, models.target_bits) == (0b01, 0b10)
         reference = models_with()
-        truth = {sid: sid % 2 == 0 for sid in reference.layout.site_ids}
-        assert reference.targets_of(truth) == tuple(
-            truth[t] for t in reference.layout.target_ids
-        )
-        assert reference.buffers_of(truth) == tuple(
-            truth[b] for b in reference.layout.buffer_ids
-        )
+        assert reference.buffer_bits == bits(reference, *range(7)) == 0x7F
+        assert reference.target_bits == bits(reference, *range(7, 13)) == 0x1F80
+        big = ExperimentConfig(layout=hex_layout()).build_models()
+        assert big.buffer_bits & big.target_bits == 0
+        assert big.buffer_bits | big.target_bits == (1 << 91) - 1
+        assert big.target_bits == bits(big, *big.layout.target_ids)
 
 
 def test_init_sequence_state():
@@ -142,8 +147,8 @@ def test_init_sequence_state():
     state = init_sequence(models, RngStream(1, 0))
     assert state.clock == pytest.approx(1.86)
     assert state.cycle_index == 0
-    assert not any(state.truth.values())
-    assert not any(state.belief.values())
+    assert state.truth == 0
+    assert state.belief == 0
     assert state.n_reservoir == state.n_initial_reservoir
     assert state.replica == 0
     assert init_sequence(models, RngStream(1, 7)).replica == 7
@@ -163,23 +168,44 @@ def test_init_sequence_population_statistics():
 def test_occupancy_mask():
     models = models_with()
     state = init_sequence(models, RngStream(3, 0))
-    assert models.layout.occupancy_mask(state.truth) == 0
-    state.truth[0] = True
-    state.truth[12] = True
-    idx0 = models.layout.index_of(0)
-    idx12 = models.layout.index_of(12)
-    assert models.layout.occupancy_mask(state.truth) == (1 << idx0) | (1 << idx12)
+    layout = models.layout
+    assert layout.occupancy_mask(MaskOccupancy(layout, state.truth)) == 0
+    state.truth |= layout.site_bits[0] | layout.site_bits[12]
+    idx0 = layout.index_of(0)
+    idx12 = layout.index_of(12)
+    assert state.truth == (1 << idx0) | (1 << idx12)
+    occupancy = {sid: sid in (0, 12) for sid in layout.site_ids}
+    assert MaskOccupancy(layout, state.truth) == occupancy
+    assert layout.occupancy_mask(occupancy) == state.truth
+
+
+def test_site_ids_need_not_start_at_zero():
+    # ids shifted by one keep every order, so the run is the same
+    reference = models_with()
+    layout = reference.layout
+    shifted = dataclasses.replace(
+        layout, sites=tuple(dataclasses.replace(s, id=s.id + 1) for s in layout.sites)
+    )
+    assert shifted.site_bits == {sid + 1: bit for sid, bit in layout.site_bits.items()}
+    logs = EventLog(), EventLog()
+    records = [
+        run_realization(models, seed=21, n_cycles=6, log=log)
+        for models, log in zip((reference, models_with(layout=shifted)), logs)
+    ]
+    assert records[0] == records[1]
+    assert [row[5:7] for row in logs[0].rows] == [row[5:7] for row in logs[1].rows]
 
 
 def test_step_image_syncs_belief():
     models = models_with(**DEGENERATE)
     rng = RngStream(4, 0)
     state = init_sequence(models, rng)
-    state.truth[5] = True  # belief lags until the image
+    state.truth |= bits(models, 5)  # belief lags until the image
+    assert state.belief == 0
     clock0 = state.clock
     assert step_image(state, models, rng) is None
     assert state.belief == state.truth
-    assert state.truth[5] is True
+    assert state.truth == bits(models, 5)
     assert state.clock == pytest.approx(clock0 + models.timing.t_image)
 
 
@@ -196,35 +222,35 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(6, 0)
         state = init_sequence(models, rng)
-        state.belief[0] = True  # stale belief, no atom in truth
+        state.belief |= bits(models, 0)  # stale belief, no atom in truth
         log = EventLog()
         plan = MovePlan((Move(0, 7, 10.0),))
         assert step_fill_targets(state, plan, models, rng, log) is None
-        assert state.truth[7] is False
-        assert state.belief[7] is True  # belief still assumes success
+        assert state.truth == 0
+        assert state.belief == bits(models, 7)  # belief still assumes success
         assert log.rows[-1][-1] == "null"
 
     def test_lose_mode_drops_atom(self):
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=0.0))
         rng = RngStream(7, 0)
         state = init_sequence(models, rng)
-        state.truth[0] = state.belief[0] = True
+        state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
-        assert state.truth[0] is False and state.truth[7] is False
+        assert state.truth == 0
         assert state.counters.transport_loss == 1
 
     def test_stay_mode_keeps_atom_in_source(self):
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=1.0))
         rng = RngStream(8, 0)
         state = init_sequence(models, rng)
-        state.truth[0] = state.belief[0] = True
+        state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
-        assert state.truth[0] is True and state.truth[7] is False
+        assert state.truth == bits(models, 0)
         assert state.counters.transport_loss == 0
         # belief still claims the move happened; the next image corrects it
-        assert state.belief[0] is False and state.belief[7] is True
+        assert state.belief == bits(models, 7)
 
     @pytest.mark.parametrize("p_stay,loss", [(1.0, 0), (0.0, 1)])
     def test_mixed_mode_extremes(self, p_stay, loss):
@@ -241,19 +267,19 @@ class TestFillStep:
 
         rng = CountingStream(9, 0)
         state = init_sequence(models, rng)
-        state.truth[0] = state.belief[0] = True
+        state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
         assert state.counters.transport_loss == loss
-        assert state.truth[0] is (loss == 0)
+        assert state.truth == (bits(models, 0) if loss == 0 else 0)
         assert draws == [0.0]  # the transport draw only
 
     def test_transport_into_occupied_site_raises(self):
         models = models_with(**DEGENERATE)
         rng = RngStream(10, 0)
         state = init_sequence(models, rng)
-        state.truth[0] = state.belief[0] = True
-        state.truth[7] = True  # desynced: belief says empty
+        state.truth = state.belief = bits(models, 0)
+        state.truth |= bits(models, 7)  # desynced: belief says empty
         plan = MovePlan((Move(0, 7, 10.0),))
         with pytest.raises(EngineError, match="occupied site"):
             step_fill_targets(state, plan, models, rng)
@@ -264,7 +290,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(11, 0)
         state = init_sequence(models, rng)
-        state.belief[3] = True
+        state.belief |= bits(models, 3)
         with pytest.raises(PlanConflictError, match="marks occupied"):
             step_refill_buffers(state, [3], models, rng)
 
@@ -272,10 +298,11 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(12, 0)
         state = init_sequence(models, rng)
-        state.truth[3] = True  # atom parked by an earlier failed retry
+        state.truth |= bits(models, 3)  # atom parked by an earlier failed retry
         n0 = state.n_reservoir
         log = EventLog()
         assert step_refill_buffers(state, [3], models, rng, log) is None
+        assert state.truth == bits(models, 3)
         assert state.n_reservoir == n0
         assert state.counters.extracted == 0
         assert log.rows[-1][-1] == "skip"
@@ -301,8 +328,8 @@ class TestRefillStep:
         rng = RngStream(13, 0)
         state = init_sequence(models, rng)
         step_refill_buffers(state, [3, 4], models, rng)
-        assert state.truth[3] is True and state.truth[4] is True
-        assert state.belief[3] is False and state.belief[4] is False
+        assert state.truth == bits(models, 3, 4)
+        assert state.belief == 0
         c = state.counters
         assert c.delivered == 2
         assert c.extracted >= 2
@@ -463,13 +490,7 @@ def test_event_log_rows_keep_their_types():
 
 
 def big_hex_models():
-    # 91 sites: more than a 63-bit mask can hold
-    positions = build_hex_grid(5, 15.8)
-    rows = [(k, p.x, p.y, "buffer" if p.x < 0 else "target") for k, p in enumerate(positions)]
-    layout = layout_from_site_rows(
-        rows, (-120.0, 0.0), scan_range=250.0, base_pitch=15.8, effective_pitch=15.8,
-    )
-    return ExperimentConfig(layout=layout).build_models()
+    return ExperimentConfig(layout=hex_layout()).build_models()
 
 
 def test_event_log_masks_exact_past_63_sites():
@@ -478,14 +499,14 @@ def test_event_log_masks_exact_past_63_sites():
     assert len(layout.site_ids) > 63
     state = init_sequence(models, RngStream(3, 0))
     log = EventLog()
-    log.add("init", state, layout)  # fits the unboxed column
+    log.add("init", state)  # fits the unboxed column
     top, low = layout.site_ids[-1], layout.site_ids[0]
-    state.truth[top] = state.truth[low] = True
-    state.belief[low] = True
+    state.truth = bits(models, top, low)
+    state.belief = bits(models, low)
     state.cycle_index = 1
-    log.add("image", state, layout)  # truth past 63 bits, belief not
-    state.belief = dict(state.truth)
-    log.add("image", state, layout)
+    log.add("image", state)  # truth past 63 bits, belief not
+    state.belief = state.truth
+    log.add("image", state)
     truth_masks = [row[5] for row in log.rows]
     belief_masks = [row[6] for row in log.rows]
     small = 1 << layout.index_of(low)
@@ -513,16 +534,16 @@ def test_streaming_event_log_starts_unboxed_after_a_widened_block():
     sink = RecordingSink()
     log = EventLog(sink)
     top = layout.site_ids[-1]
-    state.truth[top] = True
-    log.add("image", state, layout)  # widens the mask columns
+    state.truth = bits(models, top)
+    log.add("image", state)  # widens the mask columns
     log.flush(2)  # one row buffered: kept
     assert sink.blocks == [] and len(log) == 1
-    state.truth[top] = False
-    log.add("image", state, layout)
+    state.truth = 0
+    log.add("image", state)
     log.flush(2)
     assert len(sink.blocks) == 1 and len(log) == 2 and log.rows == []
     assert sink.blocks[0][5] == [1 << layout.index_of(top), 0]
-    log.add("init", state, layout)  # a mask that fits: unboxed again
+    log.add("init", state)  # a mask that fits: unboxed again
     assert type(log.columns[5]) is array and type(log.columns[6]) is array
     log.close()
     assert sink.closed and len(log) == 3

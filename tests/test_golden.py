@@ -15,6 +15,8 @@ from tweezersim.engine import EventLog
 from tweezersim.geometry import layout_from_site_rows
 from tweezersim.harness import run_experiment, write_outputs
 
+from conftest import hex_layout
+
 # one buffer beside one target, the smallest layout the engine accepts
 TWO_SITE = layout_from_site_rows(
     [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
@@ -75,6 +77,12 @@ GOLDEN = {
         {"layout": TWO_SITE},
         "550efba90dc41da7ad1006b0cda23a35a359e5d8b23694f184928e942d9c72de",
         "60ac0d4d1a4bdb053859bd6ad2872d512f3c9716df261cbc8c8a16cabbc184ff",
+    ),
+    # 91 sites: masks past 63 bits go through decay, fill, refill and the log
+    "hex-91": (
+        {"layout": hex_layout()},
+        "f42f38bad9338a5e581456f7f8b5f3ca71c20196b35136bafb77bea4d0c8848d",
+        "c59e2e447dd8364a641a4cc982b5f128324bd1184e00dcd9c51ff050427b7c00",
     ),
 }
 

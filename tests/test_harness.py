@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
 from tweezersim.engine import CycleRecord, EventLog
-from tweezersim.geometry import build_hex_grid, layout_from_site_rows
 from tweezersim.harness import (
     CalibrationError,
     binomial_halfwidth,
@@ -24,6 +23,8 @@ from tweezersim.harness import (
     wilson_halfwidth,
     write_outputs,
 )
+
+from conftest import hex_layout
 
 SMALL = ExperimentConfig(n_replicas=60, n_cycles=6)
 
@@ -374,14 +375,7 @@ def test_events_longer_than_a_chunk_match_reference(tmp_path):
 
 def hex_config(**overrides) -> ExperimentConfig:
     # 91 sites: the mask columns widen past 63 bits within every replica
-    rows = [
-        (k, p.x, p.y, "buffer" if p.x < 0 else "target")
-        for k, p in enumerate(build_hex_grid(5, 15.8))
-    ]
-    layout = layout_from_site_rows(
-        rows, (-120.0, 0.0), scan_range=250.0, base_pitch=15.8, effective_pitch=15.8,
-    )
-    return ExperimentConfig(layout=layout, **overrides)
+    return ExperimentConfig(layout=hex_layout(), **overrides)
 
 
 def assert_streamed_equals_in_memory(tmp_path, monkeypatch, cfg, chunk_rows):

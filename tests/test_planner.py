@@ -1,5 +1,6 @@
 """Planning layer: fill plans, refill ordering, assignment oracle."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -8,7 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweezersim.geometry import Position, reference_layout
+from tweezersim.geometry import MaskOccupancy, Position, reference_layout
 from tweezersim.planner import (
     RESERVOIR,
     Assignment,
@@ -21,6 +22,8 @@ from tweezersim.planner import (
     plan_buffer_refill,
     plan_target_fill,
 )
+
+from conftest import hex_layout
 
 LAYOUT = reference_layout()
 
@@ -88,6 +91,49 @@ def test_memoised_plans_equal_fresh_plans(strategy):
                 empty, key=lambda b: (LAYOUT.reservoir_distance(b), b)
             )
     assert len(memo.plan_memo) == MEMO_CAP
+
+
+@pytest.mark.parametrize("strategy", ["global", "per-vacancy"])
+def test_mask_views_plan_like_equal_dicts(strategy):
+    # Every believed occupancy of the 13-site layout, planned from the
+    # layout's mask view and from the equal dict, each into an empty memo;
+    # a view of an equal layout is read site by site and plans the same.
+    viewed, plain, equal = reference_layout(), reference_layout(), reference_layout()
+    for mask in range(1 << len(LAYOUT.site_ids)):
+        view, belief = MaskOccupancy(viewed, mask), mask_belief(mask)
+        assert view == belief and viewed.occupancy_mask(view) == mask
+        for layout in (viewed, plain):
+            layout.plan_memo.clear()
+        expected = plan_target_fill(belief, plain, strategy=strategy)
+        assert plan_target_fill(view, viewed, strategy=strategy) == expected
+        other = MaskOccupancy(equal, mask)  # another layout's view
+        assert plan_target_fill(other, viewed, strategy=strategy) == expected
+        assert plan_buffer_refill(view, viewed) == plan_buffer_refill(belief, plain)
+
+
+def test_mask_views_keep_coverage_errors():
+    layout = reference_layout()
+    shifted = dataclasses.replace(
+        layout, sites=tuple(dataclasses.replace(s, id=s.id + 1) for s in layout.sites)
+    )
+    belief = belief_with(set())
+    missing = dict(belief)
+    del missing[12]
+    cases = [
+        (MaskOccupancy(shifted, 0b101), "missing [0], extraneous [13]"),
+        (MaskOccupancy(hex_layout(), 1), "missing [], extraneous [13, "),
+        (missing, "missing [12]"),
+        ({**belief, 99: False}, "extraneous [99]"),
+    ]
+    for mask in range(1 << len(layout.site_ids)):  # fill the memo from views
+        plan_target_fill(MaskOccupancy(layout, mask), layout)
+    for plan in (plan_target_fill, plan_buffer_refill):
+        for bad, words in cases:
+            with pytest.raises(PlanError, match=re.escape(words)) as from_view:
+                plan(bad, layout)
+            with pytest.raises(PlanError) as from_dict:
+                plan(dict(bad), layout)
+            assert str(from_view.value) == str(from_dict.value)
 
 
 def test_memo_keeps_coverage_errors_and_fresh_refill_lists():
