@@ -146,11 +146,20 @@ class ExperimentConfig:
             # The plateau is the fill fraction read out one image after a
             # refill, so invert the decay accumulated over that window out of it.
             window = timing.t_buffer_refill + timing.image_loss_window
+            observed = math.exp(-window / loss.lifetime_array)
+            if observed == 0.0:
+                image = "t_image" if timing.t_image_loss is None else "t_image_loss"
+                raise ConfigError(
+                    f"no array atom survives the {window:.4g} s from refill to "
+                    f"readout (timing.t_buffer_refill + timing.{image}) with "
+                    f"stochastic.lifetime_array_s {loss.lifetime_array:.4g} s, so "
+                    f"stochastic.p_blockade_plateau cannot be read back"
+                )
             extraction = ExtractionModel.from_plateau(
                 self.p_blockade_plateau,
                 self.mean_ensemble_at_full,
                 self.n_reference,
-                observation_survival=math.exp(-window / loss.lifetime_array),
+                observation_survival=observed,
             )
             return SimulationModels(
                 layout=self.layout,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .geometry import ArrayLayout, MaskOccupancy
 from .planner import MovePlan, plan_buffer_refill, plan_target_fill
@@ -22,6 +23,7 @@ from .stochastic import (
     RngStream,
     TransportModel,
     _check_nonnegative,
+    _check_poisson_mean,
     _check_probability,
     sample_extraction,
     sample_survival,  # unused here; perfbench/tracing.py rebinds this name
@@ -32,6 +34,7 @@ from .stochastic import (
 
 __all__ = [
     "TimingModel",
+    "DecayWindow",
     "SimulationModels",
     "Counters",
     "SystemState",
@@ -104,15 +107,30 @@ class TimingModel:
         return self.t_image if self.t_image_loss is None else self.t_image_loss
 
 
+class DecayWindow(NamedTuple):
+    """What one decay window of the cycle does to every atom in it, decided
+    once per model bundle: the window's length in seconds, the survival
+    probability of an array atom and of a reservoir atom over it, and the
+    mean number of atoms the reservoir refill adds in it
+    (``refill_rate * length``)."""
+
+    length: float
+    array_survival: float
+    reservoir_survival: float
+    refill_mean: float
+
+
 @dataclass(frozen=True)
 class SimulationModels:
     """Everything a realization needs besides its RNG stream.
 
     Values derived from the models are decided once here and take no part
-    in equality: the array survival probability of each decay window
-    (``survival_image``, ``survival_fill``, ``survival_refill``) and the
+    in equality: the three decay windows of a cycle (``image_window`` over
+    ``timing.image_loss_window``, ``fill_window`` over
+    ``timing.t_analysis_fill``, ``refill_window`` over
+    ``timing.t_buffer_refill``, each a :class:`DecayWindow`) and the
     bitmasks of all target and all buffer sites (``target_bits``,
-    ``buffer_bits``).
+    ``buffer_bits``). ``dataclasses.replace`` decides them afresh.
     """
 
     layout: ArrayLayout
@@ -129,6 +147,7 @@ class SimulationModels:
 
     def __post_init__(self):
         _check_nonnegative("stochastic.reservoir_mean", self.reservoir_mean)
+        _check_poisson_mean("stochastic.reservoir_mean", self.reservoir_mean)
         _check_nonnegative("stochastic.refill_rate", self.refill_rate)
         _check_probability("stochastic.p_stay_on_failure", self.p_stay_on_failure)
         if self.fill_strategy not in ("global", "per-vacancy"):
@@ -144,13 +163,18 @@ class SimulationModels:
                 f"timing.t_analysis_fill {self.timing.t_analysis_fill} s cannot "
                 f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
             )
-        timing, lifetime = self.timing, self.loss.lifetime_array
-        for name, window in (
-            ("survival_image", timing.image_loss_window),
-            ("survival_fill", timing.t_analysis_fill),
-            ("survival_refill", timing.t_buffer_refill),
+        timing, loss = self.timing, self.loss
+        for name, length in (
+            ("image_window", timing.image_loss_window),
+            ("fill_window", timing.t_analysis_fill),
+            ("refill_window", timing.t_buffer_refill),
         ):
-            object.__setattr__(self, name, survival_probability(window, lifetime))
+            object.__setattr__(self, name, DecayWindow(
+                length,
+                survival_probability(length, loss.lifetime_array),
+                survival_probability(length, loss.lifetime_reservoir),
+                self.refill_rate * length,
+            ))
         bits = layout.site_bits
         object.__setattr__(self, "target_bits", sum(bits[t] for t in layout.target_ids))
         object.__setattr__(self, "buffer_bits", sum(bits[b] for b in layout.buffer_ids))
@@ -189,12 +213,12 @@ class SystemState:
         return self.truth.bit_count()
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """Per-cycle observables, snapshotted at this cycle's imaging step.
 
     The cumulative counters therefore cover everything up to but not
-    including this cycle's fill and refill.
+    including this cycle's fill and refill. An immutable tuple: the engine
+    builds one per cycle, positionally.
     """
 
     cycle_index: int
@@ -315,19 +339,17 @@ class EventLog:
         outcomes.append(outcome)
 
 
-def _decay_step(
-    state: SystemState, dt: float, p: float, models: SimulationModels,
-    rng: RngStream,
-) -> None:
-    """One-body losses over ``dt`` for array atoms and the reservoir.
+def _decay_step(state: SystemState, window: DecayWindow, rng: RngStream) -> None:
+    """One-body losses over ``window`` for array atoms and the reservoir,
+    plus the window's reservoir refill; a window of length 0 does nothing.
 
     Truth-only: the controller never sees decay until the next image.
     Each trapped atom (set bit, lowest first) takes one uniform and survives
-    when it falls below ``p``, the window's array survival probability; when
-    even the largest uniform does, no atom is lost and no bit is visited.
+    when it falls below the window's array survival probability; when even
+    the largest uniform does, no atom is lost and no bit is visited.
     """
+    dt, p, p_reservoir, refill_mean = window
     if dt > 0.0:
-        counters = state.counters
         n_trapped = state.truth.bit_count()
         if n_trapped:  # no draw for an empty array: random(0) advances nothing
             uniforms = rng.uniforms(n_trapped)
@@ -338,13 +360,13 @@ def _decay_step(
                     rest ^= bit
                     if not u < p:
                         state.truth ^= bit
-                        counters.array_decay_loss += 1
-        lost, added = reservoir_decay(
-            rng, state.n_reservoir, dt, models.loss, models.refill_rate
-        )
-        state.n_reservoir += added - lost
-        counters.reservoir_decay_loss += lost
-        counters.refilled += added
+                        state.counters.array_decay_loss += 1
+        lost, added = reservoir_decay(rng, state.n_reservoir, p_reservoir, refill_mean)
+        if lost or added:  # most windows of a run find the reservoir empty
+            state.n_reservoir += added - lost
+            counters = state.counters
+            counters.reservoir_decay_loss += lost
+            counters.refilled += added
 
 
 def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
@@ -373,9 +395,8 @@ def step_image(
 ) -> None:
     """Fluorescence image: decay over the imaging window, then belief is
     reset to truth (perfect detection)."""
-    timing = models.timing
-    _decay_step(state, timing.image_loss_window, models.survival_image, models, rng)
-    state.clock += timing.t_image
+    _decay_step(state, models.image_window, rng)
+    state.clock += models.timing.t_image
     state.belief = state.truth
     if log is not None:
         log.add("image", state)
@@ -401,7 +422,7 @@ def step_fill_targets(
     bits = models.layout.site_bits
     p_stay = models.p_stay_on_failure
     duration = models.transport.move_duration  # one float shared by the rows
-    for move in plan:
+    for move in plan.moves:
         src, dst = bits[move.src], bits[move.dst]
         if not state.belief & src:
             raise PlanConflictError(
@@ -435,9 +456,7 @@ def step_fill_targets(
             )
     if log is not None and not plan.moves:
         log.add("fill", state)
-    _decay_step(
-        state, models.timing.t_analysis_fill, models.survival_fill, models, rng
-    )
+    _decay_step(state, models.fill_window, rng)
     state.clock += models.timing.t_analysis_fill
 
 
@@ -490,9 +509,7 @@ def step_refill_buffers(
             )
     if log is not None and not refill_list:
         log.add("refill", state)
-    _decay_step(
-        state, models.timing.t_buffer_refill, models.survival_refill, models, rng
-    )
+    _decay_step(state, models.refill_window, rng)
     state.clock += models.timing.t_buffer_refill
 
 
@@ -533,17 +550,13 @@ def run_cycle(
     layout = models.layout
     step_image(state, models, rng, log)
     c = state.counters
-    targets = state.truth & models.target_bits
+    truth, target_bits = state.truth, models.target_bits
+    targets = truth & target_bits
     record = CycleRecord(
-        cycle_index=state.cycle_index,
-        target_complete=targets == models.target_bits,
-        n_buffer_filled=(state.truth & models.buffer_bits).bit_count(),
-        n_target_filled=targets.bit_count(),
-        n_reservoir=state.n_reservoir,
-        clock_at_image=state.clock,
-        extracted_cum=c.extracted,
-        delivered_cum=c.delivered,
-        reservoir_decay_cum=c.reservoir_decay_loss,
+        state.cycle_index, targets == target_bits,
+        (truth & models.buffer_bits).bit_count(), targets.bit_count(),
+        state.n_reservoir, state.clock,
+        c.extracted, c.delivered, c.reservoir_decay_loss,
     )
     fill = models.fill_strategy
     plan = plan_target_fill(MaskOccupancy(layout, state.belief), layout, strategy=fill)

@@ -135,9 +135,9 @@ def run_experiment(
         records = run_realization(
             models, config.master_seed, n_engine_cycles, replica=i, log=log
         )
-        complete[i] = [rec.target_complete for rec in records]
-        buffer_counts[i] = [rec.n_buffer_filled for rec in records]
-        reservoir_counts[i] = [rec.n_reservoir for rec in records]
+        # one transposition of the records into CycleRecord's columns
+        (_, complete[i], buffer_counts[i], _, reservoir_counts[i],
+         *_) = zip(*records)
         delivered[i] = records[-1].delivered_cum
         if log is not None:
             log.flush(_CHUNK_ROWS)

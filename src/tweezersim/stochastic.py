@@ -66,15 +66,26 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be within [0, 1], got {value}")
 
 
-# Written as ``not value > 0`` and ``not value >= 0`` so NaN fails too.
+# Written as ``not value > 0`` and so on, so NaN fails too.
 def _check_positive(name: str, value: float) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_nonnegative(name: str, value: float) -> None:
-    if not value >= 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+    """A finite duration, rate or mean; ``inf`` is rejected with NaN."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+# numpy's Poisson draw refuses means above about 9.2e18, where its 64-bit
+# counts end; a Poisson mean is held to this round bound below that.
+_MAX_POISSON_MEAN = 1e18
+
+
+def _check_poisson_mean(name: str, value: float) -> None:
+    if not value <= _MAX_POISSON_MEAN:
+        raise ValueError(f"{name} must be at most {_MAX_POISSON_MEAN:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,7 @@ class ExtractionModel:
     def __post_init__(self):
         _check_probability("p_blockade", self.p_blockade)
         _check_positive("stochastic.mean_ensemble_at_full", self.mean_ensemble_at_full)
+        _check_poisson_mean("stochastic.mean_ensemble_at_full", self.mean_ensemble_at_full)
         _check_positive("stochastic.n_reference", self.n_reference)
 
     @classmethod
@@ -206,23 +218,23 @@ def sample_extraction(
 
 
 def reservoir_decay(
-    rng: RngStream, n_atoms: int, dt: float, loss: LossModel, refill_rate: float
+    rng: RngStream, n_atoms: int, p_survive: float, refill_mean: float
 ) -> tuple[int, int]:
-    """Binomial thinning of a reservoir of ``n_atoms`` over ``dt`` seconds,
-    plus the stochastically rounded refill at ``refill_rate`` atoms/s.
+    """One decay window of a reservoir of ``n_atoms``: binomial thinning with
+    survival probability ``p_survive``, then a refill of ``refill_mean``
+    atoms on average, stochastically rounded to a whole number.
 
-    Returns ``(atoms_lost, atoms_added)``; the caller applies both, which
+    Both values belong to the window, not to the call (see
+    ``engine.DecayWindow``). Thinning takes no draw when the reservoir is
+    empty or ``p_survive`` is 1, and the refill none when ``refill_mean`` is
+    0. Returns ``(atoms_lost, atoms_added)``; the caller applies both, which
     keeps exact loss ledgers.
     """
     lost = 0
-    if n_atoms > 0:
-        p = survival_probability(dt, loss.lifetime_reservoir)
-        if p < 1.0:
-            lost = n_atoms - rng.binomial(n_atoms, p)
+    if n_atoms > 0 and p_survive < 1.0:
+        lost = n_atoms - rng.binomial(n_atoms, p_survive)
     added = 0
-    if refill_rate > 0.0 and dt > 0.0:
-        mean = refill_rate * dt
-        whole = int(mean)
-        frac = mean - whole
-        added = whole + (1 if rng.bernoulli(frac) else 0)
+    if refill_mean > 0.0:
+        whole = int(refill_mean)
+        added = whole + (1 if rng.bernoulli(refill_mean - whole) else 0)
     return lost, added

@@ -174,7 +174,26 @@ effective_pitch = 20.0
     ids=["t_mot", "t_ramp", "refill_rate", "scan_range"],
 )
 def test_nan_config_value_exits_2(tmp_path, capsys, body, key):
-    ini = tmp_path / "nan.ini"
+    assert_config_exits_2(tmp_path, capsys, body, key)
+
+
+@pytest.mark.parametrize(
+    "body,key",
+    [
+        ("[stochastic]\nrefill_rate = inf\n", "stochastic.refill_rate"),
+        ("[stochastic]\nreservoir_mean = inf\n", "stochastic.reservoir_mean"),
+        ("[timing]\nt_image = inf\n", "timing.t_image"),
+    ],
+    ids=["refill_rate", "reservoir_mean", "t_image"],
+)
+def test_infinite_config_value_exits_2(tmp_path, capsys, body, key):
+    # inf passes a NaN-only check; each must be refused, key named, before
+    # any replica runs
+    assert_config_exits_2(tmp_path, capsys, body, key)
+
+
+def assert_config_exits_2(tmp_path, capsys, body, key):
+    ini = tmp_path / "bad.ini"
     ini.write_text("[run]\nn_replicas = 3\nn_cycles = 2\n" + body)
     code, out, err = run_cli(
         capsys, "simulate", "--config", str(ini), "--out", str(tmp_path / "res")

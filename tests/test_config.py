@@ -86,6 +86,17 @@ def test_success_definition_aliases():
         ("master_seed", 1.5, "run.master_seed"),
         ("n_reference", 2.5, "stochastic.n_reference"),
         ("t_image_loss", 0.131, "timing.t_image_loss"),
+        # non-finite values and Poisson means past numpy's 64-bit counts
+        ("t_image", math.inf, "timing.t_image"),
+        ("refill_rate", math.inf, "stochastic.refill_rate"),
+        ("reservoir_mean", math.inf, "stochastic.reservoir_mean"),
+        ("reservoir_mean", 1e19, "stochastic.reservoir_mean"),
+        ("mean_ensemble_at_full", math.inf, "stochastic.mean_ensemble_at_full"),
+        # no atom survives from refill to readout: the readout survival
+        # underflows to 0, and the keys that set it are named
+        ("t_buffer_refill", 1e6, "timing.t_buffer_refill"),
+        ("lifetime_array_s", 1e-4, "stochastic.lifetime_array_s"),
+        ("t_image", 1e6, "timing.t_image"),
         # 6 moves of 2 x 130 us + 11 ms outlast the 65 ms fill window
         ("t_move", 0.011, "timing.t_analysis_fill"),
     ],

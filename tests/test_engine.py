@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import (
     Counters,
+    CycleRecord,
+    DecayWindow,
     EngineError,
     EventLog,
     PlanConflictError,
@@ -86,16 +88,26 @@ class TestSimulationModelsValidation:
 
 
 class TestDerivedModelValues:
+    @staticmethod
+    def expected_window(models, length):
+        loss = models.loss
+        return DecayWindow(
+            length,
+            survival_probability(length, loss.lifetime_array),
+            survival_probability(length, loss.lifetime_reservoir),
+            models.refill_rate * length,
+        )
+
     def test_window_survival_decided_once(self):
-        models = models_with(t_image_loss=0.02)
-        for name, window in (
-            ("survival_image", 0.02),
-            ("survival_fill", models.timing.t_analysis_fill),
-            ("survival_refill", models.timing.t_buffer_refill),
+        models = models_with(t_image_loss=0.02, refill_rate=3.7)
+        for window, length in (
+            (models.image_window, 0.02),
+            (models.fill_window, models.timing.t_analysis_fill),
+            (models.refill_window, models.timing.t_buffer_refill),
         ):
-            assert getattr(models, name) == survival_probability(
-                window, models.loss.lifetime_array
-            )
+            # tuple equality: every value bit for bit
+            assert window == self.expected_window(models, length)
+            assert window.refill_mean == 3.7 * length
 
     def test_window_survival_follows_replaced_timing(self):
         models = models_with()
@@ -103,12 +115,16 @@ class TestDerivedModelValues:
             models.timing, t_image_loss=0.05, t_analysis_fill=0.08,
             t_buffer_refill=0.04,
         )
-        replaced = dataclasses.replace(models, timing=timing)
-        lifetime = models.loss.lifetime_array
-        assert replaced.survival_image == survival_probability(0.05, lifetime)
-        assert replaced.survival_fill == survival_probability(0.08, lifetime)
-        assert replaced.survival_refill == survival_probability(0.04, lifetime)
-        assert replaced.survival_fill != models.survival_fill
+        loss = dataclasses.replace(models.loss, lifetime_reservoir=2.0)
+        replaced = dataclasses.replace(
+            models, timing=timing, loss=loss, refill_rate=12.5
+        )
+        assert replaced.image_window == self.expected_window(replaced, 0.05)
+        assert replaced.fill_window == self.expected_window(replaced, 0.08)
+        assert replaced.refill_window == self.expected_window(replaced, 0.04)
+        assert replaced.fill_window.refill_mean == 12.5 * 0.08
+        assert replaced.refill_window.reservoir_survival == survival_probability(0.04, 2.0)
+        assert replaced.fill_window != models.fill_window
 
     @pytest.mark.parametrize(
         "owner,field",
@@ -354,6 +370,22 @@ def test_run_cycle_first_record_is_empty_array():
     assert record.n_target_filled == 0
     assert record.target_complete is False
     assert record.clock_at_image == pytest.approx(1.86 + 0.130)
+
+
+def test_cycle_record_is_an_immutable_tuple_of_fixed_fields():
+    # the engine builds records positionally and the harness reads them
+    # by transposition, so the field order is part of the contract
+    assert CycleRecord._fields == (
+        "cycle_index", "target_complete", "n_buffer_filled",
+        "n_target_filled", "n_reservoir", "clock_at_image",
+        "extracted_cum", "delivered_cum", "reservoir_decay_cum",
+    )
+    models = models_with()
+    state = init_sequence(models, RngStream(3))
+    record = run_cycle(state, models, RngStream(3))
+    assert isinstance(record, tuple) and record[0] == record.cycle_index == 1
+    with pytest.raises(AttributeError):
+        record.n_reservoir = 0
 
 
 def test_cycle_clock_spacing():

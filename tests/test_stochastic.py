@@ -21,7 +21,8 @@ from tweezersim.stochastic import (
 
 MODELS = ExperimentConfig().build_models()
 LOSS = MODELS.loss
-LOSSLESS_RESERVOIR = dataclasses.replace(LOSS, lifetime_reservoir=math.inf)
+# reservoir survival over half a second at the reference lifetime of 5 s
+P_HALF_SECOND = survival_probability(0.5, LOSS.lifetime_reservoir)
 
 
 class TestRngStream:
@@ -220,7 +221,7 @@ class TestSampleExtraction:
 class TestReservoirDecay:
     def test_returns_loss_and_refill(self):
         rng = RngStream(2)
-        lost, added = reservoir_decay(rng, 100, 0.5, LOSS, 0.0)
+        lost, added = reservoir_decay(rng, 100, P_HALF_SECOND, 0.0)
         assert lost >= 0 and added == 0
         assert lost == 100 - RngStream(2).binomial(100, math.exp(-0.5 / 5.0))
 
@@ -229,7 +230,7 @@ class TestReservoirDecay:
         p_lose = 1 - math.exp(-0.5 / 5.0)
         total, trials, n0 = 0, 2000, 200
         for _ in range(trials):
-            lost, _ = reservoir_decay(rng, n0, 0.5, LOSS, 0.0)
+            lost, _ = reservoir_decay(rng, n0, P_HALF_SECOND, 0.0)
             total += lost
         mean = total / trials
         sigma = math.sqrt(n0 * p_lose * (1 - p_lose) / trials)
@@ -237,14 +238,16 @@ class TestReservoirDecay:
 
     def test_infinite_lifetime_no_loss(self):
         rng = RngStream(8)
-        assert reservoir_decay(rng, 50, 10.0, LOSSLESS_RESERVOIR, 0.0) == (0, 0)
+        p_survive = survival_probability(10.0, math.inf)
+        assert reservoir_decay(rng, 50, p_survive, 0.0) == (0, 0)
+        assert rng.random() == RngStream(8).random()  # and took no draw
 
     def test_refill_mean_rate(self):
         rng = RngStream(12)
         rate, dt, trials = 3.7, 0.230, 4000
         total = 0
         for _ in range(trials):
-            _, added = reservoir_decay(rng, 10, dt, LOSSLESS_RESERVOIR, rate)
+            _, added = reservoir_decay(rng, 10, 1.0, rate * dt)
             total += added
         mean = total / trials
         assert abs(mean - rate * dt) < 0.05  # stochastic rounding is unbiased
