@@ -161,7 +161,7 @@ class ExperimentConfig:
                 self.n_reference,
                 observation_survival=observed,
             )
-            return SimulationModels(
+            models = SimulationModels(
                 layout=self.layout,
                 loss=loss,
                 transport=transport,
@@ -172,6 +172,8 @@ class ExperimentConfig:
                 p_stay_on_failure=self.p_stay_on_failure,
                 **self._section("engine"),
             )
+            models.check_supply(self.n_cycles + 1)  # the reported cycles and one more
+            return models
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -208,21 +210,28 @@ _LAYOUT_KEYS = ("preset",) + _INLINE_LAYOUT_KEYS
 
 
 def _convert(section: str, key: str, raw: str, kind: str = "float"):
+    """``raw`` as ``kind``: "str", "int", "float" or "finite" (a finite
+    float); an error names ``section.key``."""
     raw = raw.strip()
     if kind == "str":
         return raw
     try:
-        return int(raw) if kind == "int" else float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError:
-        noun = "an integer" if kind == "int" else "a number"
-        raise ConfigError(f"{section}.{key} must be {noun}, got {raw!r}") from None
+        value = None
+    if value is None or kind == "finite" and not math.isfinite(value):
+        noun = {"int": "an integer", "float": "a number"}.get(kind, "a finite number")
+        raise ConfigError(f"{section}.{key} must be {noun}, got {raw!r}")
+    return value
 
 
 def _parse_layout_section(section: configparser.SectionProxy) -> ArrayLayout:
     preset = section.get("preset", "").strip()
-    given = ", ".join(f"layout.{k}" for k in _INLINE_LAYOUT_KEYS if k in section)
+    given, missing = [], []
+    for key in _INLINE_LAYOUT_KEYS:
+        (given if key in section else missing).append(f"layout.{key}")
     if preset and given:
-        raise ConfigError(f"layout.preset excludes inline keys ({given})")
+        raise ConfigError(f"layout.preset excludes inline keys ({', '.join(given)})")
     if preset:
         try:
             return layout_from_preset(preset)
@@ -230,38 +239,27 @@ def _parse_layout_section(section: configparser.SectionProxy) -> ArrayLayout:
             raise ConfigError(f"layout.preset: {exc}") from None
     if not given:
         return reference_layout()
-    for key in _INLINE_LAYOUT_KEYS:
-        if key not in section:
-            raise ConfigError(
-                f"layout.{key} is required for an inline layout (given {given})"
-            )
+    if missing:
+        raise ConfigError(
+            f"{missing[0]} is required for an inline layout (given {', '.join(given)})"
+        )
     rows = []
     for lineno, line in enumerate(section["sites"].strip().splitlines(), start=1):
-        parts = line.split()
+        key, parts = f"sites line {lineno}", line.split()
         if len(parts) != 4:
-            raise ConfigError(
-                f"layout.sites line {lineno} must be 'id x y role', got {line.strip()!r}"
-            )
-        try:
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), parts[3]))
-        except ValueError:
-            raise ConfigError(
-                f"layout.sites line {lineno}: could not parse {line.strip()!r}"
-            ) from None
-    reservoir_parts = section["reservoir"].split()
-    if len(reservoir_parts) != 2:
+            raise ConfigError(f"layout.{key} must be 'id x y role', got {line.strip()!r}")
+        sid = _convert("layout", key, parts[0], "int")
+        x, y = (_convert("layout", key, v, "finite") for v in parts[1:3])
+        rows.append((sid, x, y, parts[3]))
+    reservoir = section["reservoir"].split()
+    if len(reservoir) != 2:
         raise ConfigError("layout.reservoir must be 'x y'")
+    reservoir = tuple(_convert("layout", "reservoir", v, "finite") for v in reservoir)
+    sizes = {k: _convert("layout", k, section[k]) for k in _INLINE_LAYOUT_KEYS[2:]}
     try:
-        layout = layout_from_site_rows(
-            rows,
-            (float(reservoir_parts[0]), float(reservoir_parts[1])),
-            _convert("layout", "scan_range", section["scan_range"]),
-            _convert("layout", "base_pitch", section["base_pitch"]),
-            _convert("layout", "effective_pitch", section["effective_pitch"]),
-        )
+        return layout_from_site_rows(rows, reservoir, **sizes)
     except ValueError as exc:
         raise ConfigError(f"layout: {exc}") from None
-    return layout
 
 
 def load_config(path: str) -> ExperimentConfig:

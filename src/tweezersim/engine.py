@@ -11,13 +11,13 @@ conservation can be checked exactly.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .geometry import ArrayLayout, MaskOccupancy
 from .planner import MovePlan, plan_buffer_refill, plan_target_fill
 from .stochastic import (
+    _MAX_POISSON_MEAN,
     ExtractionModel,
     LossModel,
     RngStream,
@@ -179,6 +179,22 @@ class SimulationModels:
         object.__setattr__(self, "target_bits", sum(bits[t] for t in layout.target_ids))
         object.__setattr__(self, "buffer_bits", sum(bits[b] for b in layout.buffer_ids))
 
+    def check_supply(self, n_cycles: int) -> None:
+        """Refuse a run of ``n_cycles`` engine cycles whose refill could grow
+        the reservoir past 1e18 atoms, short of numpy's 64-bit counts: the
+        initial mean, the refill over every cycle and one rounding atom per
+        decay window."""
+        supply = (
+            self.reservoir_mean + 3 * n_cycles
+            + self.refill_rate * n_cycles * self.timing.cycle_duration
+        )
+        if self.refill_rate > 0 and not supply <= _MAX_POISSON_MEAN:
+            raise ValueError(
+                f"stochastic.refill_rate {self.refill_rate} atoms/s could bring "
+                f"the reservoir to {supply:.3g} atoms in {n_cycles} engine "
+                f"cycles, past {_MAX_POISSON_MEAN:g}"
+            )
+
 
 @dataclass
 class Counters:
@@ -241,11 +257,10 @@ class EventLog:
     contribute one row per move. The masks are the state's occupancy
     bitmasks (bit i = i-th smallest site id).
 
-    The log is stored by column: the integer columns unboxed in
-    ``array("q")`` (the masks switch to Python ints once one no longer fits
-    in 63 bits), ``clock_s`` in ``array("d")``, and the rest as lists of
-    references to the few objects they repeat. ``columns`` hands the
-    column sequences to a writer; ``rows`` builds the row tuples on demand.
+    The log is stored by column, one plain list per column, holding the
+    values as they were added (a mask of any width stays an exact int).
+    ``columns`` hands the lists to a writer; ``rows`` builds the row tuples
+    on demand.
 
     With a ``sink`` (an object with ``write(columns)`` and ``close()``, such
     as the CSV writer of :func:`tweezersim.harness.stream_events`), the log
@@ -264,14 +279,7 @@ class EventLog:
     def __init__(self, sink=None):
         self.sink = sink
         self._flushed = 0  # rows already handed to the sink
-        self._columns = self._empty_columns()
-
-    @staticmethod
-    def _empty_columns() -> list:
-        return [
-            array("q"), array("q"), [], array("d"), array("q"),
-            array("q"), array("q"), [], [], [], [], [],
-        ]
+        self._columns = [[] for _ in self.COLUMNS]
 
     def __len__(self) -> int:
         return self._flushed + len(self._columns[0])
@@ -294,21 +302,13 @@ class EventLog:
         if self.sink is not None and n and n >= min_rows:
             self.sink.write(self._columns)
             self._flushed += n
-            self._columns = self._empty_columns()
+            self._columns = [[] for _ in self.COLUMNS]
 
     def close(self) -> None:
         """Flush every buffered row and close the sink, if there is one."""
         if self.sink is not None:
             self.flush()
             self.sink.close()
-
-    def _widen_masks(self, truth: int, belief: int) -> None:
-        # a mask past 63 bits: keep both mask columns as exact Python ints
-        # until the next flush
-        cols = self._columns
-        n = len(cols[0])
-        cols[5] = [*cols[5][:n], truth]
-        cols[6] = [*cols[6][:n], belief]
 
     def add(
         self,
@@ -322,16 +322,13 @@ class EventLog:
     ) -> None:
         (replicas, cycles, steps, clocks, reservoirs, truths, beliefs,
          srcs, dsts, dists, durations, outcomes) = self._columns
-        try:
-            truths.append(state.truth)
-            beliefs.append(state.belief)
-        except OverflowError:
-            self._widen_masks(state.truth, state.belief)
         replicas.append(state.replica)
         cycles.append(state.cycle_index)
         steps.append(step)
         clocks.append(state.clock)
         reservoirs.append(state.n_reservoir)
+        truths.append(state.truth)
+        beliefs.append(state.belief)
         srcs.append(src)
         dsts.append(dst)
         dists.append(dist_um)
@@ -584,6 +581,7 @@ def run_realization(
     if n_cycles < 1:
         raise ValueError("run.n_cycles must be at least 1")
     models = config if isinstance(config, SimulationModels) else config.build_models()
+    models.check_supply(n_cycles)
     rng = RngStream(seed, replica)
     state = init_sequence(models, rng)
     if log is not None:

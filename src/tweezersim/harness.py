@@ -18,7 +18,6 @@ import io
 import json
 import math
 import os
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,10 +318,7 @@ class _ColumnTexts:
         self._memos = {}  # str or the block's numeric type -> _Texts
 
     def render(self, values) -> list[str]:
-        if isinstance(values, array):
-            kinds = {float if values.typecode in "fd" else int}
-        else:
-            kinds = set(map(type, values)) - {str}
+        kinds = set(map(type, values)) - {str}
         if len(kinds) > 1 or not kinds <= {int, bool, float}:
             return [_field(v) for v in values]
         memo = self._memos.setdefault(kinds.pop() if kinds else str, _Texts())

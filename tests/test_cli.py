@@ -192,6 +192,24 @@ def test_infinite_config_value_exits_2(tmp_path, capsys, body, key):
     assert_config_exits_2(tmp_path, capsys, body, key)
 
 
+@pytest.mark.parametrize(
+    "body,key",
+    [
+        (INLINE_LAYOUT.replace("-50.0 0.0", "abc 0.0") + "scan_range = 250.0\n",
+         "layout.reservoir"),
+        (INLINE_LAYOUT.replace("-50.0 0.0", "nan 0.0") + "scan_range = 250.0\n",
+         "layout.reservoir"),
+        (INLINE_LAYOUT.replace("1 20.0 0.0", "1 nan 0.0") + "scan_range = 250.0\n",
+         "layout.sites line 2"),
+        # 1e300 atoms/s would outgrow numpy's 64-bit reservoir count mid-run
+        ("[stochastic]\nrefill_rate = 1e300\n", "stochastic.refill_rate"),
+    ],
+    ids=["reservoir-text", "reservoir-nan", "site-nan", "refill_supply"],
+)
+def test_unusable_config_value_exits_2(tmp_path, capsys, body, key):
+    assert_config_exits_2(tmp_path, capsys, body, key)
+
+
 def assert_config_exits_2(tmp_path, capsys, body, key):
     ini = tmp_path / "bad.ini"
     ini.write_text("[run]\nn_replicas = 3\nn_cycles = 2\n" + body)

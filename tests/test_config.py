@@ -92,6 +92,10 @@ def test_success_definition_aliases():
         ("reservoir_mean", math.inf, "stochastic.reservoir_mean"),
         ("reservoir_mean", 1e19, "stochastic.reservoir_mean"),
         ("mean_ensemble_at_full", math.inf, "stochastic.mean_ensemble_at_full"),
+        # a refill that could grow the reservoir past 1e18 atoms in the
+        # run's 16 engine cycles of 0.23 s
+        ("refill_rate", 1e300, "stochastic.refill_rate"),
+        ("refill_rate", 2.8e17, "stochastic.refill_rate"),
         # no atom survives from refill to readout: the readout survival
         # underflows to 0, and the keys that set it are named
         ("t_buffer_refill", 1e6, "timing.t_buffer_refill"),
@@ -104,6 +108,19 @@ def test_success_definition_aliases():
 def test_validation_names_offending_key(field, value, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         ExperimentConfig(**{field: value})
+
+
+def test_refill_supply_bound_counts_the_run_length():
+    # 2.7e17 atoms/s x 16 cycles x 0.23 s = 9.9e17 atoms: legal; one more
+    # reported cycle takes the supply past 1e18
+    assert ExperimentConfig(refill_rate=2.7e17).build_models().refill_rate == 2.7e17
+    with pytest.raises(ConfigError, match=r"stochastic\.refill_rate .* 17 engine cycles"):
+        ExperimentConfig(refill_rate=2.7e17, n_cycles=16)
+    with pytest.raises(ConfigError, match=r"stochastic\.refill_rate"):
+        ExperimentConfig(refill_rate=1e18, lifetime_reservoir_s=math.inf)
+    # without a refill the reservoir only shrinks: no bound past the mean's
+    cfg = ExperimentConfig(reservoir_mean=1e18, n_cycles=10**6)
+    assert cfg.build_models().reservoir_mean == 1e18
 
 
 def test_infinite_lifetimes_stay_legal():
@@ -135,6 +152,19 @@ def test_every_resolved_layout_key_is_accepted(tmp_path):
             load_config(path)
         except ConfigError as exc:
             assert "unknown key" not in str(exc), key
+
+
+INLINE_LAYOUT = """
+[layout]
+sites =
+    0 0.0 0.0 buffer
+    1 20.0 0.0 buffer
+    2 40.0 0.0 target
+reservoir = -50.0 0.0
+base_pitch = 20.0
+effective_pitch = 20.0
+scan_range = 250.0
+"""
 
 
 class TestLoadConfig:
@@ -197,18 +227,7 @@ fill_strategy = per-vacancy
             load_config(write_ini(tmp_path, "[stochastic]\np_transport = 2.0\n"))
 
     def test_inline_layout(self, tmp_path):
-        body = """
-[layout]
-sites =
-    0 0.0 0.0 buffer
-    1 20.0 0.0 buffer
-    2 40.0 0.0 target
-reservoir = -50.0 0.0
-base_pitch = 20.0
-effective_pitch = 20.0
-scan_range = 250.0
-"""
-        cfg = load_config(write_ini(tmp_path, body))
+        cfg = load_config(write_ini(tmp_path, INLINE_LAYOUT))
         assert cfg.resolved()["layout"]["preset"] is None
         assert list(cfg.layout.site_ids) == [0, 1, 2]
         assert list(cfg.layout.buffer_ids) == [0, 1]
@@ -223,6 +242,31 @@ sites =
 """
         with pytest.raises(ConfigError, match="layout"):
             load_config(write_ini(tmp_path, body))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("reservoir = -50.0 0.0", "reservoir = abc 0.0",
+             "layout.reservoir must be a finite number, got 'abc'"),
+            ("reservoir = -50.0 0.0", "reservoir = 0.0 nan",
+             "layout.reservoir must be a finite number, got 'nan'"),
+            ("1 20.0 0.0 buffer", "1 nan 0.0 buffer",
+             "layout.sites line 2 must be a finite number, got 'nan'"),
+            ("2 40.0 0.0 target", "2 40.0 -inf target",
+             "layout.sites line 3 must be a finite number, got '-inf'"),
+            ("1 20.0 0.0 buffer", "one 20.0 0.0 buffer",
+             "layout.sites line 2 must be an integer, got 'one'"),
+            ("scan_range = 250.0", "scan_range = far",
+             "layout.scan_range must be a number, got 'far'"),
+        ],
+        ids=["reservoir-text", "reservoir-nan", "site-nan", "site-inf", "site-id", "scan_range"],
+    )
+    def test_inline_layout_value_names_its_key(self, tmp_path, old, new, message):
+        body = INLINE_LAYOUT.replace(old, new)
+        assert body != INLINE_LAYOUT
+        with pytest.raises(ConfigError) as info:
+            load_config(write_ini(tmp_path, body))
+        assert str(info.value) == message
 
     def test_pitch_without_sites(self, tmp_path):
         with pytest.raises(ConfigError, match=r"layout\.base_pitch"):

@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import math
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -409,6 +408,16 @@ def test_run_realization_rejects_zero_cycles():
         run_realization(ExperimentConfig(), seed=1, n_cycles=0)
 
 
+def test_run_realization_bounds_the_refill_over_its_own_cycles():
+    # 1e18 atoms/s x 2 engine cycles x 0.23 s = 4.6e17: a legal config
+    cfg = ExperimentConfig(n_cycles=1, refill_rate=1e18)
+    models = cfg.build_models()
+    assert len(run_realization(models, seed=1, n_cycles=2)) == 2
+    for config in (cfg, models):  # 5 cycles could supply 1.15e18 atoms
+        with pytest.raises(ValueError, match=r"stochastic\.refill_rate .* 5 engine cycles"):
+            run_realization(config, seed=1, n_cycles=5)
+
+
 def test_degenerate_trace_exact():
     cfg = dataclasses.replace(ExperimentConfig(), **DEGENERATE)
     records = run_realization(cfg, seed=18, n_cycles=4)
@@ -559,7 +568,7 @@ class RecordingSink:
         self.closed = True
 
 
-def test_streaming_event_log_starts_unboxed_after_a_widened_block():
+def test_streaming_event_log_hands_wide_masks_to_the_sink_exactly():
     models = big_hex_models()
     layout = models.layout
     state = init_sequence(models, RngStream(3, 0))
@@ -567,16 +576,19 @@ def test_streaming_event_log_starts_unboxed_after_a_widened_block():
     log = EventLog(sink)
     top = layout.site_ids[-1]
     state.truth = bits(models, top)
-    log.add("image", state)  # widens the mask columns
+    log.add("image", state)  # a truth mask past 63 bits
+    memory = EventLog()
+    memory.add("image", state)
+    wide = 1 << layout.index_of(top)
+    assert memory.columns[5] == [wide] and memory.rows[0][5] == wide
     log.flush(2)  # one row buffered: kept
     assert sink.blocks == [] and len(log) == 1
     state.truth = 0
     log.add("image", state)
     log.flush(2)
     assert len(sink.blocks) == 1 and len(log) == 2 and log.rows == []
-    assert sink.blocks[0][5] == [1 << layout.index_of(top), 0]
-    log.add("init", state)  # a mask that fits: unboxed again
-    assert type(log.columns[5]) is array and type(log.columns[6]) is array
+    assert sink.blocks[0][5] == [wide, 0]
+    log.add("init", state)  # later rows stream as before
     log.close()
     assert sink.closed and len(log) == 3
     assert [block[2] for block in sink.blocks] == [["image", "image"], ["init"]]
