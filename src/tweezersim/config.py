@@ -255,11 +255,11 @@ def _parse_layout_section(section: configparser.SectionProxy) -> ArrayLayout:
     if len(reservoir) != 2:
         raise ConfigError("layout.reservoir must be 'x y'")
     reservoir = tuple(_convert("layout", "reservoir", v, "finite") for v in reservoir)
-    sizes = {k: _convert("layout", k, section[k]) for k in _INLINE_LAYOUT_KEYS[2:]}
+    sizes = {k: _convert("layout", k, section[k], "finite") for k in _INLINE_LAYOUT_KEYS[2:]}
     try:
         return layout_from_site_rows(rows, reservoir, **sizes)
     except ValueError as exc:
-        raise ConfigError(f"layout: {exc}") from None
+        raise ConfigError(str(exc) if str(exc).startswith("layout.") else f"layout: {exc}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -258,9 +258,9 @@ class EventLog:
     bitmasks (bit i = i-th smallest site id).
 
     The log is stored by column, one plain list per column, holding the
-    values as they were added (a mask of any width stays an exact int).
-    ``columns`` hands the lists to a writer; ``rows`` builds the row tuples
-    on demand.
+    values as added, each a ``str`` or exactly its column's type in ``KINDS``
+    (see :meth:`add`; a mask of any width is an exact int). ``columns`` hands
+    the lists to a writer; ``rows`` builds the row tuples on demand.
 
     With a ``sink`` (an object with ``write(columns)`` and ``close()``, such
     as the CSV writer of :func:`tweezersim.harness.stream_events`), the log
@@ -270,11 +270,12 @@ class EventLog:
     and ``rows`` the buffered ones only.
     """
 
-    COLUMNS = (
-        "replica", "cycle", "step", "clock_s", "n_reservoir",
-        "truth_mask", "belief_mask", "src", "dst", "dist_um",
-        "duration_s", "outcome",
-    )
+    KINDS = {
+        "replica": int, "cycle": int, "step": str, "clock_s": float, "n_reservoir": int,
+        "truth_mask": int, "belief_mask": int, "src": int, "dst": int,
+        "dist_um": float, "duration_s": float, "outcome": str,
+    }
+    COLUMNS = tuple(KINDS)
 
     def __init__(self, sink=None):
         self.sink = sink
@@ -320,6 +321,9 @@ class EventLog:
         duration_s="",
         outcome="",
     ) -> None:
+        """Append one row, each value a ``str`` or exactly its column's type
+        in ``KINDS``: a writer memoises a column's texts by value, and
+        ``True``, ``1`` and ``1.0`` are equal keys that print differently."""
         (replicas, cycles, steps, clocks, reservoirs, truths, beliefs,
          srcs, dsts, dists, durations, outcomes) = self._columns
         replicas.append(state.replica)
@@ -378,7 +382,7 @@ def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
         truth=0,
         belief=0,
         n_reservoir=n0,
-        clock=models.timing.init_duration,
+        clock=float(models.timing.init_duration),  # a float, as KINDS says
         replica=rng.replica,
         n_initial_reservoir=n0,
     )
@@ -502,7 +506,7 @@ def step_refill_buffers(
         if log is not None:
             log.add(
                 "refill", state, src="R", dst=sid,
-                dist_um=layout.reservoir_distance(sid), outcome=outcome,
+                dist_um=layout.reservoir_dist[sid], outcome=outcome,
             )
     if log is not None and not refill_list:
         log.add("refill", state)

@@ -109,9 +109,9 @@ class ArrayLayout:
     site and the reservoir must lie inside it. A layout carries geometry
     only.
 
-    ``sites`` is kept sorted by id. Id lists, distances, ``site_bits`` (id
-    -> occupancy bit, ``1 << index_of(id)``) and the refill order (buffers
-    nearest the reservoir first, ties by id) are computed once here.
+    ``sites`` is kept sorted by id. Id lists, distances (``reservoir_dist``),
+    ``site_bits`` (id -> occupancy bit, ``1 << index_of(id)``) and the refill
+    order (buffers nearest the reservoir first, ties by id) are computed once.
     ``plan_memo`` is where the planner memoises fill plans for this layout;
     it holds derived values only and takes no part in equality.
     """
@@ -140,7 +140,7 @@ class ArrayLayout:
         object.__setattr__(self, "site_bits", {sid: 1 << k for sid, k in index.items()})
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_dmat", dmat)
-        object.__setattr__(self, "_rdist", rdist)
+        object.__setattr__(self, "reservoir_dist", rdist)
         object.__setattr__(self, "_site_ids", ids)
         for name, role in (("_buffer_ids", SiteRole.BUFFER), ("_target_ids", SiteRole.TARGET)):
             object.__setattr__(self, name, tuple(i for i in ids if by_id[i].role is role))
@@ -157,13 +157,11 @@ class ArrayLayout:
         ids = [s.id for s in self.sites]
         if len(set(ids)) != len(ids):
             raise LayoutError("site ids must be unique within a layout")
-        if not (self.base_pitch > 0 and self.effective_pitch > 0):
-            raise LayoutError(
-                f"pitches must be positive, got base_pitch {self.base_pitch} "
-                f"and effective_pitch {self.effective_pitch}"
-            )
-        if not self.scan_range > 0:
-            raise LayoutError(f"scan_range must be positive, got {self.scan_range}")
+        for key in ("base_pitch", "effective_pitch", "scan_range"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise LayoutError(
+                    f"layout.{key} must be finite and positive, got {getattr(self, key)}"
+                )
         ratio = self.effective_pitch / self.base_pitch
         if not (math.isclose(ratio, 1.0, rel_tol=1e-9) or math.isclose(ratio, 2.0, rel_tol=1e-9)):
             raise LayoutError(
@@ -227,7 +225,7 @@ class ArrayLayout:
         return float(self._dmat[self._index[a_id], self._index[b_id]])
 
     def reservoir_distance(self, site_id: int) -> float:
-        return self._rdist[site_id]
+        return self.reservoir_dist[site_id]
 
 
 class MaskOccupancy(Mapping):

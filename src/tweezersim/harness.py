@@ -291,12 +291,23 @@ def _field(value) -> str:
 
 
 class _Texts(dict):
-    """Field text by value, rendered on first sight. One instance only ever
-    sees ``str`` values plus values of one numeric type, so equal keys print
-    alike; float zeros and NaN are not kept (``0.0 == -0.0`` yet they print
-    differently)."""
+    """Field text by value for a column of ``EventLog.KINDS``, whose values
+    are ``str`` or exactly ``kind``, so equal keys print alike. A value is
+    rendered on first sight, and refused then if of another type. Float
+    zeros and NaN are not kept (``0.0 == -0.0`` yet they print
+    differently). A ``per_block`` memo is emptied at every block."""
+
+    def __init__(self, name: str, kind: type, per_block: bool):
+        self.name, self.kind, self.per_block = name, kind, per_block
+
+    def render(self, values):
+        if self.per_block:
+            self.clear()
+        return map(self.__getitem__, values)
 
     def __missing__(self, value):
+        if type(value) is not self.kind and type(value) is not str:
+            raise TypeError(f"column {self.name} holds str and {self.kind.__name__}, got {value!r}")
         text = _field(value)
         if len(self) < _TEXT_CAP and (
             not isinstance(value, float) or (value != 0 and value == value)
@@ -305,28 +316,8 @@ class _Texts(dict):
         return text
 
 
-class _ColumnTexts:
-    """Renders one column block by block, each distinct value once.
-
-    ``True``, ``1`` and ``1.0`` compare equal but print differently, so a
-    block's values share a memo keyed by plain value only when the block
-    holds strings plus at most one of ``int``, ``bool`` and ``float``;
-    any other block is rendered value by value.
-    """
-
-    def __init__(self):
-        self._memos = {}  # str or the block's numeric type -> _Texts
-
-    def render(self, values) -> list[str]:
-        kinds = set(map(type, values)) - {str}
-        if len(kinds) > 1 or not kinds <= {int, bool, float}:
-            return [_field(v) for v in values]
-        memo = self._memos.setdefault(kinds.pop() if kinds else str, _Texts())
-        return list(map(memo.__getitem__, values))
-
-
 def _lines(cells) -> str:
-    """CSV lines of equal-length lists of field texts, one list per column."""
+    """CSV lines of equal-length iterables of field texts, one per column."""
     if len(cells) == 1:  # a lone empty field is written as ""
         cells = [[t or '""' for t in cells[0]]]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
@@ -336,20 +327,21 @@ class _CsvWriter:
     """An open CSV file under ``header``, written block by block, byte for
     byte what ``csv.writer`` writes for the rows of :func:`_field` texts.
 
-    Each column keeps one :class:`_ColumnTexts` across blocks, so a distinct
-    value is rendered once per file; rows are joined and written
-    ``_CHUNK_ROWS`` at a time, so no column of text is ever held whole. A
-    failed open, write or close raises ``OSError("writing <path> failed:
-    ...")``; leaving a ``with`` block closes the file, also on an error.
+    ``renders`` gives each column's block renderer, such as
+    :meth:`_Texts.render`, by default :func:`_field` value by value. Rows are
+    joined and written ``_CHUNK_ROWS`` at a time, so no column of text is
+    ever held whole. A failed open, write or close raises ``OSError("writing
+    <path> failed: ...")``; leaving a ``with`` block closes the file, also on
+    an error.
     """
 
-    def __init__(self, path: str, header):
+    def __init__(self, path: str, header, renders=None):
         self.path = path
         try:
             self._fh = open(path, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise self._failed(exc) from exc
-        self._texts = [_ColumnTexts() for _ in header]
+        self._renders = renders or [lambda values: map(_field, values)] * len(header)
         self._write([[_field(name)] for name in header])
 
     def _failed(self, exc: OSError) -> OSError:
@@ -367,8 +359,8 @@ class _CsvWriter:
         for start in range(0, n_rows, _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
             self._write([
-                texts.render(column[start:stop])
-                for texts, column in zip(self._texts, columns)
+                render(column[start:stop])
+                for render, column in zip(self._renders, columns)
             ])
 
     def close(self) -> None:
@@ -403,10 +395,14 @@ def stream_events(out_dir: str):
 
     Pass the log to :func:`run_experiment` and then to
     :func:`write_outputs`, which finishes the file. Leaving the block
-    closes the file whatever happened inside it.
+    closes the file whatever happened inside it. Each column is rendered
+    through a memo of its declared kind, kept for the file; ``replica``'s
+    lasts one block, as each of its values fills one run of rows.
     """
     _make_out_dir(out_dir)
-    with _CsvWriter(os.path.join(out_dir, "events.csv"), EventLog.COLUMNS) as sink:
+    with _CsvWriter(os.path.join(out_dir, "events.csv"), EventLog.COLUMNS, [
+        _Texts(name, kind, name == "replica").render for name, kind in EventLog.KINDS.items()
+    ]) as sink:
         yield EventLog(sink)
 
 
@@ -443,10 +439,10 @@ def write_outputs(
                 f"the event log streams to {log.sink.path}, not {paths['events']}"
             )
         log.close()
-    else:
-        with _CsvWriter(paths["events"], EventLog.COLUMNS) as events:
+    else:  # an in-memory log, or none for the header alone
+        with stream_events(out_dir) as events:
             if log is not None:
-                events.write(log.columns)
+                events.sink.write(log.columns)
     meta = {
         "version": __version__,
         "config": config.resolved(),

@@ -169,7 +169,7 @@ effective_pitch = 20.0
         ("[timing]\nt_mot = nan\n", "timing.t_mot"),
         ("[timing]\nt_ramp = nan\n", "timing.t_ramp"),
         ("[stochastic]\nrefill_rate = nan\n", "stochastic.refill_rate"),
-        (INLINE_LAYOUT + "scan_range = nan\n", "layout: scan_range"),
+        (INLINE_LAYOUT + "scan_range = nan\n", "layout.scan_range"),
     ],
     ids=["t_mot", "t_ramp", "refill_rate", "scan_range"],
 )
@@ -183,8 +183,15 @@ def test_nan_config_value_exits_2(tmp_path, capsys, body, key):
         ("[stochastic]\nrefill_rate = inf\n", "stochastic.refill_rate"),
         ("[stochastic]\nreservoir_mean = inf\n", "stochastic.reservoir_mean"),
         ("[timing]\nt_image = inf\n", "timing.t_image"),
+        # an infinite scan range would run and write Infinity into run_meta.json
+        (INLINE_LAYOUT + "scan_range = inf\n", "layout.scan_range"),
+        (INLINE_LAYOUT.replace("base_pitch = 20.0", "base_pitch = inf")
+         + "scan_range = 250.0\n", "layout.base_pitch"),
+        (INLINE_LAYOUT.replace("effective_pitch = 20.0", "effective_pitch = -inf")
+         + "scan_range = 250.0\n", "layout.effective_pitch"),
     ],
-    ids=["refill_rate", "reservoir_mean", "t_image"],
+    ids=["refill_rate", "reservoir_mean", "t_image", "scan_range", "base_pitch",
+         "effective_pitch"],
 )
 def test_infinite_config_value_exits_2(tmp_path, capsys, body, key):
     # inf passes a NaN-only check; each must be refused, key named, before

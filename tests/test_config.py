@@ -257,9 +257,21 @@ sites =
             ("1 20.0 0.0 buffer", "one 20.0 0.0 buffer",
              "layout.sites line 2 must be an integer, got 'one'"),
             ("scan_range = 250.0", "scan_range = far",
-             "layout.scan_range must be a number, got 'far'"),
+             "layout.scan_range must be a finite number, got 'far'"),
+            ("scan_range = 250.0", "scan_range = inf",
+             "layout.scan_range must be a finite number, got 'inf'"),
+            ("base_pitch = 20.0", "base_pitch = inf",
+             "layout.base_pitch must be a finite number, got 'inf'"),
+            ("effective_pitch = 20.0", "effective_pitch = nan",
+             "layout.effective_pitch must be a finite number, got 'nan'"),
+            ("scan_range = 250.0", "scan_range = 0",
+             "layout.scan_range must be finite and positive, got 0.0"),
+            ("base_pitch = 20.0", "base_pitch = -20.0",
+             "layout.base_pitch must be finite and positive, got -20.0"),
         ],
-        ids=["reservoir-text", "reservoir-nan", "site-nan", "site-inf", "site-id", "scan_range"],
+        ids=["reservoir-text", "reservoir-nan", "site-nan", "site-inf", "site-id", "scan_range",
+             "scan_range-inf", "base_pitch-inf", "effective_pitch-nan", "scan_range-zero",
+             "base_pitch-negative"],
     )
     def test_inline_layout_value_names_its_key(self, tmp_path, old, new, message):
         body = INLINE_LAYOUT.replace(old, new)

@@ -474,6 +474,46 @@ def test_refill_hook_feeds_reservoir():
     assert final_res >= 0
 
 
+# one buffer beside one target, and 91 sites whose masks pass 63 bits
+KIND_LAYOUTS = {
+    "two-site": layout_from_site_rows(
+        [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
+        reservoir=(-41.0, 0.0), scan_range=250.0, base_pitch=7.9, effective_pitch=15.8,
+    ),
+    "hex-91": hex_layout(),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(KIND_LAYOUTS)),
+    fill_strategy=st.sampled_from(["global", "per-vacancy"]),
+    p_stay_on_failure=st.sampled_from([0.0, 0.6667, 1.0]),
+    refill_rate=st.sampled_from([0.0, 20.0]),
+    whole_second_preparation=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+    replica=st.integers(0, 2**20),
+    n_cycles=st.integers(1, 6),
+)
+def test_log_values_have_exactly_their_declared_kind(
+    layout, fill_strategy, p_stay_on_failure, refill_rate,
+    whole_second_preparation, seed, replica, n_cycles,
+):
+    # the events writer memoises each column by value, which is sound only
+    # while every value is a str or exactly the declared type: True == 1
+    # and 1 == 1.0, yet each prints differently
+    timing = dict(t_mot=2, t_molasses=0, t_reservoir_transfer=0) if whole_second_preparation else {}
+    cfg = ExperimentConfig(
+        layout=KIND_LAYOUTS[layout], fill_strategy=fill_strategy,
+        p_stay_on_failure=p_stay_on_failure, refill_rate=refill_rate, **timing,
+    )
+    log = EventLog()
+    run_realization(cfg, seed, n_cycles, replica=replica, log=log)
+    for (name, kind), column in zip(EventLog.KINDS.items(), log.columns):
+        strays = [v for v in column if type(v) is not str and type(v) is not kind]
+        assert not strays, (name, kind, strays[:3])
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_counters_monotone_and_reservoir_nonnegative(seed):

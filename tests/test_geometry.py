@@ -216,3 +216,16 @@ def test_layout_needs_a_site_of_each_role(role):
             sites=tuple(sites), reservoir_pos=Position(-50.0, 0.0),
             scan_range=250.0, base_pitch=10.0, effective_pitch=10.0,
         )
+
+
+@pytest.mark.parametrize("key", ["base_pitch", "effective_pitch", "scan_range"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0])
+def test_layout_rejects_unusable_sizes_naming_the_key(key, value):
+    # inf passes a positive check, and an infinite pitch would be reported as
+    # a pitch ratio of 0
+    sizes = dict(scan_range=250.0, base_pitch=10.0, effective_pitch=10.0)
+    sizes[key] = value
+    with pytest.raises(LayoutError, match=rf"^layout\.{key} must be finite and positive"):
+        ArrayLayout(
+            sites=tuple(_square_sites(3, 10.0)), reservoir_pos=Position(-50.0, 0.0), **sizes
+        )

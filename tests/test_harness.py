@@ -7,12 +7,13 @@ import json
 import math
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
-from tweezersim.engine import CycleRecord, EventLog
+from tweezersim.engine import CycleRecord, EventLog, SystemState
 from tweezersim.harness import (
     CalibrationError,
     binomial_halfwidth,
@@ -369,6 +370,42 @@ def test_events_longer_than_a_chunk_match_reference(tmp_path):
     with open(paths["fig4"], "rb") as fh:
         fig4 = fh.read()
     assert fig4 == reference_csv(fig4.decode().splitlines()[0].split(","), fig4_rows)
+
+
+def test_events_writer_keeps_one_block_of_replica_labels(tmp_path, monkeypatch):
+    # each replica fills one run of rows, so its label's memo is dropped at
+    # every block; a memo kept for the file would hold every replica
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 64)
+    held = []  # (labels kept, distinct labels in the block) per replica block
+
+    class Recorded(harness._Texts):
+        def render(self, values):
+            texts = list(super().render(values))
+            if self.name == "replica":
+                held.append((len(self), len(set(values))))
+            return texts
+
+    monkeypatch.setattr(harness, "_Texts", Recorded)
+    cfg = ExperimentConfig(n_replicas=40, n_cycles=2)
+    with stream_events(str(tmp_path)) as log:
+        stats, log = run_experiment(cfg, log=log)
+        write_outputs(stats, log, str(tmp_path), cfg)
+    assert len(held) >= 3
+    assert all(kept == distinct for kept, distinct in held)
+    assert max(distinct for _, distinct in held) < cfg.n_replicas
+
+
+@pytest.mark.parametrize(
+    "column,value",
+    [("n_reservoir", True), ("n_reservoir", 3.0), ("truth_mask", np.int64(3)),
+     ("clock_s", 1), ("step", 0)],
+)
+def test_events_writer_refuses_values_outside_their_declared_kind(tmp_path, column, value):
+    with pytest.raises(TypeError, match=column):
+        with stream_events(str(tmp_path)) as log:
+            log.add("image", SystemState(truth=1, belief=1, n_reservoir=4, clock=0.5, replica=0))
+            log.columns[EventLog.COLUMNS.index(column)][0] = value
+            log.close()
 
 
 # -- events.csv streamed while the ensemble runs ----------------------------
