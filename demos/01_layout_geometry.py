@@ -15,7 +15,7 @@ print(" id  role    x/um     y/um   d(reservoir)/um")
 for sid in layout.site_ids:
     site = layout.site(sid)
     print(f"{sid:3d}  {site.role.value:<6s}{site.pos.x:8.2f} {site.pos.y:8.2f}"
-          f"  {layout.reservoir_distance(sid):10.2f}")
+          f"  {layout.reservoir_dist[sid]:10.2f}")
 
 # pairwise minimum separation, the number the interference constraint cares about
 pairs = [

@@ -30,20 +30,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run an ensemble and report per-cycle statistics")
     sim.add_argument("--config", metavar="PATH", help="INI config file (defaults used if omitted)")
-    sim.add_argument("--replicas", metavar="N", type=int, help="override run.n_replicas")
-    sim.add_argument("--cycles", metavar="N", type=int, help="override run.n_cycles")
-    sim.add_argument("--seed", metavar="S", type=int, help="override run.master_seed")
+    # each override's dest is the ExperimentConfig field it sets
+    sim.add_argument("--replicas", dest="n_replicas", metavar="N", type=int, help="override run.n_replicas")
+    sim.add_argument("--cycles", dest="n_cycles", metavar="N", type=int, help="override run.n_cycles")
+    sim.add_argument("--seed", dest="master_seed", metavar="S", type=int, help="override run.master_seed")
     sim.add_argument(
         "--out", metavar="DIR",
         help="write fig4.csv, events.csv and run_meta.json here; "
         "without it the statistics table goes to stdout only",
     )
     sim.add_argument(
-        "--success-def", choices=("first", "maintained"),
+        "--success-def", dest="success_definition", choices=("first", "maintained"),
         help="success counting: first achievement (default) or maintained completion",
     )
     sim.add_argument(
-        "--p-stay-on-failure", metavar="P", type=float,
+        "--p-stay-on-failure", dest="p_stay_on_failure", metavar="P", type=float,
         help="override stochastic.p_stay_on_failure: chance that a failed move "
         "keeps its atom in the source trap (0 loses it, 1 keeps it)",
     )
@@ -72,20 +73,9 @@ def _load(args) -> ExperimentConfig:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    overrides = {}
-    if args.replicas is not None:
-        overrides["n_replicas"] = args.replicas
-    if args.cycles is not None:
-        overrides["n_cycles"] = args.cycles
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.success_def is not None:
-        overrides["success_definition"] = args.success_def
-    if args.p_stay_on_failure is not None:
-        overrides["p_stay_on_failure"] = args.p_stay_on_failure
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    fields = {f.name for f in dataclasses.fields(config)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _print_table(config: ExperimentConfig, stats) -> None:

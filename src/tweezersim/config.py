@@ -182,9 +182,14 @@ class ExperimentConfig:
 
         The layout is always expanded to explicit site rows so the record
         is self-contained; ``preset`` names the preset it equals, if any.
+        An infinite lifetime is the string ``"inf"``, which strict JSON
+        allows and ``[stochastic]`` reads back.
         """
         layout = self.layout
-        resolved = {name: self._section(name) for name in _SECTIONS}
+        resolved = {
+            name: {k: "inf" if v == math.inf else v for k, v in self._section(name).items()}
+            for name in _SECTIONS
+        }
         resolved["layout"] = {
             "preset": next((n for n, make in PRESETS.items() if make() == layout), None),
             "sites": [

@@ -12,8 +12,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 __all__ = [
     "Position",
     "SiteRole",
@@ -130,16 +128,12 @@ class ArrayLayout:
         by_id = {s.id: s for s in self.sites}
         ids = tuple(sorted(by_id))
         index = {sid: k for k, sid in enumerate(ids)}
-        n = len(ids)
-        dmat = np.zeros((n, n))
-        for a in self.sites:
-            for b in self.sites:
-                dmat[index[a.id], index[b.id]] = distance(a.pos, b.pos)
+        dist = {(a.id, b.id): distance(a.pos, b.pos) for a in self.sites for b in self.sites}
         rdist = {s.id: distance(s.pos, self.reservoir_pos) for s in self.sites}
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "site_bits", {sid: 1 << k for sid, k in index.items()})
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_dmat", dmat)
+        object.__setattr__(self, "_dist", dist)
         object.__setattr__(self, "reservoir_dist", rdist)
         object.__setattr__(self, "_site_ids", ids)
         for name, role in (("_buffer_ids", SiteRole.BUFFER), ("_target_ids", SiteRole.TARGET)):
@@ -222,10 +216,7 @@ class ArrayLayout:
         return mask
 
     def site_distance(self, a_id: int, b_id: int) -> float:
-        return float(self._dmat[self._index[a_id], self._index[b_id]])
-
-    def reservoir_distance(self, site_id: int) -> float:
-        return self.reservoir_dist[site_id]
+        return self._dist[a_id, b_id]
 
 
 class MaskOccupancy(Mapping):

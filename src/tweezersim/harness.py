@@ -454,7 +454,7 @@ def write_outputs(
     }
     try:
         with open(paths["run_meta"], "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+            json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"writing {paths['run_meta']} failed: {exc.strerror}") from exc

@@ -108,44 +108,37 @@ def plan_target_fill(
     """Shortest-move-first plan filling empty target sites from occupied
     buffers.
 
-    The default ``global`` strategy repeatedly picks the closest remaining
-    (vacancy, source) pair over all candidates; ties break on smaller
-    destination id, then smaller source id. ``per-vacancy`` instead walks
-    vacancies in id order and gives each its nearest remaining source, an
-    alternative reading of shortest-move sorting kept for comparison runs.
+    Each step takes the closest remaining (vacancy, source) pair, ties
+    broken on smaller destination id, then smaller source id. The default
+    ``global`` strategy weighs every remaining vacancy; ``per-vacancy``
+    only the one with the smallest id, so vacancies are filled in id order,
+    each from its nearest remaining source (kept for comparison runs).
 
     The plan always contains min(#vacancies, #occupied buffers) moves.
     Plans are memoised on the layout by (belief mask, strategy).
     """
-    key = (_belief_mask(belief, layout), strategy)
-    plan = layout.plan_memo.get(key)
+    mask = _belief_mask(belief, layout)
+    plan = layout.plan_memo.get((mask, strategy))
     if plan is not None:
         return plan
     if strategy not in ("global", "per-vacancy"):
         raise PlanError(f"unknown fill strategy {strategy!r}")
-    vacancies = [t for t in layout.target_ids if not belief[t]]
-    sources = [b for b in layout.buffer_ids if belief[b]]
+    bits = layout.site_bits
+    vacancies = [t for t in layout.target_ids if not mask & bits[t]]
+    sources = [b for b in layout.buffer_ids if mask & bits[b]]
     moves: list[Move] = []
-    if strategy == "global":
-        while vacancies and sources:
-            d, dst, src = min(
-                (layout.site_distance(s, v), v, s)
-                for v in vacancies
-                for s in sources
-            )
-            moves.append(Move(src, dst, d))
-            vacancies.remove(dst)
-            sources.remove(src)
-    else:
-        for dst in vacancies:
-            if not sources:
-                break
-            d, src = min((layout.site_distance(s, dst), s) for s in sources)
-            moves.append(Move(src, dst, d))
-            sources.remove(src)
+    while vacancies and sources:
+        d, dst, src = min(
+            (layout.site_distance(s, v), v, s)
+            for v in (vacancies if strategy == "global" else vacancies[:1])
+            for s in sources
+        )
+        moves.append(Move(src, dst, d))
+        vacancies.remove(dst)
+        sources.remove(src)
     plan = MovePlan(tuple(moves))
     if len(layout.plan_memo) < MEMO_CAP:
-        layout.plan_memo[key] = plan
+        layout.plan_memo[mask, strategy] = plan
     return plan
 
 

@@ -52,6 +52,24 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert meta["config"]["run"]["n_replicas"] == 25
 
 
+def test_run_meta_is_strict_json_with_infinite_lifetimes(tmp_path, capsys):
+    # inf turns a loss channel off; strict JSON has no Infinity token
+    ini = tmp_path / "lossless.ini"
+    ini.write_text(
+        "[run]\nn_replicas = 3\nn_cycles = 2\n"
+        "[stochastic]\nlifetime_array_s = inf\nlifetime_reservoir_s = inf\n"
+    )
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(ini), "--out", str(tmp_path))
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    assert code == 0
+    with open(tmp_path / "run_meta.json", encoding="utf-8") as fh:
+        stochastic = json.load(fh, parse_constant=refuse)["config"]["stochastic"]
+    assert stochastic["lifetime_array_s"] == stochastic["lifetime_reservoir_s"] == "inf"
+
+
 def test_unusable_out_exits_2_before_any_replica(tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory")

@@ -386,7 +386,9 @@ def test_ini_round_trip_reordered_layout():
     ci_method=st.sampled_from(["normal", "wilson"]),
     success_definition=st.sampled_from(["first-achievement", "maintained"]),
     p_transport=st.floats(0.3, 1.0),
-    lifetime_array_s=st.floats(2.0, 30.0),
+    # inf turns a loss channel off; resolved() writes it as "inf"
+    lifetime_array_s=st.one_of(st.just(math.inf), st.floats(2.0, 30.0)),
+    lifetime_reservoir_s=st.one_of(st.just(math.inf), st.floats(2.0, 30.0)),
     refill_rate=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
     n_cycles=st.integers(3, 10),
     layout=st.sampled_from(["preset", "custom"]),

@@ -102,7 +102,7 @@ class TestReferenceLayout:
 
     def test_reservoir_sits_41um_from_nearest_buffers(self):
         dists = sorted(
-            (self.layout.reservoir_distance(b), b) for b in self.layout.buffer_ids
+            (self.layout.reservoir_dist[b], b) for b in self.layout.buffer_ids
         )
         assert dists[0][0] == pytest.approx(41.0, abs=1e-9)
         assert dists[1][0] == pytest.approx(41.0, abs=1e-9)

@@ -88,7 +88,7 @@ def test_memoised_plans_equal_fresh_plans(strategy):
             assert plan_target_fill(belief, memo, strategy=strategy) == expected
             empty = [b for b in LAYOUT.buffer_ids if not belief[b]]
             assert plan_buffer_refill(belief, memo) == sorted(
-                empty, key=lambda b: (LAYOUT.reservoir_distance(b), b)
+                empty, key=lambda b: (LAYOUT.reservoir_dist[b], b)
             )
     assert len(memo.plan_memo) == MEMO_CAP
 
@@ -109,6 +109,29 @@ def test_mask_views_plan_like_equal_dicts(strategy):
         other = MaskOccupancy(equal, mask)  # another layout's view
         assert plan_target_fill(other, viewed, strategy=strategy) == expected
         assert plan_buffer_refill(view, viewed) == plan_buffer_refill(belief, plain)
+
+
+def per_vacancy_rule(belief):
+    """The per-vacancy rule restated: vacancies in id order, each given its
+    nearest remaining source, ties to the smaller source id."""
+    sources = sorted(b for b in LAYOUT.buffer_ids if belief[b])
+    moves = []
+    for dst in sorted(t for t in LAYOUT.target_ids if not belief[t]):
+        if not sources:
+            break
+        to_dst = {s: math.dist(LAYOUT.site(s).pos, LAYOUT.site(dst).pos) for s in sources}
+        src = min(sources, key=lambda s: (to_dst[s], s))
+        sources.remove(src)
+        moves.append((src, dst, to_dst[src]))
+    return moves
+
+
+def test_per_vacancy_plans_follow_the_rule():
+    layout = reference_layout()
+    for mask in range(1 << len(LAYOUT.site_ids)):
+        belief = mask_belief(mask)
+        plan = plan_target_fill(belief, layout, strategy="per-vacancy")
+        assert [(m.src, m.dst, m.dist) for m in plan] == per_vacancy_rule(belief)
 
 
 def test_mask_views_keep_coverage_errors():
@@ -143,7 +166,7 @@ def test_memo_keeps_coverage_errors_and_fresh_refill_lists():
     first = plan_buffer_refill(belief, layout)
     first.clear()
     assert plan_buffer_refill(belief, layout) == sorted(
-        LAYOUT.buffer_ids, key=lambda b: (LAYOUT.reservoir_distance(b), b)
+        LAYOUT.buffer_ids, key=lambda b: (LAYOUT.reservoir_dist[b], b)
     )
     missing = dict(belief)
     del missing[12]
@@ -209,8 +232,8 @@ class TestPlanBufferRefill:
         # center, then the top/bottom pair, then the far pair
         order = plan_buffer_refill(belief_with(set()), LAYOUT)
         assert order == [3, 4, 0, 2, 5, 1, 6]
-        assert LAYOUT.reservoir_distance(order[0]) == pytest.approx(41.0)
-        assert LAYOUT.reservoir_distance(order[1]) == pytest.approx(41.0)
+        assert LAYOUT.reservoir_dist[order[0]] == pytest.approx(41.0)
+        assert LAYOUT.reservoir_dist[order[1]] == pytest.approx(41.0)
 
     def test_occupied_buffers_excluded(self):
         order = plan_buffer_refill(belief_with({3, 0}), LAYOUT)
