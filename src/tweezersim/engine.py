@@ -35,6 +35,7 @@ from .stochastic import (
 __all__ = [
     "TimingModel",
     "DecayWindow",
+    "CycleSlots",
     "SimulationModels",
     "Counters",
     "SystemState",
@@ -120,6 +121,46 @@ class DecayWindow(NamedTuple):
     refill_mean: float
 
 
+class CycleSlots(NamedTuple):
+    """Where an engine cycle reads each of its draws in the cycle's row of
+    uniforms, decided once per layout. The row holds, in the order the
+    cycle reads them:
+
+    - per decay window (``image``, ``fill``, ``refill``: the window's first
+      slot) ``n_sites + 2`` slots: reservoir thinning, refill rounding, then
+      one per site index (the site of occupancy bit ``i`` at ``+ 2 + i``);
+    - per fill-move position ``j < n_moves`` (from ``moves``) two slots,
+      transport at ``moves + 2 j`` and retention after it;
+    - per buffer (``buffers``: buffer id -> its first slot, in id order)
+      two slots, ensemble size and then blockade.
+
+    ``width`` is the row's length: ``3 (n_sites + 2) + 2 n_moves + 2
+    n_buffers``, 71 for the reference layout.
+    """
+
+    image: int
+    moves: int
+    n_moves: int
+    fill: int
+    buffers: dict
+    refill: int
+    width: int
+
+    @classmethod
+    def of(cls, layout: ArrayLayout) -> "CycleSlots":
+        window = len(layout.site_ids) + 2
+        buffer_ids = layout.buffer_ids
+        n_moves = min(len(layout.target_ids), len(buffer_ids))
+        fill = window + 2 * n_moves
+        first_buffer = fill + window
+        refill = first_buffer + 2 * len(buffer_ids)
+        return cls(
+            0, window, n_moves, fill,
+            {b: first_buffer + 2 * i for i, b in enumerate(buffer_ids)},
+            refill, refill + window,
+        )
+
+
 @dataclass(frozen=True)
 class SimulationModels:
     """Everything a realization needs besides its RNG stream.
@@ -128,9 +169,11 @@ class SimulationModels:
     in equality: the three decay windows of a cycle (``image_window`` over
     ``timing.image_loss_window``, ``fill_window`` over
     ``timing.t_analysis_fill``, ``refill_window`` over
-    ``timing.t_buffer_refill``, each a :class:`DecayWindow`) and the
+    ``timing.t_buffer_refill``, each a :class:`DecayWindow`), the
     bitmasks of all target and all buffer sites (``target_bits``,
-    ``buffer_bits``). ``dataclasses.replace`` decides them afresh.
+    ``buffer_bits``) and the slots of a cycle's row of uniforms
+    (``slots``, a :class:`CycleSlots`). ``dataclasses.replace`` decides
+    them afresh.
     """
 
     layout: ArrayLayout
@@ -157,7 +200,8 @@ class SimulationModels:
             )
         # the longest fill plan moves one atom into every target it can
         layout, move = self.layout, self.transport.move_duration
-        n_moves = min(len(layout.target_ids), len(layout.buffer_ids))
+        slots = CycleSlots.of(layout)
+        n_moves = slots.n_moves
         if n_moves * move > self.timing.t_analysis_fill:
             raise ValueError(
                 f"timing.t_analysis_fill {self.timing.t_analysis_fill} s cannot "
@@ -178,6 +222,7 @@ class SimulationModels:
         bits = layout.site_bits
         object.__setattr__(self, "target_bits", sum(bits[t] for t in layout.target_ids))
         object.__setattr__(self, "buffer_bits", sum(bits[b] for b in layout.buffer_ids))
+        object.__setattr__(self, "slots", slots)
 
     def check_supply(self, n_cycles: int) -> None:
         """Refuse a run of ``n_cycles`` engine cycles whose refill could grow
@@ -340,29 +385,37 @@ class EventLog:
         outcomes.append(outcome)
 
 
-def _decay_step(state: SystemState, window: DecayWindow, rng: RngStream) -> None:
+def _decay_step(
+    state: SystemState, window: DecayWindow, rng: RngStream, slot: int
+) -> None:
     """One-body losses over ``window`` for array atoms and the reservoir,
     plus the window's reservoir refill; a window of length 0 does nothing.
 
-    Truth-only: the controller never sees decay until the next image.
-    Each trapped atom (set bit, lowest first) takes one uniform and survives
-    when it falls below the window's array survival probability; when even
-    the largest uniform does, no atom is lost and no bit is visited.
+    Truth-only: the controller never sees decay until the next image. The
+    window reads the current row from ``slot`` on (see :class:`CycleSlots`):
+    the trapped atom at occupancy bit ``i`` survives when the uniform at
+    ``slot + 2 + i`` falls below the window's array survival probability;
+    when the largest uniform up to the highest trapped atom does, no atom is
+    lost and no bit is visited. The reservoir's thinning and refill read
+    ``slot`` and ``slot + 1`` (:func:`reservoir_decay`).
     """
     dt, p, p_reservoir, refill_mean = window
     if dt > 0.0:
-        n_trapped = state.truth.bit_count()
-        if n_trapped:  # no draw for an empty array: random(0) advances nothing
-            uniforms = rng.uniforms(n_trapped)
-            if not max(uniforms) < p:
-                rest = state.truth
-                for u in uniforms:
+        truth = state.truth
+        if truth:
+            row = rng.row
+            sites = slot + 2
+            if not max(row[sites:sites + truth.bit_length()]) < p:
+                rest = truth
+                while rest:
                     bit = rest & -rest
                     rest ^= bit
-                    if not u < p:
+                    if not row[sites + bit.bit_length() - 1] < p:
                         state.truth ^= bit
                         state.counters.array_decay_loss += 1
-        lost, added = reservoir_decay(rng, state.n_reservoir, p_reservoir, refill_mean)
+        lost, added = reservoir_decay(
+            rng, state.n_reservoir, p_reservoir, refill_mean, slot
+        )
         if lost or added:  # most windows of a run find the reservoir empty
             state.n_reservoir += added - lost
             counters = state.counters
@@ -374,10 +427,11 @@ def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
     """Prepare a realization: cooled cloud transferred into the reservoir,
     all array sites empty, clock at the end of the preparation stages.
 
-    The reservoir population is Poisson with the configured mean; the state
+    The reservoir population is the Poisson value, at the configured mean,
+    of the stream's leading uniform, which is read even at mean 0; the state
     takes its replica label from ``rng``.
     """
-    n0 = rng.poisson(models.reservoir_mean) if models.reservoir_mean > 0 else 0
+    n0 = rng.poisson(models.reservoir_mean)
     return SystemState(
         truth=0,
         belief=0,
@@ -396,7 +450,7 @@ def step_image(
 ) -> None:
     """Fluorescence image: decay over the imaging window, then belief is
     reset to truth (perfect detection)."""
-    _decay_step(state, models.image_window, rng)
+    _decay_step(state, models.image_window, rng, models.slots.image)
     state.clock += models.timing.t_image
     state.belief = state.truth
     if log is not None:
@@ -416,13 +470,21 @@ def step_fill_targets(
     truth records the sampled outcome. A believed-occupied but truly empty
     source executes as a null transport. A failed transport returns the atom
     to the source with probability ``p_stay_on_failure`` and loses it
-    otherwise; at 0 or 1 no retention draw is taken. Every move lasts the
-    transport's fixed ramp-translate-ramp time.
+    otherwise. Move ``j`` of the plan reads its transport and retention
+    uniforms from its two slots of the current row (see
+    :class:`CycleSlots`). Every move lasts the transport's fixed
+    ramp-translate-ramp time.
     """
     counters = state.counters
     bits = models.layout.site_bits
     p_stay = models.p_stay_on_failure
     duration = models.transport.move_duration  # one float shared by the rows
+    slots = models.slots
+    if len(plan.moves) > slots.n_moves:
+        raise PlanConflictError(
+            f"fill plan has {len(plan.moves)} moves; a cycle holds at most {slots.n_moves}"
+        )
+    slot = slots.moves
     for move in plan.moves:
         src, dst = bits[move.src], bits[move.dst]
         if not state.belief & src:
@@ -435,13 +497,13 @@ def step_fill_targets(
             )
         if state.truth & src:
             state.truth ^= src
-            if sample_transport(rng, models.transport):
+            if sample_transport(rng, models.transport, slot):
                 if state.truth & dst:
                     raise EngineError(f"transport into occupied site {move.dst}")
                 state.truth |= dst
                 outcome = "ok"
             else:
-                if p_stay >= 1.0 or (p_stay > 0.0 and rng.bernoulli(p_stay)):
+                if rng.row[slot + 1] < p_stay:
                     state.truth |= src
                     outcome = "stay"
                 else:
@@ -450,6 +512,7 @@ def step_fill_targets(
         else:
             outcome = "null"
         state.belief ^= src | dst  # source set, destination clear
+        slot += 2
         if log is not None:
             log.add(
                 "fill", state, src=move.src, dst=move.dst,
@@ -457,7 +520,7 @@ def step_fill_targets(
             )
     if log is not None and not plan.moves:
         log.add("fill", state)
-    _decay_step(state, models.fill_window, rng)
+    _decay_step(state, models.fill_window, rng, slots.fill)
     state.clock += models.timing.t_analysis_fill
 
 
@@ -475,10 +538,12 @@ def step_refill_buffers(
     listed site already holding an atom (possible when a failed transport
     kept its atom in the source trap) is skipped without touching the
     reservoir; an empty reservoir yields ``empty`` without an extraction
-    draw.
+    draw. Each buffer reads its extraction from its own two slots of the
+    current row (see :class:`CycleSlots`).
     """
     counters = state.counters
     layout = models.layout
+    slots = models.slots
     for sid in refill_list:
         bit = layout.site_bits[sid]
         if state.belief & bit:
@@ -491,7 +556,7 @@ def step_refill_buffers(
             outcome = "empty"
         else:
             removed, delivered = sample_extraction(
-                rng, state.n_reservoir, models.extraction
+                rng, state.n_reservoir, models.extraction, slots.buffers[sid]
             )
             state.n_reservoir -= removed
             counters.extracted += removed
@@ -510,7 +575,7 @@ def step_refill_buffers(
             )
     if log is not None and not refill_list:
         log.add("refill", state)
-    _decay_step(state, models.refill_window, rng)
+    _decay_step(state, models.refill_window, rng, slots.refill)
     state.clock += models.timing.t_buffer_refill
 
 
@@ -545,9 +610,11 @@ def run_cycle(
 
     The returned record is the imaging observation at the START of the
     cycle, read from truth right after the image, where belief equals it;
-    this cycle's fill and refill are only visible in the next one.
+    this cycle's fill and refill are only visible in the next one. The
+    cycle starts by drawing its row of uniforms from ``rng``.
     """
     state.cycle_index += 1
+    rng.next_row(models.slots.width)
     layout = models.layout
     step_image(state, models, rng, log)
     c = state.counters
@@ -586,7 +653,7 @@ def run_realization(
         raise ValueError("run.n_cycles must be at least 1")
     models = config if isinstance(config, SimulationModels) else config.build_models()
     models.check_supply(n_cycles)
-    rng = RngStream(seed, replica)
+    rng = RngStream(seed, replica, n_rows=n_cycles)
     state = init_sequence(models, rng)
     if log is not None:
         log.add("init", state)

@@ -3,8 +3,11 @@
 Covers one-body survival in the traps, transport success, collisional-blockade
 extraction of single atoms from the reservoir, and reservoir depletion. All
 draws go through an explicit :class:`RngStream` so ensembles are reproducible
-replica by replica. The draws take plain counts and return what they drew;
-they change none of their arguments, so the caller owns all state.
+replica by replica; Poisson and binomial values come from its uniforms by
+inverse-CDF search (:func:`poisson_icdf`, :func:`binomial_icdf`). The
+engine's draws take plain counts and a slot of the stream's current row
+and return what they drew; they change none of their arguments, so the
+caller owns all state.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 
 __all__ = [
     "RngStream",
+    "poisson_icdf",
+    "binomial_icdf",
     "LossModel",
     "TransportModel",
     "ExtractionModel",
@@ -27,38 +32,139 @@ __all__ = [
 ]
 
 
+# Rows drawn per generator call; a chunk is ``ROW_CHUNK x width`` floats, so a
+# long realization never holds all of its uniforms at once.
+ROW_CHUNK = 64
+
+# Poisson and binomial values are searched for while the searched mean is at
+# most this: exp(-500) ~ 7e-218 is still a normal double, and a search takes
+# a few hundred steps at most. Larger means are drawn by numpy's samplers.
+SEARCH_MAX_MEAN = 500.0
+
+
 class RngStream:
     """Deterministic pseudo-random stream keyed by (master seed, replica).
+
+    One PCG64 generator seeded by ``SeedSequence((master_seed, replica))``
+    feeds a realization: first its leading uniforms, read in order by
+    :meth:`random` and the draws built on it (the engine reads one, for the
+    initial load), then one row of uniforms per engine cycle
+    (:meth:`next_row`). The engine reads every draw of a cycle from a fixed
+    slot of that cycle's row and skips the slots it does not need, so the
+    stream advances by the same amount whatever the outcomes. A stream told
+    the ``n_rows`` it will hand out draws them up to ``ROW_CHUNK`` at a time
+    and none beyond; without it, one at a time. ``Generator.random((k,
+    width))`` gives the same numbers as ``k`` rows drawn one by one, so the
+    chunking changes no value.
 
     Two streams built from the same pair produce bit-identical sequences;
     adding replicas never perturbs existing ones.
     """
 
-    def __init__(self, master_seed: int, replica: int = 0):
+    def __init__(self, master_seed: int, replica: int = 0, n_rows: int | None = None):
         self.master_seed = int(master_seed)
         self.replica = int(replica)
         seq = np.random.SeedSequence((self.master_seed, self.replica))
         self._gen = np.random.Generator(np.random.PCG64(seq))
+        self.cycle = 0  # rows handed out so far: the engine cycle of ``row``
+        self.row: list[float] | None = None
+        self._ahead: list[list[float]] = []  # drawn rows not yet handed out, last first
+        self._rows_left = n_rows or 0  # announced rows not yet drawn
+        self._drawn = 0  # leading uniforms read so far
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, replica={self.replica})"
 
-    def random(self) -> float:
-        return float(self._gen.random())
+    def next_row(self, width: int) -> list[float]:
+        """Start the next engine cycle and return its row of ``width``
+        uniforms, which stays readable as :attr:`row`."""
+        ahead = self._ahead
+        if not ahead:
+            k = min(ROW_CHUNK, max(self._rows_left, 1))
+            self._rows_left -= k
+            ahead.extend(reversed(self._gen.random((k, width)).tolist()))
+        self.row = row = ahead.pop()
+        self.cycle += 1
+        return row
 
-    def uniforms(self, n: int) -> list[float]:
-        """``n`` uniforms in one call, identical to ``n`` calls of
-        :meth:`random` and advancing the stream by as much."""
-        return self._gen.random(n).tolist()
+    def child(self, slot: int) -> np.random.Generator:
+        """A generator keyed by (master seed, replica, engine cycle, slot),
+        for a draw above ``SEARCH_MAX_MEAN``. The cycle and slot form the
+        seed's spawn key, so no child shares the stream's own seed."""
+        seq = np.random.SeedSequence(
+            (self.master_seed, self.replica), spawn_key=(self.cycle, slot)
+        )
+        return np.random.Generator(np.random.PCG64(seq))
+
+    def _lead(self) -> float:
+        self._drawn += 1
+        return self._gen.random()
+
+    def random(self) -> float:
+        """The next leading uniform."""
+        return self._lead()
 
     def bernoulli(self, p: float) -> bool:
-        return self._gen.random() < p
+        return self._lead() < p
 
     def poisson(self, mean: float) -> int:
-        return int(self._gen.poisson(mean))
+        slot = self._drawn  # the engine's initial load: cycle 0, slot 0
+        return poisson_icdf(self._lead(), mean, self, slot)
 
     def binomial(self, n: int, p: float) -> int:
-        return int(self._gen.binomial(n, p))
+        slot = self._drawn
+        return binomial_icdf(self._lead(), n, p, self, slot)
+
+
+def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int = 0) -> int:
+    """The Poisson(``mean``) value of the uniform ``u``: the smallest ``k``
+    whose cumulative probability exceeds ``u``, searched for from 0 (the
+    inverse-CDF method; Devroye, *Non-Uniform Random Variate Generation*,
+    1986, ch. X). Non-decreasing in ``u`` and exact up to the rounding of
+    the summed probabilities; the search also stops where a probability
+    underflows to 0, so ``u`` just below 1 ends it too.
+
+    Above ``SEARCH_MAX_MEAN`` ``u`` is not read: the value is drawn by
+    numpy's sampler from ``rng.child(slot)``.
+    """
+    if mean > SEARCH_MAX_MEAN:
+        return int(rng.child(slot).poisson(mean))
+    k = 0
+    p = cdf = math.exp(-mean)
+    while cdf <= u and p:
+        k += 1
+        p *= mean / k
+        cdf += p
+    return k
+
+
+def binomial_icdf(
+    u: float, n: int, p: float, rng: RngStream | None = None, slot: int = 0
+) -> int:
+    """The Binomial(``n``, ``p``) value of the uniform ``u`` by the same
+    search as :func:`poisson_icdf`, run from the cheaper tail: for ``p``
+    above 1/2 it counts the failures of ``1 - u`` and returns ``n`` less
+    them, so the value is non-decreasing in ``u`` either way.
+
+    When the searched mean ``n * min(p, 1 - p)`` exceeds
+    ``SEARCH_MAX_MEAN``, ``u`` is not read: the value is drawn by numpy's
+    sampler from ``rng.child(slot)``.
+    """
+    flip = p > 0.5
+    q = 1.0 - p if flip else p
+    if n * q > SEARCH_MAX_MEAN:
+        return int(rng.child(slot).binomial(n, p))
+    if flip:
+        u = 1.0 - u
+    ratio = q / (1.0 - q)
+    top = ratio * (n + 1)  # pmf(k) / pmf(k - 1) = top / k - ratio
+    k = 0
+    pk = cdf = math.exp(n * math.log1p(-q))
+    while cdf <= u and pk and k < n:
+        k += 1
+        pk *= top / k - ratio
+        cdf += pk
+    return n - k if flip else k
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -194,47 +300,54 @@ def sample_survival(rng: RngStream, dt: float, lifetime: float) -> bool:
     return rng.bernoulli(survival_probability(dt, lifetime))
 
 
-def sample_transport(rng: RngStream, model: TransportModel) -> bool:
-    """Whether a single transport move delivers its atom."""
-    return rng.bernoulli(model.p_success)
+def sample_transport(rng: RngStream, model: TransportModel, slot: int) -> bool:
+    """Whether a single transport move delivers its atom: the current row's
+    uniform at ``slot`` falls below the success probability."""
+    return rng.row[slot] < model.p_success
 
 
 def sample_extraction(
-    rng: RngStream, n_atoms: int, model: ExtractionModel
+    rng: RngStream, n_atoms: int, model: ExtractionModel, slot: int
 ) -> tuple[int, bool]:
     """One extraction attempt into a single trap site from a reservoir of
     ``n_atoms``.
 
-    Draws the ensemble size and returns ``(atoms_removed,
-    single_atom_delivered)``; the caller takes the removed atoms out of the
-    reservoir. An empty reservoir yields ``(0, False)``.
+    The ensemble size is the Poisson value (:func:`poisson_icdf`) of the
+    current row's uniform at ``slot``, capped at ``n_atoms``; when it caught
+    any atom, the uniform at ``slot + 1`` decides the blockade. Returns
+    ``(atoms_removed, single_atom_delivered)``; the caller takes the removed
+    atoms out of the reservoir. An empty reservoir yields ``(0, False)``.
     """
     if n_atoms == 0:
         return 0, False
     lam = model.mean_ensemble_at_full * min(1.0, n_atoms / model.n_reference)
-    k = min(rng.poisson(lam), n_atoms)
-    delivered = k >= 1 and rng.bernoulli(model.p_blockade)
+    row = rng.row
+    k = min(poisson_icdf(row[slot], lam, rng, slot), n_atoms)
+    delivered = k >= 1 and row[slot + 1] < model.p_blockade
     return k, delivered
 
 
 def reservoir_decay(
-    rng: RngStream, n_atoms: int, p_survive: float, refill_mean: float
+    rng: RngStream, n_atoms: int, p_survive: float, refill_mean: float, slot: int
 ) -> tuple[int, int]:
     """One decay window of a reservoir of ``n_atoms``: binomial thinning with
     survival probability ``p_survive``, then a refill of ``refill_mean``
     atoms on average, stochastically rounded to a whole number.
 
     Both values belong to the window, not to the call (see
-    ``engine.DecayWindow``). Thinning takes no draw when the reservoir is
-    empty or ``p_survive`` is 1, and the refill none when ``refill_mean`` is
-    0. Returns ``(atoms_lost, atoms_added)``; the caller applies both, which
-    keeps exact loss ledgers.
+    ``engine.DecayWindow``). The number lost is the Binomial(``n_atoms``,
+    ``1 - p_survive``) value (:func:`binomial_icdf`) of the current row's
+    uniform at ``slot``; the rounding reads the uniform at ``slot + 1``.
+    Neither is read when there is nothing to decide: an empty reservoir or
+    ``p_survive`` of 1, a ``refill_mean`` of 0. Returns ``(atoms_lost,
+    atoms_added)``; the caller applies both, which keeps exact loss ledgers.
     """
+    row = rng.row
     lost = 0
     if n_atoms > 0 and p_survive < 1.0:
-        lost = n_atoms - rng.binomial(n_atoms, p_survive)
+        lost = binomial_icdf(row[slot], n_atoms, 1.0 - p_survive, rng, slot)
     added = 0
     if refill_mean > 0.0:
         whole = int(refill_mean)
-        added = whole + (1 if rng.bernoulli(refill_mean - whole) else 0)
+        added = whole + (1 if row[slot + 1] < refill_mean - whole else 0)
     return lost, added

@@ -5,9 +5,11 @@ import gc
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tweezersim import engine
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import (
     Counters,
@@ -215,6 +217,7 @@ def test_step_image_syncs_belief():
     models = models_with(**DEGENERATE)
     rng = RngStream(4, 0)
     state = init_sequence(models, rng)
+    rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
     state.truth |= bits(models, 5)  # belief lags until the image
     assert state.belief == 0
     clock0 = state.clock
@@ -229,6 +232,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(5, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         plan = MovePlan((Move(0, 7, 10.0),))
         with pytest.raises(PlanConflictError, match="belief marks empty"):
             step_fill_targets(state, plan, models, rng)
@@ -237,6 +241,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(6, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         state.belief |= bits(models, 0)  # stale belief, no atom in truth
         log = EventLog()
         plan = MovePlan((Move(0, 7, 10.0),))
@@ -249,6 +254,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=0.0))
         rng = RngStream(7, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
@@ -259,6 +265,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=1.0))
         rng = RngStream(8, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
@@ -269,30 +276,39 @@ class TestFillStep:
 
     @pytest.mark.parametrize("p_stay,loss", [(1.0, 0), (0.0, 1)])
     def test_mixed_mode_extremes(self, p_stay, loss):
-        # at 0 and 1 the outcome is certain, so no retention draw is taken
+        # at 0 and 1 the outcome is certain, whatever the retention slot holds
         models = models_with(**DEGENERATE | dict(
             p_transport=0.0, p_stay_on_failure=p_stay,
         ))
-        draws = []
+        for retention in (0.0, 1.0 - 2.0**-53):
+            rng = RngStream(9, 0)
+            state = init_sequence(models, rng)
+            rng.next_row(models.slots.width)[models.slots.moves + 1] = retention
+            state.truth = state.belief = bits(models, 0)
+            plan = MovePlan((Move(0, 7, 10.0),))
+            step_fill_targets(state, plan, models, rng)
+            assert state.counters.transport_loss == loss
+            assert state.truth == (bits(models, 0) if loss == 0 else 0)
 
-        class CountingStream(RngStream):
-            def bernoulli(self, p):
-                draws.append(p)
-                return super().bernoulli(p)
-
-        rng = CountingStream(9, 0)
+    def test_plan_longer_than_the_move_slots_is_refused(self):
+        # a fill plan moves at most min(targets, buffers) atoms, so a cycle's
+        # row holds that many move slots; a longer plan would read the next
+        # window's uniforms
+        models = models_with(**DEGENERATE)
+        rng = RngStream(9, 0)
         state = init_sequence(models, rng)
-        state.truth = state.belief = bits(models, 0)
-        plan = MovePlan((Move(0, 7, 10.0),))
-        step_fill_targets(state, plan, models, rng)
-        assert state.counters.transport_loss == loss
-        assert state.truth == (bits(models, 0) if loss == 0 else 0)
-        assert draws == [0.0]  # the transport draw only
+        rng.next_row(models.slots.width)
+        state.truth = state.belief = bits(models, *range(7))
+        moves = [Move(b, t, 10.0) for b, t in zip(range(6), range(7, 13))]
+        plan = MovePlan((*moves, Move(6, 0, 10.0)))
+        with pytest.raises(PlanConflictError, match="7 moves; a cycle holds at most 6"):
+            step_fill_targets(state, plan, models, rng)
 
     def test_transport_into_occupied_site_raises(self):
         models = models_with(**DEGENERATE)
         rng = RngStream(10, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         state.truth |= bits(models, 7)  # desynced: belief says empty
         plan = MovePlan((Move(0, 7, 10.0),))
@@ -305,6 +321,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(11, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         state.belief |= bits(models, 3)
         with pytest.raises(PlanConflictError, match="marks occupied"):
             step_refill_buffers(state, [3], models, rng)
@@ -313,6 +330,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(12, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         state.truth |= bits(models, 3)  # atom parked by an earlier failed retry
         n0 = state.n_reservoir
         log = EventLog()
@@ -322,12 +340,18 @@ class TestRefillStep:
         assert state.counters.extracted == 0
         assert log.rows[-1][-1] == "skip"
 
-    def test_empty_reservoir_takes_no_draw(self):
+    def test_empty_reservoir_takes_no_draw(self, monkeypatch):
         models = models_with()
         rng = RngStream(15, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         state.n_reservoir = state.n_initial_reservoir = 0
         refill_list = list(models.layout.refill_order)
+
+        def no_extraction(*args):
+            raise AssertionError("an empty reservoir took an extraction draw")
+
+        monkeypatch.setattr(engine, "sample_extraction", no_extraction)
         before = rng._gen.bit_generator.state
         log = EventLog()
         step_refill_buffers(state, refill_list, models, rng, log)
@@ -342,6 +366,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(13, 0)
         state = init_sequence(models, rng)
+        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
         step_refill_buffers(state, [3, 4], models, rng)
         assert state.truth == bits(models, 3, 4)
         assert state.belief == 0
@@ -392,6 +417,84 @@ def test_cycle_clock_spacing():
     clocks = [r.clock_at_image for r in records]
     for a, b in zip(clocks, clocks[1:]):
         assert b - a == pytest.approx(0.230)
+
+
+class RecordingStream(RngStream):
+    """A stream that keeps a copy of every row it hands out."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = []
+        RecordingStream.made.append(self)
+
+    def next_row(self, width):
+        row = super().next_row(width)
+        self.rows.append(list(row))
+        return row
+
+
+def recorded_stream(monkeypatch, models, seed, n_cycles, replica=0):
+    """The stream ``run_realization`` read, with the rows it handed out."""
+    RecordingStream.made = []
+    monkeypatch.setattr(engine, "RngStream", RecordingStream)
+    run_realization(models, seed=seed, n_cycles=n_cycles, replica=replica)
+    (rng,) = RecordingStream.made
+    return rng
+
+
+@pytest.mark.parametrize(
+    "overrides,width",
+    [({}, 71), ({"layout": hex_layout()}, 3 * 93 + 2 * 40 + 2 * 40)],  # 40 buffers, 51 targets
+)
+@pytest.mark.parametrize("n_cycles", [1, 16, 130])
+def test_realization_reads_one_leading_uniform_and_one_row_per_cycle(
+    monkeypatch, overrides, width, n_cycles
+):
+    # 130 cycles take three chunks of rows: 64, 64 and 2
+    models = models_with(**overrides)
+    assert models.slots.width == width
+    rng = recorded_stream(monkeypatch, models, 42, n_cycles, replica=7)
+    fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((42, 7))))
+    expected = fresh.random(1 + width * n_cycles).tolist()
+    assert rng.cycle == len(rng.rows) == n_cycles
+    assert [u for row in rng.rows for u in row] == expected[1:]
+    # and no uniform beyond them was drawn
+    assert rng._gen.bit_generator.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [
+        ({"p_transport": 0.0}, {"p_transport": 1.0}),
+        ({"lifetime_array_s": math.inf}, {"lifetime_array_s": 0.5}),
+    ],
+)
+def test_configs_differing_in_outcomes_read_identical_rows(monkeypatch, outcomes):
+    streams, records = [], []
+    for overrides in outcomes:
+        models = models_with(**overrides)
+        streams.append(recorded_stream(monkeypatch, models, 5, 20, replica=3))
+        records.append(run_realization(models, seed=5, n_cycles=20, replica=3))
+    assert records[0] != records[1]  # the outcomes differ
+    assert streams[0].rows == streams[1].rows
+    assert streams[0]._gen.bit_generator.state == streams[1]._gen.bit_generator.state
+
+
+def test_cycle_slots_tile_the_row():
+    # every slot of the row belongs to exactly one draw
+    for layout in (None, hex_layout()):
+        models = models_with(**({} if layout is None else {"layout": layout}))
+        slots, n_sites = models.slots, len(models.layout.site_ids)
+        owned = []
+        for first in (slots.image, slots.fill, slots.refill):
+            owned += range(first, first + n_sites + 2)
+        owned += range(slots.moves, slots.moves + 2 * slots.n_moves)
+        for first in slots.buffers.values():
+            owned += (first, first + 1)
+        assert sorted(owned) == list(range(slots.width))
+        assert list(slots.buffers) == list(models.layout.buffer_ids)
 
 
 def test_run_realization_deterministic():

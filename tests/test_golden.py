@@ -26,63 +26,63 @@ TWO_SITE = layout_from_site_rows(
 GOLDEN = {
     "default": (
         {},
-        "72c323683986066670865d4cb9ed63a11ecb17cc5c6db483fdd2d6d3fae817a6",
-        "7f8d946aaf71f37d7ed37a0747721732c9c33333595ce3ac2c4e777257adf21f",
+        "4da87cc2e5b4269ecb8e584a45f967121b5ceb2cca8660758d064edd113b178c",
+        "e8133c568a519f60e52d1b9e58ef333f76f0a5d9b3a0fd28bb3ebd00d2eb91bc",
     ),
     # a failed move always loses its atom, then always keeps it
     "lose": (
         {"p_stay_on_failure": 0.0},
-        "2ab2e9e6b51fb83053fd2aa699324031e45b88e98ce348964809bdfe65b3f226",
-        "3bfa20b91ee0a29797fb8a7dd8a85bf3e1cd31bc5e729f643edddbe8032f7334",
+        "b2486384650698e6b8f1b25d5f24798b42f72a45bf82b3f19bcfd0c369ca35f4",
+        "f7238973f9deeefc14a7a97f36a4ef31e891759b47f8012b1bdb527c1607c437",
     ),
     "stay": (
         {"p_stay_on_failure": 1.0},
-        "172f7235399322143961aeecf5899fbe89bed5eda9bbbdc3a10bce326dd4b7f5",
-        "ec713dd9665a6f374151f4a3088315dad38ba6972c7d231d40b3cf265dc85cee",
+        "832eb8306b8c29697681830effd35611fc8ea2d60204b915c8ccec1764671d4f",
+        "7cc6c92d300b7129ea411a6094204d0e2a888bda6e05ad661cda395d56a221c0",
     ),
     "per-vacancy": (
         {"fill_strategy": "per-vacancy"},
-        "72c323683986066670865d4cb9ed63a11ecb17cc5c6db483fdd2d6d3fae817a6",
-        "e919a30d1c379a6308fbcfc971b8cf3517f19022f6b81c48fa23f37d0c907752",
+        "d5126d9110c12fd50cdfc9d0253160c2f13a0395832273940a0e59fe307a63a6",
+        "ddd05a69eae15be61fe3873d05bdaf4c2e51d03c8b992b448e2c586e59341469",
     ),
     "refill": (
         {"refill_rate": 100.0},
-        "53862ebe456d4d94ae42d6bf835daa2dfe5c57bc146c29e399c752661b9ac143",
-        "6922c286849a43ae8c919816bb33b12dbaa52fd2db663562512d8d054d54648d",
+        "05c7f6236d9bd1a5e720280fa7a1966a8bbe171f08fe8d190499d04a4e1f45c1",
+        "aeb3ed9dab3a59b33d2068366b1d6310ea432f58eaf76da67ab70d2643774ab2",
     ),
     "image-loss": (
         {"t_image_loss": 0.02},
-        "30eef4a420ef39196f232c305b7abfee582da7c9beb27d46545db023323a663e",
-        "bb5872e112ba44e8cd4042d3973e6efd25bd7be7d83f846baed31fce79d600b2",
+        "3d2ecaeb339b6f8e17be5030dde53585206791dbed9f82fd4cc58069585a99a7",
+        "2ecb4929f081549168fa2d437c5db623b5384e80c0636607fb99ac3753b7e560",
     ),
-    # survival is certain, yet every trapped atom still consumes its draw
+    # survival is certain: the rows are the default's, no site slot loses an atom
     "lossless-array": (
         {"lifetime_array_s": math.inf},
-        "e3545098d8c8b39ba836d6055c27dd643307c821d0ec8be823997c5adde33540",
-        "cfbfa50a7698d451dc128eb79a2aaa9de14e484a9e47af1602315b553390b520",
+        "381b6956af251ecbf93f076028523f61123dcfffdc8e9acec756a1336c760101",
+        "652ef820a01db18b18dfba25c8032a9a3cae12f5f26248ac544165c4568e4e84",
     ),
     # over a third of the decay windows that hold atoms lose one
     "short-lifetime": (
         {"lifetime_array_s": 0.5},
-        "eca73729a3b2be935fc5264281cf6664f63d63e31e86b249ca2511635e28fe54",
-        "a54f857084172a6a4075f509910b7c1f1f60afb29146e574e7ec1f9e0c6d90be",
+        "8190706641a61bcd4b37ab650243787f984d5a7f044508415ffbc2ba024e872b",
+        "abc89d0eb9c70cc8791c28127921dccf619c06d0f2679154575839bb57a1334a",
     ),
     # most refill attempts find the reservoir empty
     "dry-reservoir": (
         {"reservoir_mean": 5.0},
-        "355e20095addaf7d7763846f4eeaf1a6b3cca400a4da64c1c34296ff24578de0",
-        "a0b04719189fb56289b22dcd66b64aa2b1fcd8e29be4b1f4533a1187602a7225",
+        "b6e7bdbf4c173893110dcfe7f2e8a3d269fdefa93ce83406e4e7f7e06e747ccc",
+        "cdceac5222536042c5857ece66d6d73666c049d2a3b24fa7c5144f91dfcd142a",
     ),
     "two-site": (
         {"layout": TWO_SITE},
-        "550efba90dc41da7ad1006b0cda23a35a359e5d8b23694f184928e942d9c72de",
-        "60ac0d4d1a4bdb053859bd6ad2872d512f3c9716df261cbc8c8a16cabbc184ff",
+        "8e11381f1548f976053ba97557560efdeaf7356aeff45c3f214ee6eef6a084fa",
+        "e5f807912f44911a556af80e7be8bc68bcc70f392dc42eb9f91e7589570630b5",
     ),
     # 91 sites: masks past 63 bits go through decay, fill, refill and the log
     "hex-91": (
         {"layout": hex_layout()},
-        "f42f38bad9338a5e581456f7f8b5f3ca71c20196b35136bafb77bea4d0c8848d",
-        "c59e2e447dd8364a641a4cc982b5f128324bd1184e00dcd9c51ff050427b7c00",
+        "6c1b445810b08dffbbe0c724e89a6d78843fbfd9464399185a5b4b7ec8e60539",
+        "5c65601eb76dc6de78d5412a99fdb736ecc5873a9310f9513c1c9ddbe020978e",
     ),
 }
 

@@ -110,17 +110,23 @@ class TestCumulativeSuccess:
     refill_rate=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
     fill_strategy=st.sampled_from(["global", "per-vacancy"]),
     t_image_loss=st.sampled_from([None, 0.100]),
+    extra=st.integers(0, 70),
 )
-def test_growing_the_ensemble_keeps_earlier_replicas(n, k, **values):
-    # replica i draws from the (master_seed, i) stream alone, so the first n
-    # replicas of an ensemble of n + k log exactly the rows of an ensemble of n
+def test_growing_the_ensemble_keeps_earlier_replicas(n, k, extra, **values):
+    # replica i draws from the (master_seed, i) stream alone, and engine
+    # cycle c from the c-th row of that stream however many rows are drawn
+    # at once, so the first n replicas of an ensemble of n + k log exactly
+    # the rows of an ensemble of n, and its first cycles those of a run
+    # longer by up to 70 cycles (past a 64-row chunk)
     cfg = ExperimentConfig(n_replicas=n, **values)
     _, small = run_experiment(cfg, log=EventLog())
     _, large = run_experiment(
-        dataclasses.replace(cfg, n_replicas=n + k), log=EventLog()
+        dataclasses.replace(cfg, n_replicas=n + k, n_cycles=cfg.n_cycles + extra),
+        log=EventLog(),
     )
     assert {row[0] for row in large.rows} == set(range(n + k))
-    assert small.rows == [row for row in large.rows if row[0] < n]
+    last = cfg.n_cycles + 1  # the engine cycle reading out the last reported one
+    assert small.rows == [row for row in large.rows if row[0] < n and row[1] <= last]
 
 
 class TestRunExperiment:

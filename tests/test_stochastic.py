@@ -2,16 +2,20 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tweezersim.config import ExperimentConfig
 from tweezersim.stochastic import (
+    SEARCH_MAX_MEAN,
     ExtractionModel,
     RngStream,
     TransportModel,
+    binomial_icdf,
+    poisson_icdf,
     reservoir_decay,
     sample_extraction,
     sample_survival,
@@ -50,19 +54,32 @@ class TestRngStream:
 
     @pytest.mark.parametrize("seed,replica", [(42, 0), (42, 2499), (7, 3)])
     def test_uniforms_equal_scalar_draws(self, seed, replica):
-        # The engine takes a window's survival uniforms in one call; the
-        # stream must advance exactly as with one random() per atom, with
-        # the binomial and Poisson draws of the same cycle in between.
+        # Every draw method reads exactly one leading uniform and maps it by
+        # the inverse-CDF helpers, so a stream of draws and a stream of bare
+        # uniforms stay in step through binomial and Poisson draws; the rows
+        # then follow in order, and rows drawn in one chunk equal rows drawn
+        # one at a time.
         bulk, scalar = RngStream(seed, replica), RngStream(seed, replica)
-        for n in (0, 1, 13, 7, 2, 0, 5):
-            assert bulk.uniforms(n) == [scalar.random() for _ in range(n)]
-            assert bulk.binomial(80, 0.97) == scalar.binomial(80, 0.97)
-            assert bulk.poisson(13.56) == scalar.poisson(13.56)
-            assert bulk.bernoulli(0.753) == scalar.bernoulli(0.753)
-        assert bulk.random() == scalar.random()
+        generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, replica))))
+        for _ in range(7):
+            assert bulk.binomial(80, 0.97) == binomial_icdf(scalar.random(), 80, 0.97)
+            assert bulk.poisson(13.56) == poisson_icdf(scalar.random(), 13.56)
+            assert bulk.bernoulli(0.753) == (scalar.random() < 0.753)
+        assert bulk.random() == scalar.random() == generator.random(22)[-1]
+        chunked = RngStream(seed, replica, n_rows=3)
+        for _ in range(22):  # the leading uniforms read above
+            chunked.random()
+        for cycle in (1, 2, 3):
+            row = bulk.next_row(71)
+            assert row == [scalar.random() for _ in range(71)]
+            assert chunked.next_row(71) == row == chunked.row
+            assert bulk.cycle == chunked.cycle == cycle
 
     def test_uniforms_prefix_stable(self):
-        assert RngStream(42, 9).uniforms(4) == RngStream(42, 9).uniforms(10)[:4]
+        # rows drawn up to 64 at a time: a stream told of 100 rows hands
+        # out the same first rows as one told of 4
+        short, long = RngStream(42, 9, n_rows=4), RngStream(42, 9, n_rows=100)
+        assert [short.next_row(71) for _ in range(4)] == [long.next_row(71) for _ in range(4)]
 
 
 def test_survival_probability_closed_form():
@@ -119,7 +136,10 @@ class TestTransportModel:
         m = MODELS.transport
         assert m.p_success == 0.753
         n = 20000
-        hits = sum(sample_transport(rng, m) for _ in range(n))
+        hits = 0
+        for _ in range(n):
+            rng.next_row(1)
+            hits += sample_transport(rng, m, 0)
         sigma = math.sqrt(0.753 * 0.247 / n)
         assert abs(hits / n - 0.753) < 4 * sigma
 
@@ -170,48 +190,53 @@ class TestExtractionModel:
         assert full * surv == pytest.approx(plateau)
 
 
+def rows(rng, width):
+    """Advance ``rng`` row by row, forever; yields the stream itself."""
+    while True:
+        rng.next_row(width)
+        yield rng
+
+
 class TestSampleExtraction:
     def setup_method(self):
         self.model = ExtractionModel.from_plateau(0.596, 13.56, 80)
 
     def test_empty_reservoir(self):
-        rng = RngStream(0)
-        assert sample_extraction(rng, 0, self.model) == (0, False)
+        rng = RngStream(0)  # no row yet, so reading a slot would raise
+        assert sample_extraction(rng, 0, self.model, 0) == (0, False)
 
     def test_never_negative(self):
-        rng = RngStream(3)
         n = 5
-        for _ in range(50):
-            k, _delivered = sample_extraction(rng, n, self.model)
+        for _, rng in zip(range(50), rows(RngStream(3), 2)):
+            k, _delivered = sample_extraction(rng, n, self.model, 0)
             n -= k
             assert k >= 0
             assert n >= 0
 
     def test_draws_bite_then_blockade(self):
-        # the ensemble size, capped at the population, then the blockade
-        # draw when any atom was caught
-        rng, ref = RngStream(5), RngStream(5)
+        # the ensemble size from its slot, capped at the population, then
+        # the blockade from the next slot when any atom was caught
+        rng = RngStream(5)
         for n in (1, 3, 40, 80, 200):
+            u, v = rng.next_row(4)[2:]
             lam = self.model.mean_ensemble_at_full * min(1.0, n / self.model.n_reference)
-            k = min(ref.poisson(lam), n)
-            delivered = k >= 1 and ref.bernoulli(self.model.p_blockade)
-            assert sample_extraction(rng, n, self.model) == (k, delivered)
+            k = min(poisson_icdf(u, lam), n)
+            delivered = k >= 1 and v < self.model.p_blockade
+            assert sample_extraction(rng, n, self.model, 2) == (k, delivered)
 
     def test_delivery_requires_extraction(self):
-        rng = RngStream(4)
-        for _ in range(200):
-            k, delivered = sample_extraction(rng, 2, self.model)
+        for _, rng in zip(range(200), rows(RngStream(4), 2)):
+            k, delivered = sample_extraction(rng, 2, self.model, 0)
             if delivered:
                 assert k >= 1
 
     def test_mean_bite_tracks_lambda(self):
         # below n_reference the ensemble mean scales with the population
-        rng = RngStream(9)
         n0, trials = 40, 3000
         lam = self.model.mean_ensemble_at_full * n0 / self.model.n_reference
         bites = []
-        for _ in range(trials):
-            k, _ = sample_extraction(rng, n0, self.model)
+        for _, rng in zip(range(trials), rows(RngStream(9), 2)):
+            k, _ = sample_extraction(rng, n0, self.model, 0)
             bites.append(k)
         mean = np.mean(bites)
         sigma = math.sqrt(lam / trials)
@@ -221,16 +246,16 @@ class TestSampleExtraction:
 class TestReservoirDecay:
     def test_returns_loss_and_refill(self):
         rng = RngStream(2)
-        lost, added = reservoir_decay(rng, 100, P_HALF_SECOND, 0.0)
+        u = rng.next_row(2)[0]
+        lost, added = reservoir_decay(rng, 100, P_HALF_SECOND, 0.0, 0)
         assert lost >= 0 and added == 0
-        assert lost == 100 - RngStream(2).binomial(100, math.exp(-0.5 / 5.0))
+        assert lost == binomial_icdf(u, 100, 1.0 - math.exp(-0.5 / 5.0))
 
     def test_loss_statistics(self):
-        rng = RngStream(6)
         p_lose = 1 - math.exp(-0.5 / 5.0)
         total, trials, n0 = 0, 2000, 200
-        for _ in range(trials):
-            lost, _ = reservoir_decay(rng, n0, P_HALF_SECOND, 0.0)
+        for _, rng in zip(range(trials), rows(RngStream(6), 2)):
+            lost, _ = reservoir_decay(rng, n0, P_HALF_SECOND, 0.0, 0)
             total += lost
         mean = total / trials
         sigma = math.sqrt(n0 * p_lose * (1 - p_lose) / trials)
@@ -238,16 +263,100 @@ class TestReservoirDecay:
 
     def test_infinite_lifetime_no_loss(self):
         rng = RngStream(8)
+        rng.next_row(2)
         p_survive = survival_probability(10.0, math.inf)
-        assert reservoir_decay(rng, 50, p_survive, 0.0) == (0, 0)
-        assert rng.random() == RngStream(8).random()  # and took no draw
+        assert reservoir_decay(rng, 50, p_survive, 0.0, 0) == (0, 0)
 
     def test_refill_mean_rate(self):
-        rng = RngStream(12)
         rate, dt, trials = 3.7, 0.230, 4000
         total = 0
-        for _ in range(trials):
-            _, added = reservoir_decay(rng, 10, 1.0, rate * dt)
+        for _, rng in zip(range(trials), rows(RngStream(12), 2)):
+            _, added = reservoir_decay(rng, 10, 1.0, rate * dt, 0)
             total += added
         mean = total / trials
         assert abs(mean - rate * dt) < 0.05  # stochastic rounding is unbiased
+
+
+# -- inverse-CDF helpers ------------------------------------------------
+
+STRATA = 2**16
+TOP = 1.0 - 2.0**-53  # the largest uniform Generator.random returns
+
+
+def poisson_pmf(k, mean):
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+
+
+def binomial_pmf(k, n, p):
+    return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+
+
+def assert_stratified_law(draw, pmf):
+    # one uniform at the middle of each of 2^16 equal strata: an exact
+    # inverse CDF maps an interval of length pmf(k) to k, which holds
+    # 2^16 pmf(k) stratum middles to within one
+    counts = Counter(draw((i + 0.5) / STRATA) for i in range(STRATA))
+    assert min(counts) >= 0
+    for k in range(max(counts) + 2):
+        assert abs(counts.get(k, 0) - STRATA * pmf(k)) <= 1, k
+
+
+@pytest.mark.parametrize("mean", [0.05, 1.0, 13.1875, 80.0, 499.0])
+def test_poisson_icdf_exact_law(mean):
+    assert_stratified_law(lambda u: poisson_icdf(u, mean), lambda k: poisson_pmf(k, mean))
+
+
+@pytest.mark.parametrize("n,p", [(80, 0.974), (670, 0.974), (7, 0.3)])
+def test_binomial_icdf_exact_law(n, p):
+    assert_stratified_law(lambda u: binomial_icdf(u, n, p), lambda k: binomial_pmf(k, n, p))
+
+
+def test_extraction_is_capped_at_the_reservoir():
+    # ensemble mean 13.56 from a reservoir of 10: P(removed = 10) = P(K >= 10)
+    model = ExtractionModel(0.6, 13.56, n_reference=1)
+    rng = RngStream(0)
+
+    def removed(u):
+        rng.row = [u, 0.0]
+        return sample_extraction(rng, 10, model, 0)[0]
+
+    tail = 1.0 - sum(poisson_pmf(k, 13.56) for k in range(10))
+    assert_stratified_law(removed, lambda k: poisson_pmf(k, 13.56) if k < 10 else tail * (k == 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.floats(0.0, 1.0, exclude_max=True), v=st.floats(0.0, 1.0, exclude_max=True),
+    mean=st.floats(0.0, SEARCH_MAX_MEAN), n=st.integers(0, 10**6),
+    q=st.floats(0.0, 1.0), flip=st.booleans(),
+)
+def test_icdf_monotone_in_range_and_terminating(u, v, mean, n, q, flip):
+    lo, hi = sorted((u, v))
+    k = [poisson_icdf(w, mean) for w in (lo, hi, TOP)]
+    assert 0 <= k[0] <= k[1] <= k[2]
+    q = min(q, (SEARCH_MAX_MEAN - 1) / n) if n else q  # keep to the searched path
+    p = 1.0 - q if flip else q
+    k = [binomial_icdf(w, n, p) for w in (0.0, lo, hi, TOP)]
+    assert 0 <= k[0] <= k[1] <= k[2] <= k[3] <= n
+
+
+def test_above_the_search_limit_draws_from_a_keyed_child():
+    rng = RngStream(42, 3)
+
+    def draw(helper, cycle, slot, u, *law):
+        rng.cycle = cycle
+        return helper(u, *law, rng, slot)
+
+    for helper, law, mean, var in (
+        (poisson_icdf, (1000.0,), 1000.0, 1000.0),
+        (binomial_icdf, (10**6, 0.3), 3e5, 10**6 * 0.3 * 0.7),
+    ):
+        # the same key gives the same value; the uniform is not read
+        assert draw(helper, 4, 9, 0.01, *law) == draw(helper, 4, 9, 0.99, *law)
+        values = [draw(helper, cycle, 9, 0.5, *law) for cycle in range(2000)]
+        assert len(set(values)) > 100
+        z = (sum(values) / 2000 - mean) / math.sqrt(var / 2000)
+        assert abs(z) < 4
+    # the child of cycle 0, slot 0 (the initial load) is not the stream itself
+    rng = RngStream(42, 3)
+    assert rng.child(0).random(4).tolist() != [rng.random() for _ in range(4)]
