@@ -21,6 +21,7 @@ from .stochastic import (
     ExtractionModel,
     LossModel,
     RngStream,
+    RowForm,
     TransportModel,
     _check_nonnegative,
     _check_poisson_mean,
@@ -122,20 +123,25 @@ class DecayWindow(NamedTuple):
 
 
 class CycleSlots(NamedTuple):
-    """Where an engine cycle reads each of its draws in the cycle's row of
-    uniforms, decided once per layout. The row holds, in the order the
-    cycle reads them:
+    """Where an engine cycle reads each of its draws in the row of
+    uniforms that ``RngStream.next_row`` hands out for the cycle, decided
+    once per layout. The row holds, in the order the cycle reads them:
 
     - per decay window (``image``, ``fill``, ``refill``: the window's first
-      slot) ``n_sites + 2`` slots: reservoir thinning, refill rounding, then
-      one per site index (the site of occupancy bit ``i`` at ``+ 2 + i``);
+      slot) three slots: reservoir thinning, refill rounding, then the
+      window's loss mask, one int standing for ``n_sites`` uniforms, one per
+      site index (bit ``i`` for the site of occupancy bit ``i``, set where
+      that atom is lost; see ``SimulationModels.row_form``);
     - per fill-move position ``j < n_moves`` (from ``moves``) two slots,
       transport at ``moves + 2 j`` and retention after it;
     - per buffer (``buffers``: buffer id -> its first slot, in id order)
       two slots, ensemble size and then blockade.
 
-    ``width`` is the row's length: ``3 (n_sites + 2) + 2 n_moves + 2
-    n_buffers``, 71 for the reference layout.
+    ``length`` is the row's length, ``9 + 2 n_moves + 2 n_buffers``: 35 for
+    the reference layout. The row still draws ``W = 3 (n_sites + 2) + 2
+    n_moves + 2 n_buffers`` uniforms (71 for the reference), so a
+    realization of ``n`` engine cycles reads ``1 + W n``; a draw's child
+    generator is keyed by its slot's column among those ``W``.
     """
 
     image: int
@@ -144,20 +150,19 @@ class CycleSlots(NamedTuple):
     fill: int
     buffers: dict
     refill: int
-    width: int
+    length: int
 
     @classmethod
     def of(cls, layout: ArrayLayout) -> "CycleSlots":
-        window = len(layout.site_ids) + 2
         buffer_ids = layout.buffer_ids
         n_moves = min(len(layout.target_ids), len(buffer_ids))
-        fill = window + 2 * n_moves
-        first_buffer = fill + window
+        fill = 3 + 2 * n_moves
+        first_buffer = fill + 3
         refill = first_buffer + 2 * len(buffer_ids)
         return cls(
-            0, window, n_moves, fill,
+            0, 3, n_moves, fill,
             {b: first_buffer + 2 * i for i, b in enumerate(buffer_ids)},
-            refill, refill + window,
+            refill, refill + 3,
         )
 
 
@@ -171,9 +176,11 @@ class SimulationModels:
     ``timing.t_analysis_fill``, ``refill_window`` over
     ``timing.t_buffer_refill``, each a :class:`DecayWindow`), the
     bitmasks of all target and all buffer sites (``target_bits``,
-    ``buffer_bits``) and the slots of a cycle's row of uniforms
-    (``slots``, a :class:`CycleSlots`). ``dataclasses.replace`` decides
-    them afresh.
+    ``buffer_bits``), the slots of a cycle's row of uniforms (``slots``, a
+    :class:`CycleSlots`) and the form in which the stream hands that row
+    out (``row_form``, a ``RowForm``: each window's loss-mask slot stands
+    for one uniform per site, tested against the window's
+    ``array_survival``). ``dataclasses.replace`` decides them afresh.
     """
 
     layout: ArrayLayout
@@ -223,6 +230,11 @@ class SimulationModels:
         object.__setattr__(self, "target_bits", sum(bits[t] for t in layout.target_ids))
         object.__setattr__(self, "buffer_bits", sum(bits[b] for b in layout.buffer_ids))
         object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "row_form", RowForm(slots.length, (
+            (slots.image + 2, self.image_window.array_survival),
+            (slots.fill + 2, self.fill_window.array_survival),
+            (slots.refill + 2, self.refill_window.array_survival),
+        ), len(layout.site_ids)))
 
     def check_supply(self, n_cycles: int) -> None:
         """Refuse a run of ``n_cycles`` engine cycles whose refill could grow
@@ -393,26 +405,18 @@ def _decay_step(
 
     Truth-only: the controller never sees decay until the next image. The
     window reads the current row from ``slot`` on (see :class:`CycleSlots`):
-    the trapped atom at occupancy bit ``i`` survives when the uniform at
-    ``slot + 2 + i`` falls below the window's array survival probability;
-    when the largest uniform up to the highest trapped atom does, no atom is
-    lost and no bit is visited. The reservoir's thinning and refill read
-    ``slot`` and ``slot + 1`` (:func:`reservoir_decay`).
+    its loss mask at ``slot + 2`` marks the atoms lost, so the trapped atom
+    at occupancy bit ``i`` survives when its site's uniform falls below the
+    window's array survival probability (``SimulationModels.row_form``).
+    The reservoir's thinning and refill read ``slot`` and ``slot + 1``
+    (:func:`reservoir_decay`).
     """
-    dt, p, p_reservoir, refill_mean = window
+    dt, _, p_reservoir, refill_mean = window
     if dt > 0.0:
-        truth = state.truth
-        if truth:
-            row = rng.row
-            sites = slot + 2
-            if not max(row[sites:sites + truth.bit_length()]) < p:
-                rest = truth
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    if not row[sites + bit.bit_length() - 1] < p:
-                        state.truth ^= bit
-                        state.counters.array_decay_loss += 1
+        dead = state.truth & rng.row[slot + 2]
+        if dead:
+            state.truth ^= dead
+            state.counters.array_decay_loss += dead.bit_count()
         lost, added = reservoir_decay(
             rng, state.n_reservoir, p_reservoir, refill_mean, slot
         )
@@ -614,7 +618,7 @@ def run_cycle(
     cycle starts by drawing its row of uniforms from ``rng``.
     """
     state.cycle_index += 1
-    rng.next_row(models.slots.width)
+    rng.next_row(models.row_form)
     layout = models.layout
     step_image(state, models, rng, log)
     c = state.counters

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "RowForm",
     "RngStream",
     "poisson_icdf",
     "binomial_icdf",
@@ -41,6 +42,71 @@ ROW_CHUNK = 64
 # a few hundred steps at most. Larger means are drawn by numpy's samplers.
 SEARCH_MAX_MEAN = 500.0
 
+# A loss mask is built from words of this many bits: the largest word, 2**63
+# - 1, is still an int64, so one integer matmul gives every word of a chunk.
+_WORD_BITS = 63
+
+
+class RowForm:
+    """How :meth:`RngStream.next_row` hands out a row of uniforms.
+
+    The handed-out row has ``length`` slots. Each slot of ``masks`` (pairs
+    of slot and survival probability ``p``, in slot order) stands for
+    ``n_bits`` uniforms of the full row and holds them as one int, a loss
+    mask: bit ``i`` is set where the ``i``-th of them is ``>= p``, so an
+    atom at bit ``i`` survives exactly where that uniform is ``< p``. Every
+    other slot holds its one uniform as a float. The full row, the
+    uniforms a row draws, is ``width = length + len(masks) (n_bits - 1)``
+    long, in slot order; ``columns[slot]`` is the column of a slot's first
+    uniform in it. ``RowForm(n)`` hands out all ``n`` uniforms as floats.
+    """
+
+    def __init__(self, length: int, masks: tuple = (), n_bits: int = 0):
+        self.length = length
+        self.masks = masks = tuple(masks)
+        self.n_bits = n_bits
+        positions = [slot for slot, _ in masks]
+        columns, column = [], 0
+        for slot in range(length):
+            columns.append(column)
+            column += n_bits if slot in positions else 1
+        self.width = column
+        self.columns = tuple(columns)
+        self._positions = positions
+        self._floats = np.array(
+            [c for slot, c in enumerate(columns) if slot not in positions], dtype=np.intp
+        )
+        self._sites = np.array(
+            [columns[slot] + i for slot in positions for i in range(n_bits)], dtype=np.intp
+        )
+        self._survival = np.repeat([p for _, p in masks], n_bits)
+        # bit i of a mask goes to word i // 63 with weight 2 ** (i % 63)
+        n_words = max(1, -(-n_bits // _WORD_BITS))
+        self._weights = np.zeros((n_bits, n_words), dtype=np.int64)
+        for i in range(n_bits):
+            self._weights[i, i // _WORD_BITS] = 1 << i % _WORD_BITS
+
+    def __repr__(self) -> str:
+        return f"RowForm({self.length}, {self.masks!r}, {self.n_bits})"
+
+    def rows(self, block: np.ndarray) -> list[tuple]:
+        """The handed-out rows of a ``(k, width)`` block of full rows."""
+        k = len(block)
+        dead = block[:, self._sites] >= self._survival
+        words = dead.reshape(k, len(self.masks), self.n_bits).astype(np.int64) @ self._weights
+        # one list per mask slot, then joined into exact ints word by word
+        masks = words[:, :, 0].T.tolist()
+        for j in range(1, words.shape[2]):
+            shift = _WORD_BITS * j
+            masks = [
+                [low | high << shift for low, high in zip(lows, highs)]
+                for lows, highs in zip(masks, words[:, :, j].T.tolist())
+            ]
+        columns = block[:, self._floats].T.tolist()
+        for slot, mask in zip(self._positions, masks):
+            columns.insert(slot, mask)
+        return list(zip(*columns))
+
 
 class RngStream:
     """Deterministic pseudo-random stream keyed by (master seed, replica).
@@ -49,13 +115,14 @@ class RngStream:
     feeds a realization: first its leading uniforms, read in order by
     :meth:`random` and the draws built on it (the engine reads one, for the
     initial load), then one row of uniforms per engine cycle
-    (:meth:`next_row`). The engine reads every draw of a cycle from a fixed
-    slot of that cycle's row and skips the slots it does not need, so the
-    stream advances by the same amount whatever the outcomes. A stream told
-    the ``n_rows`` it will hand out draws them up to ``ROW_CHUNK`` at a time
-    and none beyond; without it, one at a time. ``Generator.random((k,
-    width))`` gives the same numbers as ``k`` rows drawn one by one, so the
-    chunking changes no value.
+    (:meth:`next_row`), handed out in a :class:`RowForm`. The engine reads
+    every draw of a cycle from a fixed slot of that cycle's row and skips
+    the slots it does not need, so the stream advances by the same amount
+    whatever the outcomes: a realization of ``n`` engine cycles reads ``1
+    + width n`` uniforms. A stream told the ``n_rows`` it will hand out
+    draws them up to ``ROW_CHUNK`` at a time and none beyond; without it,
+    one at a time. ``Generator.random((k, width))`` gives the same numbers
+    as ``k`` rows drawn one by one, so the chunking changes no value.
 
     Two streams built from the same pair produce bit-identical sequences;
     adding replicas never perturbs existing ones.
@@ -67,32 +134,45 @@ class RngStream:
         seq = np.random.SeedSequence((self.master_seed, self.replica))
         self._gen = np.random.Generator(np.random.PCG64(seq))
         self.cycle = 0  # rows handed out so far: the engine cycle of ``row``
-        self.row: list[float] | None = None
-        self._ahead: list[list[float]] = []  # drawn rows not yet handed out, last first
+        self.row: tuple | None = None
+        self.form: RowForm | None = None  # the form of ``row`` and of the rows ahead
+        self._ahead: list[tuple] = []  # drawn rows not yet handed out, last first
         self._rows_left = n_rows or 0  # announced rows not yet drawn
         self._drawn = 0  # leading uniforms read so far
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, replica={self.replica})"
 
-    def next_row(self, width: int) -> list[float]:
-        """Start the next engine cycle and return its row of ``width``
-        uniforms, which stays readable as :attr:`row`."""
+    def next_row(self, form: RowForm) -> tuple:
+        """Start the next engine cycle and return its row of ``form.width``
+        uniforms as ``form`` hands it out: a float per slot, and one loss
+        mask per decay window for its site slots. Only the floats are
+        turned into Python objects one by one; the masks of a whole chunk
+        are decided in numpy. The row stays readable as :attr:`row`. A
+        stream hands out rows of one form."""
         ahead = self._ahead
         if not ahead:
             k = min(ROW_CHUNK, max(self._rows_left, 1))
             self._rows_left -= k
-            ahead.extend(reversed(self._gen.random((k, width)).tolist()))
+            ahead.extend(reversed(form.rows(self._gen.random((k, form.width)))))
+            self.form = form
+        elif form is not self.form:
+            raise ValueError(f"rows of {self.form!r} are still ahead, not of {form!r}")
         self.row = row = ahead.pop()
         self.cycle += 1
         return row
 
     def child(self, slot: int) -> np.random.Generator:
-        """A generator keyed by (master seed, replica, engine cycle, slot),
-        for a draw above ``SEARCH_MAX_MEAN``. The cycle and slot form the
-        seed's spawn key, so no child shares the stream's own seed."""
+        """A generator for a draw above ``SEARCH_MAX_MEAN`` at ``slot`` of
+        the current row (at cycle 0, of the leading uniforms), keyed by
+        (master seed, replica, engine cycle, column): the column is the
+        slot's place in the full row of uniforms (``RowForm.columns``), so
+        the key does not depend on how the row is handed out. The cycle
+        and column form the seed's spawn key, so no child shares the
+        stream's own seed."""
+        column = self.form.columns[slot] if self.cycle else slot
         seq = np.random.SeedSequence(
-            (self.master_seed, self.replica), spawn_key=(self.cycle, slot)
+            (self.master_seed, self.replica), spawn_key=(self.cycle, column)
         )
         return np.random.Generator(np.random.PCG64(seq))
 
@@ -116,6 +196,16 @@ class RngStream:
         return binomial_icdf(self._lead(), n, p, self, slot)
 
 
+def _child(rng: RngStream | None, slot: int, mean: float) -> np.random.Generator:
+    """The generator of a draw whose searched ``mean`` is above the limit."""
+    if rng is None:
+        raise ValueError(
+            f"searched mean {mean:g} is above SEARCH_MAX_MEAN = {SEARCH_MAX_MEAN:g}: "
+            f"pass the stream whose child generator draws the value"
+        )
+    return rng.child(slot)
+
+
 def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int = 0) -> int:
     """The Poisson(``mean``) value of the uniform ``u``: the smallest ``k``
     whose cumulative probability exceeds ``u``, searched for from 0 (the
@@ -125,10 +215,11 @@ def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int 
     underflows to 0, so ``u`` just below 1 ends it too.
 
     Above ``SEARCH_MAX_MEAN`` ``u`` is not read: the value is drawn by
-    numpy's sampler from ``rng.child(slot)``.
+    numpy's sampler from ``rng.child(slot)``, and without ``rng`` it is a
+    ``ValueError``.
     """
     if mean > SEARCH_MAX_MEAN:
-        return int(rng.child(slot).poisson(mean))
+        return int(_child(rng, slot, mean).poisson(mean))
     k = 0
     p = cdf = math.exp(-mean)
     while cdf <= u and p:
@@ -148,12 +239,13 @@ def binomial_icdf(
 
     When the searched mean ``n * min(p, 1 - p)`` exceeds
     ``SEARCH_MAX_MEAN``, ``u`` is not read: the value is drawn by numpy's
-    sampler from ``rng.child(slot)``.
+    sampler from ``rng.child(slot)``, and without ``rng`` it is a
+    ``ValueError``.
     """
     flip = p > 0.5
     q = 1.0 - p if flip else p
     if n * q > SEARCH_MAX_MEAN:
-        return int(rng.child(slot).binomial(n, p))
+        return int(_child(rng, slot, n * q).binomial(n, p))
     if flip:
         u = 1.0 - u
     ratio = q / (1.0 - q)

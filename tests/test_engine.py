@@ -1,6 +1,7 @@
 """Cycle engine: timing, truth/belief bookkeeping, conservation, traces."""
 
 import dataclasses
+import functools
 import gc
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from tweezersim.engine import (
     EventLog,
     PlanConflictError,
     SimulationModels,
+    SystemState,
     check_conservation,
     init_sequence,
     run_cycle,
@@ -29,7 +31,7 @@ from tweezersim.engine import (
 )
 from tweezersim.geometry import MaskOccupancy, layout_from_site_rows
 from tweezersim.planner import Move, MovePlan, plan_buffer_refill, plan_target_fill
-from tweezersim.stochastic import RngStream, survival_probability
+from tweezersim.stochastic import RngStream, RowForm, survival_probability
 
 from conftest import hex_layout
 
@@ -217,7 +219,7 @@ def test_step_image_syncs_belief():
     models = models_with(**DEGENERATE)
     rng = RngStream(4, 0)
     state = init_sequence(models, rng)
-    rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+    rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
     state.truth |= bits(models, 5)  # belief lags until the image
     assert state.belief == 0
     clock0 = state.clock
@@ -232,7 +234,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(5, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         plan = MovePlan((Move(0, 7, 10.0),))
         with pytest.raises(PlanConflictError, match="belief marks empty"):
             step_fill_targets(state, plan, models, rng)
@@ -241,7 +243,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(6, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         state.belief |= bits(models, 0)  # stale belief, no atom in truth
         log = EventLog()
         plan = MovePlan((Move(0, 7, 10.0),))
@@ -254,7 +256,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=0.0))
         rng = RngStream(7, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
@@ -265,7 +267,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=1.0))
         rng = RngStream(8, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
@@ -283,7 +285,9 @@ class TestFillStep:
         for retention in (0.0, 1.0 - 2.0**-53):
             rng = RngStream(9, 0)
             state = init_sequence(models, rng)
-            rng.next_row(models.slots.width)[models.slots.moves + 1] = retention
+            row = list(rng.next_row(models.row_form))
+            row[models.slots.moves + 1] = retention
+            rng.row = tuple(row)
             state.truth = state.belief = bits(models, 0)
             plan = MovePlan((Move(0, 7, 10.0),))
             step_fill_targets(state, plan, models, rng)
@@ -297,7 +301,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(9, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)
+        rng.next_row(models.row_form)
         state.truth = state.belief = bits(models, *range(7))
         moves = [Move(b, t, 10.0) for b, t in zip(range(6), range(7, 13))]
         plan = MovePlan((*moves, Move(6, 0, 10.0)))
@@ -308,7 +312,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(10, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         state.truth |= bits(models, 7)  # desynced: belief says empty
         plan = MovePlan((Move(0, 7, 10.0),))
@@ -321,7 +325,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(11, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         state.belief |= bits(models, 3)
         with pytest.raises(PlanConflictError, match="marks occupied"):
             step_refill_buffers(state, [3], models, rng)
@@ -330,7 +334,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(12, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         state.truth |= bits(models, 3)  # atom parked by an earlier failed retry
         n0 = state.n_reservoir
         log = EventLog()
@@ -344,7 +348,7 @@ class TestRefillStep:
         models = models_with()
         rng = RngStream(15, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         state.n_reservoir = state.n_initial_reservoir = 0
         refill_list = list(models.layout.refill_order)
 
@@ -366,7 +370,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(13, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.slots.width)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
         step_refill_buffers(state, [3, 4], models, rng)
         assert state.truth == bits(models, 3, 4)
         assert state.belief == 0
@@ -374,6 +378,58 @@ class TestRefillStep:
         assert c.delivered == 2
         assert c.extracted >= 2
         assert c.blockade_loss == c.extracted - c.delivered
+
+
+class FixedGenerator:
+    """Hands out one given row of uniforms as its next ``(1, width)`` block."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, shape):
+        assert shape == (1, len(self.row))
+        return np.array([self.row])
+
+
+@functools.cache
+def layout_models(name):
+    return models_with(**({"layout": hex_layout()} if name == "hex-91" else {}))
+
+
+@pytest.mark.parametrize("name", ["reference", "hex-91"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_loss_masks_apply_the_per_site_rule(name, data):
+    # three windows of distinct survival probabilities; each uniform of the
+    # row is a random one, exactly some window's p or the float just below it
+    models = layout_models(name)
+    slots, n_sites = models.slots, len(models.layout.site_ids)
+    survivals = data.draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3, unique=True))
+    firsts = (slots.image, slots.fill, slots.refill)
+    form = RowForm(slots.length, tuple((first + 2, p) for first, p in zip(firsts, survivals)), n_sites)
+    edges = [v for p in survivals for v in (p, math.nextafter(p, 0.0))]
+    pick = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    row = [
+        edges[k] if k < len(edges) else u
+        for k, u in zip(pick.integers(0, 2 * len(edges), form.width), pick.random(form.width))
+    ]
+    for first, p in zip(firsts, survivals):  # every window sees both edges
+        column = form.columns[first + 2]
+        row[column:column + 2] = p, math.nextafter(p, 0.0)
+    truths = data.draw(st.lists(st.integers(0, (1 << n_sites) - 1), min_size=3, max_size=3))
+    rng = RngStream(0)
+    rng._gen = FixedGenerator(row)
+    rng.next_row(form)
+    state = SystemState(truth=0, belief=0, n_reservoir=0, clock=0.0, replica=0)
+    for first, p, truth in zip(firsts, survivals, truths):
+        column = form.columns[first + 2]
+        kept = sum(
+            1 << i for i in range(n_sites) if truth >> i & 1 and row[column + i] < p
+        )
+        lost = state.counters.array_decay_loss + (truth ^ kept).bit_count()
+        state.truth = truth
+        engine._decay_step(state, DecayWindow(1.0, p, 1.0, 0.0), rng, first)
+        assert (state.truth, state.counters.array_decay_loss) == (kept, lost)
 
 
 def test_check_conservation_detects_leak():
@@ -419,19 +475,35 @@ def test_cycle_clock_spacing():
         assert b - a == pytest.approx(0.230)
 
 
+class RecordingGenerator:
+    """A generator that keeps a copy of every uniform it draws."""
+
+    def __init__(self, generator, uniforms):
+        self.bit_generator = generator.bit_generator
+        self._random = generator.random
+        self._uniforms = uniforms
+
+    def random(self, *shape):
+        drawn = self._random(*shape)
+        self._uniforms.extend(np.ravel(drawn).tolist())
+        return drawn
+
+
 class RecordingStream(RngStream):
-    """A stream that keeps a copy of every row it hands out."""
+    """A stream that keeps every uniform its generator draws and every row
+    it hands out."""
 
     made = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.rows = []
+        self.uniforms, self.rows = [], []
+        self._gen = RecordingGenerator(self._gen, self.uniforms)
         RecordingStream.made.append(self)
 
-    def next_row(self, width):
-        row = super().next_row(width)
-        self.rows.append(list(row))
+    def next_row(self, form):
+        row = super().next_row(form)
+        self.rows.append(row)
         return row
 
 
@@ -444,6 +516,27 @@ def recorded_stream(monkeypatch, models, seed, n_cycles, replica=0):
     return rng
 
 
+def row_by_the_per_site_rule(models, uniforms):
+    """The row a cycle's ``uniforms`` hand out, built slot by slot: a loss
+    mask sets bit ``i`` where an atom at occupancy bit ``i`` would not
+    survive, its uniform not below the window's array survival."""
+    slots, n_sites = models.slots, len(models.layout.site_ids)
+    survival = {
+        slots.image + 2: models.image_window.array_survival,
+        slots.fill + 2: models.fill_window.array_survival,
+        slots.refill + 2: models.refill_window.array_survival,
+    }
+    row, rest = [], iter(uniforms)
+    for slot in range(slots.length):
+        if slot in survival:
+            sites = [next(rest) for _ in range(n_sites)]
+            row.append(sum(1 << i for i, u in enumerate(sites) if not u < survival[slot]))
+        else:
+            row.append(next(rest))
+    assert next(rest, None) is None
+    return tuple(row)
+
+
 @pytest.mark.parametrize(
     "overrides,width",
     [({}, 71), ({"layout": hex_layout()}, 3 * 93 + 2 * 40 + 2 * 40)],  # 40 buffers, 51 targets
@@ -454,12 +547,16 @@ def test_realization_reads_one_leading_uniform_and_one_row_per_cycle(
 ):
     # 130 cycles take three chunks of rows: 64, 64 and 2
     models = models_with(**overrides)
-    assert models.slots.width == width
+    assert models.row_form.width == width
     rng = recorded_stream(monkeypatch, models, 42, n_cycles, replica=7)
     fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((42, 7))))
     expected = fresh.random(1 + width * n_cycles).tolist()
     assert rng.cycle == len(rng.rows) == n_cycles
-    assert [u for row in rng.rows for u in row] == expected[1:]
+    assert rng.uniforms == expected
+    # each row is handed out as the per-site rule reads its uniforms
+    for cycle, row in enumerate(rng.rows):
+        uniforms = expected[1 + width * cycle:1 + width * (cycle + 1)]
+        assert row == row_by_the_per_site_rule(models, uniforms)
     # and no uniform beyond them was drawn
     assert rng._gen.bit_generator.state == fresh.bit_generator.state
 
@@ -478,23 +575,31 @@ def test_configs_differing_in_outcomes_read_identical_rows(monkeypatch, outcomes
         streams.append(recorded_stream(monkeypatch, models, 5, 20, replica=3))
         records.append(run_realization(models, seed=5, n_cycles=20, replica=3))
     assert records[0] != records[1]  # the outcomes differ
-    assert streams[0].rows == streams[1].rows
+    assert streams[0].uniforms == streams[1].uniforms
     assert streams[0]._gen.bit_generator.state == streams[1]._gen.bit_generator.state
 
 
 def test_cycle_slots_tile_the_row():
-    # every slot of the row belongs to exactly one draw
+    # every slot of the row belongs to exactly one draw, and every uniform
+    # of the full row to exactly one slot
     for layout in (None, hex_layout()):
         models = models_with(**({} if layout is None else {"layout": layout}))
         slots, n_sites = models.slots, len(models.layout.site_ids)
+        form = models.row_form
         owned = []
         for first in (slots.image, slots.fill, slots.refill):
-            owned += range(first, first + n_sites + 2)
+            owned += range(first, first + 3)
         owned += range(slots.moves, slots.moves + 2 * slots.n_moves)
         for first in slots.buffers.values():
             owned += (first, first + 1)
-        assert sorted(owned) == list(range(slots.width))
+        assert sorted(owned) == list(range(slots.length)) == list(range(form.length))
         assert list(slots.buffers) == list(models.layout.buffer_ids)
+        masks = {slots.image + 2, slots.fill + 2, slots.refill + 2}
+        assert [slot for slot, _ in form.masks] == sorted(masks)
+        assert form.n_bits == n_sites
+        spans = [n_sites if slot in masks else 1 for slot in range(slots.length)]
+        assert list(form.columns) == [sum(spans[:slot]) for slot in range(slots.length)]
+        assert form.width == sum(spans)
 
 
 def test_run_realization_deterministic():

@@ -7,9 +7,11 @@ the exact output of the code it replaced, not against statistical bands.
 
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
+from tweezersim import stochastic
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import EventLog
 from tweezersim.geometry import layout_from_site_rows
@@ -99,3 +101,33 @@ def test_outputs_match_golden_hashes(case, tmp_path):
     stats, log = run_experiment(cfg, log=EventLog())
     paths = write_outputs(stats, log, str(tmp_path), cfg)
     assert (sha256(paths["fig4"]), sha256(paths["events"])) == (fig4, events)
+
+
+def test_draws_above_the_search_limit_match_golden_hashes(tmp_path, monkeypatch):
+    # a reservoir of 1e5 atoms and ensembles of 600 take numpy's samplers on
+    # child generators: the initial load, thinning in every decay window and
+    # extraction at every buffer, each keyed by its column in the cycle's
+    # full row of 71 uniforms (image thinning 0, fill 27, refill 56,
+    # buffers 42-54)
+    keys = Counter()
+    child = stochastic.RngStream.child
+
+    def counted(rng, slot):
+        generator = child(rng, slot)
+        cycle, column = generator.bit_generator.seed_seq.spawn_key
+        keys[(cycle > 0, column)] += 1
+        return generator
+
+    monkeypatch.setattr(stochastic.RngStream, "child", counted)
+    cfg = ExperimentConfig(
+        n_replicas=30, n_cycles=8, master_seed=11,
+        reservoir_mean=1e5, mean_ensemble_at_full=600.0,
+    )
+    stats, log = run_experiment(cfg, log=EventLog())
+    paths = write_outputs(stats, log, str(tmp_path), cfg)
+    assert (sha256(paths["fig4"]), sha256(paths["events"])) == (
+        "8a380fcfd2b39413f8689384c55e97a981445866ec786ed8b4d47158a131bc53",
+        "a36d5a805a85c2afd61f75fdcd883e38a2f54a2b258dcbf823b102740ed7edf9",
+    )
+    assert set(keys) == {(False, 0), *((True, c) for c in (0, 27, 56, *range(42, 56, 2)))}
+    assert sum(keys.values()) == 1441

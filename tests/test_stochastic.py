@@ -13,6 +13,7 @@ from tweezersim.stochastic import (
     SEARCH_MAX_MEAN,
     ExtractionModel,
     RngStream,
+    RowForm,
     TransportModel,
     binomial_icdf,
     poisson_icdf,
@@ -27,6 +28,8 @@ MODELS = ExperimentConfig().build_models()
 LOSS = MODELS.loss
 # reservoir survival over half a second at the reference lifetime of 5 s
 P_HALF_SECOND = survival_probability(0.5, LOSS.lifetime_reservoir)
+# rows handed out as plain floats, for the draws that read a few slots
+PLAIN = {width: RowForm(width) for width in (1, 2, 4, 10, 71)}
 
 
 class TestRngStream:
@@ -70,16 +73,26 @@ class TestRngStream:
         for _ in range(22):  # the leading uniforms read above
             chunked.random()
         for cycle in (1, 2, 3):
-            row = bulk.next_row(71)
-            assert row == [scalar.random() for _ in range(71)]
-            assert chunked.next_row(71) == row == chunked.row
+            row = bulk.next_row(PLAIN[71])
+            assert list(row) == [scalar.random() for _ in range(71)]
+            assert chunked.next_row(PLAIN[71]) == row == chunked.row
             assert bulk.cycle == chunked.cycle == cycle
 
     def test_uniforms_prefix_stable(self):
         # rows drawn up to 64 at a time: a stream told of 100 rows hands
-        # out the same first rows as one told of 4
-        short, long = RngStream(42, 9, n_rows=4), RngStream(42, 9, n_rows=100)
-        assert [short.next_row(71) for _ in range(4)] == [long.next_row(71) for _ in range(4)]
+        # out the same first rows as one told of 4, as floats and as the
+        # engine's loss masks alike
+        for form in (PLAIN[71], MODELS.row_form):
+            short, long = RngStream(42, 9, n_rows=4), RngStream(42, 9, n_rows=100)
+            assert [short.next_row(form) for _ in range(4)] == [
+                long.next_row(form) for _ in range(4)
+            ]
+
+    def test_a_stream_hands_out_rows_of_one_form(self):
+        rng = RngStream(42, 9, n_rows=2)
+        rng.next_row(MODELS.row_form)
+        with pytest.raises(ValueError, match="still ahead"):
+            rng.next_row(PLAIN[71])
 
 
 def test_survival_probability_closed_form():
@@ -138,7 +151,7 @@ class TestTransportModel:
         n = 20000
         hits = 0
         for _ in range(n):
-            rng.next_row(1)
+            rng.next_row(PLAIN[1])
             hits += sample_transport(rng, m, 0)
         sigma = math.sqrt(0.753 * 0.247 / n)
         assert abs(hits / n - 0.753) < 4 * sigma
@@ -193,7 +206,7 @@ class TestExtractionModel:
 def rows(rng, width):
     """Advance ``rng`` row by row, forever; yields the stream itself."""
     while True:
-        rng.next_row(width)
+        rng.next_row(PLAIN[width])
         yield rng
 
 
@@ -218,7 +231,7 @@ class TestSampleExtraction:
         # the blockade from the next slot when any atom was caught
         rng = RngStream(5)
         for n in (1, 3, 40, 80, 200):
-            u, v = rng.next_row(4)[2:]
+            u, v = rng.next_row(PLAIN[4])[2:]
             lam = self.model.mean_ensemble_at_full * min(1.0, n / self.model.n_reference)
             k = min(poisson_icdf(u, lam), n)
             delivered = k >= 1 and v < self.model.p_blockade
@@ -246,7 +259,7 @@ class TestSampleExtraction:
 class TestReservoirDecay:
     def test_returns_loss_and_refill(self):
         rng = RngStream(2)
-        u = rng.next_row(2)[0]
+        u = rng.next_row(PLAIN[2])[0]
         lost, added = reservoir_decay(rng, 100, P_HALF_SECOND, 0.0, 0)
         assert lost >= 0 and added == 0
         assert lost == binomial_icdf(u, 100, 1.0 - math.exp(-0.5 / 5.0))
@@ -263,7 +276,7 @@ class TestReservoirDecay:
 
     def test_infinite_lifetime_no_loss(self):
         rng = RngStream(8)
-        rng.next_row(2)
+        rng.next_row(PLAIN[2])
         p_survive = survival_probability(10.0, math.inf)
         assert reservoir_decay(rng, 50, p_survive, 0.0, 0) == (0, 0)
 
@@ -342,6 +355,7 @@ def test_icdf_monotone_in_range_and_terminating(u, v, mean, n, q, flip):
 
 def test_above_the_search_limit_draws_from_a_keyed_child():
     rng = RngStream(42, 3)
+    rng.next_row(PLAIN[10])
 
     def draw(helper, cycle, slot, u, *law):
         rng.cycle = cycle
@@ -360,3 +374,25 @@ def test_above_the_search_limit_draws_from_a_keyed_child():
     # the child of cycle 0, slot 0 (the initial load) is not the stream itself
     rng = RngStream(42, 3)
     assert rng.child(0).random(4).tolist() != [rng.random() for _ in range(4)]
+
+
+def test_the_child_key_is_the_column_in_the_full_row():
+    # slot 2 of a row whose slot 1 stands for five uniforms is column 6
+    form = RowForm(3, ((1, 0.5),), 5)
+    assert (form.width, form.columns) == (7, (0, 1, 6))
+    rng = RngStream(42, 3)
+    assert rng.child(0).bit_generator.seed_seq.spawn_key == (0, 0)  # the initial load
+    for cycle in (1, 2):
+        rng.next_row(form)
+        assert rng.child(2).bit_generator.seed_seq.spawn_key == (cycle, 6)
+        assert rng.child(0).bit_generator.seed_seq.spawn_key == (cycle, 0)
+
+
+@pytest.mark.parametrize(
+    "draw,mean",
+    [(lambda: poisson_icdf(0.5, 600.0), "600"), (lambda: binomial_icdf(0.5, 5000, 0.5), "2500")],
+    ids=["poisson", "binomial"],
+)
+def test_above_the_search_limit_without_a_stream_is_refused(draw, mean):
+    with pytest.raises(ValueError, match=rf"searched mean {mean} .* SEARCH_MAX_MEAN = 500"):
+        draw()
