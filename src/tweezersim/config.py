@@ -55,6 +55,15 @@ _SUCCESS_DEFINITIONS = {
 }
 
 
+# annotated type of a field -> the values it takes (never a bool) and their name
+_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "float | None": (numbers.Real, "a number or None"),
+    "str": (str, "a string"),
+}
+
+
 def _key(section: str, default):
     """A config field read from the INI ``[section]`` under its own name."""
     return field(default=default, metadata={"section": section})
@@ -101,11 +110,11 @@ class ExperimentConfig:
         for section, keys in _SECTIONS.items():
             for key, kind in keys.items():
                 value = getattr(self, key)
-                if kind == "int" and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                ):
+                if value is None and kind == "float | None":
+                    continue
+                if not isinstance(value, _KINDS[kind][0]) or isinstance(value, bool):
                     raise ConfigError(
-                        f"{section}.{key} must be an integer, got {value!r}"
+                        f"{section}.{key} must be {_KINDS[kind][1]}, got {value!r}"
                     )
         for key in ("n_replicas", "n_cycles"):
             if not getattr(self, key) >= 1:

@@ -122,48 +122,44 @@ class DecayWindow(NamedTuple):
     refill_mean: float
 
 
-class CycleSlots(NamedTuple):
+class CycleSlots(RowForm):
     """Where an engine cycle reads each of its draws in the row of
-    uniforms that ``RngStream.next_row`` hands out for the cycle, decided
-    once per layout. The row holds, in the order the cycle reads them:
+    uniforms that ``RngStream.next_row`` hands out for the cycle, and the
+    :class:`RowForm` it is handed out in, decided once per model bundle
+    from the layout and the cycle's three decay windows. The row holds, in
+    the order the cycle reads them:
 
     - per decay window (``image``, ``fill``, ``refill``: the window's first
       slot) three slots: reservoir thinning, refill rounding, then the
       window's loss mask, one int standing for ``n_sites`` uniforms, one per
-      site index (bit ``i`` for the site of occupancy bit ``i``, set where
-      that atom is lost; see ``SimulationModels.row_form``);
+      site index: bit ``i`` is set where the uniform of the site of
+      occupancy bit ``i`` is not below the window's ``array_survival``, so
+      that atom is lost;
     - per fill-move position ``j < n_moves`` (from ``moves``) two slots,
       transport at ``moves + 2 j`` and retention after it;
     - per buffer (``buffers``: buffer id -> its first slot, in id order)
       two slots, ensemble size and then blockade.
 
     ``length`` is the row's length, ``9 + 2 n_moves + 2 n_buffers``: 35 for
-    the reference layout. The row still draws ``W = 3 (n_sites + 2) + 2
+    the reference layout. The row draws ``width = 3 (n_sites + 2) + 2
     n_moves + 2 n_buffers`` uniforms (71 for the reference), so a
-    realization of ``n`` engine cycles reads ``1 + W n``; a draw's child
-    generator is keyed by its slot's column among those ``W``.
+    realization of ``n`` engine cycles reads ``1 + width n``; a draw's
+    child generator is keyed by its slot's column among them.
     """
 
-    image: int
-    moves: int
-    n_moves: int
-    fill: int
-    buffers: dict
-    refill: int
-    length: int
-
-    @classmethod
-    def of(cls, layout: ArrayLayout) -> "CycleSlots":
+    def __init__(self, layout: ArrayLayout, windows: tuple):
         buffer_ids = layout.buffer_ids
-        n_moves = min(len(layout.target_ids), len(buffer_ids))
-        fill = 3 + 2 * n_moves
-        first_buffer = fill + 3
-        refill = first_buffer + 2 * len(buffer_ids)
-        return cls(
-            0, 3, n_moves, fill,
-            {b: first_buffer + 2 * i for i, b in enumerate(buffer_ids)},
-            refill, refill + 3,
-        )
+        self.image, self.moves = 0, 3
+        # the longest fill plan moves one atom into every target it can
+        self.n_moves = min(len(layout.target_ids), len(buffer_ids))
+        self.fill = 3 + 2 * self.n_moves
+        first_buffer = self.fill + 3
+        self.buffers = {b: first_buffer + 2 * i for i, b in enumerate(buffer_ids)}
+        self.refill = first_buffer + 2 * len(buffer_ids)
+        super().__init__(self.refill + 3, (
+            (first + 2, window.array_survival)
+            for first, window in zip((self.image, self.fill, self.refill), windows)
+        ), len(layout.site_ids))
 
 
 @dataclass(frozen=True)
@@ -176,11 +172,11 @@ class SimulationModels:
     ``timing.t_analysis_fill``, ``refill_window`` over
     ``timing.t_buffer_refill``, each a :class:`DecayWindow`), the
     bitmasks of all target and all buffer sites (``target_bits``,
-    ``buffer_bits``), the slots of a cycle's row of uniforms (``slots``, a
-    :class:`CycleSlots`) and the form in which the stream hands that row
-    out (``row_form``, a ``RowForm``: each window's loss-mask slot stands
-    for one uniform per site, tested against the window's
-    ``array_survival``). ``dataclasses.replace`` decides them afresh.
+    ``buffer_bits``) and the cycle's row of uniforms (``slots``, a
+    :class:`CycleSlots`: the slot of each draw, and the ``RowForm`` the
+    stream hands the row out in, each window's loss mask tested against
+    the window's ``array_survival``). ``dataclasses.replace`` decides them
+    afresh.
     """
 
     layout: ArrayLayout
@@ -205,15 +201,6 @@ class SimulationModels:
                 f"engine.fill_strategy must be 'global' or 'per-vacancy', "
                 f"got {self.fill_strategy!r}"
             )
-        # the longest fill plan moves one atom into every target it can
-        layout, move = self.layout, self.transport.move_duration
-        slots = CycleSlots.of(layout)
-        n_moves = slots.n_moves
-        if n_moves * move > self.timing.t_analysis_fill:
-            raise ValueError(
-                f"timing.t_analysis_fill {self.timing.t_analysis_fill} s cannot "
-                f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
-            )
         timing, loss = self.timing, self.loss
         for name, length in (
             ("image_window", timing.image_loss_window),
@@ -226,15 +213,18 @@ class SimulationModels:
                 survival_probability(length, loss.lifetime_reservoir),
                 self.refill_rate * length,
             ))
+        layout = self.layout
+        slots = CycleSlots(layout, (self.image_window, self.fill_window, self.refill_window))
+        n_moves, move = slots.n_moves, self.transport.move_duration
+        if n_moves * move > timing.t_analysis_fill:
+            raise ValueError(
+                f"timing.t_analysis_fill {timing.t_analysis_fill} s cannot "
+                f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
+            )
         bits = layout.site_bits
         object.__setattr__(self, "target_bits", sum(bits[t] for t in layout.target_ids))
         object.__setattr__(self, "buffer_bits", sum(bits[b] for b in layout.buffer_ids))
         object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "row_form", RowForm(slots.length, (
-            (slots.image + 2, self.image_window.array_survival),
-            (slots.fill + 2, self.fill_window.array_survival),
-            (slots.refill + 2, self.refill_window.array_survival),
-        ), len(layout.site_ids)))
 
     def check_supply(self, n_cycles: int) -> None:
         """Refuse a run of ``n_cycles`` engine cycles whose refill could grow
@@ -404,10 +394,10 @@ def _decay_step(
     plus the window's reservoir refill; a window of length 0 does nothing.
 
     Truth-only: the controller never sees decay until the next image. The
-    window reads the current row from ``slot`` on (see :class:`CycleSlots`):
-    its loss mask at ``slot + 2`` marks the atoms lost, so the trapped atom
-    at occupancy bit ``i`` survives when its site's uniform falls below the
-    window's array survival probability (``SimulationModels.row_form``).
+    window reads the current row from ``slot`` on (``SimulationModels.slots``,
+    a :class:`CycleSlots`): its loss mask at ``slot + 2`` marks the atoms
+    lost, so the trapped atom at occupancy bit ``i`` survives when its
+    site's uniform falls below the window's array survival probability.
     The reservoir's thinning and refill read ``slot`` and ``slot + 1``
     (:func:`reservoir_decay`).
     """
@@ -452,8 +442,9 @@ def step_image(
     rng: RngStream,
     log: EventLog | None = None,
 ) -> None:
-    """Fluorescence image: decay over the imaging window, then belief is
-    reset to truth (perfect detection)."""
+    """Fluorescence image: decay over the imaging window, read from the
+    row at ``models.slots.image``, then belief is reset to truth (perfect
+    detection)."""
     _decay_step(state, models.image_window, rng, models.slots.image)
     state.clock += models.timing.t_image
     state.belief = state.truth
@@ -475,7 +466,7 @@ def step_fill_targets(
     source executes as a null transport. A failed transport returns the atom
     to the source with probability ``p_stay_on_failure`` and loses it
     otherwise. Move ``j`` of the plan reads its transport and retention
-    uniforms from its two slots of the current row (see
+    uniforms from its two slots of the current row (``models.slots``, a
     :class:`CycleSlots`). Every move lasts the transport's fixed
     ramp-translate-ramp time.
     """
@@ -543,7 +534,7 @@ def step_refill_buffers(
     kept its atom in the source trap) is skipped without touching the
     reservoir; an empty reservoir yields ``empty`` without an extraction
     draw. Each buffer reads its extraction from its own two slots of the
-    current row (see :class:`CycleSlots`).
+    current row (``models.slots``, a :class:`CycleSlots`).
     """
     counters = state.counters
     layout = models.layout
@@ -615,10 +606,11 @@ def run_cycle(
     The returned record is the imaging observation at the START of the
     cycle, read from truth right after the image, where belief equals it;
     this cycle's fill and refill are only visible in the next one. The
-    cycle starts by drawing its row of uniforms from ``rng``.
+    cycle starts by drawing its row of uniforms from ``rng``, handed out as
+    ``models.slots`` says.
     """
     state.cycle_index += 1
-    rng.next_row(models.row_form)
+    rng.next_row(models.slots)
     layout = models.layout
     step_image(state, models, rng, log)
     c = state.counters

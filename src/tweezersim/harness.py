@@ -24,14 +24,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
-from .engine import CycleRecord, EventLog, run_realization
+from .engine import EventLog, run_realization
 
 __all__ = [
     "ExperimentStats",
     "CalibrationResult",
     "CalibrationError",
     "run_experiment",
-    "cumulative_success_rate",
     "binomial_halfwidth",
     "wilson_halfwidth",
     "calibrate_depletion",
@@ -89,23 +88,6 @@ def _success_matrix(complete: np.ndarray, definition: str) -> np.ndarray:
     if definition == "maintained":
         return achieved & complete
     return achieved
-
-
-def cumulative_success_rate(
-    records_per_replica: list[list[CycleRecord]],
-    success_definition: str = "first-achievement",
-) -> list[float]:
-    """Fraction of replicas counted successful at each cycle index."""
-    if not records_per_replica:
-        raise ValueError("need at least one replica")
-    lengths = {len(records) for records in records_per_replica}
-    if len(lengths) != 1:
-        raise ValueError(f"replicas have differing cycle counts: {sorted(lengths)}")
-    complete = np.array(
-        [[r.target_complete for r in records] for records in records_per_replica],
-        dtype=bool,
-    )
-    return [float(x) for x in _success_matrix(complete, success_definition).mean(axis=0)]
 
 
 def run_experiment(

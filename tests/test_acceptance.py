@@ -8,6 +8,7 @@ import dataclasses
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -213,7 +214,7 @@ def test_acceptance_7_invariant_soak(tmp_path_factory):
         b >= a for a, b in zip(stats1.success_rate, stats1.success_rate[1:])
     )
     identical = all(
-        open(p1[k], "rb").read() == open(p2[k], "rb").read()
+        Path(p1[k]).read_bytes() == Path(p2[k]).read_bytes()
         for k in ("fig4", "events", "run_meta")
     )
     ok = monotone and identical

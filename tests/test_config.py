@@ -3,8 +3,10 @@
 import dataclasses
 import math
 import os
+import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +110,39 @@ def test_success_definition_aliases():
 def test_validation_names_offending_key(field, value, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value,key,noun",
+    [
+        ("p_transport", "0.5", "stochastic.p_transport", "a number"),
+        ("reservoir_mean", True, "stochastic.reservoir_mean", "a number"),
+        ("refill_rate", None, "stochastic.refill_rate", "a number"),
+        ("t_ramp", np.True_, "timing.t_ramp", "a number"),
+        ("t_image_loss", "0.1", "timing.t_image_loss", "a number or None"),
+        ("t_image_loss", False, "timing.t_image_loss", "a number or None"),
+        ("success_definition", ["x"], "run.success_definition", "a string"),
+        ("fill_strategy", None, "engine.fill_strategy", "a string"),
+        ("n_replicas", True, "run.n_replicas", "an integer"),
+    ],
+)
+def test_wrongly_typed_values_name_their_key(field, value, key, noun):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be {noun}, got"):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("reservoir_mean", 80),
+        ("p_transport", np.float64(0.5)),
+        ("n_replicas", np.int64(3)),
+        ("t_image_loss", None),
+        ("t_image_loss", np.float32(0.1)),
+    ],
+)
+def test_ints_and_numpy_scalars_are_taken(field, value):
+    assert getattr(ExperimentConfig(**{field: value}), field) == value
 
 
 def test_refill_supply_bound_counts_the_run_length():

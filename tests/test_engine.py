@@ -15,12 +15,14 @@ from tweezersim.config import ExperimentConfig
 from tweezersim.engine import (
     Counters,
     CycleRecord,
+    CycleSlots,
     DecayWindow,
     EngineError,
     EventLog,
     PlanConflictError,
     SimulationModels,
     SystemState,
+    TimingModel,
     check_conservation,
     init_sequence,
     run_cycle,
@@ -31,7 +33,7 @@ from tweezersim.engine import (
 )
 from tweezersim.geometry import MaskOccupancy, layout_from_site_rows
 from tweezersim.planner import Move, MovePlan, plan_buffer_refill, plan_target_fill
-from tweezersim.stochastic import RngStream, RowForm, survival_probability
+from tweezersim.stochastic import LossModel, RngStream, RowForm, survival_probability
 
 from conftest import hex_layout
 
@@ -129,6 +131,38 @@ class TestDerivedModelValues:
         assert replaced.refill_window.reservoir_survival == survival_probability(0.04, 2.0)
         assert replaced.fill_window != models.fill_window
 
+    @staticmethod
+    def mask_slots(models):
+        slots = models.slots
+        windows = (models.image_window, models.fill_window, models.refill_window)
+        firsts = (slots.image, slots.fill, slots.refill)
+        return tuple((first + 2, w.array_survival) for first, w in zip(firsts, windows))
+
+    @pytest.mark.parametrize("changes", [
+        {"loss": LossModel(4.0, 5.0)},
+        {"timing": TimingModel(1.8, 0.04, 0.02, 0.2, 0.08, 0.05, 0.1)},
+    ])
+    def test_replace_re_decides_the_mask_slots(self, changes):
+        models = models_with()
+        replaced = dataclasses.replace(models, **changes)
+        assert replaced.slots is not models.slots
+        assert replaced.slots.masks == self.mask_slots(replaced)
+        # every window's survival moved, and its mask slot with it
+        old, new = models.slots.masks, replaced.slots.masks
+        assert [slot for slot, _ in new] == [slot for slot, _ in old]
+        assert all(p != q for (_, p), (_, q) in zip(new, old))
+
+    def test_replace_re_decides_the_offsets(self):
+        models = models_with()
+        replaced = dataclasses.replace(models, layout=hex_layout())
+        slots = replaced.slots
+        assert isinstance(slots, RowForm)
+        assert (slots.n_moves, slots.fill, slots.refill, slots.length) == (40, 83, 166, 169)
+        assert list(slots.buffers) == list(replaced.layout.buffer_ids)
+        assert slots.width == 3 * 93 + 2 * 40 + 2 * 40 != models.slots.width
+        assert slots.n_bits == 91
+        assert slots.masks == self.mask_slots(replaced)
+
     @pytest.mark.parametrize(
         "owner,field",
         [
@@ -219,7 +253,7 @@ def test_step_image_syncs_belief():
     models = models_with(**DEGENERATE)
     rng = RngStream(4, 0)
     state = init_sequence(models, rng)
-    rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+    rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
     state.truth |= bits(models, 5)  # belief lags until the image
     assert state.belief == 0
     clock0 = state.clock
@@ -234,7 +268,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(5, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         plan = MovePlan((Move(0, 7, 10.0),))
         with pytest.raises(PlanConflictError, match="belief marks empty"):
             step_fill_targets(state, plan, models, rng)
@@ -243,7 +277,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(6, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.belief |= bits(models, 0)  # stale belief, no atom in truth
         log = EventLog()
         plan = MovePlan((Move(0, 7, 10.0),))
@@ -256,7 +290,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=0.0))
         rng = RngStream(7, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
@@ -267,7 +301,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=1.0))
         rng = RngStream(8, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         plan = MovePlan((Move(0, 7, 10.0),))
         step_fill_targets(state, plan, models, rng)
@@ -285,7 +319,7 @@ class TestFillStep:
         for retention in (0.0, 1.0 - 2.0**-53):
             rng = RngStream(9, 0)
             state = init_sequence(models, rng)
-            row = list(rng.next_row(models.row_form))
+            row = list(rng.next_row(models.slots))
             row[models.slots.moves + 1] = retention
             rng.row = tuple(row)
             state.truth = state.belief = bits(models, 0)
@@ -301,7 +335,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(9, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)
+        rng.next_row(models.slots)
         state.truth = state.belief = bits(models, *range(7))
         moves = [Move(b, t, 10.0) for b, t in zip(range(6), range(7, 13))]
         plan = MovePlan((*moves, Move(6, 0, 10.0)))
@@ -312,7 +346,7 @@ class TestFillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(10, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         state.truth |= bits(models, 7)  # desynced: belief says empty
         plan = MovePlan((Move(0, 7, 10.0),))
@@ -325,7 +359,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(11, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.belief |= bits(models, 3)
         with pytest.raises(PlanConflictError, match="marks occupied"):
             step_refill_buffers(state, [3], models, rng)
@@ -334,7 +368,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(12, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.truth |= bits(models, 3)  # atom parked by an earlier failed retry
         n0 = state.n_reservoir
         log = EventLog()
@@ -348,7 +382,7 @@ class TestRefillStep:
         models = models_with()
         rng = RngStream(15, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.n_reservoir = state.n_initial_reservoir = 0
         refill_list = list(models.layout.refill_order)
 
@@ -370,7 +404,7 @@ class TestRefillStep:
         models = models_with(**DEGENERATE)
         rng = RngStream(13, 0)
         state = init_sequence(models, rng)
-        rng.next_row(models.row_form)  # the cycle's row, as run_cycle draws it
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         step_refill_buffers(state, [3, 4], models, rng)
         assert state.truth == bits(models, 3, 4)
         assert state.belief == 0
@@ -403,10 +437,10 @@ def test_loss_masks_apply_the_per_site_rule(name, data):
     # three windows of distinct survival probabilities; each uniform of the
     # row is a random one, exactly some window's p or the float just below it
     models = layout_models(name)
-    slots, n_sites = models.slots, len(models.layout.site_ids)
+    n_sites = len(models.layout.site_ids)
     survivals = data.draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3, unique=True))
-    firsts = (slots.image, slots.fill, slots.refill)
-    form = RowForm(slots.length, tuple((first + 2, p) for first, p in zip(firsts, survivals)), n_sites)
+    form = CycleSlots(models.layout, [DecayWindow(1.0, p, 1.0, 0.0) for p in survivals])
+    firsts = (form.image, form.fill, form.refill)
     edges = [v for p in survivals for v in (p, math.nextafter(p, 0.0))]
     pick = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     row = [
@@ -547,7 +581,7 @@ def test_realization_reads_one_leading_uniform_and_one_row_per_cycle(
 ):
     # 130 cycles take three chunks of rows: 64, 64 and 2
     models = models_with(**overrides)
-    assert models.row_form.width == width
+    assert models.slots.width == width
     rng = recorded_stream(monkeypatch, models, 42, n_cycles, replica=7)
     fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((42, 7))))
     expected = fresh.random(1 + width * n_cycles).tolist()
@@ -585,21 +619,20 @@ def test_cycle_slots_tile_the_row():
     for layout in (None, hex_layout()):
         models = models_with(**({} if layout is None else {"layout": layout}))
         slots, n_sites = models.slots, len(models.layout.site_ids)
-        form = models.row_form
         owned = []
         for first in (slots.image, slots.fill, slots.refill):
             owned += range(first, first + 3)
         owned += range(slots.moves, slots.moves + 2 * slots.n_moves)
         for first in slots.buffers.values():
             owned += (first, first + 1)
-        assert sorted(owned) == list(range(slots.length)) == list(range(form.length))
+        assert sorted(owned) == list(range(slots.length))
         assert list(slots.buffers) == list(models.layout.buffer_ids)
         masks = {slots.image + 2, slots.fill + 2, slots.refill + 2}
-        assert [slot for slot, _ in form.masks] == sorted(masks)
-        assert form.n_bits == n_sites
+        assert [slot for slot, _ in slots.masks] == sorted(masks)
+        assert slots.n_bits == n_sites
         spans = [n_sites if slot in masks else 1 for slot in range(slots.length)]
-        assert list(form.columns) == [sum(spans[:slot]) for slot in range(slots.length)]
-        assert form.width == sum(spans)
+        assert list(slots.columns) == [sum(spans[:slot]) for slot in range(slots.length)]
+        assert slots.width == sum(spans)
 
 
 def test_run_realization_deterministic():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
-from tweezersim.engine import CycleRecord, EventLog, SystemState
+from tweezersim.engine import EventLog, SystemState
 from tweezersim.harness import (
     CalibrationError,
     binomial_halfwidth,
     calibrate_depletion,
-    cumulative_success_rate,
     run_experiment,
     stream_events,
     wilson_halfwidth,
@@ -28,18 +28,6 @@ from tweezersim.harness import (
 from conftest import hex_layout
 
 SMALL = ExperimentConfig(n_replicas=60, n_cycles=6)
-
-
-def rec(i, complete):
-    return CycleRecord(
-        cycle_index=i, target_complete=complete, n_buffer_filled=0,
-        n_target_filled=0, n_reservoir=0, clock_at_image=0.0,
-        extracted_cum=0, delivered_cum=0, reservoir_decay_cum=0,
-    )
-
-
-def flags_to_records(flags):
-    return [rec(i + 1, f) for i, f in enumerate(flags)]
 
 
 def test_binomial_halfwidth_closed_form():
@@ -62,36 +50,21 @@ def test_wilson_halfwidth_properties():
     assert wilson_halfwidth(p, n, z) == pytest.approx(by_hand)
 
 
-class TestCumulativeSuccess:
+class TestSuccessMatrix:
+    @staticmethod
+    def rates(flags_per_replica, definition="first-achievement"):
+        complete = np.array(flags_per_replica, dtype=bool)
+        return harness._success_matrix(complete, definition).mean(axis=0).tolist()
+
     def test_first_achievement_latches(self):
-        curves = cumulative_success_rate(
-            [flags_to_records([False, True, False, False])]
-        )
-        assert curves == [0.0, 1.0, 1.0, 1.0]
+        assert self.rates([[False, True, False, False]]) == [0.0, 1.0, 1.0, 1.0]
 
     def test_maintained_drops_on_defect(self):
-        curves = cumulative_success_rate(
-            [flags_to_records([False, True, False, True])], "maintained"
-        )
-        assert curves == [0.0, 1.0, 0.0, 1.0]
+        assert self.rates([[False, True, False, True]], "maintained") == [0.0, 1.0, 0.0, 1.0]
 
     def test_ensemble_average(self):
-        reps = [
-            flags_to_records([False, True]),
-            flags_to_records([False, False]),
-            flags_to_records([True, True]),
-            flags_to_records([False, False]),
-        ]
-        assert cumulative_success_rate(reps) == [0.25, 0.5]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            cumulative_success_rate([])
-
-    def test_rejects_ragged_replicas(self):
-        reps = [flags_to_records([False]), flags_to_records([False, True])]
-        with pytest.raises(ValueError, match="differing cycle counts"):
-            cumulative_success_rate(reps)
+        reps = [[False, True], [False, False], [True, True], [False, False]]
+        assert self.rates(reps) == [0.25, 0.5]
 
 
 @settings(max_examples=20, deadline=None)
@@ -272,14 +245,13 @@ class TestOutputs:
     def test_files_and_schema(self, tmp_path):
         stats, log = run_experiment(SMALL, log=EventLog())
         paths = write_outputs(stats, log, str(tmp_path / "out"), SMALL)
-        header = open(paths["fig4"]).readline().strip()
+        header, first = Path(paths["fig4"]).read_text().splitlines()[:2]
         assert header == (
             "cycle,success_rate,success_ci,buffer_fill_mean,"
             "buffer_fill_ci,reservoir_norm,reservoir_std"
         )
-        first = open(paths["fig4"]).readlines()[1]
         assert first.startswith("1,")
-        meta = json.load(open(paths["run_meta"]))
+        meta = json.loads(Path(paths["run_meta"]).read_text())
         assert meta["results"]["n_replicas"] == 60
         assert meta["config"]["run"]["n_cycles"] == 6
 
@@ -289,12 +261,12 @@ class TestOutputs:
         stats2, log2 = run_experiment(SMALL, log=EventLog())
         p2 = write_outputs(stats2, log2, str(tmp_path / "b"), SMALL)
         for name in ("fig4", "events", "run_meta"):
-            assert open(p1[name], "rb").read() == open(p2[name], "rb").read()
+            assert Path(p1[name]).read_bytes() == Path(p2[name]).read_bytes()
 
     def test_header_only_events_without_log(self, tmp_path):
         stats, _ = run_experiment(SMALL)
         paths = write_outputs(stats, None, str(tmp_path / "out"), SMALL)
-        lines = open(paths["events"]).readlines()
+        lines = Path(paths["events"]).read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("replica,cycle,step,")
 

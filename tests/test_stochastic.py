@@ -82,7 +82,7 @@ class TestRngStream:
         # rows drawn up to 64 at a time: a stream told of 100 rows hands
         # out the same first rows as one told of 4, as floats and as the
         # engine's loss masks alike
-        for form in (PLAIN[71], MODELS.row_form):
+        for form in (PLAIN[71], MODELS.slots):
             short, long = RngStream(42, 9, n_rows=4), RngStream(42, 9, n_rows=100)
             assert [short.next_row(form) for _ in range(4)] == [
                 long.next_row(form) for _ in range(4)
@@ -90,7 +90,7 @@ class TestRngStream:
 
     def test_a_stream_hands_out_rows_of_one_form(self):
         rng = RngStream(42, 9, n_rows=2)
-        rng.next_row(MODELS.row_form)
+        rng.next_row(MODELS.slots)
         with pytest.raises(ValueError, match="still ahead"):
             rng.next_row(PLAIN[71])
 
