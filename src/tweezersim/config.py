@@ -107,6 +107,8 @@ class ExperimentConfig:
     fill_strategy: str = _key("engine", "global")
 
     def __post_init__(self):
+        if not isinstance(self.layout, ArrayLayout):
+            raise ConfigError(f"layout must be an ArrayLayout, got {self.layout!r}")
         for section, keys in _SECTIONS.items():
             for key, kind in keys.items():
                 value = getattr(self, key)
@@ -234,7 +236,7 @@ def _convert(section: str, key: str, raw: str, kind: str = "float"):
     except ValueError:
         value = None
     if value is None or kind == "finite" and not math.isfinite(value):
-        noun = {"int": "an integer", "float": "a number"}.get(kind, "a finite number")
+        noun = {"int": "an integer", "finite": "a finite number"}.get(kind, "a number")
         raise ConfigError(f"{section}.{key} must be {noun}, got {raw!r}")
     return value
 

@@ -108,7 +108,7 @@ class ArrayLayout:
     only.
 
     ``sites`` is kept sorted by id. Id lists, distances (``reservoir_dist``),
-    ``site_bits`` (id -> occupancy bit, ``1 << index_of(id)``) and the refill
+    ``site_bits`` (id -> occupancy bit, bit k for the k-th site) and the refill
     order (buffers nearest the reservoir first, ties by id) are computed once.
     ``plan_memo`` is where the planner memoises fill plans for this layout;
     it holds derived values only and takes no part in equality.
@@ -127,11 +127,9 @@ class ArrayLayout:
         object.__setattr__(self, "sites", tuple(sorted(self.sites, key=lambda s: s.id)))
         by_id = {s.id: s for s in self.sites}
         ids = tuple(sorted(by_id))
-        index = {sid: k for k, sid in enumerate(ids)}
         dist = {(a.id, b.id): distance(a.pos, b.pos) for a in self.sites for b in self.sites}
         rdist = {s.id: distance(s.pos, self.reservoir_pos) for s in self.sites}
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "site_bits", {sid: 1 << k for sid, k in index.items()})
+        object.__setattr__(self, "site_bits", {sid: 1 << k for k, sid in enumerate(ids)})
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_dist", dist)
         object.__setattr__(self, "reservoir_dist", rdist)
@@ -198,22 +196,6 @@ class ArrayLayout:
 
     def site(self, site_id: int) -> TrapSite:
         return self._by_id[site_id]
-
-    def index_of(self, site_id: int) -> int:
-        """Stable 0-based index of a site (ascending id order); bit position
-        in occupancy bitmasks."""
-        return self._index[site_id]
-
-    def occupancy_mask(self, occupancy: Mapping[int, bool]) -> int:
-        """Bitmask of the occupied sites (bit ``index_of(id)``); raises
-        KeyError for an id that is not a site of this layout."""
-        bit = self.site_bits
-        mask = 0
-        for sid, filled in occupancy.items():
-            b = bit[sid]
-            if filled:
-                mask |= b
-        return mask
 
     def site_distance(self, a_id: int, b_id: int) -> float:
         return self._dist[a_id, b_id]

@@ -9,7 +9,7 @@ ground truth; the cycle engine reconciles the two at each imaging step.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,6 @@ from .geometry import ArrayLayout, MaskOccupancy, Position, distance
 
 __all__ = [
     "RESERVOIR",
-    "Occupancy",
     "Move",
     "MovePlan",
     "PlanError",
@@ -31,9 +30,6 @@ __all__ = [
 
 # Sentinel source id for extraction moves out of the reservoir.
 RESERVOIR = -1
-
-# Believed occupancy: site id -> occupied? (a dict or a MaskOccupancy)
-Occupancy = Mapping[int, bool]
 
 
 class PlanError(ValueError):
@@ -81,16 +77,13 @@ class MovePlan:
 MEMO_CAP = 8192
 
 
-def _belief_mask(belief: Occupancy, layout: ArrayLayout) -> int:
-    """Occupancy bitmask of ``belief``, which must name every layout site
-    and nothing else; a mask view of ``layout`` hands over its mask."""
-    if type(belief) is MaskOccupancy and belief.layout is layout:
+def _belief_mask(belief: MaskOccupancy, layout: ArrayLayout) -> int:
+    """The bitmask ``belief`` views, which must be a mask view of ``layout``
+    or of a layout with the same site ids."""
+    if type(belief) is not MaskOccupancy:
+        raise PlanError(f"belief must be a MaskOccupancy, got {type(belief).__name__}")
+    if belief.layout is layout or belief.layout.site_ids == layout.site_ids:
         return belief.mask
-    if len(belief) == len(layout.site_ids):
-        try:
-            return layout.occupancy_mask(belief)
-        except KeyError:
-            pass
     missing = set(layout.site_ids) - set(belief)
     extra = set(belief) - set(layout.site_ids)
     raise PlanError(
@@ -100,7 +93,7 @@ def _belief_mask(belief: Occupancy, layout: ArrayLayout) -> int:
 
 
 def plan_target_fill(
-    belief: Occupancy,
+    belief: MaskOccupancy,
     layout: ArrayLayout,
     *,
     strategy: str = "global",
@@ -142,7 +135,7 @@ def plan_target_fill(
     return plan
 
 
-def plan_buffer_refill(belief: Occupancy, layout: ArrayLayout) -> list[int]:
+def plan_buffer_refill(belief: MaskOccupancy, layout: ArrayLayout) -> list[int]:
     """Buffer sites believed empty, ordered nearest-to-reservoir first
     (ties by site id); the destinations of the next extraction round.
 

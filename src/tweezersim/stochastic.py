@@ -87,7 +87,7 @@ class RowForm:
             self._weights[i, i // _WORD_BITS] = 1 << i % _WORD_BITS
 
     def __repr__(self) -> str:
-        return f"RowForm({self.length}, {self.masks!r}, {self.n_bits})"
+        return f"{type(self).__name__}({self.length}, {self.masks!r}, {self.n_bits})"
 
     def rows(self, block: np.ndarray) -> list[tuple]:
         """The handed-out rows of a ``(k, width)`` block of full rows."""

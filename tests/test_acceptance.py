@@ -15,7 +15,7 @@ import pytest
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import EventLog, run_realization
 from tweezersim.harness import calibrate_depletion, run_experiment, write_outputs
-from tweezersim.geometry import reference_layout
+from tweezersim.geometry import MaskOccupancy, reference_layout
 from tweezersim.planner import exhaustive_assignment, plan_target_fill
 from tweezersim.stochastic import RngStream, sample_survival
 
@@ -26,8 +26,8 @@ SUCC8 = (0.868, 0.05)
 SUCC15 = (0.915, 0.05)
 
 LAYOUT = reference_layout()
-TARGET_BITS = sum(1 << LAYOUT.index_of(t) for t in LAYOUT.target_ids)
-BUFFER_BITS = sum(1 << LAYOUT.index_of(b) for b in LAYOUT.buffer_ids)
+TARGET_BITS = sum(LAYOUT.site_bits[t] for t in LAYOUT.target_ids)
+BUFFER_BITS = sum(LAYOUT.site_bits[b] for b in LAYOUT.buffer_ids)
 
 
 def _report(num, name, ok, detail):
@@ -118,11 +118,8 @@ def test_acceptance_5_planner_oracle():
         n_src = rng.randint(1, 7)
         vac_ids = rng.sample(list(LAYOUT.target_ids), n_vac)
         src_ids = rng.sample(list(LAYOUT.buffer_ids), n_src)
-        belief = {sid: False for sid in LAYOUT.site_ids}
-        for t in LAYOUT.target_ids:
-            belief[t] = t not in vac_ids
-        for s in src_ids:
-            belief[s] = True
+        occupied = (set(LAYOUT.target_ids) - set(vac_ids)) | set(src_ids)
+        belief = MaskOccupancy(LAYOUT, sum(LAYOUT.site_bits[sid] for sid in occupied))
         heur = plan_target_fill(belief, LAYOUT).total_distance
         oracle = exhaustive_assignment(
             [LAYOUT.site(v).pos for v in vac_ids],

@@ -124,6 +124,8 @@ def test_validation_names_offending_key(field, value, key):
         ("success_definition", ["x"], "run.success_definition", "a string"),
         ("fill_strategy", None, "engine.fill_strategy", "a string"),
         ("n_replicas", True, "run.n_replicas", "an integer"),
+        ("layout", "paper-hex-6", "layout", "an ArrayLayout"),
+        ("layout", None, "layout", "an ArrayLayout"),
     ],
 )
 def test_wrongly_typed_values_name_their_key(field, value, key, noun):
@@ -256,6 +258,12 @@ fill_strategy = per-vacancy
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write_ini(tmp_path, "[run]\nn_replicas = soon\n"))
+
+    @pytest.mark.parametrize("key", ["t_image_loss", "t_mot"])
+    def test_unreadable_float_says_a_number(self, tmp_path, key):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_ini(tmp_path, f"[timing]\n{key} = abc\n"))
+        assert str(info.value) == f"timing.{key} must be a number, got 'abc'"
 
     def test_out_of_range_value(self, tmp_path):
         with pytest.raises(ConfigError, match="p_transport"):

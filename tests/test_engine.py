@@ -31,7 +31,7 @@ from tweezersim.engine import (
     step_image,
     step_refill_buffers,
 )
-from tweezersim.geometry import MaskOccupancy, layout_from_site_rows
+from tweezersim.geometry import layout_from_site_rows
 from tweezersim.planner import Move, MovePlan, plan_buffer_refill, plan_target_fill
 from tweezersim.stochastic import LossModel, RngStream, RowForm, survival_probability
 
@@ -43,8 +43,8 @@ def models_with(**overrides):
 
 
 def bits(models, *site_ids):
-    """Occupancy bitmask of ``site_ids`` in the layout of ``models``."""
-    return sum(1 << models.layout.index_of(sid) for sid in site_ids)
+    """The occupancy bitmask of ``site_ids`` in the layout of ``models``."""
+    return sum(models.layout.site_bits[sid] for sid in site_ids)
 
 
 # All-success limit: transports and extractions never fail, nothing decays.
@@ -216,20 +216,6 @@ def test_init_sequence_population_statistics():
     mean = sum(draws) / len(draws)
     # Poisson(80): sigma of the mean over 300 draws ~ 0.52
     assert abs(mean - 80.0) < 2.6
-
-
-def test_occupancy_mask():
-    models = models_with()
-    state = init_sequence(models, RngStream(3, 0))
-    layout = models.layout
-    assert layout.occupancy_mask(MaskOccupancy(layout, state.truth)) == 0
-    state.truth |= layout.site_bits[0] | layout.site_bits[12]
-    idx0 = layout.index_of(0)
-    idx12 = layout.index_of(12)
-    assert state.truth == (1 << idx0) | (1 << idx12)
-    occupancy = {sid: sid in (0, 12) for sid in layout.site_ids}
-    assert MaskOccupancy(layout, state.truth) == occupancy
-    assert layout.occupancy_mask(occupancy) == state.truth
 
 
 def test_site_ids_need_not_start_at_zero():
@@ -831,8 +817,8 @@ def test_event_log_masks_exact_past_63_sites():
     log.add("image", state)
     truth_masks = [row[5] for row in log.rows]
     belief_masks = [row[6] for row in log.rows]
-    small = 1 << layout.index_of(low)
-    big = (1 << layout.index_of(top)) | small
+    small = layout.site_bits[low]
+    big = layout.site_bits[top] | small
     assert truth_masks == [0, big, big]
     assert belief_masks == [0, small, big]
     assert len(log) == 3 and all(len(column) == 3 for column in log.columns)
@@ -860,7 +846,7 @@ def test_streaming_event_log_hands_wide_masks_to_the_sink_exactly():
     log.add("image", state)  # a truth mask past 63 bits
     memory = EventLog()
     memory.add("image", state)
-    wide = 1 << layout.index_of(top)
+    wide = layout.site_bits[top]
     assert memory.columns[5] == [wide] and memory.rows[0][5] == wide
     log.flush(2)  # one row buffered: kept
     assert sink.blocks == [] and len(log) == 1
@@ -878,7 +864,7 @@ def test_streaming_event_log_hands_wide_masks_to_the_sink_exactly():
 def test_event_log_masks_match_records_past_63_sites():
     models = big_hex_models()
     layout = models.layout
-    target_bits = sum(1 << layout.index_of(t) for t in layout.target_ids)
+    target_bits = sum(layout.site_bits[t] for t in layout.target_ids)
     log = EventLog()
     records = run_realization(models, seed=8, n_cycles=4, log=log)
     images = [row for row in log.rows if row[2] == "image"]

@@ -126,9 +126,9 @@ class TestReferenceLayout:
             assert abs(pos.x - cx) <= self.layout.scan_range
             assert abs(pos.y - cy) <= self.layout.scan_range
 
-    def test_index_of_is_dense(self):
-        idx = sorted(self.layout.index_of(s) for s in self.layout.site_ids)
-        assert idx == list(range(13))
+    def test_site_bits_are_dense_in_id_order(self):
+        bits = [self.layout.site_bits[s] for s in self.layout.site_ids]
+        assert bits == [1 << k for k in range(13)]
 
     def test_preset_lookup(self):
         via_preset = layout_from_preset("paper-hex-6")

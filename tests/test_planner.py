@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweezersim.geometry import MaskOccupancy, Position, reference_layout
+from tweezersim.geometry import MaskOccupancy, Position, SiteRole, TrapSite, reference_layout
 from tweezersim.planner import (
     RESERVOIR,
     Assignment,
@@ -29,7 +29,20 @@ LAYOUT = reference_layout()
 
 
 def belief_with(occupied):
-    return {sid: sid in occupied for sid in LAYOUT.site_ids}
+    return MaskOccupancy(LAYOUT, sum(LAYOUT.site_bits[sid] for sid in occupied))
+
+
+def view_of(sites, mask=0):
+    """A view of ``mask`` on the reference geometry with ``sites`` as its sites."""
+    return MaskOccupancy(dataclasses.replace(LAYOUT, sites=tuple(sites)), mask)
+
+
+# views of layouts that lack site 12, add a site 99, or do both
+NO_12 = view_of(s for s in LAYOUT.sites if s.id != 12)
+WITH_99 = view_of(LAYOUT.sites + (TrapSite(99, Position(0.0, 50.0), SiteRole.TARGET),))
+SWAPPED = view_of(dataclasses.replace(s, id=99) if s.id == 12 else s for s in LAYOUT.sites)
+# a dict is refused even when it names every site
+A_DICT = ({sid: False for sid in LAYOUT.site_ids}, "belief must be a MaskOccupancy, got dict")
 
 
 def random_belief(rng):
@@ -58,10 +71,11 @@ def test_plan_rejects_duplicate_endpoints():
 
 
 def test_plan_requires_full_coverage():
-    with pytest.raises(PlanError, match="belief must cover"):
-        plan_target_fill({0: True}, LAYOUT)
-    with pytest.raises(PlanError, match="belief must cover"):
-        plan_buffer_refill({0: True}, LAYOUT)
+    for plan in (plan_target_fill, plan_buffer_refill):
+        with pytest.raises(PlanError, match="belief must cover"):
+            plan(NO_12, LAYOUT)
+        with pytest.raises(PlanError, match=re.escape(A_DICT[1])):
+            plan(A_DICT[0], LAYOUT)
 
 
 def test_unknown_strategy():
@@ -69,46 +83,28 @@ def test_unknown_strategy():
         plan_target_fill(belief_with(set()), LAYOUT, strategy="sideways")
 
 
-def mask_belief(mask):
-    return {sid: bool(mask >> LAYOUT.index_of(sid) & 1) for sid in LAYOUT.site_ids}
-
-
 @pytest.mark.parametrize("strategy", ["global", "per-vacancy"])
 def test_memoised_plans_equal_fresh_plans(strategy):
     # Every believed occupancy of the 13-site layout, planned into an empty
     # memo and again once it is full, against plans from a layout whose memo
-    # is emptied first; refill lists against their definition.
+    # is emptied first; refill lists against their definition. The views
+    # are of LAYOUT, an equal layout, and read like their masks; a view of
+    # the planning layout itself plans the same.
     memo, fresh = reference_layout(), reference_layout()
     for _ in range(2):
         for mask in range(1 << len(LAYOUT.site_ids)):
-            belief = mask_belief(mask)
+            belief = MaskOccupancy(LAYOUT, mask)
+            assert sum(bit for sid, bit in LAYOUT.site_bits.items() if belief[sid]) == mask
             fresh.plan_memo.clear()
-            expected = plan_target_fill(belief, fresh, strategy=strategy)
+            expected = plan_target_fill(MaskOccupancy(fresh, mask), fresh, strategy=strategy)
             fresh.plan_memo.clear()
+            assert plan_target_fill(belief, fresh, strategy=strategy) == expected
             assert plan_target_fill(belief, memo, strategy=strategy) == expected
             empty = [b for b in LAYOUT.buffer_ids if not belief[b]]
             assert plan_buffer_refill(belief, memo) == sorted(
                 empty, key=lambda b: (LAYOUT.reservoir_dist[b], b)
             )
     assert len(memo.plan_memo) == MEMO_CAP
-
-
-@pytest.mark.parametrize("strategy", ["global", "per-vacancy"])
-def test_mask_views_plan_like_equal_dicts(strategy):
-    # Every believed occupancy of the 13-site layout, planned from the
-    # layout's mask view and from the equal dict, each into an empty memo;
-    # a view of an equal layout is read site by site and plans the same.
-    viewed, plain, equal = reference_layout(), reference_layout(), reference_layout()
-    for mask in range(1 << len(LAYOUT.site_ids)):
-        view, belief = MaskOccupancy(viewed, mask), mask_belief(mask)
-        assert view == belief and viewed.occupancy_mask(view) == mask
-        for layout in (viewed, plain):
-            layout.plan_memo.clear()
-        expected = plan_target_fill(belief, plain, strategy=strategy)
-        assert plan_target_fill(view, viewed, strategy=strategy) == expected
-        other = MaskOccupancy(equal, mask)  # another layout's view
-        assert plan_target_fill(other, viewed, strategy=strategy) == expected
-        assert plan_buffer_refill(view, viewed) == plan_buffer_refill(belief, plain)
 
 
 def per_vacancy_rule(belief):
@@ -129,34 +125,25 @@ def per_vacancy_rule(belief):
 def test_per_vacancy_plans_follow_the_rule():
     layout = reference_layout()
     for mask in range(1 << len(LAYOUT.site_ids)):
-        belief = mask_belief(mask)
+        belief = MaskOccupancy(LAYOUT, mask)
         plan = plan_target_fill(belief, layout, strategy="per-vacancy")
         assert [(m.src, m.dst, m.dist) for m in plan] == per_vacancy_rule(belief)
 
 
 def test_mask_views_keep_coverage_errors():
     layout = reference_layout()
-    shifted = dataclasses.replace(
-        layout, sites=tuple(dataclasses.replace(s, id=s.id + 1) for s in layout.sites)
-    )
-    belief = belief_with(set())
-    missing = dict(belief)
-    del missing[12]
     cases = [
-        (MaskOccupancy(shifted, 0b101), "missing [0], extraneous [13]"),
+        (view_of((dataclasses.replace(s, id=s.id + 1) for s in LAYOUT.sites), 0b101),
+         "missing [0], extraneous [13]"),
         (MaskOccupancy(hex_layout(), 1), "missing [], extraneous [13, "),
-        (missing, "missing [12]"),
-        ({**belief, 99: False}, "extraneous [99]"),
+        A_DICT,
     ]
     for mask in range(1 << len(layout.site_ids)):  # fill the memo from views
         plan_target_fill(MaskOccupancy(layout, mask), layout)
     for plan in (plan_target_fill, plan_buffer_refill):
         for bad, words in cases:
-            with pytest.raises(PlanError, match=re.escape(words)) as from_view:
+            with pytest.raises(PlanError, match=re.escape(words)):
                 plan(bad, layout)
-            with pytest.raises(PlanError) as from_dict:
-                plan(dict(bad), layout)
-            assert str(from_view.value) == str(from_dict.value)
 
 
 def test_memo_keeps_coverage_errors_and_fresh_refill_lists():
@@ -168,13 +155,10 @@ def test_memo_keeps_coverage_errors_and_fresh_refill_lists():
     assert plan_buffer_refill(belief, layout) == sorted(
         LAYOUT.buffer_ids, key=lambda b: (LAYOUT.reservoir_dist[b], b)
     )
-    missing = dict(belief)
-    del missing[12]
-    swapped = {**missing, 99: False}
     for bad, words in (
-        (missing, "missing [12]"),
-        ({**belief, 99: False}, "extraneous [99]"),
-        (swapped, "missing [12], extraneous [99]"),
+        (NO_12, "missing [12], extraneous []"),
+        (WITH_99, "missing [], extraneous [99]"),
+        (SWAPPED, "missing [12], extraneous [99]"),
     ):
         for plan in (plan_target_fill, plan_buffer_refill):
             with pytest.raises(PlanError, match=re.escape(words)):
