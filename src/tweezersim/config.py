@@ -22,7 +22,7 @@ from .geometry import (
     layout_from_site_rows,
     reference_layout,
 )
-from .stochastic import ExtractionModel, LossModel, TransportModel
+from .stochastic import _MAX_POISSON_MEAN, ExtractionModel, LossModel, TransportModel
 
 __all__ = [
     "ConfigError",
@@ -63,10 +63,24 @@ _KINDS = {
     "str": (str, "a string"),
 }
 
+# The ranges a key is held to: the words its error says, and a test written
+# so that NaN fails it.
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+_POSITIVE = ("positive", lambda v: v > 0)
+_FINITE = ("finite and nonnegative", lambda v: 0 <= v < math.inf)
+_PROBABILITY = ("within [0, 1]", lambda v: 0 <= v <= 1)
+_POISSON_MEAN = (f"at most {_MAX_POISSON_MEAN:g}", lambda v: v <= _MAX_POISSON_MEAN)
 
-def _key(section: str, default):
-    """A config field read from the INI ``[section]`` under its own name."""
-    return field(default=default, metadata={"section": section})
+
+def _one_of(*choices):
+    return " or ".join(map(repr, choices)), lambda v: v in choices
+
+
+def _key(section: str, default, *rules):
+    """A config field read from the INI ``[section]`` under its own name,
+    whose value ``build_models`` holds to ``rules``."""
+    return field(default=default, metadata={"section": section, "rules": rules})
 
 
 @dataclass
@@ -74,79 +88,69 @@ class ExperimentConfig:
     """Fully resolved run parameters; defaults match the reference setup.
 
     Each field tagged by :func:`_key` is one INI key: the tag gives its
-    section and the annotation its type. Range and choice checks live in the
-    models ``build_models`` assembles; only the ``[run]`` keys, which no
-    model sees, are checked here.
+    section and its range, the annotation its type. :meth:`build_models`
+    checks every tagged key, so a config changed after it was built is
+    checked again by the next run.
     """
 
-    n_replicas: int = _key("run", 2500)
-    n_cycles: int = _key("run", 15)
-    master_seed: int = _key("run", 42)
-    success_definition: str = _key("run", "first-achievement")
-    ci_method: str = _key("run", "normal")
+    n_replicas: int = _key("run", 2500, _AT_LEAST_1)
+    n_cycles: int = _key("run", 15, _AT_LEAST_1)
+    master_seed: int = _key("run", 42, _NONNEGATIVE)
+    success_definition: str = _key("run", "first-achievement", _one_of(*_SUCCESS_DEFINITIONS))
+    ci_method: str = _key("run", "normal", _one_of("normal", "wilson"))
     # [layout] is parsed by hand; see _parse_layout_section
     layout: ArrayLayout = field(default_factory=reference_layout)
-    lifetime_array_s: float = _key("stochastic", 10.0)
-    lifetime_reservoir_s: float = _key("stochastic", 5.0)
-    p_transport: float = _key("stochastic", 0.753)
-    p_stay_on_failure: float = _key("stochastic", DEFAULT_STAY_ON_FAILURE)
-    p_blockade_plateau: float = _key("stochastic", 0.596)
-    mean_ensemble_at_full: float = _key("stochastic", DEFAULT_ENSEMBLE_MEAN)
-    n_reference: int = _key("stochastic", 80)
-    reservoir_mean: float = _key("stochastic", 80.0)
-    refill_rate: float = _key("stochastic", 0.0)
-    t_mot: float = _key("timing", 1.8)
-    t_molasses: float = _key("timing", 0.040)
-    t_reservoir_transfer: float = _key("timing", 0.020)
-    t_image: float = _key("timing", 0.130)
-    t_analysis_fill: float = _key("timing", 0.065)
-    t_buffer_refill: float = _key("timing", 0.035)
-    t_ramp: float = _key("timing", 130e-6)
-    t_move: float = _key("timing", 310e-6)
-    t_image_loss: float | None = _key("timing", None)
-    fill_strategy: str = _key("engine", "global")
+    lifetime_array_s: float = _key("stochastic", 10.0, _POSITIVE)
+    lifetime_reservoir_s: float = _key("stochastic", 5.0, _POSITIVE)
+    p_transport: float = _key("stochastic", 0.753, _PROBABILITY)
+    p_stay_on_failure: float = _key("stochastic", DEFAULT_STAY_ON_FAILURE, _PROBABILITY)
+    p_blockade_plateau: float = _key("stochastic", 0.596, _PROBABILITY)
+    mean_ensemble_at_full: float = _key("stochastic", DEFAULT_ENSEMBLE_MEAN, _POSITIVE, _POISSON_MEAN)
+    n_reference: int = _key("stochastic", 80, _POSITIVE)
+    reservoir_mean: float = _key("stochastic", 80.0, _FINITE, _POISSON_MEAN)
+    refill_rate: float = _key("stochastic", 0.0, _FINITE)
+    t_mot: float = _key("timing", 1.8, _FINITE)
+    t_molasses: float = _key("timing", 0.040, _FINITE)
+    t_reservoir_transfer: float = _key("timing", 0.020, _FINITE)
+    t_image: float = _key("timing", 0.130, _FINITE)
+    t_analysis_fill: float = _key("timing", 0.065, _FINITE)
+    t_buffer_refill: float = _key("timing", 0.035, _FINITE)
+    t_ramp: float = _key("timing", 130e-6, _FINITE)
+    t_move: float = _key("timing", 310e-6, _FINITE)
+    t_image_loss: float | None = _key("timing", None, _FINITE)  # at most t_image
+    fill_strategy: str = _key("engine", "global", _one_of("global", "per-vacancy"))
 
     def __post_init__(self):
-        if not isinstance(self.layout, ArrayLayout):
-            raise ConfigError(f"layout must be an ArrayLayout, got {self.layout!r}")
-        for section, keys in _SECTIONS.items():
-            for key, kind in keys.items():
-                value = getattr(self, key)
-                if value is None and kind == "float | None":
-                    continue
-                if not isinstance(value, _KINDS[kind][0]) or isinstance(value, bool):
-                    raise ConfigError(
-                        f"{section}.{key} must be {_KINDS[kind][1]}, got {value!r}"
-                    )
-        for key in ("n_replicas", "n_cycles"):
-            if not getattr(self, key) >= 1:
-                raise ConfigError(f"run.{key} must be at least 1")
-        if not self.master_seed >= 0:
-            raise ConfigError(
-                f"run.master_seed must be nonnegative, got {self.master_seed}"
-            )
-        try:
-            self.success_definition = _SUCCESS_DEFINITIONS[self.success_definition]
-        except KeyError:
-            raise ConfigError(
-                f"run.success_definition must be 'first-achievement' or "
-                f"'maintained', got {self.success_definition!r}"
-            ) from None
-        if self.ci_method not in ("normal", "wilson"):
-            raise ConfigError(
-                f"run.ci_method must be 'normal' or 'wilson', got {self.ci_method!r}"
-            )
         self.build_models()
+        self.success_definition = _SUCCESS_DEFINITIONS[self.success_definition]
 
     def _section(self, name: str) -> dict:
         return {key: getattr(self, key) for key in _SECTIONS[name]}
 
     def build_models(self) -> SimulationModels:
-        """Assemble the validated model bundle for the engine.
+        """Check every key and assemble the model bundle for the engine.
 
-        The models check every value they take; their errors name the
-        offending ``section.key`` and are raised here as :class:`ConfigError`.
+        Each error is a :class:`ConfigError` that names the offending
+        ``section.key``. The models take the checked values as they are;
+        only checks of values derived from several keys live with them.
         """
+        if not isinstance(self.layout, ArrayLayout):
+            raise ConfigError(f"layout must be an ArrayLayout, got {self.layout!r}")
+        for f in _TAGGED:
+            name, value = f"{f.metadata['section']}.{f.name}", getattr(self, f.name)
+            if value is None and f.type == "float | None":
+                continue
+            kinds, noun = _KINDS[f.type]
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
+            for words, test in f.metadata["rules"]:
+                if not test(value):
+                    raise ConfigError(f"{name} must be {words}, got {value!r}")
+        if self.t_image_loss is not None and not self.t_image_loss <= self.t_image:
+            raise ConfigError(
+                f"timing.t_image_loss {self.t_image_loss} s must not exceed "
+                f"timing.t_image {self.t_image} s"
+            )
         try:
             loss = LossModel(self.lifetime_array_s, self.lifetime_reservoir_s)
             timing = self._section("timing")
@@ -215,11 +219,12 @@ class ExperimentConfig:
         return resolved
 
 
-# INI section -> key -> annotated type, read off the field tags.
+# The fields that are INI keys, and INI section -> key -> annotated type,
+# read off the field tags.
+_TAGGED = tuple(f for f in fields(ExperimentConfig) if "section" in f.metadata)
 _SECTIONS: dict[str, dict[str, str]] = {}
-for _f in fields(ExperimentConfig):
-    if "section" in _f.metadata:
-        _SECTIONS.setdefault(_f.metadata["section"], {})[_f.name] = _f.type
+for _f in _TAGGED:
+    _SECTIONS.setdefault(_f.metadata["section"], {})[_f.name] = _f.type
 
 _INLINE_LAYOUT_KEYS = ("sites", "reservoir", "scan_range", "base_pitch", "effective_pitch")
 _LAYOUT_KEYS = ("preset",) + _INLINE_LAYOUT_KEYS

@@ -23,9 +23,6 @@ from .stochastic import (
     RngStream,
     RowForm,
     TransportModel,
-    _check_nonnegative,
-    _check_poisson_mean,
-    _check_probability,
     sample_extraction,
     sample_survival,  # unused here; perfbench/tracing.py rebinds this name
     sample_transport,
@@ -69,7 +66,7 @@ class TimingModel:
     ``t_image_loss`` optionally narrows the decay window during imaging to
     the bare exposure when readout overhead should not count as trap time,
     so it may not exceed ``t_image``; ``None`` uses the full ``t_image`` for
-    both clock and losses.
+    both clock and losses. ``ExperimentConfig.build_models`` checks them all.
     """
 
     t_mot: float
@@ -79,20 +76,6 @@ class TimingModel:
     t_analysis_fill: float
     t_buffer_refill: float
     t_image_loss: float | None
-
-    def __post_init__(self):
-        for name in (
-            "t_mot", "t_molasses", "t_reservoir_transfer", "t_image",
-            "t_analysis_fill", "t_buffer_refill",
-        ):
-            _check_nonnegative(f"timing.{name}", getattr(self, name))
-        if self.t_image_loss is not None:
-            _check_nonnegative("timing.t_image_loss", self.t_image_loss)
-            if not self.t_image_loss <= self.t_image:
-                raise ValueError(
-                    f"timing.t_image_loss {self.t_image_loss} s must not exceed "
-                    f"timing.t_image {self.t_image} s"
-                )
 
     @property
     def cycle_duration(self) -> float:
@@ -192,15 +175,6 @@ class SimulationModels:
     fill_strategy: str  # "global" or "per-vacancy"
 
     def __post_init__(self):
-        _check_nonnegative("stochastic.reservoir_mean", self.reservoir_mean)
-        _check_poisson_mean("stochastic.reservoir_mean", self.reservoir_mean)
-        _check_nonnegative("stochastic.refill_rate", self.refill_rate)
-        _check_probability("stochastic.p_stay_on_failure", self.p_stay_on_failure)
-        if self.fill_strategy not in ("global", "per-vacancy"):
-            raise ValueError(
-                f"engine.fill_strategy must be 'global' or 'per-vacancy', "
-                f"got {self.fill_strategy!r}"
-            )
         timing, loss = self.timing, self.loss
         for name, length in (
             ("image_window", timing.image_loss_window),
@@ -646,7 +620,7 @@ def run_realization(
     identical.
     """
     if n_cycles < 1:
-        raise ValueError("run.n_cycles must be at least 1")
+        raise ValueError(f"n_cycles must be at least 1, got {n_cycles}")
     models = config if isinstance(config, SimulationModels) else config.build_models()
     models.check_supply(n_cycles)
     rng = RngStream(seed, replica, n_rows=n_cycles)

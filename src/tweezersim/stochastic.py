@@ -7,7 +7,8 @@ replica by replica; Poisson and binomial values come from its uniforms by
 inverse-CDF search (:func:`poisson_icdf`, :func:`binomial_icdf`). The
 engine's draws take plain counts and a slot of the stream's current row
 and return what they drew; they change none of their arguments, so the
-caller owns all state.
+caller owns all state. The models are plain records of values that
+``ExperimentConfig.build_models`` has checked.
 """
 
 from __future__ import annotations
@@ -259,31 +260,9 @@ def binomial_icdf(
     return n - k if flip else k
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be within [0, 1], got {value}")
-
-
-# Written as ``not value > 0`` and so on, so NaN fails too.
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _check_nonnegative(name: str, value: float) -> None:
-    """A finite duration, rate or mean; ``inf`` is rejected with NaN."""
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-
-
 # numpy's Poisson draw refuses means above about 9.2e18, where its 64-bit
 # counts end; a Poisson mean is held to this round bound below that.
 _MAX_POISSON_MEAN = 1e18
-
-
-def _check_poisson_mean(name: str, value: float) -> None:
-    if not value <= _MAX_POISSON_MEAN:
-        raise ValueError(f"{name} must be at most {_MAX_POISSON_MEAN:g}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -293,10 +272,6 @@ class LossModel:
     lifetime_array: float
     lifetime_reservoir: float
 
-    def __post_init__(self):
-        _check_positive("stochastic.lifetime_array_s", self.lifetime_array)
-        _check_positive("stochastic.lifetime_reservoir_s", self.lifetime_reservoir)
-
 
 @dataclass(frozen=True)
 class TransportModel:
@@ -305,11 +280,6 @@ class TransportModel:
     p_success: float
     t_ramp: float  # s, one intensity ramp; two per move
     t_move: float  # s, tweezer translation
-
-    def __post_init__(self):
-        _check_probability("stochastic.p_transport", self.p_success)
-        for name in ("t_ramp", "t_move"):
-            _check_nonnegative(f"timing.{name}", getattr(self, name))
 
     @property
     def move_duration(self) -> float:
@@ -332,12 +302,6 @@ class ExtractionModel:
     mean_ensemble_at_full: float
     n_reference: int
 
-    def __post_init__(self):
-        _check_probability("p_blockade", self.p_blockade)
-        _check_positive("stochastic.mean_ensemble_at_full", self.mean_ensemble_at_full)
-        _check_poisson_mean("stochastic.mean_ensemble_at_full", self.mean_ensemble_at_full)
-        _check_positive("stochastic.n_reference", self.n_reference)
-
     @classmethod
     def from_plateau(
         cls,
@@ -355,18 +319,14 @@ class ExtractionModel:
         it out; the default 1.0 treats the plateau as the bare delivery
         probability at full reservoir.
         """
-        _check_probability("stochastic.p_blockade_plateau", plateau)
-        _check_positive("stochastic.mean_ensemble_at_full", mean_ensemble_at_full)
-        if not 0.0 < observation_survival <= 1.0:
-            raise ValueError(
-                f"observation_survival must be within (0, 1], got {observation_survival}"
-            )
-        saturation = 1.0 - math.exp(-mean_ensemble_at_full)
-        p_blockade = plateau / (saturation * observation_survival)
+        # the plateau at p_blockade 1; 0 below a mean of about 1.1e-16
+        reachable = (1.0 - math.exp(-mean_ensemble_at_full)) * observation_survival
+        p_blockade = plateau / reachable if reachable else math.inf
         if p_blockade > 1.0:
             raise ValueError(
-                f"stochastic.p_blockade_plateau {plateau} unreachable with ensemble "
-                f"mean {mean_ensemble_at_full} (requires p_blockade {p_blockade:.4g} > 1)"
+                f"stochastic.p_blockade_plateau {plateau} unreachable with "
+                f"stochastic.mean_ensemble_at_full {mean_ensemble_at_full} "
+                f"(requires p_blockade {p_blockade:.4g} > 1)"
             )
         return cls(p_blockade, mean_ensemble_at_full, n_reference)
 
@@ -380,10 +340,6 @@ class ExtractionModel:
 def survival_probability(dt: float, lifetime: float) -> float:
     """Probability that a trapped atom survives ``dt`` seconds,
     ``exp(-dt / lifetime)``."""
-    if not dt >= 0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
-    if not lifetime > 0:
-        raise ValueError(f"lifetime must be positive, got {lifetime}")
     return math.exp(-dt / lifetime)
 
 

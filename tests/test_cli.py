@@ -228,8 +228,10 @@ def test_infinite_config_value_exits_2(tmp_path, capsys, body, key):
          "layout.sites line 2"),
         # 1e300 atoms/s would outgrow numpy's 64-bit reservoir count mid-run
         ("[stochastic]\nrefill_rate = 1e300\n", "stochastic.refill_rate"),
+        # 1 - exp(-1e-17) rounds to 0, which the plateau would be divided by
+        ("[stochastic]\nmean_ensemble_at_full = 1e-17\n", "stochastic.mean_ensemble_at_full"),
     ],
-    ids=["reservoir-text", "reservoir-nan", "site-nan", "refill_supply"],
+    ids=["reservoir-text", "reservoir-nan", "site-nan", "refill_supply", "tiny-ensemble-mean"],
 )
 def test_unusable_config_value_exits_2(tmp_path, capsys, body, key):
     assert_config_exits_2(tmp_path, capsys, body, key)

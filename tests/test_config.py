@@ -105,6 +105,15 @@ def test_success_definition_aliases():
         ("t_image", 1e6, "timing.t_image"),
         # 6 moves of 2 x 130 us + 11 ms outlast the 65 ms fill window
         ("t_move", 0.011, "timing.t_analysis_fill"),
+        ("lifetime_reservoir_s", -1.0, "stochastic.lifetime_reservoir_s"),
+        ("mean_ensemble_at_full", 0.0, "stochastic.mean_ensemble_at_full"),
+        # 1 - exp(-mean) rounds to 0: no ensemble is ever nonempty
+        ("mean_ensemble_at_full", 1e-17, "stochastic.mean_ensemble_at_full"),
+        ("mean_ensemble_at_full", 1e-300, "stochastic.mean_ensemble_at_full"),
+        ("p_blockade_plateau", 1.5, "stochastic.p_blockade_plateau"),
+        ("t_molasses", -0.1, "timing.t_molasses"),
+        ("t_reservoir_transfer", math.nan, "timing.t_reservoir_transfer"),
+        ("t_analysis_fill", math.inf, "timing.t_analysis_fill"),
     ],
 )
 def test_validation_names_offending_key(field, value, key):
@@ -131,6 +140,62 @@ def test_validation_names_offending_key(field, value, key):
 def test_wrongly_typed_values_name_their_key(field, value, key, noun):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be {noun}, got"):
         ExperimentConfig(**{field: value})
+
+
+TAGGED = [f for f in dataclasses.fields(ExperimentConfig) if "section" in f.metadata]
+TINY = math.ulp(0.0)  # the smallest positive double
+# a numeric rule's words -> (its edge values, values just past it)
+RULE_EDGES = {
+    "at least 1": ([1], [0]),
+    "nonnegative": ([0], [-1]),
+    "positive": ([TINY], [0.0, -TINY]),
+    "finite and nonnegative": ([0.0], [-TINY, math.inf]),
+    "within [0, 1]": ([0.0, 1.0], [-TINY, math.nextafter(1.0, 2.0)]),
+    "at most 1e+18": ([1e18], [math.nextafter(1e18, math.inf)]),
+}
+# edge values that pass their own rule but not a check across keys
+CROSS_KEY_REFUSALS = {
+    # no array atom survives the readout window
+    ("lifetime_array_s", TINY): "no array atom survives",
+    # 1 - exp(-mean) rounds to 0, so no atom is ever delivered
+    ("mean_ensemble_at_full", TINY): "unreachable",
+    # the plateau folds in decay, so p_blockade would exceed 1
+    ("p_blockade_plateau", 1.0): "unreachable",
+    # the longest fill plan needs 6 moves of 570 us
+    ("t_analysis_fill", 0.0): "cannot hold the longest fill plan",
+}
+
+
+def rule_cases(f):
+    """(edge values, values just past) of every rule of field ``f``."""
+    for words, _ in f.metadata["rules"]:
+        if f.type == "str":  # one of the quoted choices
+            yield re.findall(r"'([^']*)'", words), ["x"], words
+        elif f.type == "int" and words == "positive":
+            yield [1], [0], words
+        else:
+            yield *RULE_EDGES[words], words
+
+
+@pytest.mark.parametrize("f", TAGGED, ids=[f.name for f in TAGGED])
+def test_every_key_is_held_to_its_rules(f):
+    key = f"{f.metadata['section']}.{f.name}"
+    assert f.metadata["rules"], f"{key} has no range"
+    for edges, pasts, words in rule_cases(f):
+        for value in pasts:
+            refused = rf"^{re.escape(key)} must be {re.escape(words)}, got"
+            with pytest.raises(ConfigError, match=refused):
+                ExperimentConfig(**{f.name: value})
+        for value in edges:
+            refusal = CROSS_KEY_REFUSALS.get((f.name, value))
+            if refusal is None:
+                ExperimentConfig(**{f.name: value})  # accepted
+            else:
+                with pytest.raises(ConfigError, match=refusal):
+                    ExperimentConfig(**{f.name: value})
+    if f.type != "str":
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be "):
+            ExperimentConfig(**{f.name: math.nan})
 
 
 @pytest.mark.parametrize(

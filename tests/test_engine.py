@@ -72,10 +72,6 @@ class TestTimingModel:
         assert t.image_loss_window == t.t_image
         assert dataclasses.replace(t, t_image_loss=0.1).image_loss_window == 0.1
 
-    def test_negative_duration_names_key(self):
-        with pytest.raises(ValueError, match="timing.t_image"):
-            dataclasses.replace(models_with().timing, t_image=-0.1)
-
 
 class TestSimulationModelsValidation:
     def test_bad_stay_probability(self):

@@ -49,6 +49,12 @@ def test_hex_grid_ring_counts():
     assert len(build_hex_grid(2, 5.0)) == 19
 
 
+@pytest.mark.parametrize("pitch", [0.0, -1.0, math.nan])
+def test_hex_grid_rejects_unusable_pitch(pitch):
+    with pytest.raises(ValueError, match="pitch must be positive"):
+        build_hex_grid(1, pitch)
+
+
 def test_hex_grid_nearest_neighbour_is_pitch():
     pts = build_hex_grid(2, 7.9)
     dmin = min(

@@ -154,6 +154,16 @@ class TestRunExperiment:
         assert replicas == set(range(60))
         assert stats.mean_delivered > 0
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_cycles", 0), ("n_replicas", 0), ("ci_method", "x"),
+    ])
+    def test_a_key_changed_after_construction_is_checked_by_the_run(self, key, value):
+        # the config is mutable; each run checks it again before any replica
+        config = dataclasses.replace(SMALL)
+        setattr(config, key, value)
+        with pytest.raises(ConfigError, match=rf"^run\.{key} must be .*, got {value!r}"):
+            run_experiment(config)
+
 
 class TestCalibration:
     def test_synthetic_root(self):
