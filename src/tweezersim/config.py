@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 
-from .engine import SimulationModels, TimingModel
+from .engine import SimulationModels
 from .geometry import (
     PRESETS,
     ArrayLayout,
@@ -22,7 +22,7 @@ from .geometry import (
     layout_from_site_rows,
     reference_layout,
 )
-from .stochastic import _MAX_POISSON_MEAN, ExtractionModel, LossModel, TransportModel
+from .stochastic import _MAX_POISSON_MEAN
 
 __all__ = [
     "ConfigError",
@@ -152,39 +152,10 @@ class ExperimentConfig:
                 f"timing.t_image {self.t_image} s"
             )
         try:
-            loss = LossModel(self.lifetime_array_s, self.lifetime_reservoir_s)
-            timing = self._section("timing")
-            transport = TransportModel(
-                self.p_transport, timing.pop("t_ramp"), timing.pop("t_move")
-            )
-            timing = TimingModel(**timing)
-            # The plateau is the fill fraction read out one image after a
-            # refill, so invert the decay accumulated over that window out of it.
-            window = timing.t_buffer_refill + timing.image_loss_window
-            observed = math.exp(-window / loss.lifetime_array)
-            if observed == 0.0:
-                image = "t_image" if timing.t_image_loss is None else "t_image_loss"
-                raise ConfigError(
-                    f"no array atom survives the {window:.4g} s from refill to "
-                    f"readout (timing.t_buffer_refill + timing.{image}) with "
-                    f"stochastic.lifetime_array_s {loss.lifetime_array:.4g} s, so "
-                    f"stochastic.p_blockade_plateau cannot be read back"
-                )
-            extraction = ExtractionModel.from_plateau(
-                self.p_blockade_plateau,
-                self.mean_ensemble_at_full,
-                self.n_reference,
-                observation_survival=observed,
-            )
             models = SimulationModels(
-                layout=self.layout,
-                loss=loss,
-                transport=transport,
-                extraction=extraction,
-                timing=timing,
-                reservoir_mean=self.reservoir_mean,
-                refill_rate=self.refill_rate,
-                p_stay_on_failure=self.p_stay_on_failure,
+                self.layout,
+                **self._section("stochastic"),
+                **self._section("timing"),
                 **self._section("engine"),
             )
             models.check_supply(self.n_cycles + 1)  # the reported cycles and one more
@@ -276,7 +247,8 @@ def _parse_layout_section(section: configparser.SectionProxy) -> ArrayLayout:
     if len(reservoir) != 2:
         raise ConfigError("layout.reservoir must be 'x y'")
     reservoir = tuple(_convert("layout", "reservoir", v, "finite") for v in reservoir)
-    sizes = {k: _convert("layout", k, section[k], "finite") for k in _INLINE_LAYOUT_KEYS[2:]}
+    # ArrayLayout holds the sizes to their range and names the key
+    sizes = {k: _convert("layout", k, section[k]) for k in _INLINE_LAYOUT_KEYS[2:]}
     try:
         return layout_from_site_rows(rows, reservoir, **sizes)
     except ValueError as exc:

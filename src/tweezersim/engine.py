@@ -19,10 +19,8 @@ from .planner import MovePlan, plan_buffer_refill, plan_target_fill
 from .stochastic import (
     _MAX_POISSON_MEAN,
     ExtractionModel,
-    LossModel,
     RngStream,
     RowForm,
-    TransportModel,
     sample_extraction,
     sample_survival,  # unused here; perfbench/tracing.py rebinds this name
     sample_transport,
@@ -31,7 +29,6 @@ from .stochastic import (
 )
 
 __all__ = [
-    "TimingModel",
     "DecayWindow",
     "CycleSlots",
     "SimulationModels",
@@ -57,39 +54,6 @@ class EngineError(RuntimeError):
 
 class PlanConflictError(EngineError):
     """A plan contradicts the belief it was supposedly built from."""
-
-
-@dataclass(frozen=True)
-class TimingModel:
-    """Wall-clock durations of the sequence, in seconds.
-
-    ``t_image_loss`` optionally narrows the decay window during imaging to
-    the bare exposure when readout overhead should not count as trap time,
-    so it may not exceed ``t_image``; ``None`` uses the full ``t_image`` for
-    both clock and losses. ``ExperimentConfig.build_models`` checks them all.
-    """
-
-    t_mot: float
-    t_molasses: float
-    t_reservoir_transfer: float
-    t_image: float
-    t_analysis_fill: float
-    t_buffer_refill: float
-    t_image_loss: float | None
-
-    @property
-    def cycle_duration(self) -> float:
-        """One image + fill + refill round."""
-        return self.t_image + self.t_analysis_fill + self.t_buffer_refill
-
-    @property
-    def init_duration(self) -> float:
-        """Reservoir preparation before the first cycle."""
-        return self.t_mot + self.t_molasses + self.t_reservoir_transfer
-
-    @property
-    def image_loss_window(self) -> float:
-        return self.t_image if self.t_image_loss is None else self.t_image_loss
 
 
 class DecayWindow(NamedTuple):
@@ -147,58 +111,102 @@ class CycleSlots(RowForm):
 
 @dataclass(frozen=True)
 class SimulationModels:
-    """Everything a realization needs besides its RNG stream.
+    """Everything a realization needs besides its RNG stream: the layout
+    and every ``[stochastic]``, ``[timing]`` and ``[engine]`` key of the
+    config under its own name (times in seconds), as
+    ``ExperimentConfig.build_models`` has checked them.
 
-    Values derived from the models are decided once here and take no part
-    in equality: the three decay windows of a cycle (``image_window`` over
-    ``timing.image_loss_window``, ``fill_window`` over
-    ``timing.t_analysis_fill``, ``refill_window`` over
-    ``timing.t_buffer_refill``, each a :class:`DecayWindow`), the
-    bitmasks of all target and all buffer sites (``target_bits``,
-    ``buffer_bits``) and the cycle's row of uniforms (``slots``, a
-    :class:`CycleSlots`: the slot of each draw, and the ``RowForm`` the
-    stream hands the row out in, each window's loss mask tested against
-    the window's ``array_survival``). ``dataclasses.replace`` decides them
-    afresh.
+    Values derived from the keys are decided once here and take no part
+    in equality, so ``dataclasses.replace`` decides them afresh: the
+    ``init_duration``, ``cycle_duration`` and ``move_duration``; the
+    ``extraction`` law (:class:`ExtractionModel`) whose saturated fill,
+    read out at the next image, is ``p_blockade_plateau``; the three decay
+    windows of a cycle (``image_window`` over ``t_image_loss``, or
+    ``t_image`` where that is ``None``, ``fill_window`` over
+    ``t_analysis_fill``, ``refill_window`` over ``t_buffer_refill``, each
+    a :class:`DecayWindow`); the bitmasks of all target and all buffer
+    sites (``target_bits``, ``buffer_bits``); and the cycle's row of
+    uniforms (``slots``, a :class:`CycleSlots`: the slot of each draw, and
+    the ``RowForm`` the stream hands the row out in). Only checks across
+    keys live here, each a ``ValueError``: an array atom must be able to
+    survive from a refill to its readout, and the fill window must hold
+    the longest fill plan.
     """
 
     layout: ArrayLayout
-    loss: LossModel
-    transport: TransportModel
-    extraction: ExtractionModel
-    timing: TimingModel
-    reservoir_mean: float
-    refill_rate: float
+    lifetime_array_s: float  # math.inf disables a one-body loss channel
+    lifetime_reservoir_s: float
+    p_transport: float
     # A failed move leaves the atom in its source trap with this
     # probability and drops it otherwise; 0 and 1 take no draw.
     p_stay_on_failure: float
+    p_blockade_plateau: float
+    mean_ensemble_at_full: float
+    n_reference: int
+    reservoir_mean: float
+    refill_rate: float
+    t_mot: float
+    t_molasses: float
+    t_reservoir_transfer: float
+    t_image: float
+    t_analysis_fill: float
+    t_buffer_refill: float
+    t_ramp: float  # one intensity ramp; two per move
+    t_move: float  # tweezer translation
+    # Narrows the imaging decay window to the bare exposure when readout
+    # overhead should not count as trap time, so it may not exceed
+    # t_image; None uses t_image for both clock and losses.
+    t_image_loss: float | None
     fill_strategy: str  # "global" or "per-vacancy"
 
     def __post_init__(self):
-        timing, loss = self.timing, self.loss
-        for name, length in (
-            ("image_window", timing.image_loss_window),
-            ("fill_window", timing.t_analysis_fill),
-            ("refill_window", timing.t_buffer_refill),
-        ):
-            object.__setattr__(self, name, DecayWindow(
-                length,
-                survival_probability(length, loss.lifetime_array),
-                survival_probability(length, loss.lifetime_reservoir),
-                self.refill_rate * length,
-            ))
-        layout = self.layout
-        slots = CycleSlots(layout, (self.image_window, self.fill_window, self.refill_window))
-        n_moves, move = slots.n_moves, self.transport.move_duration
-        if n_moves * move > timing.t_analysis_fill:
+        derived = {
+            "init_duration": self.t_mot + self.t_molasses + self.t_reservoir_transfer,
+            "cycle_duration": self.t_image + self.t_analysis_fill + self.t_buffer_refill,
+            "move_duration": 2.0 * self.t_ramp + self.t_move,
+        }
+        image = self.t_image if self.t_image_loss is None else self.t_image_loss
+        # The plateau is the fill fraction read out one image after a
+        # refill, so invert the decay accumulated over that window out of it.
+        readout = self.t_buffer_refill + image
+        observed = survival_probability(readout, self.lifetime_array_s)
+        if observed == 0.0:
+            key = "t_image" if self.t_image_loss is None else "t_image_loss"
             raise ValueError(
-                f"timing.t_analysis_fill {timing.t_analysis_fill} s cannot "
+                f"no array atom survives the {readout:.4g} s from refill to "
+                f"readout (timing.t_buffer_refill + timing.{key}) with "
+                f"stochastic.lifetime_array_s {self.lifetime_array_s:.4g} s, so "
+                f"stochastic.p_blockade_plateau cannot be read back"
+            )
+        derived["extraction"] = ExtractionModel.from_plateau(
+            self.p_blockade_plateau,
+            self.mean_ensemble_at_full,
+            self.n_reference,
+            observation_survival=observed,
+        )
+        windows = tuple(
+            DecayWindow(
+                length,
+                survival_probability(length, self.lifetime_array_s),
+                survival_probability(length, self.lifetime_reservoir_s),
+                self.refill_rate * length,
+            )
+            for length in (image, self.t_analysis_fill, self.t_buffer_refill)
+        )
+        derived.update(zip(("image_window", "fill_window", "refill_window"), windows))
+        layout = self.layout
+        derived["slots"] = slots = CycleSlots(layout, windows)
+        n_moves, move = slots.n_moves, derived["move_duration"]
+        if n_moves * move > self.t_analysis_fill:
+            raise ValueError(
+                f"timing.t_analysis_fill {self.t_analysis_fill} s cannot "
                 f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
             )
         bits = layout.site_bits
-        object.__setattr__(self, "target_bits", sum(bits[t] for t in layout.target_ids))
-        object.__setattr__(self, "buffer_bits", sum(bits[b] for b in layout.buffer_ids))
-        object.__setattr__(self, "slots", slots)
+        derived["target_bits"] = sum(bits[t] for t in layout.target_ids)
+        derived["buffer_bits"] = sum(bits[b] for b in layout.buffer_ids)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def check_supply(self, n_cycles: int) -> None:
         """Refuse a run of ``n_cycles`` engine cycles whose refill could grow
@@ -207,7 +215,7 @@ class SimulationModels:
         decay window."""
         supply = (
             self.reservoir_mean + 3 * n_cycles
-            + self.refill_rate * n_cycles * self.timing.cycle_duration
+            + self.refill_rate * n_cycles * self.cycle_duration
         )
         if self.refill_rate > 0 and not supply <= _MAX_POISSON_MEAN:
             raise ValueError(
@@ -404,7 +412,7 @@ def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
         truth=0,
         belief=0,
         n_reservoir=n0,
-        clock=float(models.timing.init_duration),  # a float, as KINDS says
+        clock=float(models.init_duration),  # a float, as KINDS says
         replica=rng.replica,
         n_initial_reservoir=n0,
     )
@@ -420,7 +428,7 @@ def step_image(
     row at ``models.slots.image``, then belief is reset to truth (perfect
     detection)."""
     _decay_step(state, models.image_window, rng, models.slots.image)
-    state.clock += models.timing.t_image
+    state.clock += models.t_image
     state.belief = state.truth
     if log is not None:
         log.add("image", state)
@@ -447,7 +455,7 @@ def step_fill_targets(
     counters = state.counters
     bits = models.layout.site_bits
     p_stay = models.p_stay_on_failure
-    duration = models.transport.move_duration  # one float shared by the rows
+    duration = models.move_duration  # one float shared by the rows
     slots = models.slots
     if len(plan.moves) > slots.n_moves:
         raise PlanConflictError(
@@ -466,7 +474,7 @@ def step_fill_targets(
             )
         if state.truth & src:
             state.truth ^= src
-            if sample_transport(rng, models.transport, slot):
+            if sample_transport(rng, models.p_transport, slot):
                 if state.truth & dst:
                     raise EngineError(f"transport into occupied site {move.dst}")
                 state.truth |= dst
@@ -490,7 +498,7 @@ def step_fill_targets(
     if log is not None and not plan.moves:
         log.add("fill", state)
     _decay_step(state, models.fill_window, rng, slots.fill)
-    state.clock += models.timing.t_analysis_fill
+    state.clock += models.t_analysis_fill
 
 
 def step_refill_buffers(
@@ -545,7 +553,7 @@ def step_refill_buffers(
     if log is not None and not refill_list:
         log.add("refill", state)
     _decay_step(state, models.refill_window, rng, slots.refill)
-    state.clock += models.timing.t_buffer_refill
+    state.clock += models.t_buffer_refill
 
 
 def check_conservation(state: SystemState) -> None:

@@ -79,8 +79,8 @@ def build_hex_grid(rings: int, pitch: float) -> list[Position]:
     1 + 3*rings*(rings+1) positions in total. Points are ordered ring by
     ring, each ring swept counterclockwise from its smallest polar angle.
     """
-    if not pitch > 0:
-        raise ValueError(f"pitch must be positive, got {pitch}")
+    if not 0 < pitch < math.inf:
+        raise ValueError(f"pitch must be finite and positive, got {pitch}")
     if rings < 0:
         raise ValueError(f"rings must be nonnegative, got {rings}")
     (ux1, uy1), (ux2, uy2) = _HEX_STEPS

@@ -7,8 +7,9 @@ replica by replica; Poisson and binomial values come from its uniforms by
 inverse-CDF search (:func:`poisson_icdf`, :func:`binomial_icdf`). The
 engine's draws take plain counts and a slot of the stream's current row
 and return what they drew; they change none of their arguments, so the
-caller owns all state. The models are plain records of values that
-``ExperimentConfig.build_models`` has checked.
+caller owns all state. They read their probabilities and lifetimes as
+plain numbers, the keys of ``engine.SimulationModels``, except the
+extraction, whose :class:`ExtractionModel` holds the law it draws from.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "RngStream",
     "poisson_icdf",
     "binomial_icdf",
-    "LossModel",
-    "TransportModel",
     "ExtractionModel",
     "survival_probability",
     "sample_survival",
@@ -266,28 +265,6 @@ _MAX_POISSON_MEAN = 1e18
 
 
 @dataclass(frozen=True)
-class LossModel:
-    """One-body trap lifetimes in seconds; ``math.inf`` disables a channel."""
-
-    lifetime_array: float
-    lifetime_reservoir: float
-
-
-@dataclass(frozen=True)
-class TransportModel:
-    """Single-atom transport: success probability and move timings."""
-
-    p_success: float
-    t_ramp: float  # s, one intensity ramp; two per move
-    t_move: float  # s, tweezer translation
-
-    @property
-    def move_duration(self) -> float:
-        """Full duration of one move: ramp up, translate, ramp down."""
-        return 2.0 * self.t_ramp + self.t_move
-
-
-@dataclass(frozen=True)
 class ExtractionModel:
     """Single-atom extraction from the reservoir via collisional blockade.
 
@@ -348,10 +325,10 @@ def sample_survival(rng: RngStream, dt: float, lifetime: float) -> bool:
     return rng.bernoulli(survival_probability(dt, lifetime))
 
 
-def sample_transport(rng: RngStream, model: TransportModel, slot: int) -> bool:
+def sample_transport(rng: RngStream, p_success: float, slot: int) -> bool:
     """Whether a single transport move delivers its atom: the current row's
-    uniform at ``slot`` falls below the success probability."""
-    return rng.row[slot] < model.p_success
+    uniform at ``slot`` falls below ``p_success``."""
+    return rng.row[slot] < p_success
 
 
 def sample_extraction(

@@ -88,22 +88,22 @@ def test_acceptance_3_cumulative_success(full_ensemble):
 
 def test_acceptance_4_timing(full_ensemble):
     cfg, _, _ = full_ensemble
-    timing = cfg.build_models().timing
+    models = cfg.build_models()
     records = run_realization(cfg, seed=cfg.master_seed, n_cycles=6)
     gaps = [
         b.clock_at_image - a.clock_at_image
         for a, b in zip(records, records[1:])
     ]
-    start = records[0].clock_at_image - timing.t_image
+    start = records[0].clock_at_image - models.t_image
     ok = (
         all(abs(g - 0.230) <= 1e-3 for g in gaps)
-        and abs(timing.cycle_duration - 0.230) <= 1e-3
+        and abs(models.cycle_duration - 0.230) <= 1e-3
         and abs(start - 1.86) < 1e-9
-        and abs(timing.init_duration - 1.86) < 1e-9
+        and abs(models.init_duration - 1.86) < 1e-9
     )
     _report(
         4, "timing", ok,
-        f"cycle wall-clock {timing.cycle_duration * 1e3:.3f} ms (230 +- 1), "
+        f"cycle wall-clock {models.cycle_duration * 1e3:.3f} ms (230 +- 1), "
         f"start clock {start:.3f} s (1.86)",
     )
 

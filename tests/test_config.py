@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweezersim.config import (
+    _SECTIONS,
     DEFAULT_ENSEMBLE_MEAN,
     DEFAULT_STAY_ON_FAILURE,
     ConfigError,
     ExperimentConfig,
     load_config,
 )
+from tweezersim.engine import SimulationModels
 from tweezersim.geometry import layout_from_site_rows, reference_layout
 
 
@@ -30,8 +32,62 @@ def test_defaults_build():
     cfg = ExperimentConfig()
     models = cfg.build_models()
     assert models.layout.site_ids == cfg.layout.site_ids
-    assert models.transport.p_success == 0.753
+    assert models.p_transport == 0.753
     assert models.p_stay_on_failure == DEFAULT_STAY_ON_FAILURE
+
+
+# a legal value other than the default for every key the models hold
+MODEL_KEY_VALUES = {
+    "lifetime_array_s": 4.0,
+    "lifetime_reservoir_s": 2.0,
+    "p_transport": 0.5,
+    "p_stay_on_failure": 0.25,
+    "p_blockade_plateau": 0.4,
+    "mean_ensemble_at_full": 20.0,
+    "n_reference": 60,
+    "reservoir_mean": 120.0,
+    "refill_rate": 3.5,
+    "t_mot": 1.5,
+    "t_molasses": 0.05,
+    "t_reservoir_transfer": 0.03,
+    "t_image": 0.2,
+    "t_analysis_fill": 0.08,
+    "t_buffer_refill": 0.05,
+    "t_ramp": 100e-6,
+    "t_move": 250e-6,
+    "t_image_loss": 0.1,
+    "fill_strategy": "per-vacancy",
+}
+
+
+def test_models_hold_every_model_key_under_its_name():
+    keys = [*_SECTIONS["stochastic"], *_SECTIONS["timing"], *_SECTIONS["engine"]]
+    assert [f.name for f in dataclasses.fields(SimulationModels)] == ["layout", *keys]
+    assert list(MODEL_KEY_VALUES) == keys
+
+
+def derived_values(models):
+    """Every value the models decide from their keys."""
+    slots = models.slots
+    return (
+        models.init_duration, models.cycle_duration, models.move_duration,
+        models.image_window, models.fill_window, models.refill_window,
+        models.extraction, models.target_bits, models.buffer_bits,
+        slots.masks, slots.columns,
+    )
+
+
+@pytest.mark.parametrize("key,value", MODEL_KEY_VALUES.items(), ids=list(MODEL_KEY_VALUES))
+def test_replaced_models_equal_models_of_the_replaced_config(key, value):
+    cfg = ExperimentConfig()
+    replaced = dataclasses.replace(cfg.build_models(), **{key: value})
+    built = dataclasses.replace(cfg, **{key: value}).build_models()
+    assert getattr(replaced, key) == value
+    assert replaced == built
+    assert derived_values(replaced) == derived_values(built)
+    # the keys the engine reads only as they are decide nothing
+    read_as_is = key in ("p_transport", "p_stay_on_failure", "reservoir_mean", "fill_strategy")
+    assert (derived_values(replaced) == derived_values(cfg.build_models())) == read_as_is
 
 
 def test_plateau_inversion_in_build():
@@ -229,7 +285,7 @@ def test_infinite_lifetimes_stay_legal():
     models = ExperimentConfig(
         lifetime_array_s=math.inf, lifetime_reservoir_s=math.inf
     ).build_models()
-    assert models.loss.lifetime_array == math.inf
+    assert models.lifetime_array_s == math.inf
 
 
 def test_unreachable_plateau_is_config_error():
@@ -365,13 +421,13 @@ sites =
             ("1 20.0 0.0 buffer", "one 20.0 0.0 buffer",
              "layout.sites line 2 must be an integer, got 'one'"),
             ("scan_range = 250.0", "scan_range = far",
-             "layout.scan_range must be a finite number, got 'far'"),
+             "layout.scan_range must be a number, got 'far'"),
             ("scan_range = 250.0", "scan_range = inf",
-             "layout.scan_range must be a finite number, got 'inf'"),
+             "layout.scan_range must be finite and positive, got inf"),
             ("base_pitch = 20.0", "base_pitch = inf",
-             "layout.base_pitch must be a finite number, got 'inf'"),
+             "layout.base_pitch must be finite and positive, got inf"),
             ("effective_pitch = 20.0", "effective_pitch = nan",
-             "layout.effective_pitch must be a finite number, got 'nan'"),
+             "layout.effective_pitch must be finite and positive, got nan"),
             ("scan_range = 250.0", "scan_range = 0",
              "layout.scan_range must be finite and positive, got 0.0"),
             ("base_pitch = 20.0", "base_pitch = -20.0",

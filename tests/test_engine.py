@@ -22,7 +22,6 @@ from tweezersim.engine import (
     PlanConflictError,
     SimulationModels,
     SystemState,
-    TimingModel,
     check_conservation,
     init_sequence,
     run_cycle,
@@ -33,7 +32,7 @@ from tweezersim.engine import (
 )
 from tweezersim.geometry import layout_from_site_rows
 from tweezersim.planner import Move, MovePlan, plan_buffer_refill, plan_target_fill
-from tweezersim.stochastic import LossModel, RngStream, RowForm, survival_probability
+from tweezersim.stochastic import RngStream, RowForm, survival_probability
 
 from conftest import hex_layout
 
@@ -60,17 +59,17 @@ DEGENERATE = dict(
 )
 
 
-class TestTimingModel:
+class TestDurations:
     def test_cycle_duration(self):
-        assert models_with().timing.cycle_duration == pytest.approx(0.230)
+        assert models_with().cycle_duration == pytest.approx(0.230)
 
     def test_init_duration(self):
-        assert models_with().timing.init_duration == pytest.approx(1.86)
+        assert models_with().init_duration == pytest.approx(1.86)
 
     def test_image_loss_window_defaults_to_image(self):
-        t = models_with().timing
-        assert t.image_loss_window == t.t_image
-        assert dataclasses.replace(t, t_image_loss=0.1).image_loss_window == 0.1
+        models = models_with()
+        assert models.image_window.length == models.t_image
+        assert dataclasses.replace(models, t_image_loss=0.1).image_window.length == 0.1
 
 
 class TestSimulationModelsValidation:
@@ -91,11 +90,10 @@ class TestSimulationModelsValidation:
 class TestDerivedModelValues:
     @staticmethod
     def expected_window(models, length):
-        loss = models.loss
         return DecayWindow(
             length,
-            survival_probability(length, loss.lifetime_array),
-            survival_probability(length, loss.lifetime_reservoir),
+            survival_probability(length, models.lifetime_array_s),
+            survival_probability(length, models.lifetime_reservoir_s),
             models.refill_rate * length,
         )
 
@@ -103,8 +101,8 @@ class TestDerivedModelValues:
         models = models_with(t_image_loss=0.02, refill_rate=3.7)
         for window, length in (
             (models.image_window, 0.02),
-            (models.fill_window, models.timing.t_analysis_fill),
-            (models.refill_window, models.timing.t_buffer_refill),
+            (models.fill_window, models.t_analysis_fill),
+            (models.refill_window, models.t_buffer_refill),
         ):
             # tuple equality: every value bit for bit
             assert window == self.expected_window(models, length)
@@ -112,13 +110,9 @@ class TestDerivedModelValues:
 
     def test_window_survival_follows_replaced_timing(self):
         models = models_with()
-        timing = dataclasses.replace(
-            models.timing, t_image_loss=0.05, t_analysis_fill=0.08,
-            t_buffer_refill=0.04,
-        )
-        loss = dataclasses.replace(models.loss, lifetime_reservoir=2.0)
         replaced = dataclasses.replace(
-            models, timing=timing, loss=loss, refill_rate=12.5
+            models, t_image_loss=0.05, t_analysis_fill=0.08,
+            t_buffer_refill=0.04, lifetime_reservoir_s=2.0, refill_rate=12.5,
         )
         assert replaced.image_window == self.expected_window(replaced, 0.05)
         assert replaced.fill_window == self.expected_window(replaced, 0.08)
@@ -135,8 +129,8 @@ class TestDerivedModelValues:
         return tuple((first + 2, w.array_survival) for first, w in zip(firsts, windows))
 
     @pytest.mark.parametrize("changes", [
-        {"loss": LossModel(4.0, 5.0)},
-        {"timing": TimingModel(1.8, 0.04, 0.02, 0.2, 0.08, 0.05, 0.1)},
+        {"lifetime_array_s": 4.0},
+        {"t_image": 0.2, "t_analysis_fill": 0.08, "t_buffer_refill": 0.05, "t_image_loss": 0.1},
     ])
     def test_replace_re_decides_the_mask_slots(self, changes):
         models = models_with()
@@ -163,10 +157,10 @@ class TestDerivedModelValues:
         "owner,field",
         [
             (None, "reservoir_mean"),
-            ("loss", "lifetime_array"),
-            ("transport", "p_success"),
+            (None, "lifetime_array_s"),
+            (None, "p_transport"),
             ("extraction", "p_blockade"),
-            ("timing", "t_image"),
+            (None, "t_image"),
         ],
     )
     def test_models_are_frozen(self, owner, field):
@@ -242,7 +236,7 @@ def test_step_image_syncs_belief():
     assert step_image(state, models, rng) is None
     assert state.belief == state.truth
     assert state.truth == bits(models, 5)
-    assert state.clock == pytest.approx(clock0 + models.timing.t_image)
+    assert state.clock == pytest.approx(clock0 + models.t_image)
 
 
 class TestFillStep:
@@ -679,7 +673,7 @@ def test_fill_rows_carry_move_duration():
     cfg = ExperimentConfig(t_ramp=100e-6, t_move=250e-6)
     log = EventLog()
     run_realization(cfg, seed=19, n_cycles=4, log=log)
-    duration = cfg.build_models().transport.move_duration
+    duration = cfg.build_models().move_duration
     assert duration == pytest.approx(450e-6)
     moves = [row for row in log.rows if row[2] == "fill" and row[7] != ""]
     assert moves

@@ -49,9 +49,9 @@ def test_hex_grid_ring_counts():
     assert len(build_hex_grid(2, 5.0)) == 19
 
 
-@pytest.mark.parametrize("pitch", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("pitch", [0.0, -1.0, math.nan, math.inf])
 def test_hex_grid_rejects_unusable_pitch(pitch):
-    with pytest.raises(ValueError, match="pitch must be positive"):
+    with pytest.raises(ValueError, match="pitch must be finite and positive"):
         build_hex_grid(1, pitch)
 
 

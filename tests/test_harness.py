@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from array import array
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tweezersim
 from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
 from tweezersim.engine import EventLog, SystemState
@@ -446,3 +450,29 @@ def test_streamed_log_must_finish_in_its_own_directory(tmp_path):
         stats, log = run_experiment(SMALL, log=log)
         with pytest.raises(ValueError, match="streams to"):
             write_outputs(stats, log, str(tmp_path / "b"), SMALL)
+
+
+def test_the_library_writes_nothing_of_its_own(tmp_path):
+    # a caller that prints one result line last (as perfbench/run.py does)
+    # needs the library silent on both streams, also at interpreter exit:
+    # no print, warning or finalizer message of its own
+    out = str(tmp_path / "out")
+    code = (
+        "from tweezersim.config import ExperimentConfig\n"
+        "from tweezersim.harness import (\n"
+        "    calibrate_depletion, run_experiment, stream_events, write_outputs)\n"
+        "config = ExperimentConfig(n_replicas=3, n_cycles=2)\n"
+        f"with stream_events({out!r}) as log:\n"
+        "    stats, log = run_experiment(config, log)\n"
+        f"    write_outputs(stats, log, {out!r}, config)\n"
+        "result = calibrate_depletion(config, evaluate=lambda m: 20.0 / m)\n"
+        "assert result.evaluations > 1\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tweezersim.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("", "")
+    assert sorted(os.listdir(out)) == ["events.csv", "fig4.csv", "run_meta.json"]

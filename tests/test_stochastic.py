@@ -13,7 +13,6 @@ from tweezersim.stochastic import (
     ExtractionModel,
     RngStream,
     RowForm,
-    TransportModel,
     binomial_icdf,
     poisson_icdf,
     reservoir_decay,
@@ -24,9 +23,8 @@ from tweezersim.stochastic import (
 )
 
 MODELS = ExperimentConfig().build_models()
-LOSS = MODELS.loss
 # reservoir survival over half a second at the reference lifetime of 5 s
-P_HALF_SECOND = survival_probability(0.5, LOSS.lifetime_reservoir)
+P_HALF_SECOND = survival_probability(0.5, MODELS.lifetime_reservoir_s)
 # rows handed out as plain floats, for the draws that read a few slots
 PLAIN = {width: RowForm(width) for width in (1, 2, 4, 10, 71)}
 
@@ -121,20 +119,19 @@ def test_sample_survival_statistics():
     assert abs(alive / n - p) < 4 * sigma
 
 
-class TestTransportModel:
+class TestTransport:
     def test_move_duration(self):
-        m = TransportModel(0.753, t_ramp=130e-6, t_move=310e-6)
-        assert m.move_duration == pytest.approx(570e-6)
+        models = ExperimentConfig(t_ramp=130e-6, t_move=310e-6).build_models()
+        assert models.move_duration == pytest.approx(570e-6)
 
     def test_sampling_statistics(self):
         rng = RngStream(5)
-        m = MODELS.transport
-        assert m.p_success == 0.753
+        assert MODELS.p_transport == 0.753
         n = 20000
         hits = 0
         for _ in range(n):
             rng.next_row(PLAIN[1])
-            hits += sample_transport(rng, m, 0)
+            hits += sample_transport(rng, MODELS.p_transport, 0)
         sigma = math.sqrt(0.753 * 0.247 / n)
         assert abs(hits / n - 0.753) < 4 * sigma
 
