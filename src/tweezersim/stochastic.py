@@ -4,7 +4,11 @@ Covers one-body survival in the traps, transport success, collisional-blockade
 extraction of single atoms from the reservoir, and reservoir depletion. All
 draws go through an explicit :class:`RngStream` so ensembles are reproducible
 replica by replica; Poisson and binomial values come from its uniforms by
-inverse-CDF search (:func:`poisson_icdf`, :func:`binomial_icdf`). The
+the inverse-CDF method (:func:`poisson_icdf`, :func:`binomial_icdf`): each
+law's table of cumulative probabilities is built once, by the very sum a
+search from 0 adds up, and read by bisection; a uniform at or above its
+last stored value is searched for, so every value is the search's. The
+tables hold at most ``CDF_TABLE_CAP`` doubles (1 MiB) in all. The
 engine's draws take plain counts and a slot of the stream's current row
 and return what they drew; they change none of their arguments, so the
 caller owns all state. They read their probabilities and lifetimes as
@@ -15,6 +19,8 @@ extraction, whose :class:`ExtractionModel` holds the law it draws from.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +47,11 @@ ROW_CHUNK = 64
 # most this: exp(-500) ~ 7e-218 is still a normal double, and a search takes
 # a few hundred steps at most. Larger means are drawn by numpy's samplers.
 SEARCH_MAX_MEAN = 500.0
+
+# Inverse-CDF tables, keyed by a Poisson mean or by a binomial's (n, q), hold
+# at most this many doubles in all (1 MiB); once it is reached, a new key's
+# values are searched for instead.
+CDF_TABLE_CAP = 2**17
 
 # A loss mask is built from words of this many bits: the largest word, 2**63
 # - 1, is still an int64, so one integer matmul gives every word of a chunk.
@@ -206,20 +217,48 @@ def _child(rng: RngStream | None, slot: int, mean: float) -> np.random.Generator
     return rng.child(slot)
 
 
-def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int = 0) -> int:
-    """The Poisson(``mean``) value of the uniform ``u``: the smallest ``k``
-    whose cumulative probability exceeds ``u``, searched for from 0 (the
-    inverse-CDF method; Devroye, *Non-Uniform Random Variate Generation*,
-    1986, ch. X). Non-decreasing in ``u`` and exact up to the rounding of
-    the summed probabilities; the search also stops where a probability
-    underflows to 0, so ``u`` just below 1 ends it too.
+_TABLES: dict = {}  # the cumulative probabilities of a law, by its key
+_stored = 0  # doubles held in _TABLES; CDF_TABLE_CAP once it is full
 
-    Above ``SEARCH_MAX_MEAN`` ``u`` is not read: the value is drawn by
-    numpy's sampler from ``rng.child(slot)``, and without ``rng`` it is a
-    ``ValueError``.
+
+def _table(key, mean: float, term: float, factor, last: float) -> array:
+    """The table of ``key``'s law, stored under ``key``: the running sums
+    ``cdf_0, cdf_1, ...`` of the search, whose first term is ``term`` and
+    whose ``k``-th term is the one before times ``factor(k)``. A sum is
+    kept while its term is positive and ``k`` at most ``last``; past
+    ``mean`` the table ends where one more term leaves the sum unchanged.
+    Every kept sum is the search's float, so the smallest ``k`` whose
+    ``cdf_k`` exceeds ``u`` is the search's value; ``u`` at or above the
+    last kept sum is left to the search. An empty table is not stored,
+    nor one that would take the tables past ``CDF_TABLE_CAP`` doubles,
+    after which they are full and every new key gets an empty table.
     """
-    if mean > SEARCH_MAX_MEAN:
-        return int(_child(rng, slot, mean).poisson(mean))
+    global _stored
+    cdfs = array("d")
+    if _stored >= CDF_TABLE_CAP:
+        return cdfs
+    k, cdf = 0, term
+    while term > 0:
+        cdfs.append(cdf)
+        if k == last:
+            break
+        k += 1
+        term *= factor(k)
+        if k > mean and cdf + term == cdf:
+            break
+        cdf += term
+    if _stored + len(cdfs) > CDF_TABLE_CAP:
+        _stored = CDF_TABLE_CAP  # this table does not fit: store no more
+    elif cdfs:
+        _TABLES[key] = cdfs
+        _stored += len(cdfs)
+    return cdfs
+
+
+def _poisson_search(u: float, mean: float) -> int:
+    """The Poisson(``mean``) value of ``u``: the smallest ``k`` whose
+    cumulative probability exceeds ``u``, searched for from 0; the search
+    also stops where a probability underflows to 0."""
     k = 0
     p = cdf = math.exp(-mean)
     while cdf <= u and p:
@@ -229,23 +268,12 @@ def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int 
     return k
 
 
-def binomial_icdf(
-    u: float, n: int, p: float, rng: RngStream | None = None, slot: int = 0
-) -> int:
-    """The Binomial(``n``, ``p``) value of the uniform ``u`` by the same
-    search as :func:`poisson_icdf`, run from the cheaper tail: for ``p``
-    above 1/2 it counts the failures of ``1 - u`` and returns ``n`` less
-    them, so the value is non-decreasing in ``u`` either way.
-
-    When the searched mean ``n * min(p, 1 - p)`` exceeds
-    ``SEARCH_MAX_MEAN``, ``u`` is not read: the value is drawn by numpy's
-    sampler from ``rng.child(slot)``, and without ``rng`` it is a
-    ``ValueError``.
-    """
+def _binomial_search(u: float, n: int, p: float) -> int:
+    """The Binomial(``n``, ``p``) value of ``u`` by the search of
+    :func:`_poisson_search`, run from the cheaper tail: for ``p`` above 1/2
+    it counts the failures of ``1 - u`` and returns ``n`` less them."""
     flip = p > 0.5
     q = 1.0 - p if flip else p
-    if n * q > SEARCH_MAX_MEAN:
-        return int(_child(rng, slot, n * q).binomial(n, p))
     if flip:
         u = 1.0 - u
     ratio = q / (1.0 - q)
@@ -256,6 +284,66 @@ def binomial_icdf(
         k += 1
         pk *= top / k - ratio
         cdf += pk
+    return n - k if flip else k
+
+
+def _poisson_table(mean: float) -> array:
+    return _table(mean, mean, math.exp(-mean), lambda k: mean / k, math.inf)
+
+
+def _binomial_table(n: int, q: float) -> array:
+    ratio = q / (1.0 - q)
+    top = ratio * (n + 1)
+    return _table((n, q), n * q, math.exp(n * math.log1p(-q)), lambda k: top / k - ratio, n)
+
+
+def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int = 0) -> int:
+    """The Poisson(``mean``) value of the uniform ``u``: the smallest ``k``
+    whose cumulative probability exceeds ``u`` (the inverse-CDF method;
+    Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
+
+    The cumulative probabilities are summed from 0 once per ``mean``,
+    into a table that is read by bisection; ``u`` at or above its last
+    value, and a ``mean`` met after the tables are full, are searched for
+    from 0 by the same sum (:func:`_poisson_search`). Either way the value
+    is the search's: non-decreasing in ``u`` and exact up to the rounding
+    of the summed probabilities, ending where a probability underflows to
+    0, so ``u`` just below 1 ends it too.
+
+    Above ``SEARCH_MAX_MEAN`` ``u`` is not read: the value is drawn by
+    numpy's sampler from ``rng.child(slot)``, and without ``rng`` it is a
+    ``ValueError``.
+    """
+    if mean > SEARCH_MAX_MEAN:
+        return int(_child(rng, slot, mean).poisson(mean))
+    cdfs = _TABLES.get(mean) or _poisson_table(mean)
+    k = bisect_right(cdfs, u)
+    return k if k < len(cdfs) else _poisson_search(u, mean)
+
+
+def binomial_icdf(
+    u: float, n: int, p: float, rng: RngStream | None = None, slot: int = 0
+) -> int:
+    """The Binomial(``n``, ``p``) value of the uniform ``u``, read like
+    :func:`poisson_icdf` from a table per ``(n, q)``, ``q = min(p, 1 -
+    p)``, and searched for (:func:`_binomial_search`) above its last value.
+    It counts from the cheaper tail: for ``p`` above 1/2 it counts the
+    failures of ``1 - u`` and returns ``n`` less them, so the value is
+    non-decreasing in ``u`` either way.
+
+    When the searched mean ``n * min(p, 1 - p)`` exceeds
+    ``SEARCH_MAX_MEAN``, ``u`` is not read: the value is drawn by numpy's
+    sampler from ``rng.child(slot)``, and without ``rng`` it is a
+    ``ValueError``.
+    """
+    flip = p > 0.5
+    q = 1.0 - p if flip else p
+    if n * q > SEARCH_MAX_MEAN:
+        return int(_child(rng, slot, n * q).binomial(n, p))
+    cdfs = _TABLES.get((n, q)) or _binomial_table(n, q)
+    k = bisect_right(cdfs, 1.0 - u if flip else u)
+    if k == len(cdfs):
+        return _binomial_search(u, n, p)
     return n - k if flip else k
 
 

@@ -2,13 +2,17 @@
 
 import math
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tweezersim import stochastic
 from tweezersim.config import ExperimentConfig
 from tweezersim.stochastic import (
+    CDF_TABLE_CAP,
     SEARCH_MAX_MEAN,
     ExtractionModel,
     RngStream,
@@ -20,6 +24,8 @@ from tweezersim.stochastic import (
     sample_survival,
     sample_transport,
     survival_probability,
+    _binomial_search,
+    _poisson_search,
 )
 
 MODELS = ExperimentConfig().build_models()
@@ -279,11 +285,19 @@ def binomial_pmf(k, n, p):
     return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
 
 
+@contextmanager
+def fresh_tables(cap=CDF_TABLE_CAP):
+    """Empty inverse-CDF tables holding at most ``cap`` doubles."""
+    with mock.patch.multiple(stochastic, _TABLES={}, _stored=0, CDF_TABLE_CAP=cap):
+        yield stochastic._TABLES
+
+
 def assert_stratified_law(draw, pmf):
     # one uniform at the middle of each of 2^16 equal strata: an exact
     # inverse CDF maps an interval of length pmf(k) to k, which holds
     # 2^16 pmf(k) stratum middles to within one
-    counts = Counter(draw((i + 0.5) / STRATA) for i in range(STRATA))
+    with fresh_tables():  # read from tables, however full other tests left them
+        counts = Counter(draw((i + 0.5) / STRATA) for i in range(STRATA))
     assert min(counts) >= 0
     for k in range(max(counts) + 2):
         assert abs(counts.get(k, 0) - STRATA * pmf(k)) <= 1, k
@@ -294,9 +308,78 @@ def test_poisson_icdf_exact_law(mean):
     assert_stratified_law(lambda u: poisson_icdf(u, mean), lambda k: poisson_pmf(k, mean))
 
 
-@pytest.mark.parametrize("n,p", [(80, 0.974), (670, 0.974), (7, 0.3)])
+# (494, 0.0257...) is the image window's thinning of a refilled reservoir
+@pytest.mark.parametrize(
+    "n,p", [(80, 0.974), (670, 0.974), (7, 0.3), (494, 0.025664910391250628)]
+)
 def test_binomial_icdf_exact_law(n, p):
     assert_stratified_law(lambda u: binomial_icdf(u, n, p), lambda k: binomial_pmf(k, n, p))
+
+
+def probes(cdfs, flip=False):
+    # 0, the largest uniform, every stored sum (the last one is read by the
+    # search) and the float just below each; flipped, 1 less each of them,
+    # which is what a binomial with p above 1/2 reads from its table
+    us = [0.0, TOP, *cdfs, *(math.nextafter(c, 0.0) for c in cdfs)]
+    return [1.0 - u for u in us] if flip else us
+
+
+@settings(max_examples=30, deadline=None)
+@given(mean=st.floats(0.0, SEARCH_MAX_MEAN))
+@example(mean=0.0)
+@example(mean=13.1875)
+@example(mean=80.0)
+@example(mean=SEARCH_MAX_MEAN)
+def test_poisson_table_reads_the_search_value(mean):
+    with fresh_tables() as tables:
+        poisson_icdf(0.5, mean)
+        cdfs = tables[mean]
+        assert list(cdfs) == sorted(cdfs)
+        for u in probes(cdfs):
+            assert poisson_icdf(u, mean) == _poisson_search(u, mean), u
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 10**5), q=st.floats(0.0, 0.5), flip=st.booleans())
+@example(n=494, q=0.025664910391250628, flip=False)
+@example(n=80, q=1.0 - 0.974, flip=True)
+@example(n=998, q=0.5, flip=False)
+@example(n=7, q=0.0, flip=True)
+def test_binomial_table_reads_the_search_value(n, q, flip):
+    q = min(q, (SEARCH_MAX_MEAN - 1) / n) if n else q  # n min(p, 1 - p) <= 499
+    p = 1.0 - q if flip else q
+    with fresh_tables() as tables:
+        binomial_icdf(0.5, n, p)
+        (cdfs,) = tables.values()
+        assert list(cdfs) == sorted(cdfs)
+        for u in probes(cdfs, flip):
+            assert binomial_icdf(u, n, p) == _binomial_search(u, n, p), u
+
+
+LAWS = [
+    (poisson_icdf, law) for law in [(0.0,), (0.05,), (13.1875,), (80.0,), (499.0,)]
+] + [(binomial_icdf, law) for law in [(0, 0.3), (7, 0.3), (80, 0.974), (494, 0.0257), (998, 0.5)]]
+
+
+def test_full_tables_leave_every_value_to_the_search():
+    us = [0.0, TOP, *(i / 997 for i in range(997))]
+    with fresh_tables():
+        read = [[draw(u, *law) for u in us] for draw, law in LAWS]
+    with fresh_tables(cap=0) as tables:
+        searched = [[draw(u, *law) for u in us] for draw, law in LAWS]
+        assert tables == {}
+    assert read == searched
+
+
+def test_a_table_that_does_not_fit_closes_the_tables():
+    # 54 doubles at mean 13.1875 fit under 60, 164 at mean 80 do not, and
+    # after that not even the one double of mean 0 is stored
+    means = (13.1875, 80.0, 0.0)
+    with fresh_tables(cap=60) as tables:
+        values = [poisson_icdf(0.7, mean) for mean in means]
+        assert list(tables) == [13.1875] and len(tables[13.1875]) == 54
+        assert stochastic._stored == 60
+    assert values == [_poisson_search(0.7, mean) for mean in means]
 
 
 def test_extraction_is_capped_at_the_reservoir():
@@ -320,12 +403,13 @@ def test_extraction_is_capped_at_the_reservoir():
 )
 def test_icdf_monotone_in_range_and_terminating(u, v, mean, n, q, flip):
     lo, hi = sorted((u, v))
-    k = [poisson_icdf(w, mean) for w in (lo, hi, TOP)]
-    assert 0 <= k[0] <= k[1] <= k[2]
     q = min(q, (SEARCH_MAX_MEAN - 1) / n) if n else q  # keep to the searched path
     p = 1.0 - q if flip else q
-    k = [binomial_icdf(w, n, p) for w in (0.0, lo, hi, TOP)]
-    assert 0 <= k[0] <= k[1] <= k[2] <= k[3] <= n
+    with fresh_tables():  # 200 examples' tables would fill the shared ones
+        k = [poisson_icdf(w, mean) for w in (lo, hi, TOP)]
+        assert 0 <= k[0] <= k[1] <= k[2]
+        k = [binomial_icdf(w, n, p) for w in (0.0, lo, hi, TOP)]
+        assert 0 <= k[0] <= k[1] <= k[2] <= k[3] <= n
 
 
 def test_above_the_search_limit_draws_from_a_keyed_child():
