@@ -11,6 +11,7 @@ conservation can be checked exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -18,7 +19,6 @@ from .geometry import ArrayLayout, MaskOccupancy
 from .planner import MovePlan, plan_buffer_refill, plan_target_fill
 from .stochastic import (
     _MAX_POISSON_MEAN,
-    ExtractionModel,
     RngStream,
     RowForm,
     sample_extraction,
@@ -119,8 +119,8 @@ class SimulationModels:
     Values derived from the keys are decided once here and take no part
     in equality, so ``dataclasses.replace`` decides them afresh: the
     ``init_duration``, ``cycle_duration`` and ``move_duration``; the
-    ``extraction`` law (:class:`ExtractionModel`) whose saturated fill,
-    read out at the next image, is ``p_blockade_plateau``; the three decay
+    ``p_blockade`` of a caught ensemble whose saturated fill, read out at
+    the next image, is ``p_blockade_plateau``; the three decay
     windows of a cycle (``image_window`` over ``t_image_loss``, or
     ``t_image`` where that is ``None``, ``fill_window`` over
     ``t_analysis_fill``, ``refill_window`` over ``t_buffer_refill``, each
@@ -129,8 +129,9 @@ class SimulationModels:
     uniforms (``slots``, a :class:`CycleSlots`: the slot of each draw, and
     the ``RowForm`` the stream hands the row out in). Only checks across
     keys live here, each a ``ValueError``: an array atom must be able to
-    survive from a refill to its readout, and the fill window must hold
-    the longest fill plan.
+    survive from a refill to its readout, the plateau must be reachable
+    with ``p_blockade`` at most 1, and the fill window must hold the
+    longest fill plan.
     """
 
     layout: ArrayLayout
@@ -178,12 +179,18 @@ class SimulationModels:
                 f"stochastic.lifetime_array_s {self.lifetime_array_s:.4g} s, so "
                 f"stochastic.p_blockade_plateau cannot be read back"
             )
-        derived["extraction"] = ExtractionModel.from_plateau(
-            self.p_blockade_plateau,
-            self.mean_ensemble_at_full,
-            self.n_reference,
-            observation_survival=observed,
-        )
+        # A caught ensemble (size >= 1, probability 1 - exp(-mean) at a
+        # full reservoir) yields one atom with probability p_blockade. The
+        # plateau at p_blockade 1 is 0 below a mean of about 1.1e-16.
+        reachable = (1.0 - math.exp(-self.mean_ensemble_at_full)) * observed
+        p_blockade = self.p_blockade_plateau / reachable if reachable else math.inf
+        if p_blockade > 1.0:
+            raise ValueError(
+                f"stochastic.p_blockade_plateau {self.p_blockade_plateau} unreachable with "
+                f"stochastic.mean_ensemble_at_full {self.mean_ensemble_at_full} "
+                f"(requires p_blockade {p_blockade:.4g} > 1)"
+            )
+        derived["p_blockade"] = p_blockade
         windows = tuple(
             DecayWindow(
                 length,
@@ -533,7 +540,8 @@ def step_refill_buffers(
             outcome = "empty"
         else:
             removed, delivered = sample_extraction(
-                rng, state.n_reservoir, models.extraction, slots.buffers[sid]
+                rng, state.n_reservoir, models.mean_ensemble_at_full,
+                models.n_reference, models.p_blockade, slots.buffers[sid],
             )
             state.n_reservoir -= removed
             counters.extracted += removed

@@ -69,13 +69,12 @@ def binomial_halfwidth(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
-def wilson_halfwidth(p: float, n: int, z: float = 1.0) -> float:
-    """Wilson-score 1-sigma half-width; stays sensible at p near 0 or 1."""
+def wilson_halfwidth(p: float, n: int) -> float:
+    """Wilson-score 1-sigma (z = 1) half-width; stays sensible at p near 0
+    or 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return (z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))) / (
-        1.0 + z * z / n
-    )
+    return math.sqrt(p * (1.0 - p) / n + 1.0 / (4.0 * n * n)) / (1.0 + 1.0 / n)
 
 
 def _success_matrix(complete: np.ndarray, definition: str) -> np.ndarray:

@@ -1,6 +1,5 @@
-"""Rearrangement planning: shortest-move target filling, buffer refill
-ordering, and an exact minimum-cost assignment oracle for benchmarking the
-heuristic.
+"""Rearrangement planning: shortest-move target filling and buffer refill
+ordering.
 
 Plans are computed against the controller's *believed* occupancy, never the
 ground truth; the cycle engine reconciles the two at each imaging step.
@@ -8,28 +7,17 @@ ground truth; the cycle engine reconciles the two at each imaging step.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import ArrayLayout, MaskOccupancy, Position, distance
+from .geometry import ArrayLayout, MaskOccupancy
 
 __all__ = [
-    "RESERVOIR",
     "Move",
     "MovePlan",
     "PlanError",
     "plan_target_fill",
     "plan_buffer_refill",
-    "optimal_assignment",
-    "exhaustive_assignment",
-    "Assignment",
 ]
-
-# Sentinel source id for extraction moves out of the reservoir.
-RESERVOIR = -1
 
 
 class PlanError(ValueError):
@@ -38,7 +26,7 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Move:
-    """One single-atom transport: ``src`` site (or RESERVOIR) to ``dst``."""
+    """One single-atom transport from site ``src`` to site ``dst``."""
 
     src: int
     dst: int
@@ -143,67 +131,3 @@ def plan_buffer_refill(belief: MaskOccupancy, layout: ArrayLayout) -> list[int]:
     mask, bits = _belief_mask(belief, layout), layout.site_bits
     return [b for b in layout.refill_order if not mask & bits[b]]
 
-
-# -- assignment oracle --------------------------------------------------
-
-@dataclass(frozen=True)
-class Assignment:
-    """A minimum-cost matching: (vacancy index, source index) pairs."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_distance: float
-
-
-def _cost_matrix(vacancies: Sequence[Position], sources: Sequence[Position]) -> np.ndarray:
-    return np.array(
-        [[distance(v, s) for s in sources] for v in vacancies], dtype=float
-    )
-
-
-def exhaustive_assignment(
-    vacancies: Sequence[Position], sources: Sequence[Position]
-) -> Assignment:
-    """Exact matching by enumerating every injection of the smaller side
-    into the larger; only viable for small instances."""
-    nv, ns = len(vacancies), len(sources)
-    if nv == 0 or ns == 0:
-        return Assignment((), 0.0)
-    cost = _cost_matrix(vacancies, sources)
-    swap = nv > ns
-    if swap:
-        cost = cost.T
-    rows, cols = cost.shape
-    best_total = float("inf")
-    best: tuple[int, ...] = ()
-    for perm in itertools.permutations(range(cols), rows):
-        total = 0.0
-        for r, c in enumerate(perm):
-            total += cost[r, c]
-            if total >= best_total:
-                break
-        else:
-            best_total = total
-            best = perm
-    pairs = [(r, c) for r, c in enumerate(best)]
-    if swap:
-        pairs = [(c, r) for r, c in pairs]
-    return Assignment(tuple(sorted(pairs)), float(best_total))
-
-
-def optimal_assignment(
-    vacancies: Sequence[Position], sources: Sequence[Position]
-) -> Assignment:
-    """Minimum-total-distance matching of size min(#vacancies, #sources).
-
-    Solved exactly at every size by scipy's Hungarian-style solver;
-    :func:`exhaustive_assignment` is the independent test oracle. scipy
-    is imported here, not with the module, so simulating never loads it.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    if len(vacancies) == 0 or len(sources) == 0:
-        return Assignment((), 0.0)
-    cost = _cost_matrix(vacancies, sources)
-    rows, cols = linear_sum_assignment(cost)
-    pairs = tuple(sorted((int(r), int(c)) for r, c in zip(rows, cols)))
-    return Assignment(pairs, float(cost[rows, cols].sum()))

@@ -11,9 +11,9 @@ last stored value is searched for, so every value is the search's. The
 tables hold at most ``CDF_TABLE_CAP`` doubles (1 MiB) in all. The
 engine's draws take plain counts and a slot of the stream's current row
 and return what they drew; they change none of their arguments, so the
-caller owns all state. They read their probabilities and lifetimes as
-plain numbers, the keys of ``engine.SimulationModels``, except the
-extraction, whose :class:`ExtractionModel` holds the law it draws from.
+caller owns all state. They read their probabilities, lifetimes and means
+as plain numbers, the keys and derived values of
+``engine.SimulationModels``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "RngStream",
     "poisson_icdf",
     "binomial_icdf",
-    "ExtractionModel",
     "survival_probability",
     "sample_survival",
     "sample_transport",
@@ -49,8 +47,8 @@ ROW_CHUNK = 64
 SEARCH_MAX_MEAN = 500.0
 
 # Inverse-CDF tables, keyed by a Poisson mean or by a binomial's (n, q), hold
-# at most this many doubles in all (1 MiB); once it is reached, a new key's
-# values are searched for instead.
+# at most this many doubles in all (1 MiB); a table that does not fit beside
+# the others empties them first.
 CDF_TABLE_CAP = 2**17
 
 # A loss mask is built from words of this many bits: the largest word, 2**63
@@ -218,7 +216,7 @@ def _child(rng: RngStream | None, slot: int, mean: float) -> np.random.Generator
 
 
 _TABLES: dict = {}  # the cumulative probabilities of a law, by its key
-_stored = 0  # doubles held in _TABLES; CDF_TABLE_CAP once it is full
+_stored = 0  # doubles held in _TABLES
 
 
 def _table(key, mean: float, term: float, factor, last: float) -> array:
@@ -229,14 +227,12 @@ def _table(key, mean: float, term: float, factor, last: float) -> array:
     ``mean`` the table ends where one more term leaves the sum unchanged.
     Every kept sum is the search's float, so the smallest ``k`` whose
     ``cdf_k`` exceeds ``u`` is the search's value; ``u`` at or above the
-    last kept sum is left to the search. An empty table is not stored,
-    nor one that would take the tables past ``CDF_TABLE_CAP`` doubles,
-    after which they are full and every new key gets an empty table.
+    last kept sum is left to the search. A table that would take the
+    tables past ``CDF_TABLE_CAP`` doubles empties them first; an empty
+    table is not stored, nor one longer than the cap on its own.
     """
     global _stored
     cdfs = array("d")
-    if _stored >= CDF_TABLE_CAP:
-        return cdfs
     k, cdf = 0, term
     while term > 0:
         cdfs.append(cdf)
@@ -247,9 +243,10 @@ def _table(key, mean: float, term: float, factor, last: float) -> array:
         if k > mean and cdf + term == cdf:
             break
         cdf += term
-    if _stored + len(cdfs) > CDF_TABLE_CAP:
-        _stored = CDF_TABLE_CAP  # this table does not fit: store no more
-    elif cdfs:
+    if 0 < len(cdfs) <= CDF_TABLE_CAP:
+        if _stored + len(cdfs) > CDF_TABLE_CAP:
+            _TABLES.clear()
+            _stored = 0
         _TABLES[key] = cdfs
         _stored += len(cdfs)
     return cdfs
@@ -304,8 +301,8 @@ def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int 
 
     The cumulative probabilities are summed from 0 once per ``mean``,
     into a table that is read by bisection; ``u`` at or above its last
-    value, and a ``mean`` met after the tables are full, are searched for
-    from 0 by the same sum (:func:`_poisson_search`). Either way the value
+    value is searched for from 0 by the same sum
+    (:func:`_poisson_search`). Either way the value
     is the search's: non-decreasing in ``u`` and exact up to the rounding
     of the summed probabilities, ending where a probability underflows to
     0, so ``u`` just below 1 ends it too.
@@ -352,56 +349,6 @@ def binomial_icdf(
 _MAX_POISSON_MEAN = 1e18
 
 
-@dataclass(frozen=True)
-class ExtractionModel:
-    """Single-atom extraction from the reservoir via collisional blockade.
-
-    An extraction pulls a small ensemble whose size is Poisson with mean
-    ``mean_ensemble_at_full`` scaled by the reservoir fill fraction
-    ``n / n_reference`` (capped at 1). Any nonempty ensemble yields one
-    trapped atom with probability ``p_blockade``, so the delivery probability
-    at full reservoir plateaus at ``p_blockade * (1 - exp(-mean))``.
-    """
-
-    p_blockade: float
-    mean_ensemble_at_full: float
-    n_reference: int
-
-    @classmethod
-    def from_plateau(
-        cls,
-        plateau: float,
-        mean_ensemble_at_full: float,
-        n_reference: int,
-        observation_survival: float = 1.0,
-    ) -> "ExtractionModel":
-        """Build a model whose saturated fill, as observed at the next image,
-        equals ``plateau``.
-
-        The plateau is a measured fill fraction, so it already folds in the
-        decay between a refill and the image that reads it out. Pass that
-        window's survival probability as ``observation_survival`` to invert
-        it out; the default 1.0 treats the plateau as the bare delivery
-        probability at full reservoir.
-        """
-        # the plateau at p_blockade 1; 0 below a mean of about 1.1e-16
-        reachable = (1.0 - math.exp(-mean_ensemble_at_full)) * observation_survival
-        p_blockade = plateau / reachable if reachable else math.inf
-        if p_blockade > 1.0:
-            raise ValueError(
-                f"stochastic.p_blockade_plateau {plateau} unreachable with "
-                f"stochastic.mean_ensemble_at_full {mean_ensemble_at_full} "
-                f"(requires p_blockade {p_blockade:.4g} > 1)"
-            )
-        return cls(p_blockade, mean_ensemble_at_full, n_reference)
-
-    def delivery_probability(self, n_atoms: int) -> float:
-        """Expected single-atom delivery probability at a given reservoir
-        population (exact for the untruncated ensemble law)."""
-        lam = self.mean_ensemble_at_full * min(1.0, n_atoms / self.n_reference)
-        return self.p_blockade * (1.0 - math.exp(-lam))
-
-
 def survival_probability(dt: float, lifetime: float) -> float:
     """Probability that a trapped atom survives ``dt`` seconds,
     ``exp(-dt / lifetime)``."""
@@ -420,23 +367,31 @@ def sample_transport(rng: RngStream, p_success: float, slot: int) -> bool:
 
 
 def sample_extraction(
-    rng: RngStream, n_atoms: int, model: ExtractionModel, slot: int
+    rng: RngStream,
+    n_atoms: int,
+    mean_at_full: float,
+    n_reference: int,
+    p_blockade: float,
+    slot: int,
 ) -> tuple[int, bool]:
     """One extraction attempt into a single trap site from a reservoir of
-    ``n_atoms``.
+    ``n_atoms``, by collisional blockade.
 
-    The ensemble size is the Poisson value (:func:`poisson_icdf`) of the
-    current row's uniform at ``slot``, capped at ``n_atoms``; when it caught
-    any atom, the uniform at ``slot + 1`` decides the blockade. Returns
-    ``(atoms_removed, single_atom_delivered)``; the caller takes the removed
-    atoms out of the reservoir. An empty reservoir yields ``(0, False)``.
+    The ensemble pulled from the reservoir is Poisson with mean
+    ``mean_at_full`` scaled by the fill fraction ``n_atoms / n_reference``
+    (capped at 1): its size is the Poisson value (:func:`poisson_icdf`) of
+    the current row's uniform at ``slot``, capped at ``n_atoms``. When it
+    caught any atom, it yields one trapped atom where the uniform at
+    ``slot + 1`` falls below ``p_blockade``. Returns ``(atoms_removed,
+    single_atom_delivered)``; the caller takes the removed atoms out of the
+    reservoir. An empty reservoir yields ``(0, False)``.
     """
     if n_atoms == 0:
         return 0, False
-    lam = model.mean_ensemble_at_full * min(1.0, n_atoms / model.n_reference)
+    lam = mean_at_full * min(1.0, n_atoms / n_reference)
     row = rng.row
     k = min(poisson_icdf(row[slot], lam, rng, slot), n_atoms)
-    delivered = k >= 1 and row[slot + 1] < model.p_blockade
+    delivered = k >= 1 and row[slot + 1] < p_blockade
     return k, delivered
 
 

@@ -261,14 +261,22 @@ def test_fill_window_shorter_than_longest_plan_exits_2(tmp_path, capsys):
 
 
 def test_simulating_never_imports_scipy():
-    # scipy serves the assignment oracle only; a fresh interpreter that
-    # loads the CLI and runs an ensemble must not pull it in
+    # scipy is a test dependency only: a fresh interpreter in which scipy
+    # cannot be imported loads the CLI, runs an ensemble and a small
+    # calibration (5 evaluations of 20 replicas), and pulls in no scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(tweezersim.__file__)))
     code = (
-        "import sys, tweezersim.cli\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import tweezersim.cli\n"
         "from tweezersim import ExperimentConfig, run_experiment\n"
+        "from tweezersim.harness import calibrate_depletion\n"
         "run_experiment(ExperimentConfig(n_replicas=2, n_cycles=3))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "fit = calibrate_depletion(\n"
+        "    ExperimentConfig(n_cycles=3), target_delivered=6.0, tolerance=0.3, n_replicas=20\n"
+        ")\n"
+        "assert fit.evaluations > 2, fit\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

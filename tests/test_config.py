@@ -72,7 +72,7 @@ def derived_values(models):
     return (
         models.init_duration, models.cycle_duration, models.move_duration,
         models.image_window, models.fill_window, models.refill_window,
-        models.extraction, models.target_bits, models.buffer_bits,
+        models.p_blockade, models.target_bits, models.buffer_bits,
         slots.masks, slots.columns,
     )
 
@@ -86,7 +86,9 @@ def test_replaced_models_equal_models_of_the_replaced_config(key, value):
     assert replaced == built
     assert derived_values(replaced) == derived_values(built)
     # the keys the engine reads only as they are decide nothing
-    read_as_is = key in ("p_transport", "p_stay_on_failure", "reservoir_mean", "fill_strategy")
+    read_as_is = key in (
+        "p_transport", "p_stay_on_failure", "n_reference", "reservoir_mean", "fill_strategy"
+    )
     assert (derived_values(replaced) == derived_values(cfg.build_models())) == read_as_is
 
 
@@ -95,16 +97,13 @@ def test_plateau_inversion_in_build():
     window = cfg.t_buffer_refill + cfg.t_image
     surv = math.exp(-window / cfg.lifetime_array_s)
     expected = 0.596 / ((1 - math.exp(-DEFAULT_ENSEMBLE_MEAN)) * surv)
-    assert cfg.build_models().extraction.p_blockade == pytest.approx(expected)
+    assert cfg.build_models().p_blockade == pytest.approx(expected)
 
 
 def test_image_loss_override_changes_inversion():
     short = ExperimentConfig(t_image_loss=0.0)
     full = ExperimentConfig()
-    assert (
-        short.build_models().extraction.p_blockade
-        < full.build_models().extraction.p_blockade
-    )
+    assert short.build_models().p_blockade < full.build_models().p_blockade
 
 
 def test_success_definition_aliases():

@@ -159,8 +159,9 @@ class TestDerivedModelValues:
             (None, "reservoir_mean"),
             (None, "lifetime_array_s"),
             (None, "p_transport"),
-            ("extraction", "p_blockade"),
+            (None, "p_blockade"),
             (None, "t_image"),
+            ("layout", "scan_range"),
         ],
     )
     def test_models_are_frozen(self, owner, field):

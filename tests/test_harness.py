@@ -49,9 +49,10 @@ def test_wilson_halfwidth_properties():
     assert wilson_halfwidth(1.0, 50) > 0.0
     big = wilson_halfwidth(0.5, 10_000)
     assert big == pytest.approx(binomial_halfwidth(0.5, 10_000), rel=1e-3)
-    p, n, z = 0.3, 40, 1.0
-    by_hand = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / (1 + z * z / n)
-    assert wilson_halfwidth(p, n, z) == pytest.approx(by_hand)
+    # the closed form at z = 1
+    p, n = 0.3, 40
+    by_hand = math.sqrt(p * (1 - p) / n + 1 / (4 * n * n)) / (1 + 1 / n)
+    assert wilson_halfwidth(p, n) == pytest.approx(by_hand)
 
 
 class TestSuccessMatrix:

@@ -1,4 +1,5 @@
-"""Planning layer: fill plans, refill ordering, assignment oracle."""
+"""Planning layer: fill plans and refill ordering, checked against the
+assignment oracles."""
 
 import dataclasses
 import hashlib
@@ -11,19 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from tweezersim.geometry import MaskOccupancy, Position, SiteRole, TrapSite, reference_layout
 from tweezersim.planner import (
-    RESERVOIR,
-    Assignment,
     Move,
     MovePlan,
     MEMO_CAP,
     PlanError,
-    exhaustive_assignment,
-    optimal_assignment,
     plan_buffer_refill,
     plan_target_fill,
 )
 
 from conftest import hex_layout
+from oracles import exhaustive_assignment, hungarian_assignment
 
 LAYOUT = reference_layout()
 
@@ -51,11 +49,6 @@ def random_belief(rng):
     occ = set(rng.sample(list(LAYOUT.buffer_ids), n_src))
     occ |= set(rng.sample(list(LAYOUT.target_ids), n_occ_targets))
     return belief_with(occ)
-
-
-def test_reservoir_sentinel():
-    assert RESERVOIR == -1
-    assert RESERVOIR not in LAYOUT.site_ids
 
 
 def test_move_rejects_self_loop():
@@ -234,14 +227,19 @@ def _random_points(rng, n):
 
 
 class TestAssignmentOracle:
+    ORACLES = (exhaustive_assignment, hungarian_assignment)
+
     def test_empty_sides(self):
-        assert exhaustive_assignment([], []) == Assignment((), 0.0)
-        assert optimal_assignment([Position(0, 0)], []) == Assignment((), 0.0)
+        for oracle in self.ORACLES:
+            assert oracle([], []) == ((), 0.0)
+            assert oracle([Position(0, 0)], []) == ((), 0.0)
+            assert oracle([], [Position(0, 0)]) == ((), 0.0)
 
     def test_single_pair(self):
-        a = optimal_assignment([Position(0, 0)], [Position(3, 4)])
-        assert a.pairs == ((0, 0),)
-        assert a.total_distance == pytest.approx(5.0)
+        for oracle in self.ORACLES:
+            pairs, total = oracle([Position(0, 0)], [Position(3, 4)])
+            assert pairs == ((0, 0),)
+            assert total == pytest.approx(5.0)
 
     def test_exhaustive_matches_hungarian_below_limit(self):
         rng = random.Random(123)
@@ -249,51 +247,38 @@ class TestAssignmentOracle:
             nv, ns = rng.randint(1, 6), rng.randint(1, 7)
             vac, src = _random_points(rng, nv), _random_points(rng, ns)
             ex = exhaustive_assignment(vac, src)
-            hu_cost = _hungarian_cost(vac, src)
-            assert ex.total_distance == pytest.approx(hu_cost, rel=1e-9)
+            hu = hungarian_assignment(vac, src)
+            assert ex[1] == pytest.approx(hu[1], rel=1e-9)
 
     def test_optimal_agrees_with_enumeration_at_nine(self):
         # a 9 x 9 instance, larger than the reference layout ever asks for
         rng = random.Random(5)
         vac, src = _random_points(rng, 9), _random_points(rng, 9)
-        viascipy = optimal_assignment(vac, src)
-        brute = exhaustive_assignment(vac, src)
-        assert viascipy.total_distance == pytest.approx(
-            brute.total_distance, rel=1e-9
-        )
+        _, viascipy = hungarian_assignment(vac, src)
+        _, brute = exhaustive_assignment(vac, src)
+        assert viascipy == pytest.approx(brute, rel=1e-9)
 
     def test_rectangular_instances(self):
         rng = random.Random(9)
-        vac, src = _random_points(rng, 3), _random_points(rng, 7)
-        a = optimal_assignment(vac, src)
-        assert len(a.pairs) == 3
-        assert len({s for _, s in a.pairs}) == 3
-        vac, src = _random_points(rng, 6), _random_points(rng, 2)
-        a = optimal_assignment(vac, src)
-        assert len(a.pairs) == 2
-        assert len({v for v, _ in a.pairs}) == 2
-
-
-def _hungarian_cost(vac, src):
-    # independent route: scipy directly, not through optimal_assignment
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.array([[math.dist(tuple(v), tuple(s)) for s in src] for v in vac])
-    if cost.shape[0] > cost.shape[1]:
-        cost = cost.T
-    r, c = linear_sum_assignment(cost)
-    return float(cost[r, c].sum())
+        for oracle in self.ORACLES:
+            vac, src = _random_points(rng, 3), _random_points(rng, 7)
+            pairs, _ = oracle(vac, src)
+            assert len(pairs) == 3
+            assert len({s for _, s in pairs}) == 3
+            vac, src = _random_points(rng, 6), _random_points(rng, 2)
+            pairs, _ = oracle(vac, src)
+            assert len(pairs) == 2
+            assert len({v for v, _ in pairs}) == 2
 
 
 def heuristic_vs_optimal(belief):
     plan = plan_target_fill(belief, LAYOUT)
     vac = [t for t in LAYOUT.target_ids if not belief[t]]
     src = [b for b in LAYOUT.buffer_ids if belief[b]]
-    opt = optimal_assignment(
+    _, total = exhaustive_assignment(
         [LAYOUT.site(v).pos for v in vac], [LAYOUT.site(s).pos for s in src]
     )
-    return plan.total_distance, opt.total_distance
+    return plan.total_distance, total
 
 
 def test_heuristic_never_beats_optimal():

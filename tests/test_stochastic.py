@@ -1,5 +1,6 @@
 """Random-process layer: streams, survival, transport, extraction."""
 
+import dataclasses
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -14,7 +15,6 @@ from tweezersim.config import ExperimentConfig
 from tweezersim.stochastic import (
     CDF_TABLE_CAP,
     SEARCH_MAX_MEAN,
-    ExtractionModel,
     RngStream,
     RowForm,
     binomial_icdf,
@@ -143,45 +143,43 @@ class TestTransport:
 
 
 class TestExtractionModel:
+    """``SimulationModels.p_blockade``, inverted from the plateau read out
+    one image after a refill."""
+
     def test_from_plateau_algebra(self):
-        m = ExtractionModel.from_plateau(0.596, 13.56, 80)
-        assert m.p_blockade == pytest.approx(0.596 / (1 - math.exp(-13.56)))
+        m = dataclasses.replace(MODELS, lifetime_array_s=math.inf)
+        assert m.p_blockade == pytest.approx(0.596 / (1 - math.exp(-m.mean_ensemble_at_full)))
 
     def test_from_plateau_with_observation_survival(self):
-        surv = math.exp(-0.165 / 10.0)
-        m = ExtractionModel.from_plateau(0.596, 13.56, 80, observation_survival=surv)
-        expected = 0.596 / ((1 - math.exp(-13.56)) * surv)
-        assert m.p_blockade == pytest.approx(expected)
+        surv = math.exp(-(MODELS.t_buffer_refill + MODELS.t_image) / MODELS.lifetime_array_s)
+        expected = 0.596 / ((1 - math.exp(-MODELS.mean_ensemble_at_full)) * surv)
+        assert MODELS.p_blockade == pytest.approx(expected)
 
     def test_from_plateau_unreachable(self):
         # at ensemble mean 0.5 fewer than half of attempts see any atom
         with pytest.raises(ValueError, match="unreachable"):
-            ExtractionModel.from_plateau(0.596, 0.5, 80)
+            dataclasses.replace(MODELS, mean_ensemble_at_full=0.5)
 
     def test_from_plateau_rejects_bad_survival(self):
-        with pytest.raises(ValueError):
-            ExtractionModel.from_plateau(0.5, 10.0, 80, observation_survival=0.0)
-
-    def test_delivery_probability_monotone_and_capped(self):
-        m = ExtractionModel.from_plateau(0.596, 13.56, 80)
-        probs = [m.delivery_probability(n) for n in (0, 1, 5, 20, 80, 200)]
-        assert probs[0] == 0.0
-        assert all(a <= b for a, b in zip(probs, probs[1:]))
-        # above n_reference the ensemble mean saturates
-        assert probs[-1] == probs[-2]
+        # no atom survives the readout window, so no plateau is observed
+        with pytest.raises(ValueError, match="cannot be read back"):
+            dataclasses.replace(MODELS, lifetime_array_s=1e-6)
 
     @given(
         plateau=st.floats(0.01, 0.95), mean=st.floats(3.0, 40.0),
-        surv=st.floats(0.5, 1.0),
+        lifetime=st.floats(0.25, 1e3),
     )
-    def test_from_plateau_round_trip(self, plateau, mean, surv):
+    def test_from_plateau_round_trip(self, plateau, mean, lifetime):
+        surv = math.exp(-(MODELS.t_buffer_refill + MODELS.t_image) / lifetime)
         try:
-            m = ExtractionModel.from_plateau(plateau, mean, 80, observation_survival=surv)
+            m = dataclasses.replace(
+                MODELS, p_blockade_plateau=plateau, mean_ensemble_at_full=mean,
+                lifetime_array_s=lifetime,
+            )
         except ValueError:
             assert plateau / ((1 - math.exp(-mean)) * surv) > 1.0
             return
-        full = m.delivery_probability(80)
-        assert full * surv == pytest.approx(plateau)
+        assert m.p_blockade * (1 - math.exp(-mean)) * surv == pytest.approx(plateau)
 
 
 def rows(rng, width):
@@ -192,17 +190,16 @@ def rows(rng, width):
 
 
 class TestSampleExtraction:
-    def setup_method(self):
-        self.model = ExtractionModel.from_plateau(0.596, 13.56, 80)
+    LAW = (MODELS.mean_ensemble_at_full, MODELS.n_reference, MODELS.p_blockade)
 
     def test_empty_reservoir(self):
         rng = RngStream(0)  # no row yet, so reading a slot would raise
-        assert sample_extraction(rng, 0, self.model, 0) == (0, False)
+        assert sample_extraction(rng, 0, *self.LAW, 0) == (0, False)
 
     def test_never_negative(self):
         n = 5
         for _, rng in zip(range(50), rows(RngStream(3), 2)):
-            k, _delivered = sample_extraction(rng, n, self.model, 0)
+            k, _delivered = sample_extraction(rng, n, *self.LAW, 0)
             n -= k
             assert k >= 0
             assert n >= 0
@@ -211,26 +208,38 @@ class TestSampleExtraction:
         # the ensemble size from its slot, capped at the population, then
         # the blockade from the next slot when any atom was caught
         rng = RngStream(5)
+        mean_at_full, n_reference, p_blockade = self.LAW
         for n in (1, 3, 40, 80, 200):
             u, v = rng.next_row(PLAIN[4])[2:]
-            lam = self.model.mean_ensemble_at_full * min(1.0, n / self.model.n_reference)
-            k = min(poisson_icdf(u, lam), n)
-            delivered = k >= 1 and v < self.model.p_blockade
-            assert sample_extraction(rng, n, self.model, 2) == (k, delivered)
+            k = min(poisson_icdf(u, mean_at_full * min(1.0, n / n_reference)), n)
+            delivered = k >= 1 and v < p_blockade
+            assert sample_extraction(rng, n, *self.LAW, 2) == (k, delivered)
 
     def test_delivery_requires_extraction(self):
         for _, rng in zip(range(200), rows(RngStream(4), 2)):
-            k, delivered = sample_extraction(rng, 2, self.model, 0)
+            k, delivered = sample_extraction(rng, 2, *self.LAW, 0)
             if delivered:
                 assert k >= 1
+
+    def test_monotone_in_the_reservoir_and_saturated_above_n_reference(self):
+        # on the same row, a fuller reservoir never catches fewer atoms or
+        # delivers less; above n_reference (80) the ensemble mean no longer
+        # grows, so 80 and 200 atoms draw alike
+        populations = (0, 1, 5, 20, 80, 200)
+        for _, rng in zip(range(200), rows(RngStream(11), 2)):
+            draws = [sample_extraction(rng, n, *self.LAW, 0) for n in populations]
+            assert draws[0] == (0, False)
+            assert draws == sorted(draws)
+            assert draws[-1] == draws[-2]
 
     def test_mean_bite_tracks_lambda(self):
         # below n_reference the ensemble mean scales with the population
         n0, trials = 40, 3000
-        lam = self.model.mean_ensemble_at_full * n0 / self.model.n_reference
+        mean_at_full, n_reference, _ = self.LAW
+        lam = mean_at_full * n0 / n_reference
         bites = []
         for _, rng in zip(range(trials), rows(RngStream(9), 2)):
-            k, _ = sample_extraction(rng, n0, self.model, 0)
+            k, _ = sample_extraction(rng, n0, *self.LAW, 0)
             bites.append(k)
         mean = np.mean(bites)
         sigma = math.sqrt(lam / trials)
@@ -362,34 +371,38 @@ LAWS = [
 
 
 def test_full_tables_leave_every_value_to_the_search():
+    # with a cap of 0 every table is longer than the cap on its own
     us = [0.0, TOP, *(i / 997 for i in range(997))]
     with fresh_tables():
         read = [[draw(u, *law) for u in us] for draw, law in LAWS]
     with fresh_tables(cap=0) as tables:
         searched = [[draw(u, *law) for u in us] for draw, law in LAWS]
         assert tables == {}
+        assert stochastic._stored == 0
     assert read == searched
 
 
-def test_a_table_that_does_not_fit_closes_the_tables():
-    # 54 doubles at mean 13.1875 fit under 60, 164 at mean 80 do not, and
-    # after that not even the one double of mean 0 is stored
-    means = (13.1875, 80.0, 0.0)
+def test_a_table_that_does_not_fit_empties_the_tables():
+    # at a cap of 60 doubles: 54 at mean 13.1875 fit; 21 at mean 1.5 do not
+    # fit beside them, so they empty the tables and are stored alone; 164
+    # at mean 80 are longer than the cap and are not stored at all
     with fresh_tables(cap=60) as tables:
-        values = [poisson_icdf(0.7, mean) for mean in means]
-        assert list(tables) == [13.1875] and len(tables[13.1875]) == 54
-        assert stochastic._stored == 60
-    assert values == [_poisson_search(0.7, mean) for mean in means]
+        values = [poisson_icdf(0.7, 13.1875)]
+        assert list(tables) == [13.1875] and stochastic._stored == 54
+        values.append(poisson_icdf(0.7, 1.5))
+        assert list(tables) == [1.5] and stochastic._stored == len(tables[1.5])
+        values.append(poisson_icdf(0.7, 80.0))
+        assert list(tables) == [1.5]
+    assert values == [_poisson_search(0.7, mean) for mean in (13.1875, 1.5, 80.0)]
 
 
 def test_extraction_is_capped_at_the_reservoir():
     # ensemble mean 13.56 from a reservoir of 10: P(removed = 10) = P(K >= 10)
-    model = ExtractionModel(0.6, 13.56, n_reference=1)
     rng = RngStream(0)
 
     def removed(u):
         rng.row = [u, 0.0]
-        return sample_extraction(rng, 10, model, 0)[0]
+        return sample_extraction(rng, 10, 13.56, 1, 0.6, 0)[0]
 
     tail = 1.0 - sum(poisson_pmf(k, 13.56) for k in range(10))
     assert_stratified_law(removed, lambda k: poisson_pmf(k, 13.56) if k < 10 else tail * (k == 10))
