@@ -2,7 +2,7 @@
 6-site hexagonal target ring, and the reservoir pickup point off to the
 side. Run from anywhere after installing the package."""
 
-from tweezersim.geometry import MaskOccupancy, reference_layout
+from tweezersim.geometry import reference_layout
 
 layout = reference_layout()
 
@@ -30,6 +30,6 @@ print(f"\nclosest pair: {closest} at "
 # refill order for a completely empty buffer cluster
 from tweezersim.planner import plan_buffer_refill
 
-order = plan_buffer_refill(MaskOccupancy(layout, 0), layout)
+order = plan_buffer_refill(0, layout)
 print(f"refill order (empty array): {order}")
 print("  -> nearest buffers to the reservoir are served first")

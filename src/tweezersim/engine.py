@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .geometry import ArrayLayout, MaskOccupancy
-from .planner import MovePlan, plan_buffer_refill, plan_target_fill
+from .planner import Move, plan_buffer_refill, plan_target_fill
 from .stochastic import (
     _MAX_POISSON_MEAN,
     RngStream,
@@ -443,66 +443,69 @@ def step_image(
 
 def step_fill_targets(
     state: SystemState,
-    plan: MovePlan,
+    plan: tuple[Move, ...],
     models: SimulationModels,
     rng: RngStream,
     log: EventLog | None = None,
 ) -> None:
     """Execute the fill plan move by move, then advance the analysis window.
 
-    Belief assumes every move succeeds (source empty, destination occupied);
-    truth records the sampled outcome. A believed-occupied but truly empty
-    source executes as a null transport. A failed transport returns the atom
-    to the source with probability ``p_stay_on_failure`` and loses it
-    otherwise. Move ``j`` of the plan reads its transport and retention
-    uniforms from its two slots of the current row (``models.slots``, a
-    :class:`CycleSlots`). Every move lasts the transport's fixed
-    ramp-translate-ramp time.
+    A move sourcing a site belief marks empty, or targeting one it marks
+    occupied (as a self-loop or a repeated source or destination does),
+    raises :class:`PlanConflictError`; this is the one check on a plan.
+    Belief assumes every move succeeds (source empty, destination
+    occupied); truth records the sampled outcome. A believed-occupied but
+    truly empty source executes as a null transport. A failed transport
+    returns the atom to the source with probability ``p_stay_on_failure``
+    and loses it otherwise. Move ``j`` of the plan reads its transport and
+    retention uniforms from its two slots of the current row
+    (``models.slots``, a :class:`CycleSlots`). Every move lasts the
+    transport's fixed ramp-translate-ramp time.
     """
     counters = state.counters
     bits = models.layout.site_bits
     p_stay = models.p_stay_on_failure
     duration = models.move_duration  # one float shared by the rows
     slots = models.slots
-    if len(plan.moves) > slots.n_moves:
+    if len(plan) > slots.n_moves:
         raise PlanConflictError(
-            f"fill plan has {len(plan.moves)} moves; a cycle holds at most {slots.n_moves}"
+            f"fill plan has {len(plan)} moves; a cycle holds at most {slots.n_moves}"
         )
     slot = slots.moves
-    for move in plan.moves:
-        src, dst = bits[move.src], bits[move.dst]
-        if not state.belief & src:
+    for src, dst, dist in plan:
+        src_bit, dst_bit = bits[src], bits[dst]
+        if not state.belief & src_bit:
             raise PlanConflictError(
-                f"fill plan sources site {move.src} which belief marks empty"
+                f"fill plan sources site {src} which belief marks empty"
             )
-        if state.belief & dst:
+        if state.belief & dst_bit:
             raise PlanConflictError(
-                f"fill plan targets site {move.dst} which belief marks occupied"
+                f"fill plan targets site {dst} which belief marks occupied"
             )
-        if state.truth & src:
-            state.truth ^= src
+        if state.truth & src_bit:
+            state.truth ^= src_bit
             if sample_transport(rng, models.p_transport, slot):
-                if state.truth & dst:
-                    raise EngineError(f"transport into occupied site {move.dst}")
-                state.truth |= dst
+                if state.truth & dst_bit:
+                    raise EngineError(f"transport into occupied site {dst}")
+                state.truth |= dst_bit
                 outcome = "ok"
             else:
                 if rng.row[slot + 1] < p_stay:
-                    state.truth |= src
+                    state.truth |= src_bit
                     outcome = "stay"
                 else:
                     counters.transport_loss += 1
                     outcome = "lost"
         else:
             outcome = "null"
-        state.belief ^= src | dst  # source set, destination clear
+        state.belief ^= src_bit | dst_bit  # source set, destination clear
         slot += 2
         if log is not None:
             log.add(
-                "fill", state, src=move.src, dst=move.dst,
-                dist_um=move.dist, duration_s=duration, outcome=outcome,
+                "fill", state, src=src, dst=dst,
+                dist_um=dist, duration_s=duration, outcome=outcome,
             )
-    if log is not None and not plan.moves:
+    if log is not None and not plan:
         log.add("fill", state)
     _decay_step(state, models.fill_window, rng, slots.fill)
     state.clock += models.t_analysis_fill
@@ -615,7 +618,7 @@ def run_cycle(
     fill = models.fill_strategy
     plan = plan_target_fill(MaskOccupancy(layout, state.belief), layout, strategy=fill)
     step_fill_targets(state, plan, models, rng, log)
-    refill_list = plan_buffer_refill(MaskOccupancy(layout, state.belief), layout)
+    refill_list = plan_buffer_refill(state.belief, layout)
     step_refill_buffers(state, refill_list, models, rng, log)
     check_conservation(state)
     return record

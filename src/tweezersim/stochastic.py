@@ -225,7 +225,11 @@ def _table(key, mean: float, term: float, factor, last: float) -> array:
     whose ``k``-th term is the one before times ``factor(k)``. A sum is
     kept while its term is positive and ``k`` at most ``last``; past
     ``mean`` the table ends where one more term leaves the sum unchanged.
-    Every kept sum is the search's float, so the smallest ``k`` whose
+    It does not run on to where the search stops (a zero term, or ``k =
+    n``), which would spare the search fallback: such tables are 3-6 times
+    longer (293 sums, not 51, for ``(494, 0.0257)``; 332, not 54, for mean
+    13.56) and overflow the cap, so steady_state built 36,032 tables, not
+    1,429, and ran 3-5 times slower. Every kept sum is the search's float, so the smallest ``k`` whose
     ``cdf_k`` exceeds ``u`` is the search's value; ``u`` at or above the
     last kept sum is left to the search. A table that would take the
     tables past ``CDF_TABLE_CAP`` doubles empties them first; an empty

@@ -122,7 +122,7 @@ def test_acceptance_5_planner_oracle():
         src_ids = rng.sample(list(LAYOUT.buffer_ids), n_src)
         occupied = (set(LAYOUT.target_ids) - set(vac_ids)) | set(src_ids)
         belief = MaskOccupancy(LAYOUT, sum(LAYOUT.site_bits[sid] for sid in occupied))
-        heur = plan_target_fill(belief, LAYOUT).total_distance
+        heur = sum(m.dist for m in plan_target_fill(belief, LAYOUT))
         _, oracle = exhaustive_assignment(
             [LAYOUT.site(v).pos for v in vac_ids],
             [LAYOUT.site(s).pos for s in src_ids],

@@ -31,7 +31,7 @@ from tweezersim.engine import (
     step_refill_buffers,
 )
 from tweezersim.geometry import layout_from_site_rows
-from tweezersim.planner import Move, MovePlan, plan_buffer_refill, plan_target_fill
+from tweezersim.planner import Move
 from tweezersim.stochastic import RngStream, RowForm, survival_probability
 
 from conftest import hex_layout
@@ -246,8 +246,24 @@ class TestFillStep:
         rng = RngStream(5, 0)
         state = init_sequence(models, rng)
         rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
-        plan = MovePlan((Move(0, 7, 10.0),))
+        plan = (Move(0, 7, 10.0),)
         with pytest.raises(PlanConflictError, match="belief marks empty"):
+            step_fill_targets(state, plan, models, rng)
+
+    @pytest.mark.parametrize("plan,words", [
+        ((Move(0, 0, 0.0),), "targets site 0 which belief marks occupied"),
+        ((Move(0, 7, 10.0), Move(0, 8, 10.0)), "sources site 0 which belief marks empty"),
+        ((Move(0, 7, 10.0), Move(1, 7, 10.0)), "targets site 7 which belief marks occupied"),
+    ], ids=["self_loop", "repeated_source", "repeated_destination"])
+    def test_malformed_plan_is_refused_move_by_move(self, plan, words):
+        # a plan is a plain tuple of moves; the engine's per-move belief
+        # check is the one check on it
+        models = models_with(**DEGENERATE)
+        rng = RngStream(5, 0)
+        state = init_sequence(models, rng)
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
+        state.truth = state.belief = bits(models, 0, 1)
+        with pytest.raises(PlanConflictError, match=words):
             step_fill_targets(state, plan, models, rng)
 
     def test_null_transport_when_source_truly_empty(self):
@@ -257,7 +273,7 @@ class TestFillStep:
         rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.belief |= bits(models, 0)  # stale belief, no atom in truth
         log = EventLog()
-        plan = MovePlan((Move(0, 7, 10.0),))
+        plan = (Move(0, 7, 10.0),)
         assert step_fill_targets(state, plan, models, rng, log) is None
         assert state.truth == 0
         assert state.belief == bits(models, 7)  # belief still assumes success
@@ -269,7 +285,7 @@ class TestFillStep:
         state = init_sequence(models, rng)
         rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
-        plan = MovePlan((Move(0, 7, 10.0),))
+        plan = (Move(0, 7, 10.0),)
         step_fill_targets(state, plan, models, rng)
         assert state.truth == 0
         assert state.counters.transport_loss == 1
@@ -280,7 +296,7 @@ class TestFillStep:
         state = init_sequence(models, rng)
         rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
-        plan = MovePlan((Move(0, 7, 10.0),))
+        plan = (Move(0, 7, 10.0),)
         step_fill_targets(state, plan, models, rng)
         assert state.truth == bits(models, 0)
         assert state.counters.transport_loss == 0
@@ -300,7 +316,7 @@ class TestFillStep:
             row[models.slots.moves + 1] = retention
             rng.row = tuple(row)
             state.truth = state.belief = bits(models, 0)
-            plan = MovePlan((Move(0, 7, 10.0),))
+            plan = (Move(0, 7, 10.0),)
             step_fill_targets(state, plan, models, rng)
             assert state.counters.transport_loss == loss
             assert state.truth == (bits(models, 0) if loss == 0 else 0)
@@ -315,7 +331,7 @@ class TestFillStep:
         rng.next_row(models.slots)
         state.truth = state.belief = bits(models, *range(7))
         moves = [Move(b, t, 10.0) for b, t in zip(range(6), range(7, 13))]
-        plan = MovePlan((*moves, Move(6, 0, 10.0)))
+        plan = (*moves, Move(6, 0, 10.0))
         with pytest.raises(PlanConflictError, match="7 moves; a cycle holds at most 6"):
             step_fill_targets(state, plan, models, rng)
 
@@ -326,7 +342,7 @@ class TestFillStep:
         rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
         state.truth = state.belief = bits(models, 0)
         state.truth |= bits(models, 7)  # desynced: belief says empty
-        plan = MovePlan((Move(0, 7, 10.0),))
+        plan = (Move(0, 7, 10.0),)
         with pytest.raises(EngineError, match="occupied site"):
             step_fill_targets(state, plan, models, rng)
 

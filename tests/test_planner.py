@@ -12,8 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from tweezersim.geometry import MaskOccupancy, Position, SiteRole, TrapSite, reference_layout
 from tweezersim.planner import (
-    Move,
-    MovePlan,
     MEMO_CAP,
     PlanError,
     plan_buffer_refill,
@@ -51,24 +49,11 @@ def random_belief(rng):
     return belief_with(occ)
 
 
-def test_move_rejects_self_loop():
-    with pytest.raises(PlanError):
-        Move(3, 3, 0.0)
-
-
-def test_plan_rejects_duplicate_endpoints():
-    mv = Move(0, 7, 10.0)
-    dup_src = Move(0, 8, 12.0)
-    with pytest.raises(PlanError):
-        MovePlan((mv, dup_src))
-
-
 def test_plan_requires_full_coverage():
-    for plan in (plan_target_fill, plan_buffer_refill):
-        with pytest.raises(PlanError, match="belief must cover"):
-            plan(NO_12, LAYOUT)
-        with pytest.raises(PlanError, match=re.escape(A_DICT[1])):
-            plan(A_DICT[0], LAYOUT)
+    with pytest.raises(PlanError, match="belief must cover"):
+        plan_target_fill(NO_12, LAYOUT)
+    with pytest.raises(PlanError, match=re.escape(A_DICT[1])):
+        plan_target_fill(A_DICT[0], LAYOUT)
 
 
 def test_unknown_strategy():
@@ -80,9 +65,9 @@ def test_unknown_strategy():
 def test_memoised_plans_equal_fresh_plans(strategy):
     # Every believed occupancy of the 13-site layout, planned into an empty
     # memo and again once it is full, against plans from a layout whose memo
-    # is emptied first; refill lists against their definition. The views
-    # are of LAYOUT, an equal layout, and read like their masks; a view of
-    # the planning layout itself plans the same.
+    # is emptied first; refill lists of each mask against their definition.
+    # The views are of LAYOUT, an equal layout, and read like their masks; a
+    # view of the planning layout itself plans the same.
     memo, fresh = reference_layout(), reference_layout()
     for _ in range(2):
         for mask in range(1 << len(LAYOUT.site_ids)):
@@ -94,7 +79,7 @@ def test_memoised_plans_equal_fresh_plans(strategy):
             assert plan_target_fill(belief, fresh, strategy=strategy) == expected
             assert plan_target_fill(belief, memo, strategy=strategy) == expected
             empty = [b for b in LAYOUT.buffer_ids if not belief[b]]
-            assert plan_buffer_refill(belief, memo) == sorted(
+            assert plan_buffer_refill(mask, memo) == sorted(
                 empty, key=lambda b: (LAYOUT.reservoir_dist[b], b)
             )
     assert len(memo.plan_memo) == MEMO_CAP
@@ -133,19 +118,18 @@ def test_mask_views_keep_coverage_errors():
     ]
     for mask in range(1 << len(layout.site_ids)):  # fill the memo from views
         plan_target_fill(MaskOccupancy(layout, mask), layout)
-    for plan in (plan_target_fill, plan_buffer_refill):
-        for bad, words in cases:
-            with pytest.raises(PlanError, match=re.escape(words)):
-                plan(bad, layout)
+    for bad, words in cases:
+        with pytest.raises(PlanError, match=re.escape(words)):
+            plan_target_fill(bad, layout)
 
 
 def test_memo_keeps_coverage_errors_and_fresh_refill_lists():
     layout = reference_layout()
     belief = belief_with(set())
     plan_target_fill(belief, layout)
-    first = plan_buffer_refill(belief, layout)
+    first = plan_buffer_refill(belief.mask, layout)
     first.clear()
-    assert plan_buffer_refill(belief, layout) == sorted(
+    assert plan_buffer_refill(belief.mask, layout) == sorted(
         LAYOUT.buffer_ids, key=lambda b: (LAYOUT.reservoir_dist[b], b)
     )
     for bad, words in (
@@ -153,9 +137,8 @@ def test_memo_keeps_coverage_errors_and_fresh_refill_lists():
         (WITH_99, "missing [], extraneous [99]"),
         (SWAPPED, "missing [12], extraneous [99]"),
     ):
-        for plan in (plan_target_fill, plan_buffer_refill):
-            with pytest.raises(PlanError, match=re.escape(words)):
-                plan(bad, layout)
+        with pytest.raises(PlanError, match=re.escape(words)):
+            plan_target_fill(bad, layout)
 
 
 class TestPlanTargetFill:
@@ -207,18 +190,18 @@ class TestPlanBufferRefill:
     def test_all_empty_order(self):
         # nearest-to-reservoir first: the two 41 um sites, then the ring
         # center, then the top/bottom pair, then the far pair
-        order = plan_buffer_refill(belief_with(set()), LAYOUT)
+        order = plan_buffer_refill(belief_with(set()).mask, LAYOUT)
         assert order == [3, 4, 0, 2, 5, 1, 6]
         assert LAYOUT.reservoir_dist[order[0]] == pytest.approx(41.0)
         assert LAYOUT.reservoir_dist[order[1]] == pytest.approx(41.0)
 
     def test_occupied_buffers_excluded(self):
-        order = plan_buffer_refill(belief_with({3, 0}), LAYOUT)
+        order = plan_buffer_refill(belief_with({3, 0}).mask, LAYOUT)
         assert 3 not in order and 0 not in order
         assert order == [4, 2, 5, 1, 6]
 
     def test_targets_ignored(self):
-        order = plan_buffer_refill(belief_with(set(LAYOUT.target_ids)), LAYOUT)
+        order = plan_buffer_refill(belief_with(set(LAYOUT.target_ids)).mask, LAYOUT)
         assert order == [3, 4, 0, 2, 5, 1, 6]
 
 
@@ -278,7 +261,7 @@ def heuristic_vs_optimal(belief):
     _, total = exhaustive_assignment(
         [LAYOUT.site(v).pos for v in vac], [LAYOUT.site(s).pos for s in src]
     )
-    return plan.total_distance, total
+    return sum(m.dist for m in plan), total
 
 
 def test_heuristic_never_beats_optimal():
@@ -319,7 +302,7 @@ def plan_corpus_digest(n_instances=500):
     for _ in range(n_instances):
         belief = random_belief(rng)
         plan = plan_target_fill(belief, LAYOUT)
-        refill = plan_buffer_refill(belief, LAYOUT)
+        refill = plan_buffer_refill(belief.mask, LAYOUT)
         for mv in plan:
             h.update(f"{mv.src}>{mv.dst}:{mv.dist:.6f};".encode())
         h.update(("R" + ",".join(map(str, refill)) + "|").encode())
