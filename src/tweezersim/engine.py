@@ -19,6 +19,8 @@ from .geometry import ArrayLayout, MaskOccupancy
 from .planner import Move, plan_buffer_refill, plan_target_fill
 from .stochastic import (
     _MAX_POISSON_MEAN,
+    DecayWindow,
+    EnsembleIndex,
     RngStream,
     RowForm,
     sample_extraction,
@@ -54,19 +56,6 @@ class EngineError(RuntimeError):
 
 class PlanConflictError(EngineError):
     """A plan contradicts the belief it was supposedly built from."""
-
-
-class DecayWindow(NamedTuple):
-    """What one decay window of the cycle does to every atom in it, decided
-    once per model bundle: the window's length in seconds, the survival
-    probability of an array atom and of a reservoir atom over it, and the
-    mean number of atoms the reservoir refill adds in it
-    (``refill_rate * length``)."""
-
-    length: float
-    array_survival: float
-    reservoir_survival: float
-    refill_mean: float
 
 
 class CycleSlots(RowForm):
@@ -124,8 +113,10 @@ class SimulationModels:
     windows of a cycle (``image_window`` over ``t_image_loss``, or
     ``t_image`` where that is ``None``, ``fill_window`` over
     ``t_analysis_fill``, ``refill_window`` over ``t_buffer_refill``, each
-    a :class:`DecayWindow`); the bitmasks of all target and all buffer
-    sites (``target_bits``, ``buffer_bits``); and the cycle's row of
+    a :class:`DecayWindow`); the extraction's ensemble tables by reservoir
+    count (``ensembles``, an ``EnsembleIndex`` whose table budget the
+    windows' thinning indices share); the bitmasks of all target and all
+    buffer sites (``target_bits``, ``buffer_bits``); and the cycle's row of
     uniforms (``slots``, a :class:`CycleSlots`: the slot of each draw, and
     the ``RowForm`` the stream hands the row out in). Only checks across
     keys live here, each a ``ValueError``: an array atom must be able to
@@ -191,12 +182,16 @@ class SimulationModels:
                 f"(requires p_blockade {p_blockade:.4g} > 1)"
             )
         derived["p_blockade"] = p_blockade
+        derived["ensembles"] = ensembles = EnsembleIndex(
+            self.mean_ensemble_at_full, self.n_reference
+        )
         windows = tuple(
             DecayWindow(
                 length,
                 survival_probability(length, self.lifetime_array_s),
                 survival_probability(length, self.lifetime_reservoir_s),
                 self.refill_rate * length,
+                ensembles.budget,
             )
             for length in (image, self.t_analysis_fill, self.t_buffer_refill)
         )
@@ -390,15 +385,12 @@ def _decay_step(
     The reservoir's thinning and refill read ``slot`` and ``slot + 1``
     (:func:`reservoir_decay`).
     """
-    dt, _, p_reservoir, refill_mean = window
-    if dt > 0.0:
+    if window.length > 0.0:
         dead = state.truth & rng.row[slot + 2]
         if dead:
             state.truth ^= dead
             state.counters.array_decay_loss += dead.bit_count()
-        lost, added = reservoir_decay(
-            rng, state.n_reservoir, p_reservoir, refill_mean, slot
-        )
+        lost, added = reservoir_decay(rng, state.n_reservoir, window, slot)
         if lost or added:  # most windows of a run find the reservoir empty
             state.n_reservoir += added - lost
             counters = state.counters
@@ -543,8 +535,8 @@ def step_refill_buffers(
             outcome = "empty"
         else:
             removed, delivered = sample_extraction(
-                rng, state.n_reservoir, models.mean_ensemble_at_full,
-                models.n_reference, models.p_blockade, slots.buffers[sid],
+                rng, state.n_reservoir, models.ensembles, models.p_blockade,
+                slots.buffers[sid],
             )
             state.n_reservoir -= removed
             counters.extracted += removed

@@ -108,10 +108,12 @@ class ArrayLayout:
     only.
 
     ``sites`` is kept sorted by id. Id lists, distances (``reservoir_dist``),
-    ``site_bits`` (id -> occupancy bit, bit k for the k-th site) and the refill
-    order (buffers nearest the reservoir first, ties by id) are computed once.
-    ``plan_memo`` is where the planner memoises fill plans for this layout;
-    it holds derived values only and takes no part in equality.
+    ``site_bits`` (id -> occupancy bit, bit k for the k-th site), the
+    bitmask of all buffer sites (``buffer_bits``) and the refill order
+    (buffers nearest the reservoir first, ties by id) are computed once.
+    ``plan_memo`` and ``refill_memo`` are where the planner memoises fill
+    plans and refill orders for this layout; they hold derived values only
+    and take no part in equality.
     """
 
     sites: tuple[TrapSite, ...]
@@ -136,11 +138,13 @@ class ArrayLayout:
         object.__setattr__(self, "_site_ids", ids)
         for name, role in (("_buffer_ids", SiteRole.BUFFER), ("_target_ids", SiteRole.TARGET)):
             object.__setattr__(self, name, tuple(i for i in ids if by_id[i].role is role))
+        object.__setattr__(self, "buffer_bits", sum(self.site_bits[b] for b in self._buffer_ids))
         object.__setattr__(
             self, "refill_order",
             tuple(sorted(self._buffer_ids, key=lambda b: (rdist[b], b))),
         )
         object.__setattr__(self, "plan_memo", {})
+        object.__setattr__(self, "refill_memo", {})
 
     def _validate(self) -> None:
         for role in SiteRole:

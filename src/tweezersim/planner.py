@@ -32,9 +32,9 @@ class Move(NamedTuple):
     dist: float  # µm
 
 
-# Most fill plans the layout's memo keeps: 2^13, one per believed occupancy
-# of the 13-site reference layout. A full memo keeps what it has and plans
-# the rest afresh.
+# Most fill plans, and most refill orders, a layout's memos keep: 2^13, one
+# per believed occupancy of the 13-site reference layout. A full memo keeps
+# what it has and plans the rest afresh.
 MEMO_CAP = 8192
 
 
@@ -98,6 +98,14 @@ def plan_buffer_refill(mask: int, layout: ArrayLayout) -> list[int]:
     nearest-to-reservoir first (ties by site id); the destinations of the
     next extraction round.
 
-    Filters the layout's fixed refill order; every call returns a new list."""
-    bits = layout.site_bits
-    return [b for b in layout.refill_order if not mask & bits[b]]
+    Filters the layout's fixed refill order, memoised on the layout by the
+    mask's buffer bits; every call returns a new list."""
+    memo = layout.refill_memo
+    buffers = mask & layout.buffer_bits
+    order = memo.get(buffers)
+    if order is None:
+        bits = layout.site_bits
+        order = tuple(b for b in layout.refill_order if not mask & bits[b])
+        if len(memo) < MEMO_CAP:
+            memo[buffers] = order
+    return list(order)

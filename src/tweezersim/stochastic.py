@@ -8,12 +8,16 @@ the inverse-CDF method (:func:`poisson_icdf`, :func:`binomial_icdf`): each
 law's table of cumulative probabilities is built once, by the very sum a
 search from 0 adds up, and read by bisection; a uniform at or above its
 last stored value is searched for, so every value is the search's. The
-tables hold at most ``CDF_TABLE_CAP`` doubles (1 MiB) in all. The
-engine's draws take plain counts and a slot of the stream's current row
-and return what they drew; they change none of their arguments, so the
-caller owns all state. They read their probabilities, lifetimes and means
-as plain numbers, the keys and derived values of
-``engine.SimulationModels``.
+module keeps at most ``CDF_TABLE_CAP`` doubles (1 MiB) of tables. A model
+bundle also indexes the tables its draws read by an int count
+(:class:`CountIndex`): a decay window's thinning by reservoir count, the
+extraction's ensemble by reservoir count up to ``n_reference``. An index
+references the module's own arrays, and a bundle's indices reference at
+most ``CDF_TABLE_CAP`` doubles; past that, draws read through the module
+helpers. The engine's draws take plain counts, the window or index that
+holds their law, and a slot of the stream's current row, and return what
+they drew; they change none of their arguments but an index's lazily
+filled entries, so the caller owns all state.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -29,6 +34,10 @@ __all__ = [
     "RngStream",
     "poisson_icdf",
     "binomial_icdf",
+    "CountIndex",
+    "ThinningIndex",
+    "EnsembleIndex",
+    "DecayWindow",
     "survival_probability",
     "sample_survival",
     "sample_transport",
@@ -229,11 +238,22 @@ def _table(key, mean: float, term: float, factor, last: float) -> array:
     n``), which would spare the search fallback: such tables are 3-6 times
     longer (293 sums, not 51, for ``(494, 0.0257)``; 332, not 54, for mean
     13.56) and overflow the cap, so steady_state built 36,032 tables, not
-    1,429, and ran 3-5 times slower. Every kept sum is the search's float, so the smallest ``k`` whose
-    ``cdf_k`` exceeds ``u`` is the search's value; ``u`` at or above the
-    last kept sum is left to the search. A table that would take the
-    tables past ``CDF_TABLE_CAP`` doubles empties them first; an empty
-    table is not stored, nor one longer than the cap on its own.
+    1,429, and ran 3-5 times slower. Every kept sum is the search's float,
+    so the smallest ``k`` whose ``cdf_k`` exceeds ``u`` is the search's
+    value; ``u`` at or above the last kept sum is left to the search. A
+    table that would take the tables past ``CDF_TABLE_CAP`` doubles
+    empties them first; an empty table is not stored, nor one longer than
+    the cap on its own.
+
+    Every mean reads its table, however small. Read through a
+    :class:`CountIndex` (entry, bisection, length check) a value costs
+    about 0.12-0.18 us at every mean; the search costs 0.08 us at
+    Poisson mean 0.3, 0.14 at 1.0, 0.27 at 3.0 and 0.43 at 5.0, and a
+    binomial's 0.22 us at mean 0.05 and 0.30 at 1.03 (timeit, best of 5
+    x 20,000, Python 3.11, 2-vCPU Xeon). So only a Poisson below mean
+    about 2 searches faster, by at most 0.08 us a draw: 38,204 of the
+    reference ensemble's 64,431 extractions, so at most 3 ms of its
+    0.5 s, below what its timings resolve.
     """
     global _stored
     cdfs = array("d")
@@ -348,6 +368,111 @@ def binomial_icdf(
     return n - k if flip else k
 
 
+# What a count whose law is read from no table reads: its value is always
+# left to the module helper.
+_NO_TABLE = array("d")
+
+
+class CountIndex(dict):
+    """The inverse-CDF tables of a family of laws by an int count: entry
+    ``n`` is :meth:`table` of ``n``, the module's own array for the count's
+    law, filled in on its first read. ``budget``, a one-element list
+    shared by a model bundle's indices, holds the doubles they may still
+    reference; without one, an index starts a budget of ``CDF_TABLE_CAP``
+    of its own. A table that does not fit, and the empty table of a law
+    read from none, is handed out but not stored, so its count asks again
+    at its next read. Keyed by count, not sized by it: a reservoir may
+    legally hold 1e18 atoms.
+    """
+
+    def __init__(self, budget: list[int] | None = None):
+        super().__init__()
+        self.budget = [CDF_TABLE_CAP] if budget is None else budget
+
+    def __missing__(self, n: int) -> array:
+        cdfs = self.table(n)
+        if 0 < len(cdfs) <= self.budget[0]:
+            self.budget[0] -= len(cdfs)
+            self[n] = cdfs
+        return cdfs
+
+
+class ThinningIndex(CountIndex):
+    """The tables of Binomial(``n``, ``p``) by ``n``: the loss of a
+    reservoir of ``n`` atoms over a window whose atoms are each lost with
+    probability ``p``. Where :func:`binomial_icdf` reads no table of
+    ``u`` itself (``p`` above 1/2, where it reads ``1 - u``, or a mean
+    above the search limit), the entry is empty."""
+
+    def __init__(self, p: float, budget: list[int] | None = None):
+        super().__init__(budget)
+        self.p = p
+
+    def table(self, n: int) -> array:
+        p = self.p
+        if p > 0.5 or n * p > SEARCH_MAX_MEAN:
+            return _NO_TABLE
+        return _TABLES.get((n, p)) or _binomial_table(n, p)
+
+
+class EnsembleIndex(CountIndex):
+    """The tables of the ensemble an extraction pulls from a reservoir, by
+    its count ``n`` up to ``n_reference`` (:meth:`mean`); a fuller
+    reservoir reads the entry at ``n_reference``. Above the search limit
+    the entry is empty."""
+
+    def __init__(
+        self, mean_at_full: float, n_reference: int, budget: list[int] | None = None
+    ):
+        super().__init__(budget)
+        self.mean_at_full = mean_at_full
+        self.n_reference = n_reference
+
+    def mean(self, n: int) -> float:
+        """The ensemble mean at a reservoir of ``n``: ``mean_at_full``
+        scaled by the fill fraction ``n / n_reference``, capped at 1."""
+        return self.mean_at_full * min(1.0, n / self.n_reference)
+
+    def table(self, n: int) -> array:
+        mean = self.mean(n)
+        if mean > SEARCH_MAX_MEAN:
+            return _NO_TABLE
+        return _TABLES.get(mean) or _poisson_table(mean)
+
+
+@dataclass(frozen=True, slots=True)
+class DecayWindow:
+    """What one decay window of the cycle does to every atom in it, decided
+    once per model bundle: the window's length in seconds, the survival
+    probability of an array atom and of a reservoir atom over it, and the
+    mean number of atoms the reservoir refill adds in it
+    (``refill_rate * length``), split into its whole part
+    (``refill_whole``) and the rest (``refill_fraction``) for the
+    stochastic rounding. ``thinning`` is the window's
+    :class:`ThinningIndex` of the reservoir's loss, at ``1 -
+    reservoir_survival``, under the bundle's table ``budget`` (a budget of
+    its own where none is given); it takes no part in equality.
+    """
+
+    length: float
+    array_survival: float
+    reservoir_survival: float
+    refill_mean: float
+    budget: InitVar[list[int] | None] = None
+    refill_whole: int = field(init=False)
+    refill_fraction: float = field(init=False)
+    thinning: ThinningIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, budget):
+        whole = int(self.refill_mean)
+        for name, value in (
+            ("refill_whole", whole),
+            ("refill_fraction", self.refill_mean - whole),
+            ("thinning", ThinningIndex(1.0 - self.reservoir_survival, budget)),
+        ):
+            object.__setattr__(self, name, value)
+
+
 # numpy's Poisson draw refuses means above about 9.2e18, where its 64-bit
 # counts end; a Poisson mean is held to this round bound below that.
 _MAX_POISSON_MEAN = 1e18
@@ -373,8 +498,7 @@ def sample_transport(rng: RngStream, p_success: float, slot: int) -> bool:
 def sample_extraction(
     rng: RngStream,
     n_atoms: int,
-    mean_at_full: float,
-    n_reference: int,
+    ensembles: EnsembleIndex,
     p_blockade: float,
     slot: int,
 ) -> tuple[int, bool]:
@@ -382,9 +506,10 @@ def sample_extraction(
     ``n_atoms``, by collisional blockade.
 
     The ensemble pulled from the reservoir is Poisson with mean
-    ``mean_at_full`` scaled by the fill fraction ``n_atoms / n_reference``
-    (capped at 1): its size is the Poisson value (:func:`poisson_icdf`) of
-    the current row's uniform at ``slot``, capped at ``n_atoms``. When it
+    ``ensembles.mean(n_atoms)``: its size is the Poisson value of the
+    current row's uniform at ``slot``, read from the entry of ``ensembles``
+    at ``min(n_atoms, n_reference)`` (:func:`poisson_icdf` at or above its
+    last value, or where it has none), capped at ``n_atoms``. When it
     caught any atom, it yields one trapped atom where the uniform at
     ``slot + 1`` falls below ``p_blockade``. Returns ``(atoms_removed,
     single_atom_delivered)``; the caller takes the removed atoms out of the
@@ -392,34 +517,46 @@ def sample_extraction(
     """
     if n_atoms == 0:
         return 0, False
-    lam = mean_at_full * min(1.0, n_atoms / n_reference)
     row = rng.row
-    k = min(poisson_icdf(row[slot], lam, rng, slot), n_atoms)
-    delivered = k >= 1 and row[slot + 1] < p_blockade
-    return k, delivered
+    u = row[slot]
+    n_reference = ensembles.n_reference
+    n = n_atoms if n_atoms < n_reference else n_reference
+    cdfs = ensembles[n]
+    k = bisect_right(cdfs, u)
+    if k == len(cdfs):
+        k = poisson_icdf(u, ensembles.mean(n), rng, slot)
+    if k > n_atoms:
+        k = n_atoms
+    return k, k >= 1 and row[slot + 1] < p_blockade
 
 
 def reservoir_decay(
-    rng: RngStream, n_atoms: int, p_survive: float, refill_mean: float, slot: int
+    rng: RngStream, n_atoms: int, window: DecayWindow, slot: int
 ) -> tuple[int, int]:
     """One decay window of a reservoir of ``n_atoms``: binomial thinning with
-    survival probability ``p_survive``, then a refill of ``refill_mean``
+    the window's survival probability, then a refill of its ``refill_mean``
     atoms on average, stochastically rounded to a whole number.
 
-    Both values belong to the window, not to the call (see
-    ``engine.DecayWindow``). The number lost is the Binomial(``n_atoms``,
-    ``1 - p_survive``) value (:func:`binomial_icdf`) of the current row's
-    uniform at ``slot``; the rounding reads the uniform at ``slot + 1``.
-    Neither is read when there is nothing to decide: an empty reservoir or
-    ``p_survive`` of 1, a ``refill_mean`` of 0. Returns ``(atoms_lost,
-    atoms_added)``; the caller applies both, which keeps exact loss ledgers.
+    The number lost is the Binomial(``n_atoms``, ``1 -
+    reservoir_survival``) value of the current row's uniform at ``slot``,
+    read from the window's thinning entry at ``n_atoms``
+    (:func:`binomial_icdf` at or above its last value, or where it has
+    none); the rounding adds one atom to ``refill_whole`` where the
+    uniform at ``slot + 1`` falls below ``refill_fraction``. Neither is
+    read when there is nothing to decide: an empty reservoir or a
+    ``reservoir_survival`` of 1, a whole ``refill_mean``. Returns
+    ``(atoms_lost, atoms_added)``; the caller applies both, which keeps
+    exact loss ledgers.
     """
     row = rng.row
     lost = 0
-    if n_atoms > 0 and p_survive < 1.0:
-        lost = binomial_icdf(row[slot], n_atoms, 1.0 - p_survive, rng, slot)
-    added = 0
-    if refill_mean > 0.0:
-        whole = int(refill_mean)
-        added = whole + (1 if row[slot + 1] < refill_mean - whole else 0)
+    if n_atoms > 0 and window.reservoir_survival < 1.0:
+        u = row[slot]
+        cdfs = window.thinning[n_atoms]
+        lost = bisect_right(cdfs, u)
+        if lost == len(cdfs):
+            lost = binomial_icdf(u, n_atoms, window.thinning.p, rng, slot)
+    added = window.refill_whole
+    if window.refill_fraction and row[slot + 1] < window.refill_fraction:
+        added += 1
     return lost, added

@@ -98,15 +98,27 @@ class TestDerivedModelValues:
         )
 
     def test_window_survival_decided_once(self):
-        models = models_with(t_image_loss=0.02, refill_rate=3.7)
+        models = models_with(t_image_loss=0.02, refill_rate=370.0)
+        ensembles = models.ensembles
+        assert (ensembles.mean_at_full, ensembles.n_reference) == (
+            models.mean_ensemble_at_full, models.n_reference
+        )
         for window, length in (
             (models.image_window, 0.02),
             (models.fill_window, models.t_analysis_fill),
             (models.refill_window, models.t_buffer_refill),
         ):
-            # tuple equality: every value bit for bit
+            # equality: every value bit for bit, the refill's split included
             assert window == self.expected_window(models, length)
-            assert window.refill_mean == 3.7 * length
+            mean = 370.0 * length
+            assert (window.refill_mean, window.refill_whole, window.refill_fraction) == (
+                mean, int(mean), mean - int(mean)
+            )
+            assert window.refill_whole > 0
+            # thinning at the window's loss probability, under the bundle's
+            # one table budget
+            assert window.thinning.p == 1.0 - window.reservoir_survival
+            assert window.thinning.budget is ensembles.budget
 
     def test_window_survival_follows_replaced_timing(self):
         models = models_with()

@@ -10,6 +10,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tweezersim import planner
 from tweezersim.geometry import MaskOccupancy, Position, SiteRole, TrapSite, reference_layout
 from tweezersim.planner import (
     MEMO_CAP,
@@ -203,6 +204,24 @@ class TestPlanBufferRefill:
     def test_targets_ignored(self):
         order = plan_buffer_refill(belief_with(set(LAYOUT.target_ids)).mask, LAYOUT)
         assert order == [3, 4, 0, 2, 5, 1, 6]
+
+    @pytest.mark.parametrize("cap", [3, MEMO_CAP])
+    def test_orders_are_memoised_by_buffer_bits_within_the_cap(self, cap, monkeypatch):
+        # every mask, on its first call and again from the memo; a returned
+        # list is the caller's to change, and the memo holds at most one
+        # order per set of believed buffers, within the cap
+        monkeypatch.setattr(planner, "MEMO_CAP", cap)
+        layout = reference_layout()
+        for _ in range(2):
+            for mask in range(1 << len(LAYOUT.site_ids)):
+                order = plan_buffer_refill(mask, layout)
+                assert order == sorted(
+                    (b for b in LAYOUT.buffer_ids if not mask & LAYOUT.site_bits[b]),
+                    key=lambda b: (LAYOUT.reservoir_dist[b], b),
+                )
+                order.append(99)
+        assert len(layout.refill_memo) == min(cap, 1 << len(LAYOUT.buffer_ids))
+        assert all(key & ~layout.buffer_bits == 0 for key in layout.refill_memo)
 
 
 def _random_points(rng, n):

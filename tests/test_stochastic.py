@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -12,9 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from tweezersim import stochastic
 from tweezersim.config import ExperimentConfig
+from tweezersim.engine import run_realization
 from tweezersim.stochastic import (
     CDF_TABLE_CAP,
     SEARCH_MAX_MEAN,
+    DecayWindow,
+    EnsembleIndex,
     RngStream,
     RowForm,
     binomial_icdf,
@@ -33,6 +37,11 @@ MODELS = ExperimentConfig().build_models()
 P_HALF_SECOND = survival_probability(0.5, MODELS.lifetime_reservoir_s)
 # rows handed out as plain floats, for the draws that read a few slots
 PLAIN = {width: RowForm(width) for width in (1, 2, 4, 10, 71)}
+
+
+def window(p_survive, refill_mean=0.0):
+    """A decay window that keeps each reservoir atom with ``p_survive``."""
+    return DecayWindow(0.5, 1.0, p_survive, refill_mean)
 
 
 class TestRngStream:
@@ -190,7 +199,7 @@ def rows(rng, width):
 
 
 class TestSampleExtraction:
-    LAW = (MODELS.mean_ensemble_at_full, MODELS.n_reference, MODELS.p_blockade)
+    LAW = (EnsembleIndex(MODELS.mean_ensemble_at_full, MODELS.n_reference), MODELS.p_blockade)
 
     def test_empty_reservoir(self):
         rng = RngStream(0)  # no row yet, so reading a slot would raise
@@ -208,7 +217,9 @@ class TestSampleExtraction:
         # the ensemble size from its slot, capped at the population, then
         # the blockade from the next slot when any atom was caught
         rng = RngStream(5)
-        mean_at_full, n_reference, p_blockade = self.LAW
+        mean_at_full, n_reference, p_blockade = (
+            MODELS.mean_ensemble_at_full, MODELS.n_reference, MODELS.p_blockade
+        )
         for n in (1, 3, 40, 80, 200):
             u, v = rng.next_row(PLAIN[4])[2:]
             k = min(poisson_icdf(u, mean_at_full * min(1.0, n / n_reference)), n)
@@ -235,8 +246,7 @@ class TestSampleExtraction:
     def test_mean_bite_tracks_lambda(self):
         # below n_reference the ensemble mean scales with the population
         n0, trials = 40, 3000
-        mean_at_full, n_reference, _ = self.LAW
-        lam = mean_at_full * n0 / n_reference
+        lam = MODELS.mean_ensemble_at_full * n0 / MODELS.n_reference
         bites = []
         for _, rng in zip(range(trials), rows(RngStream(9), 2)):
             k, _ = sample_extraction(rng, n0, *self.LAW, 0)
@@ -250,15 +260,16 @@ class TestReservoirDecay:
     def test_returns_loss_and_refill(self):
         rng = RngStream(2)
         u = rng.next_row(PLAIN[2])[0]
-        lost, added = reservoir_decay(rng, 100, P_HALF_SECOND, 0.0, 0)
+        lost, added = reservoir_decay(rng, 100, window(P_HALF_SECOND), 0)
         assert lost >= 0 and added == 0
         assert lost == binomial_icdf(u, 100, 1.0 - math.exp(-0.5 / 5.0))
 
     def test_loss_statistics(self):
         p_lose = 1 - math.exp(-0.5 / 5.0)
         total, trials, n0 = 0, 2000, 200
+        half_second = window(P_HALF_SECOND)
         for _, rng in zip(range(trials), rows(RngStream(6), 2)):
-            lost, _ = reservoir_decay(rng, n0, P_HALF_SECOND, 0.0, 0)
+            lost, _ = reservoir_decay(rng, n0, half_second, 0)
             total += lost
         mean = total / trials
         sigma = math.sqrt(n0 * p_lose * (1 - p_lose) / trials)
@@ -268,13 +279,13 @@ class TestReservoirDecay:
         rng = RngStream(8)
         rng.next_row(PLAIN[2])
         p_survive = survival_probability(10.0, math.inf)
-        assert reservoir_decay(rng, 50, p_survive, 0.0, 0) == (0, 0)
+        assert reservoir_decay(rng, 50, window(p_survive), 0) == (0, 0)
 
     def test_refill_mean_rate(self):
         rate, dt, trials = 3.7, 0.230, 4000
-        total = 0
+        total, refill = 0, window(1.0, rate * dt)
         for _, rng in zip(range(trials), rows(RngStream(12), 2)):
-            _, added = reservoir_decay(rng, 10, 1.0, rate * dt, 0)
+            _, added = reservoir_decay(rng, 10, refill, 0)
             total += added
         mean = total / trials
         assert abs(mean - rate * dt) < 0.05  # stochastic rounding is unbiased
@@ -396,13 +407,130 @@ def test_a_table_that_does_not_fit_empties_the_tables():
     assert values == [_poisson_search(0.7, mean) for mean in (13.1875, 1.5, 80.0)]
 
 
+def row_of(u, cycle=3):
+    """A stream whose current row, of cycle ``cycle``, starts with ``u``."""
+    rng = RngStream(42, 5)
+    rng.next_row(PLAIN[2])
+    rng.row, rng.cycle = [u, 0.5], cycle
+    return rng
+
+
+def entry_probes(index, key):
+    """Uniforms around every sum of ``index``'s entry at ``key`` (none where
+    the key has no entry), plus 0 and the largest uniform."""
+    return probes(index.get(key, ()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p_survive=st.floats(0.0, 1.0), n=st.integers(0, 10**6), u=st.floats(0.0, TOP),
+    cycle=st.integers(1, 50),
+)
+@example(p_survive=1.0 - 0.025664910391250628, n=494, u=0.5, cycle=1)
+@example(p_survive=0.974, n=80, u=TOP, cycle=1)
+@example(p_survive=0.3, n=7, u=0.5, cycle=1)  # flipped: 1 - u is read
+@example(p_survive=0.9, n=5001, u=0.5, cycle=2)  # n q above the search limit
+def test_thinning_index_reads_the_binomial_value(p_survive, n, u, cycle):
+    # the window's read equals binomial_icdf(u, n, 1 - p_survive), the
+    # child generator's draw above the search limit included, at u, at
+    # every sum of the count's entry and just below each
+    thin = window(p_survive)
+    p = 1.0 - p_survive
+    reservoir_decay(row_of(u, cycle), n, thin, 0)  # fills the entry, if any
+    for v in [u, *entry_probes(thin.thinning, n)]:
+        lost, _ = reservoir_decay(row_of(v, cycle), n, thin, 0)
+        assert lost == binomial_icdf(v, n, p, row_of(v, cycle), 0), v
+    if p > 0.5 or n * p > SEARCH_MAX_MEAN:
+        assert thin.thinning == {}  # these counts read no table
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mean_at_full=st.floats(0.0, 700.0), n_reference=st.integers(1, 200),
+    offset=st.integers(-200, 10**6), u=st.floats(0.0, TOP), cycle=st.integers(1, 50),
+)
+@example(mean_at_full=13.1875, n_reference=80, offset=-40, u=0.5, cycle=1)
+@example(mean_at_full=13.1875, n_reference=80, offset=0, u=TOP, cycle=1)
+@example(mean_at_full=13.1875, n_reference=80, offset=10**6, u=0.5, cycle=1)
+@example(mean_at_full=600.0, n_reference=80, offset=5, u=0.5, cycle=2)  # child draw
+def test_ensemble_index_reads_the_capped_poisson_value(
+    mean_at_full, n_reference, offset, u, cycle
+):
+    # below, at and above n_reference: the read equals the Poisson value at
+    # mean_at_full min(1, n / n_reference), capped at n, at u, at every sum
+    # of the entry and just below each
+    n = max(1, n_reference + offset)
+    ensembles = EnsembleIndex(mean_at_full, n_reference)
+    lam = mean_at_full * min(1.0, n / n_reference)
+    sample_extraction(row_of(u, cycle), n, ensembles, 1.0, 0)
+    for v in [u, *entry_probes(ensembles, min(n, n_reference))]:
+        k, _ = sample_extraction(row_of(v, cycle), n, ensembles, 1.0, 0)
+        assert k == min(poisson_icdf(v, lam, row_of(v, cycle), 0), n), v
+    assert set(ensembles) <= {min(n, n_reference)}
+
+
+def referenced(models):
+    """The doubles a bundle's count indices reference, and the bundle's
+    indices themselves."""
+    indices = [models.ensembles] + [
+        w.thinning for w in (models.image_window, models.fill_window, models.refill_window)
+    ]
+    return sum(len(cdfs) for index in indices for cdfs in index.values()), indices
+
+
+@pytest.mark.parametrize("cap", [0, 60, 500, CDF_TABLE_CAP])
+def test_a_bundle_indexes_at_most_the_cap_and_reads_the_search_past_it(cap):
+    # a refilled reservoir visits hundreds of counts; whatever the cap, the
+    # bundle's indices reference at most that many doubles in all, share
+    # one budget, and every value past it is read through the helpers
+    cfg = ExperimentConfig(n_replicas=1, n_cycles=300, refill_rate=100.0)
+    expected = run_realization(cfg.build_models(), seed=3, n_cycles=300)
+    with fresh_tables(cap):
+        models = cfg.build_models()
+        assert run_realization(models, seed=3, n_cycles=300) == expected
+    total, indices = referenced(models)
+    assert total <= cap
+    assert all(index.budget is models.ensembles.budget for index in indices)
+    assert models.ensembles.budget == [cap - total]
+    if cap == CDF_TABLE_CAP:
+        assert sum(map(len, indices)) > 100  # the index is in use
+
+
+@pytest.mark.parametrize(
+    "overrides,cycles",
+    [({"refill_rate": 1e18}, 2), ({"reservoir_mean": 1e5, "mean_ensemble_at_full": 600.0}, 8)],
+    ids=["refill_1e18", "reservoir_1e5"],
+)
+def test_huge_reservoirs_allocate_nothing_in_proportion_to_the_count(overrides, cycles):
+    # thinnings and ensembles above the search limit are drawn from child
+    # generators and read no table; the counts below it index their tables
+    # by count. Once numpy's samplers are warm, a realization peaks at a
+    # few KiB, where one list of 1e5 counts alone takes 800 KB
+    def realize():
+        models = ExperimentConfig(n_cycles=1, **overrides).build_models()
+        run_realization(models, seed=1, n_cycles=cycles)
+        return models
+
+    realize()
+    tracemalloc.start()
+    try:
+        models = realize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a table's length is set by its searched mean, at most 500, not by n
+    _, indices = referenced(models)
+    assert all(len(cdfs) < 2 * SEARCH_MAX_MEAN for index in indices for cdfs in index.values())
+    assert peak < 2**16
+
+
 def test_extraction_is_capped_at_the_reservoir():
     # ensemble mean 13.56 from a reservoir of 10: P(removed = 10) = P(K >= 10)
-    rng = RngStream(0)
+    rng, ensembles = RngStream(0), EnsembleIndex(13.56, 1)
 
     def removed(u):
         rng.row = [u, 0.0]
-        return sample_extraction(rng, 10, 13.56, 1, 0.6, 0)[0]
+        return sample_extraction(rng, 10, ensembles, 0.6, 0)[0]
 
     tail = 1.0 - sum(poisson_pmf(k, 13.56) for k in range(10))
     assert_stratified_law(removed, lambda k: poisson_pmf(k, 13.56) if k < 10 else tail * (k == 10))
