@@ -12,6 +12,7 @@ conservation can be checked exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,6 +24,8 @@ from .stochastic import (
     EnsembleIndex,
     RngStream,
     RowForm,
+    poisson_icdf,
+    poisson_table,
     sample_extraction,
     sample_survival,  # unused here; perfbench/tracing.py rebinds this name
     sample_transport,
@@ -115,14 +118,14 @@ class SimulationModels:
     ``t_analysis_fill``, ``refill_window`` over ``t_buffer_refill``, each
     a :class:`DecayWindow`); the extraction's ensemble tables by reservoir
     count (``ensembles``, an ``EnsembleIndex`` whose table budget the
-    windows' thinning indices share); the bitmasks of all target and all
-    buffer sites (``target_bits``, ``buffer_bits``); and the cycle's row of
-    uniforms (``slots``, a :class:`CycleSlots`: the slot of each draw, and
-    the ``RowForm`` the stream hands the row out in). Only checks across
-    keys live here, each a ``ValueError``: an array atom must be able to
-    survive from a refill to its readout, the plateau must be reachable
-    with ``p_blockade`` at most 1, and the fill window must hold the
-    longest fill plan.
+    windows' thinning indices share); the Poisson table of the initial load
+    at ``reservoir_mean`` (``initial_load``, outside that budget); and the
+    cycle's row of uniforms (``slots``, a :class:`CycleSlots`: the slot of
+    each draw, and the ``RowForm`` the stream hands the row out in). Only
+    checks across keys live here, each a ``ValueError``: an array atom must
+    be able to survive from a refill to its readout, the plateau must be
+    reachable with ``p_blockade`` at most 1, and the fill window must hold
+    the longest fill plan.
     """
 
     layout: ArrayLayout
@@ -204,9 +207,7 @@ class SimulationModels:
                 f"timing.t_analysis_fill {self.t_analysis_fill} s cannot "
                 f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
             )
-        bits = layout.site_bits
-        derived["target_bits"] = sum(bits[t] for t in layout.target_ids)
-        derived["buffer_bits"] = sum(bits[b] for b in layout.buffer_ids)
+        derived["initial_load"] = poisson_table(self.reservoir_mean)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -403,10 +404,16 @@ def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
     all array sites empty, clock at the end of the preparation stages.
 
     The reservoir population is the Poisson value, at the configured mean,
-    of the stream's leading uniform, which is read even at mean 0; the state
-    takes its replica label from ``rng``.
+    of the stream's leading uniform, which is read even at mean 0: read
+    from ``models.initial_load``, or by :func:`poisson_icdf` at or above its
+    last sum and above the search limit, where the table is empty. The
+    state takes its replica label from ``rng``.
     """
-    n0 = rng.poisson(models.reservoir_mean)
+    u = rng.random()
+    cdfs = models.initial_load
+    n0 = bisect_right(cdfs, u)
+    if n0 == len(cdfs):
+        n0 = poisson_icdf(u, models.reservoir_mean, rng, 0)
     return SystemState(
         truth=0,
         belief=0,
@@ -599,11 +606,11 @@ def run_cycle(
     layout = models.layout
     step_image(state, models, rng, log)
     c = state.counters
-    truth, target_bits = state.truth, models.target_bits
+    truth, target_bits = state.truth, layout.target_bits
     targets = truth & target_bits
     record = CycleRecord(
         state.cycle_index, targets == target_bits,
-        (truth & models.buffer_bits).bit_count(), targets.bit_count(),
+        (truth & layout.buffer_bits).bit_count(), targets.bit_count(),
         state.n_reservoir, state.clock,
         c.extracted, c.delivered, c.reservoir_decay_loss,
     )

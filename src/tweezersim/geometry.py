@@ -109,7 +109,8 @@ class ArrayLayout:
 
     ``sites`` is kept sorted by id. Id lists, distances (``reservoir_dist``),
     ``site_bits`` (id -> occupancy bit, bit k for the k-th site), the
-    bitmask of all buffer sites (``buffer_bits``) and the refill order
+    bitmasks of all buffer and all target sites (``buffer_bits``,
+    ``target_bits``) and the refill order
     (buffers nearest the reservoir first, ties by id) are computed once.
     ``plan_memo`` and ``refill_memo`` are where the planner memoises fill
     plans and refill orders for this layout; they hold derived values only
@@ -136,9 +137,10 @@ class ArrayLayout:
         object.__setattr__(self, "_dist", dist)
         object.__setattr__(self, "reservoir_dist", rdist)
         object.__setattr__(self, "_site_ids", ids)
-        for name, role in (("_buffer_ids", SiteRole.BUFFER), ("_target_ids", SiteRole.TARGET)):
-            object.__setattr__(self, name, tuple(i for i in ids if by_id[i].role is role))
-        object.__setattr__(self, "buffer_bits", sum(self.site_bits[b] for b in self._buffer_ids))
+        for kind, role in (("buffer", SiteRole.BUFFER), ("target", SiteRole.TARGET)):
+            role_ids = tuple(i for i in ids if by_id[i].role is role)
+            object.__setattr__(self, f"_{kind}_ids", role_ids)
+            object.__setattr__(self, f"{kind}_bits", sum(self.site_bits[i] for i in role_ids))
         object.__setattr__(
             self, "refill_order",
             tuple(sorted(self._buffer_ids, key=lambda b: (rdist[b], b))),

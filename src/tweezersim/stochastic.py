@@ -4,20 +4,18 @@ Covers one-body survival in the traps, transport success, collisional-blockade
 extraction of single atoms from the reservoir, and reservoir depletion. All
 draws go through an explicit :class:`RngStream` so ensembles are reproducible
 replica by replica; Poisson and binomial values come from its uniforms by
-the inverse-CDF method (:func:`poisson_icdf`, :func:`binomial_icdf`): each
-law's table of cumulative probabilities is built once, by the very sum a
-search from 0 adds up, and read by bisection; a uniform at or above its
-last stored value is searched for, so every value is the search's. The
-module keeps at most ``CDF_TABLE_CAP`` doubles (1 MiB) of tables. A model
-bundle also indexes the tables its draws read by an int count
-(:class:`CountIndex`): a decay window's thinning by reservoir count, the
-extraction's ensemble by reservoir count up to ``n_reference``. An index
-references the module's own arrays, and a bundle's indices reference at
-most ``CDF_TABLE_CAP`` doubles; past that, draws read through the module
-helpers. The engine's draws take plain counts, the window or index that
-holds their law, and a slot of the stream's current row, and return what
-they drew; they change none of their arguments but an index's lazily
-filled entries, so the caller owns all state.
+the inverse-CDF method: :func:`poisson_icdf` and :func:`binomial_icdf`
+search for the value from 0. A model bundle holds the one store of their
+tables, each the running sums of that search, read by bisection and
+indexed by an int count (:class:`CountIndex`): a decay window's thinning
+by reservoir count, the extraction's ensemble by reservoir count up to
+``n_reference``. A bundle's indices hold at most ``CDF_TABLE_CAP`` doubles
+(1 MiB); past that, and for a uniform at or above a table's last sum, a
+draw reads through the helpers, so every value is the search's. The
+engine's draws take plain counts, the window or index that holds their
+law, and a slot of the stream's current row, and return what they drew;
+they change none of their arguments but an index's lazily filled
+entries, so the caller owns all state.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ __all__ = [
     "RngStream",
     "poisson_icdf",
     "binomial_icdf",
+    "poisson_table",
     "CountIndex",
     "ThinningIndex",
     "EnsembleIndex",
@@ -55,9 +54,8 @@ ROW_CHUNK = 64
 # a few hundred steps at most. Larger means are drawn by numpy's samplers.
 SEARCH_MAX_MEAN = 500.0
 
-# Inverse-CDF tables, keyed by a Poisson mean or by a binomial's (n, q), hold
-# at most this many doubles in all (1 MiB); a table that does not fit beside
-# the others empties them first.
+# A model bundle's count indices hold at most this many doubles of
+# inverse-CDF tables in all (1 MiB).
 CDF_TABLE_CAP = 2**17
 
 # A loss mask is built from words of this many bits: the largest word, 2**63
@@ -206,7 +204,7 @@ class RngStream:
         return self._lead() < p
 
     def poisson(self, mean: float) -> int:
-        slot = self._drawn  # the engine's initial load: cycle 0, slot 0
+        slot = self._drawn  # its child is keyed by (cycle 0, this uniform's place)
         return poisson_icdf(self._lead(), mean, self, slot)
 
     def binomial(self, n: int, p: float) -> int:
@@ -224,26 +222,23 @@ def _child(rng: RngStream | None, slot: int, mean: float) -> np.random.Generator
     return rng.child(slot)
 
 
-_TABLES: dict = {}  # the cumulative probabilities of a law, by its key
-_stored = 0  # doubles held in _TABLES
+# The table of a law read from none: its value is left to the helpers.
+_NO_TABLE = array("d")
 
 
-def _table(key, mean: float, term: float, factor, last: float) -> array:
-    """The table of ``key``'s law, stored under ``key``: the running sums
-    ``cdf_0, cdf_1, ...`` of the search, whose first term is ``term`` and
-    whose ``k``-th term is the one before times ``factor(k)``. A sum is
-    kept while its term is positive and ``k`` at most ``last``; past
-    ``mean`` the table ends where one more term leaves the sum unchanged.
-    It does not run on to where the search stops (a zero term, or ``k =
-    n``), which would spare the search fallback: such tables are 3-6 times
-    longer (293 sums, not 51, for ``(494, 0.0257)``; 332, not 54, for mean
-    13.56) and overflow the cap, so steady_state built 36,032 tables, not
-    1,429, and ran 3-5 times slower. Every kept sum is the search's float,
-    so the smallest ``k`` whose ``cdf_k`` exceeds ``u`` is the search's
-    value; ``u`` at or above the last kept sum is left to the search. A
-    table that would take the tables past ``CDF_TABLE_CAP`` doubles
-    empties them first; an empty table is not stored, nor one longer than
-    the cap on its own.
+def _table(mean: float, term: float, factor, last: float) -> array:
+    """The running sums ``cdf_0, cdf_1, ...`` of the search for a law of
+    searched mean ``mean``, whose first term is ``term`` and whose ``k``-th
+    term is the one before times ``factor(k)``. A sum is kept while its
+    term is positive and ``k`` at most ``last``; past ``mean`` the table
+    ends where one more term leaves the sum unchanged. It does not run on
+    to where the search stops (a zero term, or ``k = n``), which would
+    spare the search fallback: such tables are 3-6 times longer (293 sums,
+    not 51, for ``(494, 0.0257)``; 332, not 54, for mean 13.56) and
+    overflow the cap, so steady_state built 36,032 tables, not 1,429, and
+    ran 3-5 times slower. Every kept sum is the search's float, so the
+    smallest ``k`` whose ``cdf_k`` exceeds ``u`` is the search's value;
+    ``u`` at or above the last kept sum is left to the search.
 
     Every mean reads its table, however small. Read through a
     :class:`CountIndex` (entry, bisection, length check) a value costs
@@ -255,7 +250,6 @@ def _table(key, mean: float, term: float, factor, last: float) -> array:
     reference ensemble's 64,431 extractions, so at most 3 ms of its
     0.5 s, below what its timings resolve.
     """
-    global _stored
     cdfs = array("d")
     k, cdf = 0, term
     while term > 0:
@@ -267,19 +261,34 @@ def _table(key, mean: float, term: float, factor, last: float) -> array:
         if k > mean and cdf + term == cdf:
             break
         cdf += term
-    if 0 < len(cdfs) <= CDF_TABLE_CAP:
-        if _stored + len(cdfs) > CDF_TABLE_CAP:
-            _TABLES.clear()
-            _stored = 0
-        _TABLES[key] = cdfs
-        _stored += len(cdfs)
     return cdfs
 
 
-def _poisson_search(u: float, mean: float) -> int:
-    """The Poisson(``mean``) value of ``u``: the smallest ``k`` whose
-    cumulative probability exceeds ``u``, searched for from 0; the search
-    also stops where a probability underflows to 0."""
+def poisson_table(mean: float) -> array:
+    """The table of Poisson(``mean``) (:func:`_table`); empty above
+    ``SEARCH_MAX_MEAN``, where the value is drawn, not read."""
+    if mean > SEARCH_MAX_MEAN:
+        return _NO_TABLE
+    return _table(mean, math.exp(-mean), lambda k: mean / k, math.inf)
+
+
+def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int = 0) -> int:
+    """The Poisson(``mean``) value of the uniform ``u``: the smallest ``k``
+    whose cumulative probability exceeds ``u`` (the inverse-CDF method;
+    Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
+
+    The value is searched for from 0 by the running sum that
+    :func:`poisson_table` keeps, and no table is read. It is
+    non-decreasing in ``u`` and exact up to the rounding of the summed
+    probabilities; the search also stops where a probability underflows
+    to 0, so ``u`` just below 1 ends it too.
+
+    Above ``SEARCH_MAX_MEAN`` ``u`` is not read: the value is drawn by
+    numpy's sampler from ``rng.child(slot)``, and without ``rng`` it is a
+    ``ValueError``.
+    """
+    if mean > SEARCH_MAX_MEAN:
+        return int(_child(rng, slot, mean).poisson(mean))
     k = 0
     p = cdf = math.exp(-mean)
     while cdf <= u and p:
@@ -289,12 +298,25 @@ def _poisson_search(u: float, mean: float) -> int:
     return k
 
 
-def _binomial_search(u: float, n: int, p: float) -> int:
-    """The Binomial(``n``, ``p``) value of ``u`` by the search of
-    :func:`_poisson_search`, run from the cheaper tail: for ``p`` above 1/2
-    it counts the failures of ``1 - u`` and returns ``n`` less them."""
+def binomial_icdf(
+    u: float, n: int, p: float, rng: RngStream | None = None, slot: int = 0
+) -> int:
+    """The Binomial(``n``, ``p``) value of the uniform ``u``, searched for
+    like :func:`poisson_icdf` by the running sum that a
+    :class:`ThinningIndex` table keeps, and ending at ``k = n`` too. It
+    counts from the cheaper tail: for ``p`` above 1/2 it counts the
+    failures of ``1 - u`` and returns ``n`` less them, so the value is
+    non-decreasing in ``u`` either way.
+
+    When the searched mean ``n * min(p, 1 - p)`` exceeds
+    ``SEARCH_MAX_MEAN``, ``u`` is not read: the value is drawn by numpy's
+    sampler from ``rng.child(slot)``, and without ``rng`` it is a
+    ``ValueError``.
+    """
     flip = p > 0.5
     q = 1.0 - p if flip else p
+    if n * q > SEARCH_MAX_MEAN:
+        return int(_child(rng, slot, n * q).binomial(n, p))
     if flip:
         u = 1.0 - u
     ratio = q / (1.0 - q)
@@ -308,81 +330,16 @@ def _binomial_search(u: float, n: int, p: float) -> int:
     return n - k if flip else k
 
 
-def _poisson_table(mean: float) -> array:
-    return _table(mean, mean, math.exp(-mean), lambda k: mean / k, math.inf)
-
-
-def _binomial_table(n: int, q: float) -> array:
-    ratio = q / (1.0 - q)
-    top = ratio * (n + 1)
-    return _table((n, q), n * q, math.exp(n * math.log1p(-q)), lambda k: top / k - ratio, n)
-
-
-def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int = 0) -> int:
-    """The Poisson(``mean``) value of the uniform ``u``: the smallest ``k``
-    whose cumulative probability exceeds ``u`` (the inverse-CDF method;
-    Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
-
-    The cumulative probabilities are summed from 0 once per ``mean``,
-    into a table that is read by bisection; ``u`` at or above its last
-    value is searched for from 0 by the same sum
-    (:func:`_poisson_search`). Either way the value
-    is the search's: non-decreasing in ``u`` and exact up to the rounding
-    of the summed probabilities, ending where a probability underflows to
-    0, so ``u`` just below 1 ends it too.
-
-    Above ``SEARCH_MAX_MEAN`` ``u`` is not read: the value is drawn by
-    numpy's sampler from ``rng.child(slot)``, and without ``rng`` it is a
-    ``ValueError``.
-    """
-    if mean > SEARCH_MAX_MEAN:
-        return int(_child(rng, slot, mean).poisson(mean))
-    cdfs = _TABLES.get(mean) or _poisson_table(mean)
-    k = bisect_right(cdfs, u)
-    return k if k < len(cdfs) else _poisson_search(u, mean)
-
-
-def binomial_icdf(
-    u: float, n: int, p: float, rng: RngStream | None = None, slot: int = 0
-) -> int:
-    """The Binomial(``n``, ``p``) value of the uniform ``u``, read like
-    :func:`poisson_icdf` from a table per ``(n, q)``, ``q = min(p, 1 -
-    p)``, and searched for (:func:`_binomial_search`) above its last value.
-    It counts from the cheaper tail: for ``p`` above 1/2 it counts the
-    failures of ``1 - u`` and returns ``n`` less them, so the value is
-    non-decreasing in ``u`` either way.
-
-    When the searched mean ``n * min(p, 1 - p)`` exceeds
-    ``SEARCH_MAX_MEAN``, ``u`` is not read: the value is drawn by numpy's
-    sampler from ``rng.child(slot)``, and without ``rng`` it is a
-    ``ValueError``.
-    """
-    flip = p > 0.5
-    q = 1.0 - p if flip else p
-    if n * q > SEARCH_MAX_MEAN:
-        return int(_child(rng, slot, n * q).binomial(n, p))
-    cdfs = _TABLES.get((n, q)) or _binomial_table(n, q)
-    k = bisect_right(cdfs, 1.0 - u if flip else u)
-    if k == len(cdfs):
-        return _binomial_search(u, n, p)
-    return n - k if flip else k
-
-
-# What a count whose law is read from no table reads: its value is always
-# left to the module helper.
-_NO_TABLE = array("d")
-
-
 class CountIndex(dict):
     """The inverse-CDF tables of a family of laws by an int count: entry
-    ``n`` is :meth:`table` of ``n``, the module's own array for the count's
-    law, filled in on its first read. ``budget``, a one-element list
-    shared by a model bundle's indices, holds the doubles they may still
-    reference; without one, an index starts a budget of ``CDF_TABLE_CAP``
-    of its own. A table that does not fit, and the empty table of a law
-    read from none, is handed out but not stored, so its count asks again
-    at its next read. Keyed by count, not sized by it: a reservoir may
-    legally hold 1e18 atoms.
+    ``n`` is :meth:`table` of ``n``, the table of the count's law, built on
+    its first read. ``budget``, a one-element list shared by a model
+    bundle's indices, holds the doubles they may still hold; without one,
+    an index starts a budget of ``CDF_TABLE_CAP`` of its own. A table
+    that does not fit is handed out once and empties the budget; past it,
+    as for a law read from none, a count reads an empty table, which is
+    not stored, and its value is left to the helpers. Keyed by count, not
+    sized by it: a reservoir may legally hold 1e18 atoms.
     """
 
     def __init__(self, budget: list[int] | None = None):
@@ -390,9 +347,12 @@ class CountIndex(dict):
         self.budget = [CDF_TABLE_CAP] if budget is None else budget
 
     def __missing__(self, n: int) -> array:
-        cdfs = self.table(n)
-        if 0 < len(cdfs) <= self.budget[0]:
-            self.budget[0] -= len(cdfs)
+        budget = self.budget
+        cdfs = self.table(n) if budget[0] else _NO_TABLE
+        if len(cdfs) > budget[0]:
+            budget[0] = 0  # full: no table is built past this one
+        elif cdfs:
+            budget[0] -= len(cdfs)
             self[n] = cdfs
         return cdfs
 
@@ -412,7 +372,9 @@ class ThinningIndex(CountIndex):
         p = self.p
         if p > 0.5 or n * p > SEARCH_MAX_MEAN:
             return _NO_TABLE
-        return _TABLES.get((n, p)) or _binomial_table(n, p)
+        ratio = p / (1.0 - p)
+        top = ratio * (n + 1)
+        return _table(n * p, math.exp(n * math.log1p(-p)), lambda k: top / k - ratio, n)
 
 
 class EnsembleIndex(CountIndex):
@@ -434,10 +396,7 @@ class EnsembleIndex(CountIndex):
         return self.mean_at_full * min(1.0, n / self.n_reference)
 
     def table(self, n: int) -> array:
-        mean = self.mean(n)
-        if mean > SEARCH_MAX_MEAN:
-            return _NO_TABLE
-        return _TABLES.get(mean) or _poisson_table(mean)
+        return poisson_table(self.mean(n))
 
 
 @dataclass(frozen=True, slots=True)

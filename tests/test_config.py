@@ -72,8 +72,7 @@ def derived_values(models):
     return (
         models.init_duration, models.cycle_duration, models.move_duration,
         models.image_window, models.fill_window, models.refill_window,
-        models.p_blockade, models.target_bits, models.buffer_bits,
-        slots.masks, slots.columns,
+        models.p_blockade, models.initial_load, slots.masks, slots.columns,
     )
 
 
@@ -87,7 +86,7 @@ def test_replaced_models_equal_models_of_the_replaced_config(key, value):
     assert derived_values(replaced) == derived_values(built)
     # the keys the engine reads only as they are decide nothing
     read_as_is = key in (
-        "p_transport", "p_stay_on_failure", "n_reference", "reservoir_mean", "fill_strategy"
+        "p_transport", "p_stay_on_failure", "n_reference", "fill_strategy"
     )
     assert (derived_values(replaced) == derived_values(cfg.build_models())) == read_as_is
 

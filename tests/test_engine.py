@@ -187,15 +187,14 @@ class TestDerivedModelValues:
             [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
             (-41.0, 0.0), 250.0, 7.9, 15.8,
         )
-        models = models_with(layout=layout)
-        assert (models.buffer_bits, models.target_bits) == (0b01, 0b10)
+        assert (layout.buffer_bits, layout.target_bits) == (0b01, 0b10)
         reference = models_with()
-        assert reference.buffer_bits == bits(reference, *range(7)) == 0x7F
-        assert reference.target_bits == bits(reference, *range(7, 13)) == 0x1F80
+        assert reference.layout.buffer_bits == bits(reference, *range(7)) == 0x7F
+        assert reference.layout.target_bits == bits(reference, *range(7, 13)) == 0x1F80
         big = ExperimentConfig(layout=hex_layout()).build_models()
-        assert big.buffer_bits & big.target_bits == 0
-        assert big.buffer_bits | big.target_bits == (1 << 91) - 1
-        assert big.target_bits == bits(big, *big.layout.target_ids)
+        assert big.layout.buffer_bits & big.layout.target_bits == 0
+        assert big.layout.buffer_bits | big.layout.target_bits == (1 << 91) - 1
+        assert big.layout.target_bits == bits(big, *big.layout.target_ids)
 
 
 def test_init_sequence_state():

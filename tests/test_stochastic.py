@@ -3,9 +3,8 @@
 import dataclasses
 import math
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tweezersim import stochastic
 from tweezersim.config import ExperimentConfig
-from tweezersim.engine import run_realization
+from tweezersim.engine import init_sequence, run_realization
 from tweezersim.stochastic import (
     CDF_TABLE_CAP,
     SEARCH_MAX_MEAN,
@@ -21,6 +20,7 @@ from tweezersim.stochastic import (
     EnsembleIndex,
     RngStream,
     RowForm,
+    ThinningIndex,
     binomial_icdf,
     poisson_icdf,
     reservoir_decay,
@@ -28,8 +28,6 @@ from tweezersim.stochastic import (
     sample_survival,
     sample_transport,
     survival_probability,
-    _binomial_search,
-    _poisson_search,
 )
 
 MODELS = ExperimentConfig().build_models()
@@ -305,19 +303,11 @@ def binomial_pmf(k, n, p):
     return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
 
 
-@contextmanager
-def fresh_tables(cap=CDF_TABLE_CAP):
-    """Empty inverse-CDF tables holding at most ``cap`` doubles."""
-    with mock.patch.multiple(stochastic, _TABLES={}, _stored=0, CDF_TABLE_CAP=cap):
-        yield stochastic._TABLES
-
-
 def assert_stratified_law(draw, pmf):
     # one uniform at the middle of each of 2^16 equal strata: an exact
     # inverse CDF maps an interval of length pmf(k) to k, which holds
     # 2^16 pmf(k) stratum middles to within one
-    with fresh_tables():  # read from tables, however full other tests left them
-        counts = Counter(draw((i + 0.5) / STRATA) for i in range(STRATA))
+    counts = Counter(draw((i + 0.5) / STRATA) for i in range(STRATA))
     assert min(counts) >= 0
     for k in range(max(counts) + 2):
         assert abs(counts.get(k, 0) - STRATA * pmf(k)) <= 1, k
@@ -336,12 +326,19 @@ def test_binomial_icdf_exact_law(n, p):
     assert_stratified_law(lambda u: binomial_icdf(u, n, p), lambda k: binomial_pmf(k, n, p))
 
 
-def probes(cdfs, flip=False):
+def probes(cdfs):
     # 0, the largest uniform, every stored sum (the last one is read by the
-    # search) and the float just below each; flipped, 1 less each of them,
-    # which is what a binomial with p above 1/2 reads from its table
-    us = [0.0, TOP, *cdfs, *(math.nextafter(c, 0.0) for c in cdfs)]
-    return [1.0 - u for u in us] if flip else us
+    # search) and the float just below each
+    return [0.0, TOP, *cdfs, *(math.nextafter(c, 0.0) for c in cdfs)]
+
+
+def assert_entry_reads(cdfs, search):
+    # an index entry holds the search's own sums, in order, so bisection
+    # gives the search's value below its last sum; the rest is searched
+    assert len(cdfs) > 0 and list(cdfs) == sorted(cdfs)
+    for u in probes(cdfs):
+        if u < cdfs[-1]:
+            assert bisect_right(cdfs, u) == search(u), u
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,60 +348,39 @@ def probes(cdfs, flip=False):
 @example(mean=80.0)
 @example(mean=SEARCH_MAX_MEAN)
 def test_poisson_table_reads_the_search_value(mean):
-    with fresh_tables() as tables:
-        poisson_icdf(0.5, mean)
-        cdfs = tables[mean]
-        assert list(cdfs) == sorted(cdfs)
-        for u in probes(cdfs):
-            assert poisson_icdf(u, mean) == _poisson_search(u, mean), u
+    assert_entry_reads(EnsembleIndex(mean, 1)[1], lambda u: poisson_icdf(u, mean))
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(0, 10**5), q=st.floats(0.0, 0.5), flip=st.booleans())
-@example(n=494, q=0.025664910391250628, flip=False)
-@example(n=80, q=1.0 - 0.974, flip=True)
-@example(n=998, q=0.5, flip=False)
-@example(n=7, q=0.0, flip=True)
-def test_binomial_table_reads_the_search_value(n, q, flip):
-    q = min(q, (SEARCH_MAX_MEAN - 1) / n) if n else q  # n min(p, 1 - p) <= 499
-    p = 1.0 - q if flip else q
-    with fresh_tables() as tables:
-        binomial_icdf(0.5, n, p)
-        (cdfs,) = tables.values()
-        assert list(cdfs) == sorted(cdfs)
-        for u in probes(cdfs, flip):
-            assert binomial_icdf(u, n, p) == _binomial_search(u, n, p), u
+@given(n=st.integers(0, 10**5), q=st.floats(0.0, 0.5))
+@example(n=494, q=0.025664910391250628)
+@example(n=80, q=1.0 - 0.974)
+@example(n=998, q=0.5)
+@example(n=7, q=0.0)
+def test_binomial_table_reads_the_search_value(n, q):
+    q = min(q, (SEARCH_MAX_MEAN - 1) / n) if n else q  # n q <= 499
+    assert_entry_reads(ThinningIndex(q)[n], lambda u: binomial_icdf(u, n, q))
 
 
-LAWS = [
-    (poisson_icdf, law) for law in [(0.0,), (0.05,), (13.1875,), (80.0,), (499.0,)]
-] + [(binomial_icdf, law) for law in [(0, 0.3), (7, 0.3), (80, 0.974), (494, 0.0257), (998, 0.5)]]
+@pytest.mark.parametrize("mean", [0.0, 0.05, 80.0, SEARCH_MAX_MEAN, 600.0])
+def test_initial_load_reads_the_poisson_value(mean):
+    # the bundle's one table at reservoir_mean gives the helper's value at
+    # 0, the largest uniform, every sum and the float just below each;
+    # above the search limit it is empty and the load is the draw of the
+    # child of cycle 0, column 0
+    models = dataclasses.replace(MODELS, reservoir_mean=mean)
+    cdfs = models.initial_load
+    assert (len(cdfs) == 0) == (mean > SEARCH_MAX_MEAN)
 
+    def load(u):
+        rng = RngStream(42, 5)
+        rng.random = lambda: u  # the leading uniform init_sequence reads
+        return init_sequence(models, rng).n_initial_reservoir
 
-def test_full_tables_leave_every_value_to_the_search():
-    # with a cap of 0 every table is longer than the cap on its own
-    us = [0.0, TOP, *(i / 997 for i in range(997))]
-    with fresh_tables():
-        read = [[draw(u, *law) for u in us] for draw, law in LAWS]
-    with fresh_tables(cap=0) as tables:
-        searched = [[draw(u, *law) for u in us] for draw, law in LAWS]
-        assert tables == {}
-        assert stochastic._stored == 0
-    assert read == searched
-
-
-def test_a_table_that_does_not_fit_empties_the_tables():
-    # at a cap of 60 doubles: 54 at mean 13.1875 fit; 21 at mean 1.5 do not
-    # fit beside them, so they empty the tables and are stored alone; 164
-    # at mean 80 are longer than the cap and are not stored at all
-    with fresh_tables(cap=60) as tables:
-        values = [poisson_icdf(0.7, 13.1875)]
-        assert list(tables) == [13.1875] and stochastic._stored == 54
-        values.append(poisson_icdf(0.7, 1.5))
-        assert list(tables) == [1.5] and stochastic._stored == len(tables[1.5])
-        values.append(poisson_icdf(0.7, 80.0))
-        assert list(tables) == [1.5]
-    assert values == [_poisson_search(0.7, mean) for mean in (13.1875, 1.5, 80.0)]
+    for u in probes(cdfs):
+        assert load(u) == poisson_icdf(u, mean, RngStream(42, 5), 0), u
+    if mean > SEARCH_MAX_MEAN:
+        assert load(0.5) == RngStream(42, 5).child(0).poisson(mean)
 
 
 def row_of(u, cycle=3):
@@ -470,8 +446,8 @@ def test_ensemble_index_reads_the_capped_poisson_value(
 
 
 def referenced(models):
-    """The doubles a bundle's count indices reference, and the bundle's
-    indices themselves."""
+    """The doubles a bundle's count indices hold, and the bundle's indices
+    themselves."""
     indices = [models.ensembles] + [
         w.thinning for w in (models.image_window, models.fill_window, models.refill_window)
     ]
@@ -479,21 +455,24 @@ def referenced(models):
 
 
 @pytest.mark.parametrize("cap", [0, 60, 500, CDF_TABLE_CAP])
-def test_a_bundle_indexes_at_most_the_cap_and_reads_the_search_past_it(cap):
+def test_a_bundle_indexes_at_most_the_cap_and_reads_the_search_past_it(cap, monkeypatch):
     # a refilled reservoir visits hundreds of counts; whatever the cap, the
-    # bundle's indices reference at most that many doubles in all, share
-    # one budget, and every value past it is read through the helpers
+    # bundle's indices hold at most that many doubles in all and share one
+    # budget; the first table past it empties the budget, and every value
+    # past it is read through the helpers
     cfg = ExperimentConfig(n_replicas=1, n_cycles=300, refill_rate=100.0)
     expected = run_realization(cfg.build_models(), seed=3, n_cycles=300)
-    with fresh_tables(cap):
-        models = cfg.build_models()
-        assert run_realization(models, seed=3, n_cycles=300) == expected
+    monkeypatch.setattr(stochastic, "CDF_TABLE_CAP", cap)
+    models = cfg.build_models()
+    assert run_realization(models, seed=3, n_cycles=300) == expected
     total, indices = referenced(models)
     assert total <= cap
     assert all(index.budget is models.ensembles.budget for index in indices)
-    assert models.ensembles.budget == [cap - total]
+    assert models.ensembles.budget == ([cap - total] if cap == CDF_TABLE_CAP else [0])
     if cap == CDF_TABLE_CAP:
         assert sum(map(len, indices)) > 100  # the index is in use
+    else:  # full: a count not yet indexed builds no table
+        assert len(models.fill_window.thinning[12345]) == 0
 
 
 @pytest.mark.parametrize(
@@ -546,11 +525,10 @@ def test_icdf_monotone_in_range_and_terminating(u, v, mean, n, q, flip):
     lo, hi = sorted((u, v))
     q = min(q, (SEARCH_MAX_MEAN - 1) / n) if n else q  # keep to the searched path
     p = 1.0 - q if flip else q
-    with fresh_tables():  # 200 examples' tables would fill the shared ones
-        k = [poisson_icdf(w, mean) for w in (lo, hi, TOP)]
-        assert 0 <= k[0] <= k[1] <= k[2]
-        k = [binomial_icdf(w, n, p) for w in (0.0, lo, hi, TOP)]
-        assert 0 <= k[0] <= k[1] <= k[2] <= k[3] <= n
+    k = [poisson_icdf(w, mean) for w in (lo, hi, TOP)]
+    assert 0 <= k[0] <= k[1] <= k[2]
+    k = [binomial_icdf(w, n, p) for w in (0.0, lo, hi, TOP)]
+    assert 0 <= k[0] <= k[1] <= k[2] <= k[3] <= n
 
 
 def test_above_the_search_limit_draws_from_a_keyed_child():
