@@ -15,13 +15,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 from .engine import SimulationModels
-from .geometry import (
-    PRESETS,
-    ArrayLayout,
-    layout_from_preset,
-    layout_from_site_rows,
-    reference_layout,
-)
+from .geometry import ArrayLayout, layout_from_site_rows, reference_layout
 from .stochastic import _MAX_POISSON_MEAN
 
 __all__ = [
@@ -47,6 +41,9 @@ DEFAULT_ENSEMBLE_MEAN = 13.56
 # ensemble mean so the cumulative success curve lands on the measured
 # values; pure loss undershoots them and pure retention overshoots.
 DEFAULT_STAY_ON_FAILURE = 2 / 3
+
+# The one name ``[layout] preset`` takes: the layout of reference_layout().
+_PRESET = "paper-hex-6"
 
 _SUCCESS_DEFINITIONS = {
     "first": "first-achievement",
@@ -167,7 +164,8 @@ class ExperimentConfig:
         """Plain nested dict of every effective parameter, for run metadata.
 
         The layout is always expanded to explicit site rows so the record
-        is self-contained; ``preset`` names the preset it equals, if any.
+        is self-contained; ``preset`` is ``"paper-hex-6"`` when the layout
+        equals the reference layout, and ``None`` otherwise.
         An infinite lifetime is the string ``"inf"``, which strict JSON
         allows and ``[stochastic]`` reads back.
         """
@@ -177,7 +175,7 @@ class ExperimentConfig:
             for name in _SECTIONS
         }
         resolved["layout"] = {
-            "preset": next((n for n, make in PRESETS.items() if make() == layout), None),
+            "preset": _PRESET if layout == reference_layout() else None,
             "sites": [
                 [s.id, s.pos.x, s.pos.y, s.role.value]
                 for s in sorted(layout.sites, key=lambda s: s.id)
@@ -224,12 +222,11 @@ def _parse_layout_section(section: configparser.SectionProxy) -> ArrayLayout:
         (given if key in section else missing).append(f"layout.{key}")
     if preset and given:
         raise ConfigError(f"layout.preset excludes inline keys ({', '.join(given)})")
-    if preset:
-        try:
-            return layout_from_preset(preset)
-        except ValueError as exc:
-            raise ConfigError(f"layout.preset: {exc}") from None
-    if not given:
+    if preset not in ("", _PRESET):
+        raise ConfigError(
+            f"layout.preset: unknown layout preset {preset!r}; available: {[_PRESET]}"
+        )
+    if preset or not given:
         return reference_layout()
     if missing:
         raise ConfigError(

@@ -615,7 +615,7 @@ def run_cycle(
         c.extracted, c.delivered, c.reservoir_decay_loss,
     )
     fill = models.fill_strategy
-    plan = plan_target_fill(MaskOccupancy(layout, state.belief), layout, strategy=fill)
+    plan = plan_target_fill(MaskOccupancy(layout, state.belief), strategy=fill)
     step_fill_targets(state, plan, models, rng, log)
     refill_list = plan_buffer_refill(state.belief, layout)
     step_refill_buffers(state, refill_list, models, rng, log)
@@ -624,22 +624,20 @@ def run_cycle(
 
 
 def run_realization(
-    config,
+    models: SimulationModels,
     seed: int,
     n_cycles: int,
     replica: int = 0,
     log: EventLog | None = None,
 ) -> list[CycleRecord]:
-    """Run one realization: preparation plus ``n_cycles`` cycles.
+    """Run one realization of the model bundle ``models``: preparation
+    plus ``n_cycles`` cycles.
 
-    ``config`` may be a :class:`SimulationModels` bundle or any object with
-    a ``build_models()`` method. Deterministic given (config, seed,
-    replica); the records of two runs with identical arguments are
-    identical.
+    Deterministic given (models, seed, replica); the records of two runs
+    with identical arguments are identical.
     """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be at least 1, got {n_cycles}")
-    models = config if isinstance(config, SimulationModels) else config.build_models()
     models.check_supply(n_cycles)
     rng = RngStream(seed, replica, n_rows=n_cycles)
     state = init_sequence(models, rng)

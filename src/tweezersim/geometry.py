@@ -1,4 +1,4 @@
-"""Trap-array geometry: hexagonal lattices, layout presets, and distances.
+"""Trap-array geometry: hexagonal lattices, the reference layout, and distances.
 
 All coordinates are in micrometers in the trap plane. A layout is immutable
 after construction and validated once, so it can be shared freely between
@@ -21,8 +21,6 @@ __all__ = [
     "LayoutError",
     "build_hex_grid",
     "reference_layout",
-    "layout_from_preset",
-    "PRESETS",
     "distance",
 ]
 
@@ -104,8 +102,8 @@ class ArrayLayout:
 
     ``scan_range`` is the half-width (µm) of the square region the transport
     tweezers can reach, centered on the centroid of the trap sites. Every
-    site and the reservoir must lie inside it. A layout carries geometry
-    only.
+    site and the reservoir must lie inside it. A layout holds its geometry,
+    the lookups decided from it, and the planner's memos.
 
     ``sites`` is kept sorted by id. Id lists, distances (``reservoir_dist``),
     ``site_bits`` (id -> occupancy bit, bit k for the k-th site), the
@@ -225,7 +223,7 @@ class MaskOccupancy(Mapping):
         return len(self.layout._site_ids)
 
 
-# -- presets ------------------------------------------------------------
+# -- the reference layout -----------------------------------------------
 
 _BASE_PITCH = 7.9  # µm, full lattice
 _EFFECTIVE_PITCH = 15.8  # µm, every second lenslet masked off
@@ -270,21 +268,6 @@ def reference_layout() -> ArrayLayout:
         reservoir_pos=reservoir,
         scan_range=_SCAN_RANGE,
     )
-
-
-PRESETS = {
-    "paper-hex-6": reference_layout,
-}
-
-
-def layout_from_preset(name: str) -> ArrayLayout:
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise LayoutError(
-            f"unknown layout preset {name!r}; available: {sorted(PRESETS)}"
-        ) from None
-    return factory()
 
 
 def layout_from_site_rows(

@@ -32,20 +32,18 @@ class Move(NamedTuple):
     dist: float  # µm
 
 
-# Most fill plans, and most refill orders, a layout's memos keep: 2^13, one
-# per believed occupancy of the 13-site reference layout. A full memo keeps
-# what it has and plans the rest afresh.
+# Most entries each of a layout's two memos keeps: 2^13, the number of
+# believed occupancies of the 13-site reference layout. The fill memo is
+# keyed by (belief mask, strategy), the refill memo by the mask's buffer
+# bits. Both live on the layout object, so every bundle built on that
+# object shares them. A full memo keeps what it has and plans the rest
+# afresh.
 MEMO_CAP = 8192
 
 
-def plan_target_fill(
-    belief: MaskOccupancy,
-    layout: ArrayLayout,
-    *,
-    strategy: str = "global",
-) -> tuple[Move, ...]:
-    """Shortest-move-first plan filling empty target sites from occupied
-    buffers, as a tuple of moves.
+def plan_target_fill(belief: MaskOccupancy, *, strategy: str = "global") -> tuple[Move, ...]:
+    """Shortest-move-first plan filling the empty target sites of
+    ``belief.layout`` from its occupied buffers, as a tuple of moves.
 
     Each step takes the closest remaining (vacancy, source) pair, ties
     broken on smaller destination id, then smaller source id. The default
@@ -55,20 +53,12 @@ def plan_target_fill(
 
     The plan always contains min(#vacancies, #occupied buffers) moves.
     Plans are memoised on the layout by (belief mask, strategy). ``belief``
-    must be a :class:`MaskOccupancy` of ``layout`` or of a layout with the
-    same site ids; it is a view rather than the bitmask it reads only
+    is a :class:`MaskOccupancy` rather than the bitmask it reads only
     because the benchmark's tracer reads the fill's input as a mapping.
     """
     if type(belief) is not MaskOccupancy:
         raise PlanError(f"belief must be a MaskOccupancy, got {type(belief).__name__}")
-    if belief.layout is not layout and belief.layout.site_ids != layout.site_ids:
-        missing = set(layout.site_ids) - set(belief)
-        extra = set(belief) - set(layout.site_ids)
-        raise PlanError(
-            f"belief must cover exactly the layout sites "
-            f"(missing {sorted(missing)}, extraneous {sorted(extra)})"
-        )
-    mask = belief.mask
+    layout, mask = belief.layout, belief.mask
     plan = layout.plan_memo.get((mask, strategy))
     if plan is not None:
         return plan

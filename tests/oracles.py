@@ -4,6 +4,9 @@ The assignment oracles give the minimum-total-distance matching of size
 min(#vacancies, #sources) between two lists of points, as ``(pairs,
 total)``: the sorted (vacancy index, source index) pairs and their summed
 distance in µm. The greedy fill planner never beats it.
+
+:func:`steady_complete_fraction` is the closed form of continuous
+operation, where the refill keeps the buffers covering every vacancy.
 """
 
 import itertools
@@ -43,3 +46,27 @@ def hungarian_assignment(vacancies, sources):
     cost = np.array([[math.dist(v, s) for s in sources] for v in vacancies])
     rows, cols = linear_sum_assignment(cost)
     return tuple(sorted(zip(rows.tolist(), cols.tolist()))), float(cost[rows, cols].sum())
+
+
+def steady_complete_fraction(models):
+    """The stationary share of images at which every target is occupied,
+    for a run whose buffers always cover the target vacancies.
+
+    Each target is then its own two-state chain from image to image. An
+    occupied target is occupied again with probability ``s``, its survival
+    over one cycle's loss windows: the image window (``t_image_loss``, or
+    ``t_image`` where that is ``None``), ``t_analysis_fill`` and
+    ``t_buffer_refill``. An empty one is filled with probability
+    ``p = p_transport`` and then survives with ``s``. Each target is
+    occupied with the chain's stationary probability ``pi = p s / (1 - s +
+    p s)``, independently of the others, so all ``n`` targets are occupied
+    with probability ``pi**n``.
+    Nothing else enters: not the reservoir, the blockade, the retention on a
+    failed move nor the fill strategy.
+    """
+    image = models.t_image if models.t_image_loss is None else models.t_image_loss
+    window = image + models.t_analysis_fill + models.t_buffer_refill
+    s = math.exp(-window / models.lifetime_array_s)
+    p = models.p_transport
+    pi = p * s / (1.0 - s + p * s)
+    return pi ** len(models.layout.target_ids)

@@ -91,7 +91,7 @@ def test_acceptance_3_cumulative_success(full_ensemble):
 def test_acceptance_4_timing(full_ensemble):
     cfg, _, _ = full_ensemble
     models = cfg.build_models()
-    records = run_realization(cfg, seed=cfg.master_seed, n_cycles=6)
+    records = run_realization(models, seed=cfg.master_seed, n_cycles=6)
     gaps = [
         b.clock_at_image - a.clock_at_image
         for a, b in zip(records, records[1:])
@@ -122,7 +122,7 @@ def test_acceptance_5_planner_oracle():
         src_ids = rng.sample(list(LAYOUT.buffer_ids), n_src)
         occupied = (set(LAYOUT.target_ids) - set(vac_ids)) | set(src_ids)
         belief = MaskOccupancy(LAYOUT, sum(LAYOUT.site_bits[sid] for sid in occupied))
-        heur = sum(m.dist for m in plan_target_fill(belief, LAYOUT))
+        heur = sum(m.dist for m in plan_target_fill(belief))
         _, oracle = exhaustive_assignment(
             [LAYOUT.site(v).pos for v in vac_ids],
             [LAYOUT.site(s).pos for s in src_ids],
@@ -184,7 +184,9 @@ def test_acceptance_7_invariant_soak(tmp_path_factory):
     for replica in range(200):
         cfg = _random_soak_config(rng)
         log = EventLog()
-        records = run_realization(cfg, seed=rng.randint(0, 2**31), n_cycles=cfg.n_cycles, log=log)
+        records = run_realization(
+            cfg.build_models(), seed=rng.randint(0, 2**31), n_cycles=cfg.n_cycles, log=log
+        )
         for row in log.rows:
             assert row[4] >= 0  # reservoir population
             if row[2] == "image":
@@ -234,9 +236,10 @@ def test_acceptance_8_degenerate_trace():
         lifetime_array_s=math.inf,
         lifetime_reservoir_s=math.inf,
     )
+    models = cfg.build_models()
     hits = 0
     for replica in range(100):
-        records = run_realization(cfg, seed=97, n_cycles=4, replica=replica)
+        records = run_realization(models, seed=97, n_cycles=4, replica=replica)
         flags = [r.target_complete for r in records]
         if flags == [False, False, True, True]:
             hits += 1

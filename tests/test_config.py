@@ -395,6 +395,20 @@ fill_strategy = per-vacancy
         assert list(cfg.layout.buffer_ids) == [0, 1]
         assert cfg.layout.reservoir_pos.x == -50.0
 
+    def test_preset_lookup(self, tmp_path):
+        cfg = load_config(write_ini(tmp_path, "[layout]\npreset = paper-hex-6\n"))
+        assert cfg.layout == reference_layout()
+        assert cfg.resolved()["layout"]["preset"] == "paper-hex-6"
+
+    def test_unknown_preset(self, tmp_path):
+        body = "[layout]\npreset = no-such-preset\n"
+        with pytest.raises(ConfigError) as info:
+            load_config(write_ini(tmp_path, body))
+        assert str(info.value) == (
+            "layout.preset: unknown layout preset 'no-such-preset'; "
+            "available: ['paper-hex-6']"
+        )
+
     def test_preset_and_sites_conflict(self, tmp_path):
         body = """
 [layout]

@@ -507,7 +507,7 @@ def test_cycle_record_is_an_immutable_tuple_of_fixed_fields():
 
 
 def test_cycle_clock_spacing():
-    records = run_realization(ExperimentConfig(), seed=16, n_cycles=6)
+    records = run_realization(ExperimentConfig().build_models(), seed=16, n_cycles=6)
     clocks = [r.clock_at_image for r in records]
     for a, b in zip(clocks, clocks[1:]):
         assert b - a == pytest.approx(0.230)
@@ -640,32 +640,31 @@ def test_cycle_slots_tile_the_row():
 
 
 def test_run_realization_deterministic():
-    cfg = ExperimentConfig()
-    a = run_realization(cfg, seed=17, n_cycles=5, replica=3)
-    b = run_realization(cfg, seed=17, n_cycles=5, replica=3)
+    models = ExperimentConfig().build_models()
+    a = run_realization(models, seed=17, n_cycles=5, replica=3)
+    b = run_realization(models, seed=17, n_cycles=5, replica=3)
     assert a == b
-    c = run_realization(cfg, seed=17, n_cycles=5, replica=4)
+    c = run_realization(models, seed=17, n_cycles=5, replica=4)
     assert a != c
 
 
 def test_run_realization_rejects_zero_cycles():
     with pytest.raises(ValueError):
-        run_realization(ExperimentConfig(), seed=1, n_cycles=0)
+        run_realization(ExperimentConfig().build_models(), seed=1, n_cycles=0)
 
 
 def test_run_realization_bounds_the_refill_over_its_own_cycles():
     # 1e18 atoms/s x 2 engine cycles x 0.23 s = 4.6e17: a legal config
-    cfg = ExperimentConfig(n_cycles=1, refill_rate=1e18)
-    models = cfg.build_models()
+    models = ExperimentConfig(n_cycles=1, refill_rate=1e18).build_models()
     assert len(run_realization(models, seed=1, n_cycles=2)) == 2
-    for config in (cfg, models):  # 5 cycles could supply 1.15e18 atoms
-        with pytest.raises(ValueError, match=r"stochastic\.refill_rate .* 5 engine cycles"):
-            run_realization(config, seed=1, n_cycles=5)
+    # 5 cycles could supply 1.15e18 atoms
+    with pytest.raises(ValueError, match=r"stochastic\.refill_rate .* 5 engine cycles"):
+        run_realization(models, seed=1, n_cycles=5)
 
 
 def test_degenerate_trace_exact():
     cfg = dataclasses.replace(ExperimentConfig(), **DEGENERATE)
-    records = run_realization(cfg, seed=18, n_cycles=4)
+    records = run_realization(cfg.build_models(), seed=18, n_cycles=4)
     by_cycle = [
         (r.n_buffer_filled, r.n_target_filled, r.target_complete)
         for r in records
@@ -681,8 +680,7 @@ def test_degenerate_trace_exact():
 
 def test_event_log_structure():
     log = EventLog()
-    cfg = ExperimentConfig()
-    run_realization(cfg, seed=19, n_cycles=2, log=log)
+    run_realization(ExperimentConfig().build_models(), seed=19, n_cycles=2, log=log)
     assert log.COLUMNS[0] == "replica"
     steps = [row[2] for row in log.rows]
     assert steps[0] == "init"
@@ -698,10 +696,10 @@ def test_event_log_structure():
 def test_fill_rows_carry_move_duration():
     # every move lasts the configured ramp-translate-ramp time; rows
     # without a move leave the field blank
-    cfg = ExperimentConfig(t_ramp=100e-6, t_move=250e-6)
+    models = ExperimentConfig(t_ramp=100e-6, t_move=250e-6).build_models()
     log = EventLog()
-    run_realization(cfg, seed=19, n_cycles=4, log=log)
-    duration = cfg.build_models().move_duration
+    run_realization(models, seed=19, n_cycles=4, log=log)
+    duration = models.move_duration
     assert duration == pytest.approx(450e-6)
     moves = [row for row in log.rows if row[2] == "fill" and row[7] != ""]
     assert moves
@@ -712,7 +710,7 @@ def test_fill_rows_carry_move_duration():
 def test_refill_hook_feeds_reservoir():
     cfg = dataclasses.replace(ExperimentConfig(), refill_rate=20.0)
     log = EventLog()
-    records = run_realization(cfg, seed=20, n_cycles=10, log=log)
+    records = run_realization(cfg.build_models(), seed=20, n_cycles=10, log=log)
     assert records[-1].n_reservoir > 0
     # conservation ran inside every cycle; the hook must have fired
     final_res = [row[4] for row in log.rows][-1]
@@ -753,7 +751,7 @@ def test_log_values_have_exactly_their_declared_kind(
         p_stay_on_failure=p_stay_on_failure, refill_rate=refill_rate, **timing,
     )
     log = EventLog()
-    run_realization(cfg, seed, n_cycles, replica=replica, log=log)
+    run_realization(cfg.build_models(), seed, n_cycles, replica=replica, log=log)
     for (name, kind), column in zip(EventLog.KINDS.items(), log.columns):
         strays = [v for v in column if type(v) is not str and type(v) is not kind]
         assert not strays, (name, kind, strays[:3])
@@ -763,7 +761,7 @@ def test_log_values_have_exactly_their_declared_kind(
 @given(seed=st.integers(0, 2**31 - 1))
 def test_counters_monotone_and_reservoir_nonnegative(seed):
     log = EventLog()
-    records = run_realization(ExperimentConfig(), seed=seed, n_cycles=4, log=log)
+    records = run_realization(ExperimentConfig().build_models(), seed=seed, n_cycles=4, log=log)
     assert len(records) == 4
     for prev, cur in zip(records, records[1:]):
         assert cur.extracted_cum >= prev.extracted_cum
@@ -796,7 +794,7 @@ def test_event_log_retains_at_most_120_bytes_per_row():
 
 def test_event_log_rows_keep_their_types():
     log = EventLog()
-    run_realization(ExperimentConfig(), seed=19, n_cycles=6, log=log)
+    run_realization(ExperimentConfig().build_models(), seed=19, n_cycles=6, log=log)
     rows = log.rows
     assert len(rows) == len(log)
     for row in rows:

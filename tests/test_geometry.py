@@ -13,7 +13,6 @@ from tweezersim.geometry import (
     TrapSite,
     build_hex_grid,
     distance,
-    layout_from_preset,
     layout_from_site_rows,
     reference_layout,
 )
@@ -135,16 +134,6 @@ class TestReferenceLayout:
     def test_site_bits_are_dense_in_id_order(self):
         bits = [self.layout.site_bits[s] for s in self.layout.site_ids]
         assert bits == [1 << k for k in range(13)]
-
-    def test_preset_lookup(self):
-        via_preset = layout_from_preset("paper-hex-6")
-        assert via_preset.site_ids == self.layout.site_ids
-        for sid in self.layout.site_ids:
-            assert via_preset.site(sid).pos == self.layout.site(sid).pos
-
-    def test_unknown_preset(self):
-        with pytest.raises(LayoutError):
-            layout_from_preset("no-such-preset")
 
 
 def _square_sites(n, pitch):
