@@ -176,10 +176,7 @@ class ExperimentConfig:
         }
         resolved["layout"] = {
             "preset": _PRESET if layout == reference_layout() else None,
-            "sites": [
-                [s.id, s.pos.x, s.pos.y, s.role.value]
-                for s in sorted(layout.sites, key=lambda s: s.id)
-            ],
+            "sites": [[s.id, s.pos.x, s.pos.y, s.role.value] for s in layout.sites],
             "reservoir": [layout.reservoir_pos.x, layout.reservoir_pos.y],
             "scan_range": layout.scan_range,
             "base_pitch": layout.base_pitch,
@@ -216,17 +213,18 @@ def _convert(section: str, key: str, raw: str, kind: str = "float"):
 
 
 def _parse_layout_section(section: configparser.SectionProxy) -> ArrayLayout:
-    preset = section.get("preset", "").strip()
     given, missing = [], []
     for key in _INLINE_LAYOUT_KEYS:
         (given if key in section else missing).append(f"layout.{key}")
-    if preset and given:
-        raise ConfigError(f"layout.preset excludes inline keys ({', '.join(given)})")
-    if preset not in ("", _PRESET):
-        raise ConfigError(
-            f"layout.preset: unknown layout preset {preset!r}; available: {[_PRESET]}"
-        )
-    if preset or not given:
+    if "preset" in section:
+        if given:
+            raise ConfigError(f"layout.preset excludes inline keys ({', '.join(given)})")
+        preset = _convert("layout", "preset", section["preset"], "str")
+        if preset != _PRESET:
+            raise ConfigError(
+                f"layout.preset: unknown layout preset {preset!r}; available: {[_PRESET]}"
+            )
+    if "preset" in section or not given:
         return reference_layout()
     if missing:
         raise ConfigError(

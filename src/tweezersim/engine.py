@@ -512,12 +512,12 @@ def step_fill_targets(
 
 def step_refill_buffers(
     state: SystemState,
-    refill_list: list[int],
+    order: tuple[int, ...],
     models: SimulationModels,
     rng: RngStream,
     log: EventLog | None = None,
 ) -> None:
-    """One extraction attempt per listed buffer site, then the refill window.
+    """One extraction attempt per buffer site in ``order``, then the refill window.
 
     Delivered atoms enter truth immediately but stay believed-empty until
     the next image, so the planner never sources an unverified refill. A
@@ -530,7 +530,7 @@ def step_refill_buffers(
     counters = state.counters
     layout = models.layout
     slots = models.slots
-    for sid in refill_list:
+    for sid in order:
         bit = layout.site_bits[sid]
         if state.belief & bit:
             raise PlanConflictError(
@@ -560,7 +560,7 @@ def step_refill_buffers(
                 "refill", state, src="R", dst=sid,
                 dist_um=layout.reservoir_dist[sid], outcome=outcome,
             )
-    if log is not None and not refill_list:
+    if log is not None and not order:
         log.add("refill", state)
     _decay_step(state, models.refill_window, rng, slots.refill)
     state.clock += models.t_buffer_refill
@@ -617,8 +617,7 @@ def run_cycle(
     fill = models.fill_strategy
     plan = plan_target_fill(MaskOccupancy(layout, state.belief), strategy=fill)
     step_fill_targets(state, plan, models, rng, log)
-    refill_list = plan_buffer_refill(state.belief, layout)
-    step_refill_buffers(state, refill_list, models, rng, log)
+    step_refill_buffers(state, plan_buffer_refill(state.belief, layout), models, rng, log)
     check_conservation(state)
     return record
 

@@ -105,11 +105,13 @@ class ArrayLayout:
     site and the reservoir must lie inside it. A layout holds its geometry,
     the lookups decided from it, and the planner's memos.
 
-    ``sites`` is kept sorted by id. Id lists, distances (``reservoir_dist``),
+    Construction sorts ``sites`` by id, builds every lookup and checks the
+    geometry in one pass: id lists, distances (``reservoir_dist``, and each
+    ordered site pair once, which the minimum-spacing check reads),
     ``site_bits`` (id -> occupancy bit, bit k for the k-th site), the
     bitmasks of all buffer and all target sites (``buffer_bits``,
-    ``target_bits``) and the refill order
-    (buffers nearest the reservoir first, ties by id) are computed once.
+    ``target_bits``) and the refill order (buffers nearest the reservoir
+    first, ties by id).
     ``plan_memo`` and ``refill_memo`` are where the planner memoises fill
     plans and refill orders for this layout; they hold derived values only
     and take no part in equality.
@@ -122,36 +124,18 @@ class ArrayLayout:
     scan_range: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(self.sites))
-        self._validate()
         # in id order, so equal geometries compare equal however listed
-        object.__setattr__(self, "sites", tuple(sorted(self.sites, key=lambda s: s.id)))
-        by_id = {s.id: s for s in self.sites}
-        ids = tuple(sorted(by_id))
-        dist = {(a.id, b.id): distance(a.pos, b.pos) for a in self.sites for b in self.sites}
-        rdist = {s.id: distance(s.pos, self.reservoir_pos) for s in self.sites}
-        object.__setattr__(self, "site_bits", {sid: 1 << k for k, sid in enumerate(ids)})
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_dist", dist)
-        object.__setattr__(self, "reservoir_dist", rdist)
-        object.__setattr__(self, "_site_ids", ids)
+        sites = tuple(sorted(self.sites, key=lambda s: s.id))
+        ids = tuple(s.id for s in sites)
+        bits = {sid: 1 << k for k, sid in enumerate(ids)}
         for kind, role in (("buffer", SiteRole.BUFFER), ("target", SiteRole.TARGET)):
-            role_ids = tuple(i for i in ids if by_id[i].role is role)
-            object.__setattr__(self, f"_{kind}_ids", role_ids)
-            object.__setattr__(self, f"{kind}_bits", sum(self.site_bits[i] for i in role_ids))
-        object.__setattr__(
-            self, "refill_order",
-            tuple(sorted(self._buffer_ids, key=lambda b: (rdist[b], b))),
-        )
-        object.__setattr__(self, "plan_memo", {})
-        object.__setattr__(self, "refill_memo", {})
-
-    def _validate(self) -> None:
-        for role in SiteRole:
-            if not any(s.role is role for s in self.sites):
+            role_ids = tuple(s.id for s in sites if s.role is role)
+            if not role_ids:
                 raise LayoutError(f"layout must contain at least one {role.value} site")
-        ids = [s.id for s in self.sites]
-        if len(set(ids)) != len(ids):
+            object.__setattr__(self, f"_{kind}_ids", role_ids)
+            object.__setattr__(self, f"{kind}_bits", sum(bits[i] for i in role_ids))
+        by_id = {s.id: s for s in sites}
+        if len(by_id) != len(ids):
             raise LayoutError("site ids must be unique within a layout")
         for key in ("base_pitch", "effective_pitch", "scan_range"):
             if not 0 < getattr(self, key) < math.inf:
@@ -165,17 +149,18 @@ class ArrayLayout:
                 f"got ratio {ratio:.6g}"
             )
         min_allowed = self.effective_pitch * (1.0 - 1e-9)
-        for k, a in enumerate(self.sites):
-            for b in self.sites[k + 1 :]:
-                d = distance(a.pos, b.pos)
-                if d < min_allowed:
+        dist = {}
+        for a in sites:
+            for b in sites:
+                d = dist[a.id, b.id] = distance(a.pos, b.pos)
+                if a.id < b.id and d < min_allowed:
                     raise LayoutError(
                         f"sites {a.id} and {b.id} are {d:.4g} um apart, "
                         f"closer than the effective pitch {self.effective_pitch:.4g}"
                     )
-        cx = sum(s.pos.x for s in self.sites) / len(self.sites)
-        cy = sum(s.pos.y for s in self.sites) / len(self.sites)
-        for label, pos in [(f"site {s.id}", s.pos) for s in self.sites] + [
+        cx = sum(s.pos.x for s in sites) / len(sites)
+        cy = sum(s.pos.y for s in sites) / len(sites)
+        for label, pos in [(f"site {s.id}", s.pos) for s in sites] + [
             ("reservoir", self.reservoir_pos)
         ]:
             if abs(pos.x - cx) > self.scan_range or abs(pos.y - cy) > self.scan_range:
@@ -183,6 +168,19 @@ class ArrayLayout:
                     f"{label} at ({pos.x:.4g}, {pos.y:.4g}) lies outside the "
                     f"{self.scan_range:.4g} um scan range around the layout centroid"
                 )
+        rdist = {s.id: distance(s.pos, self.reservoir_pos) for s in sites}
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "site_bits", bits)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_dist", dist)
+        object.__setattr__(self, "reservoir_dist", rdist)
+        object.__setattr__(self, "_site_ids", ids)
+        object.__setattr__(
+            self, "refill_order",
+            tuple(sorted(self._buffer_ids, key=lambda b: (rdist[b], b))),
+        )
+        object.__setattr__(self, "plan_memo", {})
+        object.__setattr__(self, "refill_memo", {})
 
     # -- lookups --------------------------------------------------------
 

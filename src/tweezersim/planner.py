@@ -83,13 +83,14 @@ def plan_target_fill(belief: MaskOccupancy, *, strategy: str = "global") -> tupl
     return plan
 
 
-def plan_buffer_refill(mask: int, layout: ArrayLayout) -> list[int]:
+def plan_buffer_refill(mask: int, layout: ArrayLayout) -> tuple[int, ...]:
     """Buffer sites the belief bitmask ``mask`` marks empty, ordered
     nearest-to-reservoir first (ties by site id); the destinations of the
     next extraction round.
 
     Filters the layout's fixed refill order, memoised on the layout by the
-    mask's buffer bits; every call returns a new list."""
+    mask's buffer bits; calls with the same buffer bits return the same
+    tuple while the memo holds it."""
     memo = layout.refill_memo
     buffers = mask & layout.buffer_bits
     order = memo.get(buffers)
@@ -98,4 +99,4 @@ def plan_buffer_refill(mask: int, layout: ArrayLayout) -> list[int]:
         order = tuple(b for b in layout.refill_order if not mask & bits[b])
         if len(memo) < MEMO_CAP:
             memo[buffers] = order
-    return list(order)
+    return order

@@ -420,6 +420,23 @@ sites =
             load_config(write_ini(tmp_path, body))
 
     @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("[layout]\npreset =\n",
+             "layout.preset: unknown layout preset ''; available: ['paper-hex-6']"),
+            (INLINE_LAYOUT + "preset =\n",
+             "layout.preset excludes inline keys (layout.sites, layout.reservoir, "
+             "layout.scan_range, layout.base_pitch, layout.effective_pitch)"),
+        ],
+        ids=["alone", "beside-inline-keys"],
+    )
+    def test_empty_preset_is_a_value(self, tmp_path, body, message):
+        # an empty preset is read like any other empty value, not as absent
+        with pytest.raises(ConfigError) as info:
+            load_config(write_ini(tmp_path, body))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "old,new,message",
         [
             ("reservoir = -50.0 0.0", "reservoir = abc 0.0",

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from tweezersim import geometry
 from tweezersim.geometry import (
     ArrayLayout,
     LayoutError,
@@ -16,6 +17,8 @@ from tweezersim.geometry import (
     layout_from_site_rows,
     reference_layout,
 )
+
+from conftest import hex_layout
 
 RING = math.sqrt(3.0) / 2.0  # hex ring x step per unit pitch
 
@@ -134,6 +137,23 @@ class TestReferenceLayout:
     def test_site_bits_are_dense_in_id_order(self):
         bits = [self.layout.site_bits[s] for s in self.layout.site_ids]
         assert bits == [1 << k for k in range(13)]
+
+
+# n * n ordered site pairs plus n reservoir distances, for n = 13 and 91
+@pytest.mark.parametrize(
+    "build, calls", [(reference_layout, 182), (hex_layout, 8_372)], ids=["reference", "hex-91"]
+)
+def test_construction_computes_each_distance_once(build, calls, monkeypatch):
+    # the spacing check reads the pair distances the lookups keep
+    counted = []
+
+    def counting(a, b):
+        counted.append((a, b))
+        return distance(a, b)
+
+    monkeypatch.setattr(geometry, "distance", counting)
+    build()
+    assert len(counted) == calls
 
 
 def _square_sites(n, pitch):

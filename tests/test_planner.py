@@ -65,9 +65,9 @@ def test_memoised_plans_equal_fresh_plans(strategy):
             expected = plan_target_fill(MaskOccupancy(fresh, mask), strategy=strategy)
             assert plan_target_fill(belief, strategy=strategy) == expected
             empty = [b for b in LAYOUT.buffer_ids if not belief[b]]
-            assert plan_buffer_refill(mask, memo) == sorted(
+            assert plan_buffer_refill(mask, memo) == tuple(sorted(
                 empty, key=lambda b: (LAYOUT.reservoir_dist[b], b)
-            )
+            ))
     assert len(memo.plan_memo) == MEMO_CAP
 
 
@@ -162,36 +162,41 @@ class TestPlanBufferRefill:
         # nearest-to-reservoir first: the two 41 um sites, then the ring
         # center, then the top/bottom pair, then the far pair
         order = plan_buffer_refill(belief_with(set()).mask, LAYOUT)
-        assert order == [3, 4, 0, 2, 5, 1, 6]
+        assert order == (3, 4, 0, 2, 5, 1, 6)
         assert LAYOUT.reservoir_dist[order[0]] == pytest.approx(41.0)
         assert LAYOUT.reservoir_dist[order[1]] == pytest.approx(41.0)
 
     def test_occupied_buffers_excluded(self):
         order = plan_buffer_refill(belief_with({3, 0}).mask, LAYOUT)
         assert 3 not in order and 0 not in order
-        assert order == [4, 2, 5, 1, 6]
+        assert order == (4, 2, 5, 1, 6)
 
     def test_targets_ignored(self):
         order = plan_buffer_refill(belief_with(set(LAYOUT.target_ids)).mask, LAYOUT)
-        assert order == [3, 4, 0, 2, 5, 1, 6]
+        assert order == (3, 4, 0, 2, 5, 1, 6)
 
     @pytest.mark.parametrize("cap", [3, MEMO_CAP])
     def test_orders_are_memoised_by_buffer_bits_within_the_cap(self, cap, monkeypatch):
-        # every mask, on its first call and again from the memo; a returned
-        # list is the caller's to change, and the memo holds at most one
-        # order per set of believed buffers, within the cap
+        # every mask, on its first call and again from the memo; the memo
+        # holds at most one order per set of believed buffers, within the cap
         monkeypatch.setattr(planner, "MEMO_CAP", cap)
         layout = reference_layout()
         for _ in range(2):
             for mask in range(1 << len(LAYOUT.site_ids)):
                 order = plan_buffer_refill(mask, layout)
-                assert order == sorted(
+                assert order == tuple(sorted(
                     (b for b in LAYOUT.buffer_ids if not mask & LAYOUT.site_bits[b]),
                     key=lambda b: (LAYOUT.reservoir_dist[b], b),
-                )
-                order.append(99)
+                ))
         assert len(layout.refill_memo) == min(cap, 1 << len(LAYOUT.buffer_ids))
         assert all(key & ~layout.buffer_bits == 0 for key in layout.refill_memo)
+
+    def test_same_buffer_bits_give_the_same_order_object(self):
+        # the memoised tuple itself, not a copy, whatever the target bits
+        layout = reference_layout()
+        first = plan_buffer_refill(belief_with({0}).mask, layout)
+        again = plan_buffer_refill(belief_with({0} | set(LAYOUT.target_ids)).mask, layout)
+        assert type(first) is tuple and again is first
 
 
 def _random_points(rng, n):

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import run_realization
@@ -20,6 +21,31 @@ from oracles import steady_complete_fraction
 SEED, N_REPLICAS, N_CYCLES, BURN_IN, BATCH = 11, 64, 1_100, 100, 100
 
 
+def measure(models, n_replicas, n_cycles, batch):
+    """Share of complete images after the burn-in, its standard error from
+    batch means, the number of images whose buffers fell short of the
+    vacancies, and the number of images."""
+    n_targets = len(models.layout.target_ids)
+    complete, short = [], 0
+    for replica in range(n_replicas):
+        records = run_realization(models, SEED, n_cycles, replica=replica)[BURN_IN:]
+        complete.append([r.target_complete for r in records])
+        short += sum(r.n_buffer_filled < n_targets - r.n_target_filled for r in records)
+    batches = np.array(complete, dtype=float).reshape(n_replicas, -1, batch).mean(axis=2)
+    se = batches.std(ddof=1) / math.sqrt(batches.size)
+    return batches.mean(), se, short, n_replicas * (n_cycles - BURN_IN)
+
+
+def check_closed_form(models, n_replicas, n_cycles, batch):
+    expected = steady_complete_fraction(models)
+    mean, se, short, n_images = measure(models, n_replicas, n_cycles, batch)
+    # the premise, checked: images whose buffers fell short of the
+    # vacancies are fewer than one standard error's worth
+    assert short < se * n_images, short
+    z = (mean - expected) / se
+    assert abs(z) < 4, f"{mean:.5f} +- {se:.5f} against {expected:.5f}: z = {z:.2f}"
+
+
 @pytest.mark.parametrize(
     "overrides, closed",
     [({}, 0.83311), ({"p_transport": 0.5}, 0.76117), ({"lifetime_array_s": 3.0}, 0.54688)],
@@ -27,19 +53,31 @@ SEED, N_REPLICAS, N_CYCLES, BURN_IN, BATCH = 11, 64, 1_100, 100, 100
 )
 def test_complete_fraction_matches_the_closed_form(overrides, closed):
     models = ExperimentConfig(refill_rate=100.0, **overrides).build_models()
-    expected = steady_complete_fraction(models)
-    assert expected == pytest.approx(closed, abs=5e-6)
-    n_targets = len(models.layout.target_ids)
-    complete, short = [], 0
-    for replica in range(N_REPLICAS):
-        records = run_realization(models, SEED, N_CYCLES, replica=replica)[BURN_IN:]
-        complete.append([r.target_complete for r in records])
-        short += sum(r.n_buffer_filled < n_targets - r.n_target_filled for r in records)
-    batches = np.array(complete, dtype=float).reshape(N_REPLICAS, -1, BATCH).mean(axis=2)
-    mean = batches.mean()
-    se = batches.std(ddof=1) / math.sqrt(batches.size)
-    # the premise, checked: images whose buffers fell short of the
-    # vacancies are fewer than one standard error's worth
-    assert short < se * N_REPLICAS * (N_CYCLES - BURN_IN), short
-    z = (mean - expected) / se
-    assert abs(z) < 4, f"{mean:.5f} +- {se:.5f} against {expected:.5f}: z = {z:.2f}"
+    assert steady_complete_fraction(models) == pytest.approx(closed, abs=5e-6)
+    check_closed_form(models, N_REPLICAS, N_CYCLES, BATCH)
+
+
+# 32 replicas x 600 engine cycles in 50-cycle batches per example; at the
+# shortest lifetime and longest windows drawn a target's correlation time is
+# still about 2 cycles
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(
+    p_transport=st.floats(0.5, 1.0),
+    lifetime_array_s=st.floats(5.0, 30.0),
+    t_image_loss=st.floats(0.0, 0.13),
+    t_analysis_fill=st.floats(0.01, 0.1),
+    t_buffer_refill=st.floats(0.01, 0.1),
+)
+def test_drawn_parameters_match_the_closed_form(**drawn):
+    models = ExperimentConfig(refill_rate=100.0, **drawn).build_models()
+    check_closed_form(models, 32, 600, 50)
+
+
+def test_supply_limited_run_falls_short_of_the_closed_form():
+    # at 1 atom/s the reservoir cannot keep the buffers full: the complete
+    # share lies far below pi**6, and the images whose buffers fell short
+    # of the vacancies put the run outside the formula's premise
+    models = ExperimentConfig(refill_rate=1.0).build_models()
+    mean, se, short, n_images = measure(models, 32, 1_000, 100)
+    assert steady_complete_fraction(models) - 0.3 - mean > 4 * se, (mean, se)
+    assert short > se * n_images, short
