@@ -15,7 +15,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 
 from .engine import SimulationModels
-from .geometry import ArrayLayout, layout_from_site_rows, reference_layout
+from .geometry import ArrayLayout, LayoutError, Position, SiteRole, TrapSite, reference_layout
 from .stochastic import _MAX_POISSON_MEAN
 
 __all__ = [
@@ -230,24 +230,28 @@ def _parse_layout_section(section: configparser.SectionProxy) -> ArrayLayout:
         raise ConfigError(
             f"{missing[0]} is required for an inline layout (given {', '.join(given)})"
         )
-    rows = []
+    sites = []
     for lineno, line in enumerate(section["sites"].strip().splitlines(), start=1):
         key, parts = f"sites line {lineno}", line.split()
         if len(parts) != 4:
             raise ConfigError(f"layout.{key} must be 'id x y role', got {line.strip()!r}")
         sid = _convert("layout", key, parts[0], "int")
         x, y = (_convert("layout", key, v, "finite") for v in parts[1:3])
-        rows.append((sid, x, y, parts[3]))
+        role = parts[3].lower()
+        if role not in ("buffer", "target"):
+            raise ConfigError(f"layout.{key} must have role 'buffer' or 'target', got {parts[3]!r}")
+        sites.append(TrapSite(sid, Position(x, y), SiteRole(role)))
     reservoir = section["reservoir"].split()
     if len(reservoir) != 2:
         raise ConfigError("layout.reservoir must be 'x y'")
-    reservoir = tuple(_convert("layout", "reservoir", v, "finite") for v in reservoir)
-    # ArrayLayout holds the sizes to their range and names the key
+    reservoir = Position(*(_convert("layout", "reservoir", v, "finite") for v in reservoir))
+    # ArrayLayout holds the sizes to their range and names the field at fault
     sizes = {k: _convert("layout", k, section[k]) for k in _INLINE_LAYOUT_KEYS[2:]}
     try:
-        return layout_from_site_rows(rows, reservoir, **sizes)
-    except ValueError as exc:
-        raise ConfigError(str(exc) if str(exc).startswith("layout.") else f"layout: {exc}") from None
+        return ArrayLayout(sites=tuple(sites), reservoir_pos=reservoir, **sizes)
+    except LayoutError as exc:
+        key = "reservoir" if exc.field == "reservoir_pos" else exc.field
+        raise ConfigError(f"layout.{key} {exc.detail}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -263,7 +267,8 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     kwargs = {}
-    for section in parser.sections():
+    # configparser reads [DEFAULT] into every section; refuse it like any other
+    for section in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
         keys = _LAYOUT_KEYS if section == "layout" else _SECTIONS.get(section)
         if keys is None:
             raise ConfigError(

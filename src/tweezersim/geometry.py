@@ -8,7 +8,7 @@ concurrent simulation replicas.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +26,12 @@ __all__ = [
 
 
 class LayoutError(ValueError):
-    """Raised when a trap layout violates its geometric constraints."""
+    """Raised when a trap layout violates its geometric constraints: the
+    message is the :class:`ArrayLayout` ``field`` at fault, then ``detail``."""
+
+    def __init__(self, field: str, detail: str):
+        super().__init__(f"{field} {detail}")
+        self.field, self.detail = field, detail
 
 
 @dataclass(frozen=True)
@@ -131,22 +136,19 @@ class ArrayLayout:
         for kind, role in (("buffer", SiteRole.BUFFER), ("target", SiteRole.TARGET)):
             role_ids = tuple(s.id for s in sites if s.role is role)
             if not role_ids:
-                raise LayoutError(f"layout must contain at least one {role.value} site")
+                raise LayoutError("sites", f"must contain at least one {role.value} site")
             object.__setattr__(self, f"_{kind}_ids", role_ids)
             object.__setattr__(self, f"{kind}_bits", sum(bits[i] for i in role_ids))
         by_id = {s.id: s for s in sites}
         if len(by_id) != len(ids):
-            raise LayoutError("site ids must be unique within a layout")
+            raise LayoutError("sites", "must have unique ids")
         for key in ("base_pitch", "effective_pitch", "scan_range"):
             if not 0 < getattr(self, key) < math.inf:
-                raise LayoutError(
-                    f"layout.{key} must be finite and positive, got {getattr(self, key)}"
-                )
+                raise LayoutError(key, f"must be finite and positive, got {getattr(self, key)}")
         ratio = self.effective_pitch / self.base_pitch
         if not (math.isclose(ratio, 1.0, rel_tol=1e-9) or math.isclose(ratio, 2.0, rel_tol=1e-9)):
             raise LayoutError(
-                f"effective_pitch must equal base_pitch or 2 x base_pitch, "
-                f"got ratio {ratio:.6g}"
+                "effective_pitch", f"must equal base_pitch or 2 x base_pitch, got ratio {ratio:.6g}"
             )
         min_allowed = self.effective_pitch * (1.0 - 1e-9)
         dist = {}
@@ -155,18 +157,19 @@ class ArrayLayout:
                 d = dist[a.id, b.id] = distance(a.pos, b.pos)
                 if a.id < b.id and d < min_allowed:
                     raise LayoutError(
-                        f"sites {a.id} and {b.id} are {d:.4g} um apart, "
-                        f"closer than the effective pitch {self.effective_pitch:.4g}"
+                        "sites", f"must lie at least the effective pitch "
+                        f"{self.effective_pitch:.4g} um apart, got {d:.4g} um between "
+                        f"sites {a.id} and {b.id}"
                     )
         cx = sum(s.pos.x for s in sites) / len(sites)
         cy = sum(s.pos.y for s in sites) / len(sites)
-        for label, pos in [(f"site {s.id}", s.pos) for s in sites] + [
-            ("reservoir", self.reservoir_pos)
+        for key, label, pos in [("sites", f"site {s.id} at ", s.pos) for s in sites] + [
+            ("reservoir_pos", "", self.reservoir_pos)
         ]:
             if abs(pos.x - cx) > self.scan_range or abs(pos.y - cy) > self.scan_range:
                 raise LayoutError(
-                    f"{label} at ({pos.x:.4g}, {pos.y:.4g}) lies outside the "
-                    f"{self.scan_range:.4g} um scan range around the layout centroid"
+                    key, f"must lie within the {self.scan_range:.4g} um scan range around "
+                    f"the layout centroid, got {label}({pos.x:.4g}, {pos.y:.4g})"
                 )
         rdist = {s.id: distance(s.pos, self.reservoir_pos) for s in sites}
         object.__setattr__(self, "sites", sites)
@@ -265,31 +268,4 @@ def reference_layout() -> ArrayLayout:
         effective_pitch=pitch,
         reservoir_pos=reservoir,
         scan_range=_SCAN_RANGE,
-    )
-
-
-def layout_from_site_rows(
-    rows: Iterable[tuple[int, float, float, str]],
-    reservoir: tuple[float, float],
-    scan_range: float,
-    base_pitch: float,
-    effective_pitch: float,
-) -> ArrayLayout:
-    """Build a layout from plain (id, x, y, role) rows, as read from a
-    config file."""
-    sites = []
-    for sid, x, y, role in rows:
-        try:
-            parsed_role = SiteRole(role.strip().lower())
-        except ValueError:
-            raise LayoutError(
-                f"site {sid}: role must be 'buffer' or 'target', got {role!r}"
-            ) from None
-        sites.append(TrapSite(int(sid), Position(float(x), float(y)), parsed_role))
-    return ArrayLayout(
-        sites=tuple(sites),
-        base_pitch=base_pitch,
-        effective_pitch=effective_pitch,
-        reservoir_pos=Position(*reservoir),
-        scan_range=scan_range,
     )

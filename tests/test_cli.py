@@ -226,12 +226,17 @@ def test_infinite_config_value_exits_2(tmp_path, capsys, body, key):
          "layout.reservoir"),
         (INLINE_LAYOUT.replace("1 20.0 0.0", "1 nan 0.0") + "scan_range = 250.0\n",
          "layout.sites line 2"),
+        (INLINE_LAYOUT.replace("1 20.0 0.0", "1 10.0 0.0") + "scan_range = 250.0\n",
+         "layout.sites must lie at least the effective pitch"),
+        (INLINE_LAYOUT.replace("target", "middle") + "scan_range = 250.0\n",
+         "layout.sites line 2 must have role"),
         # 1e300 atoms/s would outgrow numpy's 64-bit reservoir count mid-run
         ("[stochastic]\nrefill_rate = 1e300\n", "stochastic.refill_rate"),
         # 1 - exp(-1e-17) rounds to 0, which the plateau would be divided by
         ("[stochastic]\nmean_ensemble_at_full = 1e-17\n", "stochastic.mean_ensemble_at_full"),
     ],
-    ids=["reservoir-text", "reservoir-nan", "site-nan", "refill_supply", "tiny-ensemble-mean"],
+    ids=["reservoir-text", "reservoir-nan", "site-nan", "spacing", "role", "refill_supply",
+         "tiny-ensemble-mean"],
 )
 def test_unusable_config_value_exits_2(tmp_path, capsys, body, key):
     assert_config_exits_2(tmp_path, capsys, body, key)
@@ -297,7 +302,8 @@ def test_layout_without_a_role_exits_2(tmp_path, capsys, role):
     )
     code, out, err = run_cli(capsys, "simulate", "--config", str(ini))
     assert code == 2
-    assert err.startswith("error: layout:")
+    missing = "target" if role == "buffer" else "buffer"
+    assert err == f"error: layout.sites must contain at least one {missing} site\n"
     assert out == ""
 
 

@@ -19,7 +19,7 @@ from tweezersim.config import (
     load_config,
 )
 from tweezersim.engine import SimulationModels
-from tweezersim.geometry import layout_from_site_rows, reference_layout
+from tweezersim.geometry import ArrayLayout, Position, SiteRole, TrapSite, reference_layout
 
 
 def write_ini(tmp_path, body, name="run.ini"):
@@ -364,6 +364,24 @@ fill_strategy = per-vacancy
         with pytest.raises(ConfigError, match="unknown config section"):
             load_config(write_ini(tmp_path, "[quantum]\nx = 1\n"))
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[DEFAULT]\nn_replicas = 5\n",
+            "[DEFAULT]\nbogus = 1\n",
+            "[DEFAULT]\nn_cycles = 3\n[run]\nn_replicas = 5\n",
+        ],
+        ids=["run-key-alone", "unknown-key", "beside-run"],
+    )
+    def test_default_section_is_unknown(self, tmp_path, body):
+        # configparser would copy [DEFAULT]'s keys into every section
+        with pytest.raises(ConfigError) as info:
+            load_config(write_ini(tmp_path, body))
+        assert str(info.value) == (
+            "unknown config section [DEFAULT]; expected one of "
+            "['engine', 'layout', 'run', 'stochastic', 'timing']"
+        )
+
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(write_ini(tmp_path, "[run]\nreplicas = 10\n"))
@@ -461,10 +479,28 @@ sites =
              "layout.scan_range must be finite and positive, got 0.0"),
             ("base_pitch = 20.0", "base_pitch = -20.0",
              "layout.base_pitch must be finite and positive, got -20.0"),
+            ("2 40.0 0.0 target", "2 40.0 0.0 middle",
+             "layout.sites line 3 must have role 'buffer' or 'target', got 'middle'"),
+            ("2 40.0 0.0 target", "2 40.0 0.0 buffer",
+             "layout.sites must contain at least one target site"),
+            ("2 40.0 0.0 target", "1 40.0 0.0 target",
+             "layout.sites must have unique ids"),
+            ("2 40.0 0.0 target", "2 30.0 0.0 target",
+             "layout.sites must lie at least the effective pitch 20 um apart, "
+             "got 10 um between sites 1 and 2"),
+            ("effective_pitch = 20.0", "effective_pitch = 30.0",
+             "layout.effective_pitch must equal base_pitch or 2 x base_pitch, got ratio 1.5"),
+            ("reservoir = -50.0 0.0", "reservoir = -300.0 0.0",
+             "layout.reservoir must lie within the 250 um scan range around the layout "
+             "centroid, got (-300, 0)"),
+            ("2 40.0 0.0 target", "2 40.0 400.0 target",
+             "layout.sites must lie within the 250 um scan range around the layout "
+             "centroid, got site 2 at (40, 400)"),
         ],
         ids=["reservoir-text", "reservoir-nan", "site-nan", "site-inf", "site-id", "scan_range",
              "scan_range-inf", "base_pitch-inf", "effective_pitch-nan", "scan_range-zero",
-             "base_pitch-negative"],
+             "base_pitch-negative", "site-role", "one-role", "site-id-twice", "site-spacing",
+             "pitch-ratio", "reservoir-out-of-range", "site-out-of-range"],
     )
     def test_inline_layout_value_names_its_key(self, tmp_path, old, new, message):
         body = INLINE_LAYOUT.replace(old, new)
@@ -496,14 +532,14 @@ def test_reference_ini_matches_defaults():
 
 # A layout given as an object, not through an INI file; sites in id order,
 # as resolved() lists them.
-CUSTOM_LAYOUT = layout_from_site_rows(
-    [
-        (0, 0.0, 0.0, "buffer"),
-        (1, 20.0, 0.0, "buffer"),
-        (2, 40.0, 0.0, "target"),
-        (3, 60.5, 10.25, "target"),
-    ],
-    (-50.0, 0.0),
+CUSTOM_LAYOUT = ArrayLayout(
+    sites=(
+        TrapSite(0, Position(0.0, 0.0), SiteRole.BUFFER),
+        TrapSite(1, Position(20.0, 0.0), SiteRole.BUFFER),
+        TrapSite(2, Position(40.0, 0.0), SiteRole.TARGET),
+        TrapSite(3, Position(60.5, 10.25), SiteRole.TARGET),
+    ),
+    reservoir_pos=Position(-50.0, 0.0),
     scan_range=250.0,
     base_pitch=20.0,
     effective_pitch=20.0,

@@ -30,11 +30,10 @@ from tweezersim.engine import (
     step_image,
     step_refill_buffers,
 )
-from tweezersim.geometry import layout_from_site_rows
 from tweezersim.planner import Move
 from tweezersim.stochastic import RngStream, RowForm, survival_probability
 
-from conftest import hex_layout
+from conftest import hex_layout, two_site_layout
 
 
 def models_with(**overrides):
@@ -183,10 +182,7 @@ class TestDerivedModelValues:
             setattr(target, field, 1.0)
 
     def test_target_and_buffer_bits_cover_their_sites(self):
-        layout = layout_from_site_rows(
-            [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
-            (-41.0, 0.0), 250.0, 7.9, 15.8,
-        )
+        layout = two_site_layout()
         assert (layout.buffer_bits, layout.target_bits) == (0b01, 0b10)
         reference = models_with()
         assert reference.layout.buffer_bits == bits(reference, *range(7)) == 0x7F
@@ -719,10 +715,7 @@ def test_refill_hook_feeds_reservoir():
 
 # one buffer beside one target, and 91 sites whose masks pass 63 bits
 KIND_LAYOUTS = {
-    "two-site": layout_from_site_rows(
-        [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
-        reservoir=(-41.0, 0.0), scan_range=250.0, base_pitch=7.9, effective_pitch=15.8,
-    ),
+    "two-site": two_site_layout(),
     "hex-91": hex_layout(),
 }
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tweezersim import geometry
+from tweezersim.config import load_config
 from tweezersim.geometry import (
     ArrayLayout,
     LayoutError,
@@ -14,7 +15,6 @@ from tweezersim.geometry import (
     TrapSite,
     build_hex_grid,
     distance,
-    layout_from_site_rows,
     reference_layout,
 )
 
@@ -167,7 +167,7 @@ def _square_sites(n, pitch):
 def test_layout_rejects_duplicate_ids():
     sites = _square_sites(3, 10.0)
     sites[2] = TrapSite(0, sites[2].pos, sites[2].role)
-    with pytest.raises(LayoutError):
+    with pytest.raises(LayoutError, match=r"^sites must have unique ids$"):
         ArrayLayout(
             sites=tuple(sites), reservoir_pos=Position(-50.0, 0.0),
             scan_range=250.0, base_pitch=10.0, effective_pitch=10.0,
@@ -178,7 +178,10 @@ def test_layout_rejects_overlapping_sites():
     sites = _square_sites(3, 10.0) + [
         TrapSite(3, Position(0.5, 0.0), SiteRole.TARGET)
     ]
-    with pytest.raises(LayoutError):
+    with pytest.raises(LayoutError, match=(
+        r"^sites must lie at least the effective pitch 10 um apart, "
+        r"got 0\.5 um between sites 0 and 3$"
+    )):
         ArrayLayout(
             sites=tuple(sites), reservoir_pos=Position(-50.0, 0.0),
             scan_range=250.0, base_pitch=10.0, effective_pitch=10.0,
@@ -186,7 +189,7 @@ def test_layout_rejects_overlapping_sites():
 
 
 def test_layout_rejects_pitch_ratio():
-    with pytest.raises(LayoutError):
+    with pytest.raises(LayoutError, match=r"^effective_pitch must equal base_pitch or 2 x"):
         ArrayLayout(
             sites=tuple(_square_sites(3, 10.0)),
             reservoir_pos=Position(-50.0, 0.0),
@@ -197,29 +200,34 @@ def test_layout_rejects_pitch_ratio():
 def test_layout_rejects_sites_outside_scan_box():
     # x spans 0..600 around centroid 300, beyond the 250 um half-width
     sites = _square_sites(3, 300.0)
-    with pytest.raises(LayoutError):
+    with pytest.raises(LayoutError, match=r"^sites must lie within .*, got site 0 at \(0, 0\)$"):
         ArrayLayout(
             sites=tuple(sites), reservoir_pos=Position(-50.0, 0.0),
             scan_range=250.0, base_pitch=300.0, effective_pitch=300.0,
         )
-
-
-def test_site_rows_round_trip():
-    ref = reference_layout()
-    rows = [(s.id, s.pos.x, s.pos.y, s.role.value) for s in ref.sites]
-    rebuilt = layout_from_site_rows(
-        rows,
-        (ref.reservoir_pos.x, ref.reservoir_pos.y),
-        scan_range=ref.scan_range,
-        base_pitch=ref.base_pitch,
-        effective_pitch=ref.effective_pitch,
-    )
-    assert rebuilt.site_ids == ref.site_ids
-    assert rebuilt.buffer_ids == ref.buffer_ids
-    for sid in ref.site_ids:
-        assert rebuilt.site_distance(sid, ref.site_ids[0]) == pytest.approx(
-            ref.site_distance(sid, ref.site_ids[0])
+    # a reservoir out of reach is the reservoir_pos field's fault
+    with pytest.raises(LayoutError) as info:
+        ArrayLayout(
+            sites=tuple(_square_sites(3, 10.0)), reservoir_pos=Position(-300.0, 0.0),
+            scan_range=250.0, base_pitch=10.0, effective_pitch=10.0,
         )
+    assert (info.value.field, info.value.detail) == (
+        "reservoir_pos",
+        "must lie within the 250 um scan range around the layout centroid, got (-300, 0)",
+    )
+
+
+def test_site_rows_round_trip(tmp_path):
+    # the reference written out as [layout] site rows reads back as itself
+    ref = reference_layout()
+    rows = "".join(f"\n    {s.id} {s.pos.x!r} {s.pos.y!r} {s.role.value}" for s in ref.sites)
+    ini = tmp_path / "rows.ini"
+    ini.write_text(
+        f"[layout]\nsites ={rows}\nreservoir = {ref.reservoir_pos.x!r} {ref.reservoir_pos.y!r}\n"
+        f"scan_range = {ref.scan_range!r}\nbase_pitch = {ref.base_pitch!r}\n"
+        f"effective_pitch = {ref.effective_pitch!r}\n"
+    )
+    assert load_config(str(ini)).layout == ref
 
 
 @pytest.mark.parametrize("role", list(SiteRole))
@@ -240,7 +248,8 @@ def test_layout_rejects_unusable_sizes_naming_the_key(key, value):
     # a pitch ratio of 0
     sizes = dict(scan_range=250.0, base_pitch=10.0, effective_pitch=10.0)
     sizes[key] = value
-    with pytest.raises(LayoutError, match=rf"^layout\.{key} must be finite and positive"):
+    with pytest.raises(LayoutError, match=rf"^{key} must be finite and positive") as info:
         ArrayLayout(
             sites=tuple(_square_sites(3, 10.0)), reservoir_pos=Position(-50.0, 0.0), **sizes
         )
+    assert info.value.field == key

@@ -1,4 +1,5 @@
-"""Golden outputs: sha256 of fig4.csv and events.csv for small seeded runs.
+"""Golden outputs: sha256 of fig4.csv and events.csv for small seeded runs,
+and of run_meta.json for the inline layouts.
 
 The hashes pin every byte the simulator writes, so a change meant to keep
 results identical (a cache, a bulk draw, a faster writer) is checked against
@@ -14,16 +15,9 @@ import pytest
 from tweezersim import stochastic
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import EventLog
-from tweezersim.geometry import layout_from_site_rows
 from tweezersim.harness import run_experiment, write_outputs
 
-from conftest import hex_layout
-
-# one buffer beside one target, the smallest layout the engine accepts
-TWO_SITE = layout_from_site_rows(
-    [(0, 0.0, 0.0, "buffer"), (1, 15.8, 0.0, "target")],
-    reservoir=(-41.0, 0.0), scan_range=250.0, base_pitch=7.9, effective_pitch=15.8,
-)
+from conftest import hex_layout, two_site_layout
 
 GOLDEN = {
     "default": (
@@ -76,7 +70,7 @@ GOLDEN = {
         "cdceac5222536042c5857ece66d6d73666c049d2a3b24fa7c5144f91dfcd142a",
     ),
     "two-site": (
-        {"layout": TWO_SITE},
+        {"layout": two_site_layout()},
         "8e11381f1548f976053ba97557560efdeaf7356aeff45c3f214ee6eef6a084fa",
         "e5f807912f44911a556af80e7be8bc68bcc70f392dc42eb9f91e7589570630b5",
     ),
@@ -86,6 +80,14 @@ GOLDEN = {
         "6c1b445810b08dffbbe0c724e89a6d78843fbfd9464399185a5b4b7ec8e60539",
         "5c65601eb76dc6de78d5412a99fdb736ecc5873a9310f9513c1c9ddbe020978e",
     ),
+}
+
+
+# run_meta.json of the layouts given inline (preset null): every site row,
+# the reservoir and the sizes exactly as resolved() writes them
+RUN_META = {
+    "two-site": "69261ed49cc167158e0cfe7f32db2727c2f09dac812d492c0d7f8b055146339a",
+    "hex-91": "15235d896798d7d790431436aa951bf20ed450cf21126449393bd422c5b24cd6",
 }
 
 
@@ -101,6 +103,8 @@ def test_outputs_match_golden_hashes(case, tmp_path):
     stats, log = run_experiment(cfg, log=EventLog())
     paths = write_outputs(stats, log, str(tmp_path), cfg)
     assert (sha256(paths["fig4"]), sha256(paths["events"])) == (fig4, events)
+    if case in RUN_META:
+        assert sha256(paths["run_meta"]) == RUN_META[case]
 
 
 def test_draws_above_the_search_limit_match_golden_hashes(tmp_path, monkeypatch):
