@@ -115,8 +115,11 @@ class ArrayLayout:
     ordered site pair once, which the minimum-spacing check reads),
     ``site_bits`` (id -> occupancy bit, bit k for the k-th site), the
     bitmasks of all buffer and all target sites (``buffer_bits``,
-    ``target_bits``) and the refill order (buffers nearest the reservoir
-    first, ties by id).
+    ``target_bits``), the refill order (buffers nearest the reservoir
+    first, ties by id) and ``fill_orders``, the planner's two orders of
+    every (buffer, target, distance) triple read from the pair distances:
+    ``"global"`` by (distance, target id, buffer id), ``"per-vacancy"`` by
+    (target id, distance, buffer id).
     ``plan_memo`` and ``refill_memo`` are where the planner memoises fill
     plans and refill orders for this layout; they hold derived values only
     and take no part in equality.
@@ -141,7 +144,12 @@ class ArrayLayout:
             object.__setattr__(self, f"{kind}_bits", sum(bits[i] for i in role_ids))
         by_id = {s.id: s for s in sites}
         if len(by_id) != len(ids):
-            raise LayoutError("sites", "must have unique ids")
+            repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+            n = ids.count(repeated)
+            raise LayoutError(
+                "sites", f"must have unique ids, got id {repeated} "
+                + ("twice" if n == 2 else f"{n} times")
+            )
         for key in ("base_pitch", "effective_pitch", "scan_range"):
             if not 0 < getattr(self, key) < math.inf:
                 raise LayoutError(key, f"must be finite and positive, got {getattr(self, key)}")
@@ -182,6 +190,11 @@ class ArrayLayout:
             self, "refill_order",
             tuple(sorted(self._buffer_ids, key=lambda b: (rdist[b], b))),
         )
+        pairs = [(s, t, dist[s, t]) for s in self._buffer_ids for t in self._target_ids]
+        object.__setattr__(self, "fill_orders", {
+            "global": tuple(sorted(pairs, key=lambda p: (p[2], p[1], p[0]))),
+            "per-vacancy": tuple(sorted(pairs, key=lambda p: (p[1], p[2], p[0]))),
+        })
         object.__setattr__(self, "plan_memo", {})
         object.__setattr__(self, "refill_memo", {})
 

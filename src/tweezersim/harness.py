@@ -272,28 +272,35 @@ def _field(value) -> str:
 
 
 class _Texts(dict):
-    """Field text by value for a column of ``EventLog.KINDS``, whose values
-    are ``str`` or exactly ``kind``, so equal keys print alike. A value is
-    rendered on first sight, and refused then if of another type. Float
-    zeros and NaN are not kept (``0.0 == -0.0`` yet they print
-    differently). A ``per_block`` memo is emptied at every block."""
+    """Text by key for a group of ``EventLog.KINDS`` columns, ``kinds`` (name
+    -> kind), whose values are ``str`` or exactly their column's kind, so
+    equal keys print alike. A key is the group's values in one row, as a
+    tuple, or the value itself for a one-column group; its text is their
+    :func:`_field` texts joined by commas. A key is rendered on first sight,
+    and refused then if a value is of another type, naming its column. Keys
+    holding a float zero or NaN are not kept (``0.0 == -0.0`` yet they print
+    differently), nor more than ``_TEXT_CAP`` keys. A ``per_block`` memo is
+    emptied at every block. ``name`` is the group's header text."""
 
-    def __init__(self, name: str, kind: type, per_block: bool):
-        self.name, self.kind, self.per_block = name, kind, per_block
+    def __init__(self, kinds: dict, per_block: bool):
+        self.kinds, self.per_block = kinds, per_block
+        self.name = ",".join(kinds)
 
     def render(self, values):
         if self.per_block:
             self.clear()
         return map(self.__getitem__, values)
 
-    def __missing__(self, value):
-        if type(value) is not self.kind and type(value) is not str:
-            raise TypeError(f"column {self.name} holds str and {self.kind.__name__}, got {value!r}")
-        text = _field(value)
-        if len(self) < _TEXT_CAP and (
-            not isinstance(value, float) or (value != 0 and value == value)
+    def __missing__(self, key):
+        values = (key,) if len(self.kinds) == 1 else key
+        for (name, kind), value in zip(self.kinds.items(), values):
+            if type(value) is not kind and type(value) is not str:
+                raise TypeError(f"column {name} holds str and {kind.__name__}, got {value!r}")
+        text = ",".join(map(_field, values))
+        if len(self) < _TEXT_CAP and all(
+            not isinstance(v, float) or (v != 0 and v == v) for v in values
         ):
-            self[value] = text
+            self[key] = text
         return text
 
 
@@ -308,21 +315,27 @@ class _CsvWriter:
     """An open CSV file under ``header``, written block by block, byte for
     byte what ``csv.writer`` writes for the rows of :func:`_field` texts.
 
-    ``renders`` gives each column's block renderer, such as
-    :meth:`_Texts.render`, by default :func:`_field` value by value. Rows are
-    joined and written ``_CHUNK_ROWS`` at a time, so no column of text is
-    ever held whole. A failed open, write or close raises ``OSError("writing
-    <path> failed: ...")``; leaving a ``with`` block closes the file, also on
-    an error.
+    ``groups`` splits the columns, in order, into groups, each given as its
+    width and its block renderer, such as :meth:`_Texts.render`; by default
+    each column is its own group, rendered by :func:`_field` value by value.
+    A renderer takes one key per row of the block, the column's value for a
+    one-column group and else the tuple of the group's values, and gives
+    the group's text in that row. Rows are joined and written
+    ``_CHUNK_ROWS`` at a time, so no column of text is ever held whole. A
+    failed open, write or close raises ``OSError("writing <path> failed:
+    ...")``; leaving a ``with`` block closes the file, also on an error.
     """
 
-    def __init__(self, path: str, header, renders=None):
+    def __init__(self, path: str, header, groups=None):
         self.path = path
         try:
             self._fh = open(path, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise self._failed(exc) from exc
-        self._renders = renders or [lambda values: map(_field, values)] * len(header)
+        self._groups, at = [], 0  # (first column, width, render) per group
+        for width, render in groups or [(1, lambda values: map(_field, values))] * len(header):
+            self._groups.append((at, width, render))
+            at += width
         self._write([[_field(name)] for name in header])
 
     def _failed(self, exc: OSError) -> OSError:
@@ -338,10 +351,10 @@ class _CsvWriter:
         """Append equal-length ``columns`` as rows."""
         n_rows = len(columns[0]) if columns else 0
         for start in range(0, n_rows, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
+            block = [column[start:start + _CHUNK_ROWS] for column in columns]
             self._write([
-                render(column[start:stop])
-                for render, column in zip(self._renders, columns)
+                render(block[at] if width == 1 else zip(*block[at:at + width]))
+                for at, width, render in self._groups
             ])
 
     def close(self) -> None:
@@ -369,6 +382,18 @@ def _make_out_dir(out_dir: str) -> None:
         raise OSError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
 
 
+# events.csv's column groups, each rendered through one memo: the masks stay
+# apart, as the pair has about three times as many distinct values as both
+# masks together
+_EVENT_GROUPS = (
+    ("replica",),
+    ("cycle", "step", "clock_s", "n_reservoir"),
+    ("truth_mask",),
+    ("belief_mask",),
+    ("src", "dst", "dist_um", "duration_s", "outcome"),
+)
+
+
 @contextlib.contextmanager
 def stream_events(out_dir: str):
     """Create ``out_dir`` and open its ``events.csv``; yield an
@@ -376,17 +401,20 @@ def stream_events(out_dir: str):
 
     Pass the log to :func:`run_experiment` and then to
     :func:`write_outputs`, which finishes the file. Leaving the block
-    closes the file whatever happened inside it. Each column is rendered
-    through a memo of its declared kind, kept for the file; ``replica``'s
-    lasts one block, as each of its values fills one run of rows. The
-    others stay file-long because per-block memos made writing the
-    310,351-row reference log about 40 % slower, while the largest
-    file-long memos, the masks', end there at 4,063 and 3,076 texts, which
-    ``_TEXT_CAP`` bounds anyway.
+    closes the file whatever happened inside it. Each row is five texts,
+    one per group of ``_EVENT_GROUPS``, each looked up in a :class:`_Texts`
+    memo of that group. ``replica``'s memo lasts one block, as each of its
+    values fills one run of rows; the others are kept for the file. For the
+    310,351-row reference log at seed 42 they end at 718 keys for
+    (cycle, step, clock_s, n_reservoir), 4,063 for ``truth_mask``, 3,076
+    for ``belief_mask`` and 155 for the move group (src, dst, dist_um,
+    duration_s, outcome); ``_TEXT_CAP`` bounds every memo anyway.
     """
     _make_out_dir(out_dir)
     with _CsvWriter(os.path.join(out_dir, "events.csv"), EventLog.COLUMNS, [
-        _Texts(name, kind, name == "replica").render for name, kind in EventLog.KINDS.items()
+        (len(group), _Texts({name: EventLog.KINDS[name] for name in group},
+                            group == ("replica",)).render)
+        for group in _EVENT_GROUPS
     ]) as sink:
         yield EventLog(sink)
 

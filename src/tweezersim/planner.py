@@ -51,7 +51,13 @@ def plan_target_fill(belief: MaskOccupancy, *, strategy: str = "global") -> tupl
     only the one with the smallest id, so vacancies are filled in id order,
     each from its nearest remaining source (kept for comparison runs).
 
-    The plan always contains min(#vacancies, #occupied buffers) moves.
+    A plan is one pass over the layout's ``fill_orders[strategy]``, which
+    holds every (buffer, target) pair in that rule's order: it takes each
+    pair whose source is still occupied and whose target is still empty.
+    A pair passed over never becomes usable again, so the first usable pair
+    is always the rule's next choice. The plan always contains
+    min(#vacancies, #occupied buffers) moves.
+
     Plans are memoised on the layout by (belief mask, strategy). ``belief``
     is a :class:`MaskOccupancy` rather than the bitmask it reads only
     because the benchmark's tracer reads the fill's input as a mapping.
@@ -62,21 +68,22 @@ def plan_target_fill(belief: MaskOccupancy, *, strategy: str = "global") -> tupl
     plan = layout.plan_memo.get((mask, strategy))
     if plan is not None:
         return plan
-    if strategy not in ("global", "per-vacancy"):
+    order = layout.fill_orders.get(strategy)
+    if order is None:
         raise PlanError(f"unknown fill strategy {strategy!r}")
     bits = layout.site_bits
-    vacancies = [t for t in layout.target_ids if not mask & bits[t]]
-    sources = [b for b in layout.buffer_ids if mask & bits[b]]
+    n_moves = min(
+        (mask & layout.buffer_bits).bit_count(), (~mask & layout.target_bits).bit_count()
+    )
     moves: list[Move] = []
-    while vacancies and sources:
-        d, dst, src = min(
-            (layout.site_distance(s, v), v, s)
-            for v in (vacancies if strategy == "global" else vacancies[:1])
-            for s in sources
-        )
-        moves.append(Move(src, dst, d))
-        vacancies.remove(dst)
-        sources.remove(src)
+    # a set bit is an occupied site: a move clears its source's, sets its target's
+    state = mask
+    for src, dst, d in order:
+        if len(moves) == n_moves:
+            break
+        if state & bits[src] and not state & bits[dst]:
+            moves.append(Move(src, dst, d))
+            state ^= bits[src] | bits[dst]
     plan = tuple(moves)
     if len(layout.plan_memo) < MEMO_CAP:
         layout.plan_memo[mask, strategy] = plan

@@ -484,7 +484,7 @@ sites =
             ("2 40.0 0.0 target", "2 40.0 0.0 buffer",
              "layout.sites must contain at least one target site"),
             ("2 40.0 0.0 target", "1 40.0 0.0 target",
-             "layout.sites must have unique ids"),
+             "layout.sites must have unique ids, got id 1 twice"),
             ("2 40.0 0.0 target", "2 30.0 0.0 target",
              "layout.sites must lie at least the effective pitch 20 um apart, "
              "got 10 um between sites 1 and 2"),

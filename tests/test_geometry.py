@@ -167,7 +167,20 @@ def _square_sites(n, pitch):
 def test_layout_rejects_duplicate_ids():
     sites = _square_sites(3, 10.0)
     sites[2] = TrapSite(0, sites[2].pos, sites[2].role)
-    with pytest.raises(LayoutError, match=r"^sites must have unique ids$"):
+    with pytest.raises(LayoutError, match=r"^sites must have unique ids, got id 0 twice$"):
+        ArrayLayout(
+            sites=tuple(sites), reservoir_pos=Position(-50.0, 0.0),
+            scan_range=250.0, base_pitch=10.0, effective_pitch=10.0,
+        )
+
+
+def test_duplicate_ids_name_the_smallest_repeated_id():
+    # ids 3, 3, 3 and 4, 4 listed out of order: the smallest repeated id is
+    # named, with how often it occurs
+    sites = _square_sites(6, 10.0)
+    ids = [4, 3, 0, 3, 4, 3]
+    sites = [TrapSite(i, s.pos, s.role) for i, s in zip(ids, sites)]
+    with pytest.raises(LayoutError, match=r"^sites must have unique ids, got id 3 3 times$"):
         ArrayLayout(
             sites=tuple(sites), reservoir_pos=Position(-50.0, 0.0),
             scan_range=250.0, base_pitch=10.0, effective_pitch=10.0,

@@ -391,7 +391,7 @@ def test_events_writer_keeps_one_block_of_replica_labels(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "column,value",
     [("n_reservoir", True), ("n_reservoir", 3.0), ("truth_mask", np.int64(3)),
-     ("clock_s", 1), ("step", 0)],
+     ("clock_s", 1), ("step", 0), ("dist_um", 1), ("src", 1.0)],
 )
 def test_events_writer_refuses_values_outside_their_declared_kind(tmp_path, column, value):
     with pytest.raises(TypeError, match=column):
@@ -399,6 +399,21 @@ def test_events_writer_refuses_values_outside_their_declared_kind(tmp_path, colu
             log.add("image", SystemState(truth=1, belief=1, n_reservoir=4, clock=0.5, replica=0))
             log.columns[EventLog.COLUMNS.index(column)][0] = value
             log.close()
+
+
+def test_event_groups_print_float_zeros_and_nan_as_written(tmp_path):
+    # rows alike but for clock_s 0.0 / -0.0 and dist_um 0.0 / -0.0 / NaN: a
+    # group memo that kept such a key would print one row's text for another
+    assert sum(harness._EVENT_GROUPS, ()) == EventLog.COLUMNS
+    log = EventLog()
+    for clock in (0.0, -0.0, 0.0, -0.0):
+        state = SystemState(truth=1, belief=1, n_reservoir=4, clock=clock, replica=0)
+        log.add("image", state)
+        for dist in (0.0, -0.0, math.nan, -0.0, 0.0, math.nan):
+            log.add("fill", state, 0, 7, dist, 0.01, "ok")
+    with stream_events(str(tmp_path)) as events:
+        events.sink.write(log.columns)
+    assert (tmp_path / "events.csv").read_bytes() == reference_csv(EventLog.COLUMNS, log.rows)
 
 
 # -- events.csv streamed while the ensemble runs ----------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweezersim import planner
-from tweezersim.geometry import MaskOccupancy, Position, reference_layout
+from tweezersim.geometry import ArrayLayout, MaskOccupancy, Position, reference_layout
 from tweezersim.planner import (
     MEMO_CAP,
     PlanError,
@@ -84,6 +84,57 @@ def per_vacancy_rule(belief):
         sources.remove(src)
         moves.append((src, dst, to_dst[src]))
     return moves
+
+
+def repeated_minimum_rule(layout, mask, strategy):
+    """Shortest-move-first restated as a repeated minimum: each step takes
+    the remaining (vacancy, source) pair least by (distance, vacancy id,
+    source id), over every vacancy (``global``) or only the smallest
+    remaining one (``per-vacancy``)."""
+    vacancies = [t for t in layout.target_ids if not mask & layout.site_bits[t]]
+    sources = [b for b in layout.buffer_ids if mask & layout.site_bits[b]]
+    moves = []
+    while vacancies and sources:
+        d, dst, src = min(
+            (math.dist(layout.site(s).pos, layout.site(v).pos), v, s)
+            for v in (vacancies if strategy == "global" else vacancies[:1])
+            for s in sources
+        )
+        moves.append((src, dst, d))
+        vacancies.remove(dst)
+        sources.remove(src)
+    return moves
+
+
+@pytest.mark.parametrize("strategy", ["global", "per-vacancy"])
+def test_plans_follow_the_repeated_minimum_rule(strategy):
+    # every believed occupancy of the reference layout, and 200 seeded ones
+    # of hex-91, whose lattice has many equal distances to break ties on
+    for layout, masks in (
+        (reference_layout(), range(1 << len(LAYOUT.site_ids))),
+        (hex_layout(), [random.Random(2029).getrandbits(91) for _ in range(200)]),
+    ):
+        for mask in masks:
+            plan = plan_target_fill(MaskOccupancy(layout, mask), strategy=strategy)
+            assert [tuple(m) for m in plan] == repeated_minimum_rule(layout, mask, strategy)
+
+
+def test_cold_plans_read_no_site_distance(monkeypatch):
+    # a fresh layout's plans come from the pair orders construction built
+    calls = []
+    read = ArrayLayout.site_distance
+
+    def counting(layout, a, b):
+        calls.append((a, b))
+        return read(layout, a, b)
+
+    monkeypatch.setattr(ArrayLayout, "site_distance", counting)
+    layout = reference_layout()
+    for mask in range(1 << len(LAYOUT.site_ids)):
+        for strategy in ("global", "per-vacancy"):
+            plan_target_fill(MaskOccupancy(layout, mask), strategy=strategy)
+    assert len(layout.plan_memo) == MEMO_CAP
+    assert calls == []
 
 
 def test_per_vacancy_plans_follow_the_rule():
