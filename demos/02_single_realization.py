@@ -9,7 +9,7 @@ from tweezersim.engine import EventLog, run_realization
 
 config = ExperimentConfig()
 log = EventLog()
-records = run_realization(config.build_models(), seed=7, n_cycles=12, log=log)
+records = run_realization(config, seed=7, n_cycles=12, log=log)
 
 print("cycle  clock/s  reservoir  buffers  targets  extracted  delivered  complete")
 for rec in records:

@@ -1,5 +1,5 @@
 """Experiment configuration: defaults, INI-file parsing, validation, and
-construction of the model bundle a run needs.
+the derived values that make a checked config the model bundle a run needs.
 
 The file format is INI (configparser dialect, ``#``/``;`` inline comments)
 with sections [run], [layout], [stochastic], [timing], [engine]; every key
@@ -14,9 +14,11 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 
-from .engine import SimulationModels
+from .engine import CycleSlots
 from .geometry import ArrayLayout, LayoutError, Position, SiteRole, TrapSite, reference_layout
-from .stochastic import _MAX_POISSON_MEAN
+from .stochastic import (
+    _MAX_POISSON_MEAN, DecayWindow, EnsembleIndex, poisson_table, survival_probability,
+)
 
 __all__ = [
     "ConfigError",
@@ -80,14 +82,28 @@ def _key(section: str, default, *rules):
     return field(default=default, metadata={"section": section, "rules": rules})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved run parameters; defaults match the reference setup.
+    """Fully resolved run parameters, defaults matching the reference setup;
+    frozen, checked once when built, and the model bundle the engine reads.
 
-    Each field tagged by :func:`_key` is one INI key: the tag gives its
-    section and its range, the annotation its type. :meth:`build_models`
-    checks every tagged key, so a config changed after it was built is
-    checked again by the next run.
+    Each field tagged by :func:`_key` is one INI key (times in seconds): the
+    tag gives its section and its range, the annotation its type.
+    :meth:`build_models` checks every key and decides onto the config, as
+    plain attributes outside equality that ``dataclasses.replace`` decides
+    afresh, what the engine derives from the keys: the ``init_duration``,
+    ``cycle_duration`` and ``move_duration``; the ``p_blockade`` of a caught
+    ensemble whose saturated fill, read out at the next image, is
+    ``p_blockade_plateau``; the three decay windows of a cycle
+    (``image_window`` over ``t_image_loss``, or ``t_image`` where that is
+    ``None``, ``fill_window`` over ``t_analysis_fill``, ``refill_window``
+    over ``t_buffer_refill``, each a :class:`DecayWindow`); the extraction's
+    ensemble tables by reservoir count (``ensembles``, an ``EnsembleIndex``
+    whose table budget the windows' thinning indices share); the Poisson
+    table of the initial load at ``reservoir_mean`` (``initial_load``,
+    outside that budget); and the cycle's row of uniforms (``slots``, a
+    :class:`CycleSlots`: the slot of each draw, and the ``RowForm`` the
+    stream hands the row out in).
     """
 
     n_replicas: int = _key("run", 2500, _AT_LEAST_1)
@@ -97,9 +113,12 @@ class ExperimentConfig:
     ci_method: str = _key("run", "normal", _one_of("normal", "wilson"))
     # [layout] is parsed by hand; see _parse_layout_section
     layout: ArrayLayout = field(default_factory=reference_layout)
+    # math.inf disables a one-body loss channel
     lifetime_array_s: float = _key("stochastic", 10.0, _POSITIVE)
     lifetime_reservoir_s: float = _key("stochastic", 5.0, _POSITIVE)
     p_transport: float = _key("stochastic", 0.753, _PROBABILITY)
+    # A failed move leaves the atom in its source trap with this
+    # probability and drops it otherwise; 0 and 1 take no draw.
     p_stay_on_failure: float = _key("stochastic", DEFAULT_STAY_ON_FAILURE, _PROBABILITY)
     p_blockade_plateau: float = _key("stochastic", 0.596, _PROBABILITY)
     mean_ensemble_at_full: float = _key("stochastic", DEFAULT_ENSEMBLE_MEAN, _POSITIVE, _POISSON_MEAN)
@@ -112,24 +131,32 @@ class ExperimentConfig:
     t_image: float = _key("timing", 0.130, _FINITE)
     t_analysis_fill: float = _key("timing", 0.065, _FINITE)
     t_buffer_refill: float = _key("timing", 0.035, _FINITE)
-    t_ramp: float = _key("timing", 130e-6, _FINITE)
-    t_move: float = _key("timing", 310e-6, _FINITE)
-    t_image_loss: float | None = _key("timing", None, _FINITE)  # at most t_image
+    t_ramp: float = _key("timing", 130e-6, _FINITE)  # one intensity ramp; two per move
+    t_move: float = _key("timing", 310e-6, _FINITE)  # tweezer translation
+    # Narrows the imaging decay window to the bare exposure when readout
+    # overhead should not count as trap time, so it may not exceed t_image;
+    # None uses t_image for both clock and losses.
+    t_image_loss: float | None = _key("timing", None, _FINITE)
     fill_strategy: str = _key("engine", "global", _one_of("global", "per-vacancy"))
 
     def __post_init__(self):
         self.build_models()
-        self.success_definition = _SUCCESS_DEFINITIONS[self.success_definition]
+        object.__setattr__(
+            self, "success_definition", _SUCCESS_DEFINITIONS[self.success_definition]
+        )
 
     def _section(self, name: str) -> dict:
         return {key: getattr(self, key) for key in _SECTIONS[name]}
 
-    def build_models(self) -> SimulationModels:
-        """Check every key and assemble the model bundle for the engine.
+    def build_models(self) -> ExperimentConfig:
+        """Check every key, decide the derived values onto the config, and
+        return it; construction runs it once.
 
         Each error is a :class:`ConfigError` that names the offending
-        ``section.key``. The models take the checked values as they are;
-        only checks of values derived from several keys live with them.
+        ``section.key``. Checks across keys: an array atom must survive from
+        a refill to its readout, the plateau must be reachable with
+        ``p_blockade`` at most 1, the fill window must hold the longest fill
+        plan, and the run's supply must stay bounded (:meth:`check_supply`).
         """
         if not isinstance(self.layout, ArrayLayout):
             raise ConfigError(f"layout must be an ArrayLayout, got {self.layout!r}")
@@ -148,17 +175,78 @@ class ExperimentConfig:
                 f"timing.t_image_loss {self.t_image_loss} s must not exceed "
                 f"timing.t_image {self.t_image} s"
             )
-        try:
-            models = SimulationModels(
-                self.layout,
-                **self._section("stochastic"),
-                **self._section("timing"),
-                **self._section("engine"),
+        derived = {
+            "init_duration": self.t_mot + self.t_molasses + self.t_reservoir_transfer,
+            "cycle_duration": self.t_image + self.t_analysis_fill + self.t_buffer_refill,
+            "move_duration": 2.0 * self.t_ramp + self.t_move,
+        }
+        image = self.t_image if self.t_image_loss is None else self.t_image_loss
+        # The plateau is the fill fraction read out one image after a
+        # refill, so invert the decay accumulated over that window out of it.
+        readout = self.t_buffer_refill + image
+        observed = survival_probability(readout, self.lifetime_array_s)
+        if observed == 0.0:
+            key = "t_image" if self.t_image_loss is None else "t_image_loss"
+            raise ConfigError(
+                f"no array atom survives the {readout:.4g} s from refill to "
+                f"readout (timing.t_buffer_refill + timing.{key}) with "
+                f"stochastic.lifetime_array_s {self.lifetime_array_s:.4g} s, so "
+                f"stochastic.p_blockade_plateau cannot be read back"
             )
-            models.check_supply(self.n_cycles + 1)  # the reported cycles and one more
-            return models
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        # A caught ensemble (size >= 1, probability 1 - exp(-mean) at a
+        # full reservoir) yields one atom with probability p_blockade. The
+        # plateau at p_blockade 1 is 0 below a mean of about 1.1e-16.
+        reachable = (1.0 - math.exp(-self.mean_ensemble_at_full)) * observed
+        p_blockade = self.p_blockade_plateau / reachable if reachable else math.inf
+        if p_blockade > 1.0:
+            raise ConfigError(
+                f"stochastic.p_blockade_plateau {self.p_blockade_plateau} unreachable with "
+                f"stochastic.mean_ensemble_at_full {self.mean_ensemble_at_full} "
+                f"(requires p_blockade {p_blockade:.4g} > 1)"
+            )
+        derived["p_blockade"] = p_blockade
+        derived["ensembles"] = ensembles = EnsembleIndex(
+            self.mean_ensemble_at_full, self.n_reference
+        )
+        windows = tuple(
+            DecayWindow(
+                length,
+                survival_probability(length, self.lifetime_array_s),
+                survival_probability(length, self.lifetime_reservoir_s),
+                self.refill_rate * length,
+                ensembles.budget,
+            )
+            for length in (image, self.t_analysis_fill, self.t_buffer_refill)
+        )
+        derived.update(zip(("image_window", "fill_window", "refill_window"), windows))
+        derived["slots"] = slots = CycleSlots(self.layout, windows)
+        n_moves, move = slots.n_moves, derived["move_duration"]
+        if n_moves * move > self.t_analysis_fill:
+            raise ConfigError(
+                f"timing.t_analysis_fill {self.t_analysis_fill} s cannot "
+                f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
+            )
+        derived["initial_load"] = poisson_table(self.reservoir_mean)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        self.check_supply(self.n_cycles + 1)  # the reported cycles and one more
+        return self
+
+    def check_supply(self, n_cycles: int) -> None:
+        """Refuse a run of ``n_cycles`` engine cycles whose refill could grow
+        the reservoir past 1e18 atoms, short of numpy's 64-bit counts: the
+        initial mean, the refill over every cycle and one rounding atom per
+        decay window."""
+        supply = (
+            self.reservoir_mean + 3 * n_cycles
+            + self.refill_rate * n_cycles * self.cycle_duration
+        )
+        if self.refill_rate > 0 and not supply <= _MAX_POISSON_MEAN:
+            raise ConfigError(
+                f"stochastic.refill_rate {self.refill_rate} atoms/s could bring "
+                f"the reservoir to {supply:.3g} atoms in {n_cycles} engine "
+                f"cycles, past {_MAX_POISSON_MEAN:g}"
+            )
 
     def resolved(self) -> dict:
         """Plain nested dict of every effective parameter, for run metadata.

@@ -6,37 +6,36 @@ Ground-truth and believed occupancy bitmasks are tracked separately:
 belief is reset to truth at each imaging step, assumes success for planned
 transports in between, and treats freshly refilled buffers as empty until the
 next image confirms them. Every atom is accounted for in integer counters so
-conservation can be checked exactly.
+conservation can be checked exactly. Every step reads its model values from
+``models``, a :class:`~tweezersim.config.ExperimentConfig`, checked and
+frozen when it was built.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import ArrayLayout, MaskOccupancy
 from .planner import Move, plan_buffer_refill, plan_target_fill
 from .stochastic import (
-    _MAX_POISSON_MEAN,
     DecayWindow,
-    EnsembleIndex,
     RngStream,
     RowForm,
     poisson_icdf,
-    poisson_table,
     sample_extraction,
     sample_survival,  # unused here; perfbench/tracing.py rebinds this name
     sample_transport,
-    survival_probability,
     reservoir_decay,
 )
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 __all__ = [
     "DecayWindow",
     "CycleSlots",
-    "SimulationModels",
     "Counters",
     "SystemState",
     "CycleRecord",
@@ -64,7 +63,7 @@ class PlanConflictError(EngineError):
 class CycleSlots(RowForm):
     """Where an engine cycle reads each of its draws in the row of
     uniforms that ``RngStream.next_row`` hands out for the cycle, and the
-    :class:`RowForm` it is handed out in, decided once per model bundle
+    :class:`RowForm` it is handed out in, decided once per config
     from the layout and the cycle's three decay windows. The row holds, in
     the order the cycle reads them:
 
@@ -99,133 +98,6 @@ class CycleSlots(RowForm):
             (first + 2, window.array_survival)
             for first, window in zip((self.image, self.fill, self.refill), windows)
         ), len(layout.site_ids))
-
-
-@dataclass(frozen=True)
-class SimulationModels:
-    """Everything a realization needs besides its RNG stream: the layout
-    and every ``[stochastic]``, ``[timing]`` and ``[engine]`` key of the
-    config under its own name (times in seconds), as
-    ``ExperimentConfig.build_models`` has checked them.
-
-    Values derived from the keys are decided once here and take no part
-    in equality, so ``dataclasses.replace`` decides them afresh: the
-    ``init_duration``, ``cycle_duration`` and ``move_duration``; the
-    ``p_blockade`` of a caught ensemble whose saturated fill, read out at
-    the next image, is ``p_blockade_plateau``; the three decay
-    windows of a cycle (``image_window`` over ``t_image_loss``, or
-    ``t_image`` where that is ``None``, ``fill_window`` over
-    ``t_analysis_fill``, ``refill_window`` over ``t_buffer_refill``, each
-    a :class:`DecayWindow`); the extraction's ensemble tables by reservoir
-    count (``ensembles``, an ``EnsembleIndex`` whose table budget the
-    windows' thinning indices share); the Poisson table of the initial load
-    at ``reservoir_mean`` (``initial_load``, outside that budget); and the
-    cycle's row of uniforms (``slots``, a :class:`CycleSlots`: the slot of
-    each draw, and the ``RowForm`` the stream hands the row out in). Only
-    checks across keys live here, each a ``ValueError``: an array atom must
-    be able to survive from a refill to its readout, the plateau must be
-    reachable with ``p_blockade`` at most 1, and the fill window must hold
-    the longest fill plan.
-    """
-
-    layout: ArrayLayout
-    lifetime_array_s: float  # math.inf disables a one-body loss channel
-    lifetime_reservoir_s: float
-    p_transport: float
-    # A failed move leaves the atom in its source trap with this
-    # probability and drops it otherwise; 0 and 1 take no draw.
-    p_stay_on_failure: float
-    p_blockade_plateau: float
-    mean_ensemble_at_full: float
-    n_reference: int
-    reservoir_mean: float
-    refill_rate: float
-    t_mot: float
-    t_molasses: float
-    t_reservoir_transfer: float
-    t_image: float
-    t_analysis_fill: float
-    t_buffer_refill: float
-    t_ramp: float  # one intensity ramp; two per move
-    t_move: float  # tweezer translation
-    # Narrows the imaging decay window to the bare exposure when readout
-    # overhead should not count as trap time, so it may not exceed
-    # t_image; None uses t_image for both clock and losses.
-    t_image_loss: float | None
-    fill_strategy: str  # "global" or "per-vacancy"
-
-    def __post_init__(self):
-        derived = {
-            "init_duration": self.t_mot + self.t_molasses + self.t_reservoir_transfer,
-            "cycle_duration": self.t_image + self.t_analysis_fill + self.t_buffer_refill,
-            "move_duration": 2.0 * self.t_ramp + self.t_move,
-        }
-        image = self.t_image if self.t_image_loss is None else self.t_image_loss
-        # The plateau is the fill fraction read out one image after a
-        # refill, so invert the decay accumulated over that window out of it.
-        readout = self.t_buffer_refill + image
-        observed = survival_probability(readout, self.lifetime_array_s)
-        if observed == 0.0:
-            key = "t_image" if self.t_image_loss is None else "t_image_loss"
-            raise ValueError(
-                f"no array atom survives the {readout:.4g} s from refill to "
-                f"readout (timing.t_buffer_refill + timing.{key}) with "
-                f"stochastic.lifetime_array_s {self.lifetime_array_s:.4g} s, so "
-                f"stochastic.p_blockade_plateau cannot be read back"
-            )
-        # A caught ensemble (size >= 1, probability 1 - exp(-mean) at a
-        # full reservoir) yields one atom with probability p_blockade. The
-        # plateau at p_blockade 1 is 0 below a mean of about 1.1e-16.
-        reachable = (1.0 - math.exp(-self.mean_ensemble_at_full)) * observed
-        p_blockade = self.p_blockade_plateau / reachable if reachable else math.inf
-        if p_blockade > 1.0:
-            raise ValueError(
-                f"stochastic.p_blockade_plateau {self.p_blockade_plateau} unreachable with "
-                f"stochastic.mean_ensemble_at_full {self.mean_ensemble_at_full} "
-                f"(requires p_blockade {p_blockade:.4g} > 1)"
-            )
-        derived["p_blockade"] = p_blockade
-        derived["ensembles"] = ensembles = EnsembleIndex(
-            self.mean_ensemble_at_full, self.n_reference
-        )
-        windows = tuple(
-            DecayWindow(
-                length,
-                survival_probability(length, self.lifetime_array_s),
-                survival_probability(length, self.lifetime_reservoir_s),
-                self.refill_rate * length,
-                ensembles.budget,
-            )
-            for length in (image, self.t_analysis_fill, self.t_buffer_refill)
-        )
-        derived.update(zip(("image_window", "fill_window", "refill_window"), windows))
-        layout = self.layout
-        derived["slots"] = slots = CycleSlots(layout, windows)
-        n_moves, move = slots.n_moves, derived["move_duration"]
-        if n_moves * move > self.t_analysis_fill:
-            raise ValueError(
-                f"timing.t_analysis_fill {self.t_analysis_fill} s cannot "
-                f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
-            )
-        derived["initial_load"] = poisson_table(self.reservoir_mean)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-
-    def check_supply(self, n_cycles: int) -> None:
-        """Refuse a run of ``n_cycles`` engine cycles whose refill could grow
-        the reservoir past 1e18 atoms, short of numpy's 64-bit counts: the
-        initial mean, the refill over every cycle and one rounding atom per
-        decay window."""
-        supply = (
-            self.reservoir_mean + 3 * n_cycles
-            + self.refill_rate * n_cycles * self.cycle_duration
-        )
-        if self.refill_rate > 0 and not supply <= _MAX_POISSON_MEAN:
-            raise ValueError(
-                f"stochastic.refill_rate {self.refill_rate} atoms/s could bring "
-                f"the reservoir to {supply:.3g} atoms in {n_cycles} engine "
-                f"cycles, past {_MAX_POISSON_MEAN:g}"
-            )
 
 
 @dataclass
@@ -379,7 +251,7 @@ def _decay_step(
     plus the window's reservoir refill; a window of length 0 does nothing.
 
     Truth-only: the controller never sees decay until the next image. The
-    window reads the current row from ``slot`` on (``SimulationModels.slots``,
+    window reads the current row from ``slot`` on (``ExperimentConfig.slots``,
     a :class:`CycleSlots`): its loss mask at ``slot + 2`` marks the atoms
     lost, so the trapped atom at occupancy bit ``i`` survives when its
     site's uniform falls below the window's array survival probability.
@@ -399,7 +271,7 @@ def _decay_step(
             counters.refilled += added
 
 
-def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
+def init_sequence(models: ExperimentConfig, rng: RngStream) -> SystemState:
     """Prepare a realization: cooled cloud transferred into the reservoir,
     all array sites empty, clock at the end of the preparation stages.
 
@@ -426,7 +298,7 @@ def init_sequence(models: SimulationModels, rng: RngStream) -> SystemState:
 
 def step_image(
     state: SystemState,
-    models: SimulationModels,
+    models: ExperimentConfig,
     rng: RngStream,
     log: EventLog | None = None,
 ) -> None:
@@ -443,7 +315,7 @@ def step_image(
 def step_fill_targets(
     state: SystemState,
     plan: tuple[Move, ...],
-    models: SimulationModels,
+    models: ExperimentConfig,
     rng: RngStream,
     log: EventLog | None = None,
 ) -> None:
@@ -513,7 +385,7 @@ def step_fill_targets(
 def step_refill_buffers(
     state: SystemState,
     order: tuple[int, ...],
-    models: SimulationModels,
+    models: ExperimentConfig,
     rng: RngStream,
     log: EventLog | None = None,
 ) -> None:
@@ -589,7 +461,7 @@ def check_conservation(state: SystemState) -> None:
 
 def run_cycle(
     state: SystemState,
-    models: SimulationModels,
+    models: ExperimentConfig,
     rng: RngStream,
     log: EventLog | None = None,
 ) -> CycleRecord:
@@ -623,14 +495,15 @@ def run_cycle(
 
 
 def run_realization(
-    models: SimulationModels,
+    models: ExperimentConfig,
     seed: int,
     n_cycles: int,
     replica: int = 0,
     log: EventLog | None = None,
 ) -> list[CycleRecord]:
-    """Run one realization of the model bundle ``models``: preparation
-    plus ``n_cycles`` cycles.
+    """Run one realization of the model bundle ``models``, a checked
+    :class:`~tweezersim.config.ExperimentConfig`: preparation plus
+    ``n_cycles`` cycles.
 
     Deterministic given (models, seed, replica); the records of two runs
     with identical arguments are identical.

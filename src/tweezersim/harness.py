@@ -99,12 +99,12 @@ def run_experiment(
     :func:`stream_events`) is flushed at replica boundaries once it holds a
     block of rows, so it never holds more than a block plus one replica.
 
-    Deterministic for a fixed config: replica i always draws from the
-    stream keyed by (master_seed, i), so enlarging the ensemble never
-    perturbs earlier replicas.
+    The replicas run on ``config`` itself, the model bundle it became when
+    it was built and checked. Deterministic for a fixed config: replica i
+    always draws from the stream keyed by (master_seed, i), so enlarging the
+    ensemble never perturbs earlier replicas.
     """
-    models = config.build_models()
-    n_buffers = len(models.layout.buffer_ids)
+    n_buffers = len(config.layout.buffer_ids)
     n_rep = config.n_replicas
     n_engine_cycles = config.n_cycles + 1
     complete = np.zeros((n_rep, n_engine_cycles), dtype=bool)
@@ -113,7 +113,7 @@ def run_experiment(
     delivered = np.zeros(n_rep, dtype=np.int64)
     for i in range(n_rep):
         records = run_realization(
-            models, config.master_seed, n_engine_cycles, replica=i, log=log
+            config, config.master_seed, n_engine_cycles, replica=i, log=log
         )
         # one transposition of the records into CycleRecord's columns
         (_, complete[i], buffer_counts[i], _, reservoir_counts[i],

@@ -90,22 +90,21 @@ def test_acceptance_3_cumulative_success(full_ensemble):
 
 def test_acceptance_4_timing(full_ensemble):
     cfg, _, _ = full_ensemble
-    models = cfg.build_models()
-    records = run_realization(models, seed=cfg.master_seed, n_cycles=6)
+    records = run_realization(cfg, seed=cfg.master_seed, n_cycles=6)
     gaps = [
         b.clock_at_image - a.clock_at_image
         for a, b in zip(records, records[1:])
     ]
-    start = records[0].clock_at_image - models.t_image
+    start = records[0].clock_at_image - cfg.t_image
     ok = (
         all(abs(g - 0.230) <= 1e-3 for g in gaps)
-        and abs(models.cycle_duration - 0.230) <= 1e-3
+        and abs(cfg.cycle_duration - 0.230) <= 1e-3
         and abs(start - 1.86) < 1e-9
-        and abs(models.init_duration - 1.86) < 1e-9
+        and abs(cfg.init_duration - 1.86) < 1e-9
     )
     _report(
         4, "timing", ok,
-        f"cycle wall-clock {models.cycle_duration * 1e3:.3f} ms (230 +- 1), "
+        f"cycle wall-clock {cfg.cycle_duration * 1e3:.3f} ms (230 +- 1), "
         f"start clock {start:.3f} s (1.86)",
     )
 
@@ -185,7 +184,7 @@ def test_acceptance_7_invariant_soak(tmp_path_factory):
         cfg = _random_soak_config(rng)
         log = EventLog()
         records = run_realization(
-            cfg.build_models(), seed=rng.randint(0, 2**31), n_cycles=cfg.n_cycles, log=log
+            cfg, seed=rng.randint(0, 2**31), n_cycles=cfg.n_cycles, log=log
         )
         for row in log.rows:
             assert row[4] >= 0  # reservoir population
@@ -236,10 +235,9 @@ def test_acceptance_8_degenerate_trace():
         lifetime_array_s=math.inf,
         lifetime_reservoir_s=math.inf,
     )
-    models = cfg.build_models()
     hits = 0
     for replica in range(100):
-        records = run_realization(models, seed=97, n_cycles=4, replica=replica)
+        records = run_realization(cfg, seed=97, n_cycles=4, replica=replica)
         flags = [r.target_complete for r in records]
         if flags == [False, False, True, True]:
             hits += 1

@@ -18,7 +18,6 @@ from tweezersim.config import (
     ExperimentConfig,
     load_config,
 )
-from tweezersim.engine import SimulationModels
 from tweezersim.geometry import ArrayLayout, Position, SiteRole, TrapSite, reference_layout
 
 
@@ -30,13 +29,13 @@ def write_ini(tmp_path, body, name="run.ini"):
 
 def test_defaults_build():
     cfg = ExperimentConfig()
-    models = cfg.build_models()
-    assert models.layout.site_ids == cfg.layout.site_ids
-    assert models.p_transport == 0.753
-    assert models.p_stay_on_failure == DEFAULT_STAY_ON_FAILURE
+    assert cfg.build_models() is cfg
+    assert cfg.layout.site_ids == reference_layout().site_ids
+    assert cfg.p_transport == 0.753
+    assert cfg.p_stay_on_failure == DEFAULT_STAY_ON_FAILURE
 
 
-# a legal value other than the default for every key the models hold
+# a legal value other than the default for every key the engine reads
 MODEL_KEY_VALUES = {
     "lifetime_array_s": 4.0,
     "lifetime_reservoir_s": 2.0,
@@ -62,12 +61,11 @@ MODEL_KEY_VALUES = {
 
 def test_models_hold_every_model_key_under_its_name():
     keys = [*_SECTIONS["stochastic"], *_SECTIONS["timing"], *_SECTIONS["engine"]]
-    assert [f.name for f in dataclasses.fields(SimulationModels)] == ["layout", *keys]
     assert list(MODEL_KEY_VALUES) == keys
 
 
 def derived_values(models):
-    """Every value the models decide from their keys."""
+    """Every value the config decides from its keys."""
     slots = models.slots
     return (
         models.init_duration, models.cycle_duration, models.move_duration,
@@ -79,8 +77,8 @@ def derived_values(models):
 @pytest.mark.parametrize("key,value", MODEL_KEY_VALUES.items(), ids=list(MODEL_KEY_VALUES))
 def test_replaced_models_equal_models_of_the_replaced_config(key, value):
     cfg = ExperimentConfig()
-    replaced = dataclasses.replace(cfg.build_models(), **{key: value})
-    built = dataclasses.replace(cfg, **{key: value}).build_models()
+    replaced = dataclasses.replace(cfg, **{key: value})
+    built = ExperimentConfig(**{key: value})
     assert getattr(replaced, key) == value
     assert replaced == built
     assert derived_values(replaced) == derived_values(built)
@@ -88,7 +86,20 @@ def test_replaced_models_equal_models_of_the_replaced_config(key, value):
     read_as_is = key in (
         "p_transport", "p_stay_on_failure", "n_reference", "fill_strategy"
     )
-    assert (derived_values(replaced) == derived_values(cfg.build_models())) == read_as_is
+    assert (derived_values(replaced) == derived_values(cfg)) == read_as_is
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("p_transport", 7.0, "stochastic.p_transport must be within [0, 1], got 7.0"),
+    ("t_image", -1.0, "timing.t_image must be finite and nonnegative, got -1.0"),
+    ("n_reference", 0, "stochastic.n_reference must be positive, got 0"),
+    ("fill_strategy", "nearest",
+     "engine.fill_strategy must be 'global' or 'per-vacancy', got 'nearest'"),
+])
+def test_replacing_a_key_of_the_models_is_checked(key, value, message):
+    # the models are the config, so a replaced value meets the config's checks
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(ExperimentConfig().build_models(), **{key: value})
 
 
 def test_plateau_inversion_in_build():
@@ -96,13 +107,13 @@ def test_plateau_inversion_in_build():
     window = cfg.t_buffer_refill + cfg.t_image
     surv = math.exp(-window / cfg.lifetime_array_s)
     expected = 0.596 / ((1 - math.exp(-DEFAULT_ENSEMBLE_MEAN)) * surv)
-    assert cfg.build_models().p_blockade == pytest.approx(expected)
+    assert cfg.p_blockade == pytest.approx(expected)
 
 
 def test_image_loss_override_changes_inversion():
     short = ExperimentConfig(t_image_loss=0.0)
     full = ExperimentConfig()
-    assert short.build_models().p_blockade < full.build_models().p_blockade
+    assert short.p_blockade < full.p_blockade
 
 
 def test_success_definition_aliases():
@@ -269,26 +280,24 @@ def test_ints_and_numpy_scalars_are_taken(field, value):
 def test_refill_supply_bound_counts_the_run_length():
     # 2.7e17 atoms/s x 16 cycles x 0.23 s = 9.9e17 atoms: legal; one more
     # reported cycle takes the supply past 1e18
-    assert ExperimentConfig(refill_rate=2.7e17).build_models().refill_rate == 2.7e17
+    assert ExperimentConfig(refill_rate=2.7e17).refill_rate == 2.7e17
     with pytest.raises(ConfigError, match=r"stochastic\.refill_rate .* 17 engine cycles"):
         ExperimentConfig(refill_rate=2.7e17, n_cycles=16)
     with pytest.raises(ConfigError, match=r"stochastic\.refill_rate"):
         ExperimentConfig(refill_rate=1e18, lifetime_reservoir_s=math.inf)
     # without a refill the reservoir only shrinks: no bound past the mean's
     cfg = ExperimentConfig(reservoir_mean=1e18, n_cycles=10**6)
-    assert cfg.build_models().reservoir_mean == 1e18
+    assert cfg.reservoir_mean == 1e18
 
 
 def test_infinite_lifetimes_stay_legal():
-    models = ExperimentConfig(
-        lifetime_array_s=math.inf, lifetime_reservoir_s=math.inf
-    ).build_models()
-    assert models.lifetime_array_s == math.inf
+    cfg = ExperimentConfig(lifetime_array_s=math.inf, lifetime_reservoir_s=math.inf)
+    assert cfg.lifetime_array_s == math.inf
 
 
 def test_unreachable_plateau_is_config_error():
     with pytest.raises(ConfigError, match="p_blockade_plateau"):
-        ExperimentConfig(mean_ensemble_at_full=0.5).build_models()
+        ExperimentConfig(mean_ensemble_at_full=0.5)
 
 
 def test_resolved_covers_every_section():
@@ -352,7 +361,7 @@ fill_strategy = per-vacancy
         assert cfg.success_definition == "maintained"
         assert cfg.p_stay_on_failure == 0.5
         assert cfg.t_image == 0.1
-        assert cfg.build_models().fill_strategy == "per-vacancy"
+        assert cfg.fill_strategy == "per-vacancy"
 
     def test_inline_comments(self, tmp_path):
         cfg = load_config(

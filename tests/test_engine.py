@@ -20,7 +20,6 @@ from tweezersim.engine import (
     EngineError,
     EventLog,
     PlanConflictError,
-    SimulationModels,
     SystemState,
     check_conservation,
     init_sequence,
@@ -37,7 +36,7 @@ from conftest import hex_layout, two_site_layout
 
 
 def models_with(**overrides):
-    return dataclasses.replace(ExperimentConfig(), **overrides).build_models()
+    return dataclasses.replace(ExperimentConfig(), **overrides)
 
 
 def bits(models, *site_ids):
@@ -71,7 +70,7 @@ class TestDurations:
         assert dataclasses.replace(models, t_image_loss=0.1).image_window.length == 0.1
 
 
-class TestSimulationModelsValidation:
+class TestModelKeyValidation:
     def test_bad_stay_probability(self):
         with pytest.raises(ValueError, match="p_stay_on_failure"):
             models_with(p_stay_on_failure=1.5)
@@ -173,6 +172,10 @@ class TestDerivedModelValues:
             (None, "p_blockade"),
             (None, "t_image"),
             ("layout", "scan_range"),
+            # the run keys: a run reads them as the checked config holds them
+            (None, "n_cycles"),
+            (None, "n_replicas"),
+            (None, "ci_method"),
         ],
     )
     def test_models_are_frozen(self, owner, field):
@@ -187,7 +190,7 @@ class TestDerivedModelValues:
         reference = models_with()
         assert reference.layout.buffer_bits == bits(reference, *range(7)) == 0x7F
         assert reference.layout.target_bits == bits(reference, *range(7, 13)) == 0x1F80
-        big = ExperimentConfig(layout=hex_layout()).build_models()
+        big = ExperimentConfig(layout=hex_layout())
         assert big.layout.buffer_bits & big.layout.target_bits == 0
         assert big.layout.buffer_bits | big.layout.target_bits == (1 << 91) - 1
         assert big.layout.target_bits == bits(big, *big.layout.target_ids)
@@ -503,7 +506,7 @@ def test_cycle_record_is_an_immutable_tuple_of_fixed_fields():
 
 
 def test_cycle_clock_spacing():
-    records = run_realization(ExperimentConfig().build_models(), seed=16, n_cycles=6)
+    records = run_realization(ExperimentConfig(), seed=16, n_cycles=6)
     clocks = [r.clock_at_image for r in records]
     for a, b in zip(clocks, clocks[1:]):
         assert b - a == pytest.approx(0.230)
@@ -636,7 +639,7 @@ def test_cycle_slots_tile_the_row():
 
 
 def test_run_realization_deterministic():
-    models = ExperimentConfig().build_models()
+    models = ExperimentConfig()
     a = run_realization(models, seed=17, n_cycles=5, replica=3)
     b = run_realization(models, seed=17, n_cycles=5, replica=3)
     assert a == b
@@ -646,12 +649,12 @@ def test_run_realization_deterministic():
 
 def test_run_realization_rejects_zero_cycles():
     with pytest.raises(ValueError):
-        run_realization(ExperimentConfig().build_models(), seed=1, n_cycles=0)
+        run_realization(ExperimentConfig(), seed=1, n_cycles=0)
 
 
 def test_run_realization_bounds_the_refill_over_its_own_cycles():
     # 1e18 atoms/s x 2 engine cycles x 0.23 s = 4.6e17: a legal config
-    models = ExperimentConfig(n_cycles=1, refill_rate=1e18).build_models()
+    models = ExperimentConfig(n_cycles=1, refill_rate=1e18)
     assert len(run_realization(models, seed=1, n_cycles=2)) == 2
     # 5 cycles could supply 1.15e18 atoms
     with pytest.raises(ValueError, match=r"stochastic\.refill_rate .* 5 engine cycles"):
@@ -660,7 +663,7 @@ def test_run_realization_bounds_the_refill_over_its_own_cycles():
 
 def test_degenerate_trace_exact():
     cfg = dataclasses.replace(ExperimentConfig(), **DEGENERATE)
-    records = run_realization(cfg.build_models(), seed=18, n_cycles=4)
+    records = run_realization(cfg, seed=18, n_cycles=4)
     by_cycle = [
         (r.n_buffer_filled, r.n_target_filled, r.target_complete)
         for r in records
@@ -676,7 +679,7 @@ def test_degenerate_trace_exact():
 
 def test_event_log_structure():
     log = EventLog()
-    run_realization(ExperimentConfig().build_models(), seed=19, n_cycles=2, log=log)
+    run_realization(ExperimentConfig(), seed=19, n_cycles=2, log=log)
     assert log.COLUMNS[0] == "replica"
     steps = [row[2] for row in log.rows]
     assert steps[0] == "init"
@@ -692,7 +695,7 @@ def test_event_log_structure():
 def test_fill_rows_carry_move_duration():
     # every move lasts the configured ramp-translate-ramp time; rows
     # without a move leave the field blank
-    models = ExperimentConfig(t_ramp=100e-6, t_move=250e-6).build_models()
+    models = ExperimentConfig(t_ramp=100e-6, t_move=250e-6)
     log = EventLog()
     run_realization(models, seed=19, n_cycles=4, log=log)
     duration = models.move_duration
@@ -706,7 +709,7 @@ def test_fill_rows_carry_move_duration():
 def test_refill_hook_feeds_reservoir():
     cfg = dataclasses.replace(ExperimentConfig(), refill_rate=20.0)
     log = EventLog()
-    records = run_realization(cfg.build_models(), seed=20, n_cycles=10, log=log)
+    records = run_realization(cfg, seed=20, n_cycles=10, log=log)
     assert records[-1].n_reservoir > 0
     # conservation ran inside every cycle; the hook must have fired
     final_res = [row[4] for row in log.rows][-1]
@@ -744,7 +747,7 @@ def test_log_values_have_exactly_their_declared_kind(
         p_stay_on_failure=p_stay_on_failure, refill_rate=refill_rate, **timing,
     )
     log = EventLog()
-    run_realization(cfg.build_models(), seed, n_cycles, replica=replica, log=log)
+    run_realization(cfg, seed, n_cycles, replica=replica, log=log)
     for (name, kind), column in zip(EventLog.KINDS.items(), log.columns):
         strays = [v for v in column if type(v) is not str and type(v) is not kind]
         assert not strays, (name, kind, strays[:3])
@@ -754,7 +757,7 @@ def test_log_values_have_exactly_their_declared_kind(
 @given(seed=st.integers(0, 2**31 - 1))
 def test_counters_monotone_and_reservoir_nonnegative(seed):
     log = EventLog()
-    records = run_realization(ExperimentConfig().build_models(), seed=seed, n_cycles=4, log=log)
+    records = run_realization(ExperimentConfig(), seed=seed, n_cycles=4, log=log)
     assert len(records) == 4
     for prev, cur in zip(records, records[1:]):
         assert cur.extracted_cum >= prev.extracted_cum
@@ -766,7 +769,7 @@ def test_counters_monotone_and_reservoir_nonnegative(seed):
 
 
 def test_event_log_retains_at_most_120_bytes_per_row():
-    models = ExperimentConfig().build_models()
+    models = ExperimentConfig()
     replicas = range(300)
     for replica in replicas:  # fill the layout's plan memo before measuring
         run_realization(models, 5, 16, replica=replica)
@@ -787,7 +790,7 @@ def test_event_log_retains_at_most_120_bytes_per_row():
 
 def test_event_log_rows_keep_their_types():
     log = EventLog()
-    run_realization(ExperimentConfig().build_models(), seed=19, n_cycles=6, log=log)
+    run_realization(ExperimentConfig(), seed=19, n_cycles=6, log=log)
     rows = log.rows
     assert len(rows) == len(log)
     for row in rows:
@@ -807,7 +810,7 @@ def test_event_log_rows_keep_their_types():
 
 
 def big_hex_models():
-    return ExperimentConfig(layout=hex_layout()).build_models()
+    return ExperimentConfig(layout=hex_layout())
 
 
 def test_event_log_masks_exact_past_63_sites():

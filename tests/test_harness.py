@@ -159,15 +159,21 @@ class TestRunExperiment:
         assert replicas == set(range(60))
         assert stats.mean_delivered > 0
 
-    @pytest.mark.parametrize("key,value", [
-        ("n_cycles", 0), ("n_replicas", 0), ("ci_method", "x"),
-    ])
-    def test_a_key_changed_after_construction_is_checked_by_the_run(self, key, value):
-        # the config is mutable; each run checks it again before any replica
-        config = dataclasses.replace(SMALL)
-        setattr(config, key, value)
-        with pytest.raises(ConfigError, match=rf"^run\.{key} must be .*, got {value!r}"):
-            run_experiment(config)
+    def test_each_config_builds_its_models_once(self, monkeypatch):
+        # a run reads the config it is given; a calibrate evaluation builds
+        # its one replaced config
+        calls = []
+        build = ExperimentConfig.build_models
+
+        def counted(config):
+            calls.append(config)
+            return build(config)
+
+        monkeypatch.setattr(ExperimentConfig, "build_models", counted)
+        run_experiment(SMALL)
+        assert calls == []
+        harness._mean_delivered(SMALL, 10.0, 3)
+        assert len(calls) == 1
 
 
 class TestCalibration:

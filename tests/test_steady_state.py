@@ -52,7 +52,7 @@ def check_closed_form(models, n_replicas, n_cycles, batch):
     ids=["defaults", "p_transport-0.5", "lifetime_array_s-3"],
 )
 def test_complete_fraction_matches_the_closed_form(overrides, closed):
-    models = ExperimentConfig(refill_rate=100.0, **overrides).build_models()
+    models = ExperimentConfig(refill_rate=100.0, **overrides)
     assert steady_complete_fraction(models) == pytest.approx(closed, abs=5e-6)
     check_closed_form(models, N_REPLICAS, N_CYCLES, BATCH)
 
@@ -69,7 +69,7 @@ def test_complete_fraction_matches_the_closed_form(overrides, closed):
     t_buffer_refill=st.floats(0.01, 0.1),
 )
 def test_drawn_parameters_match_the_closed_form(**drawn):
-    models = ExperimentConfig(refill_rate=100.0, **drawn).build_models()
+    models = ExperimentConfig(refill_rate=100.0, **drawn)
     check_closed_form(models, 32, 600, 50)
 
 
@@ -77,7 +77,7 @@ def test_supply_limited_run_falls_short_of_the_closed_form():
     # at 1 atom/s the reservoir cannot keep the buffers full: the complete
     # share lies far below pi**6, and the images whose buffers fell short
     # of the vacancies put the run outside the formula's premise
-    models = ExperimentConfig(refill_rate=1.0).build_models()
+    models = ExperimentConfig(refill_rate=1.0)
     mean, se, short, n_images = measure(models, 32, 1_000, 100)
     assert steady_complete_fraction(models) - 0.3 - mean > 4 * se, (mean, se)
     assert short > se * n_images, short

@@ -30,7 +30,7 @@ from tweezersim.stochastic import (
     survival_probability,
 )
 
-MODELS = ExperimentConfig().build_models()
+MODELS = ExperimentConfig()
 # reservoir survival over half a second at the reference lifetime of 5 s
 P_HALF_SECOND = survival_probability(0.5, MODELS.lifetime_reservoir_s)
 # rows handed out as plain floats, for the draws that read a few slots
@@ -134,7 +134,7 @@ def test_sample_survival_statistics():
 
 class TestTransport:
     def test_move_duration(self):
-        models = ExperimentConfig(t_ramp=130e-6, t_move=310e-6).build_models()
+        models = ExperimentConfig(t_ramp=130e-6, t_move=310e-6)
         assert models.move_duration == pytest.approx(570e-6)
 
     def test_sampling_statistics(self):
@@ -150,7 +150,7 @@ class TestTransport:
 
 
 class TestExtractionModel:
-    """``SimulationModels.p_blockade``, inverted from the plateau read out
+    """``ExperimentConfig.p_blockade``, inverted from the plateau read out
     one image after a refill."""
 
     def test_from_plateau_algebra(self):
@@ -461,9 +461,9 @@ def test_a_bundle_indexes_at_most_the_cap_and_reads_the_search_past_it(cap, monk
     # budget; the first table past it empties the budget, and every value
     # past it is read through the helpers
     cfg = ExperimentConfig(n_replicas=1, n_cycles=300, refill_rate=100.0)
-    expected = run_realization(cfg.build_models(), seed=3, n_cycles=300)
+    expected = run_realization(cfg, seed=3, n_cycles=300)
     monkeypatch.setattr(stochastic, "CDF_TABLE_CAP", cap)
-    models = cfg.build_models()
+    models = dataclasses.replace(cfg)  # a fresh bundle, built under the cap
     assert run_realization(models, seed=3, n_cycles=300) == expected
     total, indices = referenced(models)
     assert total <= cap
@@ -486,7 +486,7 @@ def test_huge_reservoirs_allocate_nothing_in_proportion_to_the_count(overrides, 
     # by count. Once numpy's samplers are warm, a realization peaks at a
     # few KiB, where one list of 1e5 counts alone takes 800 KB
     def realize():
-        models = ExperimentConfig(n_cycles=1, **overrides).build_models()
+        models = ExperimentConfig(n_cycles=1, **overrides)
         run_realization(models, seed=1, n_cycles=cycles)
         return models
 
