@@ -9,6 +9,16 @@ next image confirms them. Every atom is accounted for in integer counters so
 conservation can be checked exactly. Every step reads its model values from
 ``models``, a :class:`~tweezersim.config.ExperimentConfig`, checked and
 frozen when it was built.
+
+Each cycle is one pass of :func:`run_cycle` over local ints and floats,
+read from the realization's :class:`SystemState` once and written back once.
+The step functions :func:`step_image`, :func:`step_fill_targets` and
+:func:`step_refill_buffers`, each with :func:`_decay_step`, and
+:func:`check_conservation` do the same cycle step by step on the state.
+They are its scalar reference: the tests compose them into
+``reference_cycle`` and hold the two equal bit for bit. They stay in the
+package only because the benchmark's tracer (``perfbench/tracing.py``)
+binds their names.
 """
 
 from __future__ import annotations
@@ -217,31 +227,77 @@ class EventLog:
 
     def add(
         self,
+        replica: int,
+        cycle: int,
         step: str,
-        state: SystemState,
+        clock_s: float,
+        n_reservoir: int,
+        truth_mask: int,
+        belief_mask: int,
         src="",
         dst="",
         dist_um="",
         duration_s="",
         outcome="",
     ) -> None:
-        """Append one row, each value a ``str`` or exactly its column's type
-        in ``KINDS``: a writer memoises a column's texts by value, and
-        ``True``, ``1`` and ``1.0`` are equal keys that print differently."""
+        """Append one row, its values in ``KINDS`` order, each a ``str`` or
+        exactly its column's type in ``KINDS``: a writer memoises a column's
+        texts by value, and ``True``, ``1`` and ``1.0`` are equal keys that
+        print differently."""
         (replicas, cycles, steps, clocks, reservoirs, truths, beliefs,
          srcs, dsts, dists, durations, outcomes) = self._columns
-        replicas.append(state.replica)
-        cycles.append(state.cycle_index)
+        replicas.append(replica)
+        cycles.append(cycle)
         steps.append(step)
-        clocks.append(state.clock)
-        reservoirs.append(state.n_reservoir)
-        truths.append(state.truth)
-        beliefs.append(state.belief)
+        clocks.append(clock_s)
+        reservoirs.append(n_reservoir)
+        truths.append(truth_mask)
+        beliefs.append(belief_mask)
         srcs.append(src)
         dsts.append(dst)
         dists.append(dist_um)
         durations.append(duration_s)
         outcomes.append(outcome)
+
+
+def _state_row(state: SystemState, step: str) -> tuple:
+    """The first seven values of a ``step`` row of ``state``, in
+    ``EventLog.KINDS`` order: ``log.add(*_state_row(state, step), ...)``."""
+    return (
+        state.replica, state.cycle_index, step, state.clock,
+        state.n_reservoir, state.truth, state.belief,
+    )
+
+
+def init_sequence(models: ExperimentConfig, rng: RngStream) -> SystemState:
+    """Prepare a realization: cooled cloud transferred into the reservoir,
+    all array sites empty, clock at the end of the preparation stages.
+
+    The reservoir population is the Poisson value, at the configured mean,
+    of the stream's leading uniform, which is read even at mean 0: read
+    from ``models.initial_load``, or by :func:`poisson_icdf` at or above its
+    last sum and above the search limit, where the table is empty. The
+    state takes its replica label from ``rng``.
+    """
+    u = rng.random()
+    cdfs = models.initial_load
+    n0 = bisect_right(cdfs, u)
+    if n0 == len(cdfs):
+        n0 = poisson_icdf(u, models.reservoir_mean, rng, 0)
+    return SystemState(
+        truth=0,
+        belief=0,
+        n_reservoir=n0,
+        clock=float(models.init_duration),  # a float, as KINDS says
+        replica=rng.replica,
+        n_initial_reservoir=n0,
+    )
+
+
+# The scalar reference of run_cycle: the same cycle, step by step on a
+# SystemState. run_cycle calls none of these; tests/oracles.py composes them
+# into reference_cycle, and they stay here only because perfbench/tracing.py
+# rebinds their names.
 
 
 def _decay_step(
@@ -271,31 +327,6 @@ def _decay_step(
             counters.refilled += added
 
 
-def init_sequence(models: ExperimentConfig, rng: RngStream) -> SystemState:
-    """Prepare a realization: cooled cloud transferred into the reservoir,
-    all array sites empty, clock at the end of the preparation stages.
-
-    The reservoir population is the Poisson value, at the configured mean,
-    of the stream's leading uniform, which is read even at mean 0: read
-    from ``models.initial_load``, or by :func:`poisson_icdf` at or above its
-    last sum and above the search limit, where the table is empty. The
-    state takes its replica label from ``rng``.
-    """
-    u = rng.random()
-    cdfs = models.initial_load
-    n0 = bisect_right(cdfs, u)
-    if n0 == len(cdfs):
-        n0 = poisson_icdf(u, models.reservoir_mean, rng, 0)
-    return SystemState(
-        truth=0,
-        belief=0,
-        n_reservoir=n0,
-        clock=float(models.init_duration),  # a float, as KINDS says
-        replica=rng.replica,
-        n_initial_reservoir=n0,
-    )
-
-
 def step_image(
     state: SystemState,
     models: ExperimentConfig,
@@ -309,7 +340,7 @@ def step_image(
     state.clock += models.t_image
     state.belief = state.truth
     if log is not None:
-        log.add("image", state)
+        log.add(*_state_row(state, "image"))
 
 
 def step_fill_targets(
@@ -372,12 +403,9 @@ def step_fill_targets(
         state.belief ^= src_bit | dst_bit  # source set, destination clear
         slot += 2
         if log is not None:
-            log.add(
-                "fill", state, src=src, dst=dst,
-                dist_um=dist, duration_s=duration, outcome=outcome,
-            )
+            log.add(*_state_row(state, "fill"), src, dst, dist, duration, outcome)
     if log is not None and not plan:
-        log.add("fill", state)
+        log.add(*_state_row(state, "fill"))
     _decay_step(state, models.fill_window, rng, slots.fill)
     state.clock += models.t_analysis_fill
 
@@ -429,11 +457,11 @@ def step_refill_buffers(
                 outcome = "empty" if removed == 0 else "blocked"
         if log is not None:
             log.add(
-                "refill", state, src="R", dst=sid,
-                dist_um=layout.reservoir_dist[sid], outcome=outcome,
+                *_state_row(state, "refill"), "R", sid,
+                layout.reservoir_dist[sid], outcome=outcome,
             )
     if log is not None and not order:
-        log.add("refill", state)
+        log.add(*_state_row(state, "refill"))
     _decay_step(state, models.refill_window, rng, slots.refill)
     state.clock += models.t_buffer_refill
 
@@ -472,25 +500,177 @@ def run_cycle(
     this cycle's fill and refill are only visible in the next one. The
     cycle starts by drawing its row of uniforms from ``rng``, handed out as
     ``models.slots`` says.
+
+    One pass over locals: the state is read once, the blocks below run in
+    engine order and the state is written back once, before the
+    conservation check. Each block does what :func:`step_image`,
+    :func:`step_fill_targets` with its :func:`_decay_step`,
+    :func:`step_refill_buffers` and :func:`check_conservation` do, with the
+    same draws from the same slots and the same errors; those functions are
+    its scalar reference.
     """
-    state.cycle_index += 1
-    rng.next_row(models.slots)
-    layout = models.layout
-    step_image(state, models, rng, log)
+    slots, layout = models.slots, models.layout
+    row = rng.next_row(slots)
+    cycle = state.cycle_index + 1
+    truth, n_res, clock = state.truth, state.n_reservoir, state.clock
     c = state.counters
-    truth, target_bits = state.truth, layout.target_bits
+    extracted, delivered, blockade = c.extracted, c.delivered, c.blockade_loss
+    transport_loss, array_decay = c.transport_loss, c.array_decay_loss
+    reservoir_decay_loss, refilled = c.reservoir_decay_loss, c.refilled
+    replica = state.replica
+    bits = layout.site_bits
+
+    # image: the image window's decay, then belief reset to truth (perfect
+    # detection); the decay is truth-only, as in every window below
+    window, slot = models.image_window, slots.image
+    if window.length > 0.0:
+        dead = truth & row[slot + 2]
+        if dead:
+            truth ^= dead
+            array_decay += dead.bit_count()
+        lost, added = reservoir_decay(rng, n_res, window, slot)
+        if lost or added:
+            n_res += added - lost
+            reservoir_decay_loss += lost
+            refilled += added
+    clock += models.t_image
+    belief = truth
+    if log is not None:
+        log.add(replica, cycle, "image", clock, n_res, truth, belief)
+
+    # the record, read off truth at the image; tuple.__new__ skips the
+    # named tuple's Python-level __new__, a fifth of a microsecond a cycle
+    target_bits = layout.target_bits
     targets = truth & target_bits
-    record = CycleRecord(
-        state.cycle_index, targets == target_bits,
+    record = tuple.__new__(CycleRecord, (
+        cycle, targets == target_bits,
         (truth & layout.buffer_bits).bit_count(), targets.bit_count(),
-        state.n_reservoir, state.clock,
-        c.extracted, c.delivered, c.reservoir_decay_loss,
+        n_res, clock, extracted, delivered, reservoir_decay_loss,
+    ))
+
+    # fill: each move checked against belief, which assumes it succeeds
+    plan = plan_target_fill(MaskOccupancy(layout, belief), strategy=models.fill_strategy)
+    if len(plan) > slots.n_moves:
+        raise PlanConflictError(
+            f"fill plan has {len(plan)} moves; a cycle holds at most {slots.n_moves}"
+        )
+    p_transport, p_stay = models.p_transport, models.p_stay_on_failure
+    duration = models.move_duration
+    slot = slots.moves
+    for src, dst, dist in plan:
+        src_bit, dst_bit = bits[src], bits[dst]
+        if not belief & src_bit:
+            raise PlanConflictError(
+                f"fill plan sources site {src} which belief marks empty"
+            )
+        if belief & dst_bit:
+            raise PlanConflictError(
+                f"fill plan targets site {dst} which belief marks occupied"
+            )
+        if truth & src_bit:
+            truth ^= src_bit
+            if sample_transport(rng, p_transport, slot):
+                if truth & dst_bit:
+                    raise EngineError(f"transport into occupied site {dst}")
+                truth |= dst_bit
+                outcome = "ok"
+            elif row[slot + 1] < p_stay:
+                truth |= src_bit
+                outcome = "stay"
+            else:
+                transport_loss += 1
+                outcome = "lost"
+        else:
+            outcome = "null"
+        belief ^= src_bit | dst_bit  # source set, destination clear
+        slot += 2
+        if log is not None:
+            log.add(
+                replica, cycle, "fill", clock, n_res, truth, belief,
+                src, dst, dist, duration, outcome,
+            )
+    if log is not None and not plan:
+        log.add(replica, cycle, "fill", clock, n_res, truth, belief)
+    window, slot = models.fill_window, slots.fill
+    if window.length > 0.0:
+        dead = truth & row[slot + 2]
+        if dead:
+            truth ^= dead
+            array_decay += dead.bit_count()
+        lost, added = reservoir_decay(rng, n_res, window, slot)
+        if lost or added:
+            n_res += added - lost
+            reservoir_decay_loss += lost
+            refilled += added
+    clock += models.t_analysis_fill
+
+    # refill: one extraction per believed-empty buffer, nearest first;
+    # a delivered atom stays believed-empty until the next image
+    order = plan_buffer_refill(belief, layout)
+    buffer_slots, reservoir_dist = slots.buffers, layout.reservoir_dist
+    for sid in order:
+        bit = bits[sid]
+        if belief & bit:
+            raise PlanConflictError(
+                f"refill list contains site {sid} which belief marks occupied"
+            )
+        if truth & bit:
+            outcome = "skip"
+        elif n_res == 0:
+            outcome = "empty"
+        else:
+            removed, caught = sample_extraction(
+                rng, n_res, models.ensembles, models.p_blockade, buffer_slots[sid]
+            )
+            n_res -= removed
+            extracted += removed
+            if caught:
+                truth |= bit
+                delivered += 1
+                blockade += removed - 1
+                outcome = "delivered"
+            else:
+                blockade += removed
+                outcome = "empty" if removed == 0 else "blocked"
+        if log is not None:
+            log.add(
+                replica, cycle, "refill", clock, n_res, truth, belief,
+                "R", sid, reservoir_dist[sid], outcome=outcome,
+            )
+    if log is not None and not order:
+        log.add(replica, cycle, "refill", clock, n_res, truth, belief)
+    window, slot = models.refill_window, slots.refill
+    if window.length > 0.0:
+        dead = truth & row[slot + 2]
+        if dead:
+            truth ^= dead
+            array_decay += dead.bit_count()
+        lost, added = reservoir_decay(rng, n_res, window, slot)
+        if lost or added:
+            n_res += added - lost
+            reservoir_decay_loss += lost
+            refilled += added
+    clock += models.t_buffer_refill
+
+    state.cycle_index, state.truth, state.belief = cycle, truth, belief
+    state.n_reservoir, state.clock = n_res, clock
+    c.extracted, c.delivered, c.blockade_loss = extracted, delivered, blockade
+    c.transport_loss, c.array_decay_loss = transport_loss, array_decay
+    c.reservoir_decay_loss, c.refilled = reservoir_decay_loss, refilled
+
+    # conservation: the exact integer balance of check_conservation
+    supplied = state.n_initial_reservoir + refilled
+    accounted = (
+        n_res + truth.bit_count() + blockade + transport_loss
+        + array_decay + reservoir_decay_loss
     )
-    fill = models.fill_strategy
-    plan = plan_target_fill(MaskOccupancy(layout, state.belief), strategy=fill)
-    step_fill_targets(state, plan, models, rng, log)
-    step_refill_buffers(state, plan_buffer_refill(state.belief, layout), models, rng, log)
-    check_conservation(state)
+    if supplied != accounted:
+        raise EngineError(
+            f"atom conservation violated: supplied {supplied} != "
+            f"accounted {accounted} ({c})"
+        )
+    if delivered > extracted:
+        raise EngineError("delivered exceeds extracted")
     return record
 
 
@@ -514,5 +694,5 @@ def run_realization(
     rng = RngStream(seed, replica, n_rows=n_cycles)
     state = init_sequence(models, rng)
     if log is not None:
-        log.add("init", state)
+        log.add(*_state_row(state, "init"))
     return [run_cycle(state, models, rng, log) for _ in range(n_cycles)]

@@ -7,10 +7,24 @@ distance in µm. The greedy fill planner never beats it.
 
 :func:`steady_complete_fraction` is the closed form of continuous
 operation, where the refill keeps the buffers covering every vacancy.
+
+:func:`reference_cycle` is the engine cycle composed of the engine's step
+functions, the scalar reference that ``engine.run_cycle``, one pass over
+locals, is checked against.
 """
 
 import itertools
 import math
+
+from tweezersim.engine import (
+    CycleRecord,
+    check_conservation,
+    step_fill_targets,
+    step_image,
+    step_refill_buffers,
+)
+from tweezersim.geometry import MaskOccupancy
+from tweezersim.planner import plan_buffer_refill, plan_target_fill
 
 
 def exhaustive_assignment(vacancies, sources):
@@ -70,3 +84,30 @@ def steady_complete_fraction(models):
     p = models.p_transport
     pi = p * s / (1.0 - s + p * s)
     return pi ** len(models.layout.target_ids)
+
+
+def reference_cycle(state, models, rng, log=None):
+    """One engine cycle as its steps compose it: the cycle's row, the
+    image, the record read off truth at the image, the fill plan and its
+    moves, the refill order and its extractions, then the conservation
+    check. It changes ``state`` and ``log`` as ``engine.run_cycle`` does,
+    and returns the same record."""
+    state.cycle_index += 1
+    rng.next_row(models.slots)
+    layout = models.layout
+    step_image(state, models, rng, log)
+    c = state.counters
+    truth, target_bits = state.truth, layout.target_bits
+    targets = truth & target_bits
+    record = CycleRecord(
+        state.cycle_index, targets == target_bits,
+        (truth & layout.buffer_bits).bit_count(), targets.bit_count(),
+        state.n_reservoir, state.clock,
+        c.extracted, c.delivered, c.reservoir_decay_loss,
+    )
+    fill = models.fill_strategy
+    plan = plan_target_fill(MaskOccupancy(layout, state.belief), strategy=fill)
+    step_fill_targets(state, plan, models, rng, log)
+    step_refill_buffers(state, plan_buffer_refill(state.belief, layout), models, rng, log)
+    check_conservation(state)
+    return record

@@ -819,14 +819,14 @@ def test_event_log_masks_exact_past_63_sites():
     assert len(layout.site_ids) > 63
     state = init_sequence(models, RngStream(3, 0))
     log = EventLog()
-    log.add("init", state)  # fits the unboxed column
+    log.add(*engine._state_row(state, "init"))  # fits the unboxed column
     top, low = layout.site_ids[-1], layout.site_ids[0]
     state.truth = bits(models, top, low)
     state.belief = bits(models, low)
     state.cycle_index = 1
-    log.add("image", state)  # truth past 63 bits, belief not
+    log.add(*engine._state_row(state, "image"))  # truth past 63 bits, belief not
     state.belief = state.truth
-    log.add("image", state)
+    log.add(*engine._state_row(state, "image"))
     truth_masks = [row[5] for row in log.rows]
     belief_masks = [row[6] for row in log.rows]
     small = layout.site_bits[low]
@@ -855,19 +855,19 @@ def test_streaming_event_log_hands_wide_masks_to_the_sink_exactly():
     log = EventLog(sink)
     top = layout.site_ids[-1]
     state.truth = bits(models, top)
-    log.add("image", state)  # a truth mask past 63 bits
+    log.add(*engine._state_row(state, "image"))  # a truth mask past 63 bits
     memory = EventLog()
-    memory.add("image", state)
+    memory.add(*engine._state_row(state, "image"))
     wide = layout.site_bits[top]
     assert memory.columns[5] == [wide] and memory.rows[0][5] == wide
     log.flush(2)  # one row buffered: kept
     assert sink.blocks == [] and len(log) == 1
     state.truth = 0
-    log.add("image", state)
+    log.add(*engine._state_row(state, "image"))
     log.flush(2)
     assert len(sink.blocks) == 1 and len(log) == 2 and log.rows == []
     assert sink.blocks[0][5] == [wide, 0]
-    log.add("init", state)  # later rows stream as before
+    log.add(*engine._state_row(state, "init"))  # later rows stream as before
     log.close()
     assert sink.closed and len(log) == 3
     assert [block[2] for block in sink.blocks] == [["image", "image"], ["init"]]

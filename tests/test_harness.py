@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import tweezersim
 from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
-from tweezersim.engine import EventLog, SystemState
+from tweezersim.engine import EventLog
 from tweezersim.harness import (
     CalibrationError,
     binomial_halfwidth,
@@ -402,7 +402,7 @@ def test_events_writer_keeps_one_block_of_replica_labels(tmp_path, monkeypatch):
 def test_events_writer_refuses_values_outside_their_declared_kind(tmp_path, column, value):
     with pytest.raises(TypeError, match=column):
         with stream_events(str(tmp_path)) as log:
-            log.add("image", SystemState(truth=1, belief=1, n_reservoir=4, clock=0.5, replica=0))
+            log.add(0, 0, "image", 0.5, 4, 1, 1)
             log.columns[EventLog.COLUMNS.index(column)][0] = value
             log.close()
 
@@ -413,10 +413,9 @@ def test_event_groups_print_float_zeros_and_nan_as_written(tmp_path):
     assert sum(harness._EVENT_GROUPS, ()) == EventLog.COLUMNS
     log = EventLog()
     for clock in (0.0, -0.0, 0.0, -0.0):
-        state = SystemState(truth=1, belief=1, n_reservoir=4, clock=clock, replica=0)
-        log.add("image", state)
+        log.add(0, 0, "image", clock, 4, 1, 1)
         for dist in (0.0, -0.0, math.nan, -0.0, 0.0, math.nan):
-            log.add("fill", state, 0, 7, dist, 0.01, "ok")
+            log.add(0, 0, "fill", clock, 4, 1, 1, 0, 7, dist, 0.01, "ok")
     with stream_events(str(tmp_path)) as events:
         events.sink.write(log.columns)
     assert (tmp_path / "events.csv").read_bytes() == reference_csv(EventLog.COLUMNS, log.rows)
