@@ -5,10 +5,14 @@ image -> fill targets from buffers -> refill buffers from the reservoir.
 Ground-truth and believed occupancy bitmasks are tracked separately:
 belief is reset to truth at each imaging step, assumes success for planned
 transports in between, and treats freshly refilled buffers as empty until the
-next image confirms them. Every atom is accounted for in integer counters so
-conservation can be checked exactly. Every step reads its model values from
-``models``, a :class:`~tweezersim.config.ExperimentConfig`, checked and
-frozen when it was built.
+next image confirms them. The engine runs the planner's plans unchecked:
+the planner checks each fill plan against belief once, when it makes it
+(:func:`~tweezersim.planner.check_fill_plan`), and builds each refill order
+from the believed-empty buffers. Every atom is accounted for in integer
+counters, and the exact conservation check after every cycle is the
+backstop for a plan that breaks those guarantees. Every step reads its
+model values from ``models``, a :class:`~tweezersim.config.ExperimentConfig`,
+checked and frozen when it was built.
 
 Each cycle is one pass of :func:`run_cycle` over local ints and floats,
 read from the realization's :class:`SystemState` once and written back once.
@@ -51,7 +55,6 @@ __all__ = [
     "CycleRecord",
     "EventLog",
     "EngineError",
-    "PlanConflictError",
     "init_sequence",
     "step_image",
     "step_fill_targets",
@@ -64,10 +67,6 @@ __all__ = [
 
 class EngineError(RuntimeError):
     """An engine invariant was violated."""
-
-
-class PlanConflictError(EngineError):
-    """A plan contradicts the belief it was supposedly built from."""
 
 
 class CycleSlots(RowForm):
@@ -352,54 +351,34 @@ def step_fill_targets(
 ) -> None:
     """Execute the fill plan move by move, then advance the analysis window.
 
-    A move sourcing a site belief marks empty, or targeting one it marks
-    occupied (as a self-loop or a repeated source or destination does),
-    raises :class:`PlanConflictError`; this is the one check on a plan.
-    Belief assumes every move succeeds (source empty, destination
-    occupied); truth records the sampled outcome. A believed-occupied but
-    truly empty source executes as a null transport. A failed transport
-    returns the atom to the source with probability ``p_stay_on_failure``
-    and loses it otherwise. Move ``j`` of the plan reads its transport and
-    retention uniforms from its two slots of the current row
-    (``models.slots``, a :class:`CycleSlots`). Every move lasts the
-    transport's fixed ramp-translate-ramp time.
+    The plan is one the planner made and checked against this belief
+    (:func:`~tweezersim.planner.check_fill_plan`), so each source holds
+    its atom in truth and each target is truly empty. Belief assumes every
+    move succeeds (source empty, destination occupied); truth records the
+    sampled outcome. A failed transport returns the atom to the source
+    with probability ``p_stay_on_failure`` and loses it otherwise. Move
+    ``j`` of the plan reads its transport and retention uniforms from its
+    two slots of the current row (``models.slots``, a :class:`CycleSlots`).
+    Every move lasts the transport's fixed ramp-translate-ramp time.
     """
     counters = state.counters
     bits = models.layout.site_bits
     p_stay = models.p_stay_on_failure
     duration = models.move_duration  # one float shared by the rows
     slots = models.slots
-    if len(plan) > slots.n_moves:
-        raise PlanConflictError(
-            f"fill plan has {len(plan)} moves; a cycle holds at most {slots.n_moves}"
-        )
     slot = slots.moves
     for src, dst, dist in plan:
         src_bit, dst_bit = bits[src], bits[dst]
-        if not state.belief & src_bit:
-            raise PlanConflictError(
-                f"fill plan sources site {src} which belief marks empty"
-            )
-        if state.belief & dst_bit:
-            raise PlanConflictError(
-                f"fill plan targets site {dst} which belief marks occupied"
-            )
-        if state.truth & src_bit:
-            state.truth ^= src_bit
-            if sample_transport(rng, models.p_transport, slot):
-                if state.truth & dst_bit:
-                    raise EngineError(f"transport into occupied site {dst}")
-                state.truth |= dst_bit
-                outcome = "ok"
-            else:
-                if rng.row[slot + 1] < p_stay:
-                    state.truth |= src_bit
-                    outcome = "stay"
-                else:
-                    counters.transport_loss += 1
-                    outcome = "lost"
+        state.truth ^= src_bit
+        if sample_transport(rng, models.p_transport, slot):
+            state.truth |= dst_bit
+            outcome = "ok"
+        elif rng.row[slot + 1] < p_stay:
+            state.truth |= src_bit
+            outcome = "stay"
         else:
-            outcome = "null"
+            counters.transport_loss += 1
+            outcome = "lost"
         state.belief ^= src_bit | dst_bit  # source set, destination clear
         slot += 2
         if log is not None:
@@ -432,10 +411,6 @@ def step_refill_buffers(
     slots = models.slots
     for sid in order:
         bit = layout.site_bits[sid]
-        if state.belief & bit:
-            raise PlanConflictError(
-                f"refill list contains site {sid} which belief marks occupied"
-            )
         if state.truth & bit:
             outcome = "skip"
         elif state.n_reservoir == 0:
@@ -548,40 +523,23 @@ def run_cycle(
         n_res, clock, extracted, delivered, reservoir_decay_loss,
     ))
 
-    # fill: each move checked against belief, which assumes it succeeds
+    # fill: the planner's checked plan, each move assumed to succeed in belief
     plan = plan_target_fill(MaskOccupancy(layout, belief), strategy=models.fill_strategy)
-    if len(plan) > slots.n_moves:
-        raise PlanConflictError(
-            f"fill plan has {len(plan)} moves; a cycle holds at most {slots.n_moves}"
-        )
     p_transport, p_stay = models.p_transport, models.p_stay_on_failure
     duration = models.move_duration
     slot = slots.moves
     for src, dst, dist in plan:
         src_bit, dst_bit = bits[src], bits[dst]
-        if not belief & src_bit:
-            raise PlanConflictError(
-                f"fill plan sources site {src} which belief marks empty"
-            )
-        if belief & dst_bit:
-            raise PlanConflictError(
-                f"fill plan targets site {dst} which belief marks occupied"
-            )
-        if truth & src_bit:
-            truth ^= src_bit
-            if sample_transport(rng, p_transport, slot):
-                if truth & dst_bit:
-                    raise EngineError(f"transport into occupied site {dst}")
-                truth |= dst_bit
-                outcome = "ok"
-            elif row[slot + 1] < p_stay:
-                truth |= src_bit
-                outcome = "stay"
-            else:
-                transport_loss += 1
-                outcome = "lost"
+        truth ^= src_bit
+        if sample_transport(rng, p_transport, slot):
+            truth |= dst_bit
+            outcome = "ok"
+        elif row[slot + 1] < p_stay:
+            truth |= src_bit
+            outcome = "stay"
         else:
-            outcome = "null"
+            transport_loss += 1
+            outcome = "lost"
         belief ^= src_bit | dst_bit  # source set, destination clear
         slot += 2
         if log is not None:
@@ -610,10 +568,6 @@ def run_cycle(
     buffer_slots, reservoir_dist = slots.buffers, layout.reservoir_dist
     for sid in order:
         bit = bits[sid]
-        if belief & bit:
-            raise PlanConflictError(
-                f"refill list contains site {sid} which belief marks occupied"
-            )
         if truth & bit:
             outcome = "skip"
         elif n_res == 0:

@@ -2,8 +2,10 @@
 ordering.
 
 Plans are computed against the controller's *believed* occupancy, never the
-ground truth; the cycle engine reconciles the two at each imaging step, and
-checks each planned move against belief as it runs it.
+ground truth; the cycle engine reconciles the two at each imaging step. The
+planner checks each fill plan against its belief once, when it makes it
+(:func:`check_fill_plan`), and the engine runs the plans it is handed
+without checking them again.
 """
 
 from __future__ import annotations
@@ -15,13 +17,15 @@ from .geometry import ArrayLayout, MaskOccupancy
 __all__ = [
     "Move",
     "PlanError",
+    "check_fill_plan",
     "plan_target_fill",
     "plan_buffer_refill",
 ]
 
 
 class PlanError(ValueError):
-    """Raised when a plan request is inconsistent with the layout."""
+    """Raised when a plan request is inconsistent with the layout, or a
+    plan with the belief it is made for."""
 
 
 class Move(NamedTuple):
@@ -58,7 +62,8 @@ def plan_target_fill(belief: MaskOccupancy, *, strategy: str = "global") -> tupl
     is always the rule's next choice. The plan always contains
     min(#vacancies, #occupied buffers) moves.
 
-    Plans are memoised on the layout by (belief mask, strategy). ``belief``
+    Each plan is checked by :func:`check_fill_plan` once, when it is made,
+    and then memoised on the layout by (belief mask, strategy). ``belief``
     is a :class:`MaskOccupancy` rather than the bitmask it reads only
     because the benchmark's tracer reads the fill's input as a mapping.
     """
@@ -85,9 +90,33 @@ def plan_target_fill(belief: MaskOccupancy, *, strategy: str = "global") -> tupl
             moves.append(Move(src, dst, d))
             state ^= bits[src] | bits[dst]
     plan = tuple(moves)
+    check_fill_plan(plan, mask, layout)
     if len(layout.plan_memo) < MEMO_CAP:
         layout.plan_memo[mask, strategy] = plan
     return plan
+
+
+def check_fill_plan(plan: tuple[Move, ...], mask: int, layout: ArrayLayout) -> None:
+    """Raise :class:`PlanError`, naming the site, unless every move of
+    ``plan`` takes a distinct buffer the belief bitmask ``mask`` marks
+    occupied to a distinct target it marks empty.
+
+    The engine runs a plan on this guarantee alone: each source holds the
+    atom the image saw there and each target is empty, so a plan moves at
+    most min(#targets, #buffers) atoms, one per move slot of the cycle.
+    """
+    bits = layout.site_bits
+    sources = mask & layout.buffer_bits  # occupied buffers not yet moved
+    vacancies = ~mask & layout.target_bits  # empty targets not yet filled
+    for src, dst, _ in plan:
+        bit = bits.get(src, 0)
+        if not sources & bit:
+            raise PlanError(f"fill plan sources site {src}, not a believed-occupied buffer left")
+        sources ^= bit
+        bit = bits.get(dst, 0)
+        if not vacancies & bit:
+            raise PlanError(f"fill plan targets site {dst}, not a believed-empty target left")
+        vacancies ^= bit
 
 
 def plan_buffer_refill(mask: int, layout: ArrayLayout) -> tuple[int, ...]:

@@ -19,7 +19,6 @@ from tweezersim.engine import (
     DecayWindow,
     EngineError,
     EventLog,
-    PlanConflictError,
     SystemState,
     check_conservation,
     init_sequence,
@@ -251,44 +250,6 @@ def test_step_image_syncs_belief():
 
 
 class TestFillStep:
-    def test_conflict_on_believed_empty_source(self):
-        models = models_with(**DEGENERATE)
-        rng = RngStream(5, 0)
-        state = init_sequence(models, rng)
-        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
-        plan = (Move(0, 7, 10.0),)
-        with pytest.raises(PlanConflictError, match="belief marks empty"):
-            step_fill_targets(state, plan, models, rng)
-
-    @pytest.mark.parametrize("plan,words", [
-        ((Move(0, 0, 0.0),), "targets site 0 which belief marks occupied"),
-        ((Move(0, 7, 10.0), Move(0, 8, 10.0)), "sources site 0 which belief marks empty"),
-        ((Move(0, 7, 10.0), Move(1, 7, 10.0)), "targets site 7 which belief marks occupied"),
-    ], ids=["self_loop", "repeated_source", "repeated_destination"])
-    def test_malformed_plan_is_refused_move_by_move(self, plan, words):
-        # a plan is a plain tuple of moves; the engine's per-move belief
-        # check is the one check on it
-        models = models_with(**DEGENERATE)
-        rng = RngStream(5, 0)
-        state = init_sequence(models, rng)
-        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
-        state.truth = state.belief = bits(models, 0, 1)
-        with pytest.raises(PlanConflictError, match=words):
-            step_fill_targets(state, plan, models, rng)
-
-    def test_null_transport_when_source_truly_empty(self):
-        models = models_with(**DEGENERATE)
-        rng = RngStream(6, 0)
-        state = init_sequence(models, rng)
-        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
-        state.belief |= bits(models, 0)  # stale belief, no atom in truth
-        log = EventLog()
-        plan = (Move(0, 7, 10.0),)
-        assert step_fill_targets(state, plan, models, rng, log) is None
-        assert state.truth == 0
-        assert state.belief == bits(models, 7)  # belief still assumes success
-        assert log.rows[-1][-1] == "null"
-
     def test_lose_mode_drops_atom(self):
         models = models_with(**DEGENERATE | dict(p_transport=0.0, p_stay_on_failure=0.0))
         rng = RngStream(7, 0)
@@ -331,42 +292,8 @@ class TestFillStep:
             assert state.counters.transport_loss == loss
             assert state.truth == (bits(models, 0) if loss == 0 else 0)
 
-    def test_plan_longer_than_the_move_slots_is_refused(self):
-        # a fill plan moves at most min(targets, buffers) atoms, so a cycle's
-        # row holds that many move slots; a longer plan would read the next
-        # window's uniforms
-        models = models_with(**DEGENERATE)
-        rng = RngStream(9, 0)
-        state = init_sequence(models, rng)
-        rng.next_row(models.slots)
-        state.truth = state.belief = bits(models, *range(7))
-        moves = [Move(b, t, 10.0) for b, t in zip(range(6), range(7, 13))]
-        plan = (*moves, Move(6, 0, 10.0))
-        with pytest.raises(PlanConflictError, match="7 moves; a cycle holds at most 6"):
-            step_fill_targets(state, plan, models, rng)
-
-    def test_transport_into_occupied_site_raises(self):
-        models = models_with(**DEGENERATE)
-        rng = RngStream(10, 0)
-        state = init_sequence(models, rng)
-        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
-        state.truth = state.belief = bits(models, 0)
-        state.truth |= bits(models, 7)  # desynced: belief says empty
-        plan = (Move(0, 7, 10.0),)
-        with pytest.raises(EngineError, match="occupied site"):
-            step_fill_targets(state, plan, models, rng)
-
 
 class TestRefillStep:
-    def test_conflict_on_believed_occupied(self):
-        models = models_with(**DEGENERATE)
-        rng = RngStream(11, 0)
-        state = init_sequence(models, rng)
-        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
-        state.belief |= bits(models, 3)
-        with pytest.raises(PlanConflictError, match="marks occupied"):
-            step_refill_buffers(state, [3], models, rng)
-
     def test_skip_leaves_reservoir_alone(self):
         models = models_with(**DEGENERATE)
         rng = RngStream(12, 0)

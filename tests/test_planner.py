@@ -1,6 +1,7 @@
 """Planning layer: fill plans and refill ordering, checked against the
 assignment oracles."""
 
+import functools
 import hashlib
 import math
 import random
@@ -9,15 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweezersim import planner
+from tweezersim.config import ExperimentConfig
 from tweezersim.geometry import ArrayLayout, MaskOccupancy, Position, reference_layout
 from tweezersim.planner import (
     MEMO_CAP,
+    Move,
     PlanError,
+    check_fill_plan,
     plan_buffer_refill,
     plan_target_fill,
 )
 
-from conftest import hex_layout
+from conftest import hex_layout, two_site_layout
 from oracles import exhaustive_assignment, hungarian_assignment
 
 LAYOUT = reference_layout()
@@ -106,17 +110,44 @@ def repeated_minimum_rule(layout, mask, strategy):
     return moves
 
 
+@functools.cache
+def move_slots(layout):
+    """The fill-move slots of a cycle on ``layout``: ``CycleSlots.n_moves``."""
+    return ExperimentConfig(layout=layout).slots.n_moves
+
+
+def assert_plans_keep_the_invariant(layout, mask, strategy):
+    """The invariant the engine runs plans on: the fill plan for ``mask``
+    moves distinct believed-occupied buffers into distinct believed-empty
+    targets, min(#occupied buffers, #empty targets) of them and at most a
+    cycle's move slots; the refill order lists each believed-empty buffer
+    once."""
+    plan = plan_target_fill(MaskOccupancy(layout, mask), strategy=strategy)
+    bits = layout.site_bits
+    sources = {b for b in layout.buffer_ids if mask & bits[b]}
+    vacancies = {t for t in layout.target_ids if not mask & bits[t]}
+    srcs, dsts = [m.src for m in plan], [m.dst for m in plan]
+    assert len(set(srcs)) == len(set(dsts)) == len(plan)
+    assert set(srcs) <= sources and set(dsts) <= vacancies
+    assert len(plan) == min(len(sources), len(vacancies)) <= move_slots(layout)
+    order = plan_buffer_refill(mask, layout)
+    assert sorted(order) == sorted(set(layout.buffer_ids) - sources)
+
+
 @pytest.mark.parametrize("strategy", ["global", "per-vacancy"])
 def test_plans_follow_the_repeated_minimum_rule(strategy):
-    # every believed occupancy of the reference layout, and 200 seeded ones
-    # of hex-91, whose lattice has many equal distances to break ties on
+    # every believed occupancy of the reference and two-site layouts, and
+    # 200 seeded ones of hex-91, whose lattice has many equal distances to
+    # break ties on; each plan also keeps the invariant the engine runs on
     for layout, masks in (
         (reference_layout(), range(1 << len(LAYOUT.site_ids))),
+        (two_site_layout(), range(4)),
         (hex_layout(), [random.Random(2029).getrandbits(91) for _ in range(200)]),
     ):
         for mask in masks:
             plan = plan_target_fill(MaskOccupancy(layout, mask), strategy=strategy)
             assert [tuple(m) for m in plan] == repeated_minimum_rule(layout, mask, strategy)
+            assert_plans_keep_the_invariant(layout, mask, strategy)
 
 
 def test_cold_plans_read_no_site_distance(monkeypatch):
@@ -327,13 +358,56 @@ def test_single_vacancy_heuristic_is_optimal():
         assert h == pytest.approx(o)
 
 
+HEX91 = hex_layout()
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**30 - 1))
-def test_plan_respects_occupancy(seed):
+@given(
+    st.integers(0, 2**30 - 1), st.integers(0, 2**91 - 1),
+    st.sampled_from(["global", "per-vacancy"]),
+)
+def test_plan_respects_occupancy(seed, hex_mask, strategy):
     belief = random_belief(random.Random(seed))
-    for mv in plan_target_fill(belief):
-        assert belief[mv.src] is True
-        assert belief[mv.dst] is False
+    assert_plans_keep_the_invariant(LAYOUT, belief.mask, strategy)
+    assert_plans_keep_the_invariant(HEX91, hex_mask, strategy)
+
+
+# Plans the planner never makes, each refused by its check at the first
+# site it cannot use: on the reference layout, buffers 0-6 and targets 7-12.
+@pytest.mark.parametrize("occupied,plan,refused", [
+    ({0, 1}, (Move(0, 0, 0.0),), "targets site 0"),
+    ({0, 1}, (Move(0, 7, 10.0), Move(0, 8, 10.0)), "sources site 0"),
+    ({0, 1}, (Move(0, 7, 10.0), Move(1, 7, 10.0)), "targets site 7"),
+    (set(), (Move(0, 7, 10.0),), "sources site 0"),
+    ({0, 7}, (Move(0, 7, 10.0),), "targets site 7"),
+    ({0}, (Move(0, 7, 10.0), Move(7, 8, 10.0)), "sources site 7"),
+    ({0}, (Move(0, 1, 15.8),), "targets site 1"),
+    (set(range(7)), (*(Move(b, b + 7, 10.0) for b in range(6)), Move(6, 0, 10.0)),
+     "targets site 0"),
+], ids=[
+    "self_loop", "repeated_source", "repeated_destination", "believed_empty_source",
+    "believed_occupied_target", "target_as_source", "buffer_as_target", "seven_moves",
+])
+def test_check_fill_plan_refuses_a_bad_plan(occupied, plan, refused):
+    mask = belief_with(occupied).mask
+    check_fill_plan(plan[:-1], mask, LAYOUT)  # every move before the last is usable
+    with pytest.raises(PlanError) as raised:
+        check_fill_plan(plan, mask, LAYOUT)
+    side = "buffer" if refused.startswith("sources") else "target"
+    state = "occupied" if side == "buffer" else "empty"
+    assert str(raised.value) == f"fill plan {refused}, not a believed-{state} {side} left"
+
+
+def test_a_bad_plan_is_refused_before_it_is_memoised():
+    # a pair order holding a (target, target) pair makes a plan that moves
+    # an atom out of a target; the check refuses it, and the memo keeps none
+    layout = reference_layout()
+    order = layout.fill_orders["global"]
+    layout.fill_orders["global"] = ((7, 8, layout.site_distance(7, 8)), *order)
+    belief = MaskOccupancy(layout, layout.site_bits[0] | layout.site_bits[7])
+    with pytest.raises(PlanError, match="sources site 7, not a believed-occupied buffer left"):
+        plan_target_fill(belief)
+    assert layout.plan_memo == {}
 
 
 # Frozen digest of 500 seeded plans; any change to tie-breaking, ordering

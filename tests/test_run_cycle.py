@@ -5,19 +5,14 @@ for bit, cycle by cycle, and raise the same errors."""
 
 import dataclasses
 import functools
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tweezersim import engine
 from tweezersim.config import ExperimentConfig
-from tweezersim.engine import (
-    EngineError,
-    EventLog,
-    PlanConflictError,
-    init_sequence,
-    run_cycle,
-)
+from tweezersim.engine import EngineError, EventLog, init_sequence, run_cycle
 from tweezersim.geometry import MaskOccupancy
 from tweezersim.planner import Move, plan_target_fill
 from tweezersim.stochastic import RngStream
@@ -26,7 +21,7 @@ from conftest import hex_layout, two_site_layout
 from oracles import reference_cycle
 from test_engine import DEGENERATE, bits
 
-OUTCOMES = {"ok", "stay", "lost", "null", "delivered", "blocked", "empty", "skip"}
+OUTCOMES = {"ok", "stay", "lost", "delivered", "blocked", "empty", "skip"}
 
 
 def fresh_reference_layout():
@@ -34,35 +29,8 @@ def fresh_reference_layout():
     return dataclasses.replace(ExperimentConfig().layout)
 
 
-@functools.cache
-def chained_layout():
-    """The reference layout with every global fill plan memoised, each
-    followed where it leaves room by one more move: from the plan's first
-    destination to a target the plan leaves empty. Belief marks that source
-    occupied, so the move passes every check; truth holds no atom there when
-    the first move failed, and the move runs as a null transport."""
-    layout = fresh_reference_layout()
-    bits = layout.site_bits
-    n_moves = min(len(layout.target_ids), len(layout.buffer_ids))
-    chained = {}
-    for mask in range(1 << len(layout.site_ids)):
-        plan = plan_target_fill(MaskOccupancy(layout, mask))
-        after = mask
-        for src, dst, _ in plan:
-            after ^= bits[src] | bits[dst]
-        empty = [t for t in layout.target_ids if not after & bits[t]]
-        if plan and empty and len(plan) < n_moves:
-            first = plan[0].dst
-            plan += (Move(first, empty[0], layout.site_distance(first, empty[0])),)
-        chained[mask, "global"] = plan
-    layout.plan_memo.clear()
-    layout.plan_memo.update(chained)
-    return layout
-
-
 LAYOUTS = {
     "reference": lambda: ExperimentConfig().layout,
-    "chained": chained_layout,
     "two-site": two_site_layout,
     "hex-91": hex_layout,
 }
@@ -97,9 +65,9 @@ def run_both(models, seed, replica, n_cycles, truth=0, log=True):
     return logs[1]
 
 
-# Two fixed examples that between them make all eight outcomes, whatever
-# the drawn ones make: failed first moves on the chained layout (stay, lost,
-# null, then skip, delivered, blocked, empty) and successful ones (ok).
+# Two fixed examples that between them make all seven outcomes, whatever
+# the drawn ones make: failed moves out of a full start (stay, lost, then
+# skip, delivered, blocked, empty) and successful ones (ok).
 EXAMPLE = dict(
     lifetime_array_s=10.0, lifetime_reservoir_s=5.0, p_stay_on_failure=2 / 3,
     p_blockade_plateau=0.5, mean_ensemble_at_full=3.0, reservoir_mean=60.0,
@@ -112,7 +80,7 @@ def test_run_cycle_equals_the_reference_cycle():
     seen = set()
 
     @settings(max_examples=200, deadline=None)
-    @example(layout="chained", p_transport=0.0, start=0b111, **EXAMPLE)
+    @example(layout="reference", p_transport=0.0, start=0b111, **EXAMPLE)
     @example(layout="reference", p_transport=0.753, start=0, **EXAMPLE)
     @given(
         layout=st.sampled_from(sorted(LAYOUTS)),
@@ -135,8 +103,6 @@ def test_run_cycle_equals_the_reference_cycle():
         log=st.booleans(),
     )
     def check(layout, seed, replica, n_cycles, start, log, **keys):
-        if layout == "chained":
-            keys["fill_strategy"] = "global"  # the strategy of the chained plans
         models = ExperimentConfig(layout=layout_named(layout), **keys)
         truth = start & ((1 << len(models.layout.site_ids)) - 1)
         rows = run_both(models, seed, replica, n_cycles, truth, log).rows
@@ -164,11 +130,11 @@ def test_a_zero_length_window_takes_no_decay_draw(monkeypatch, t_image_loss, win
     assert len(calls) == 4 * windows and all(length > 0.0 for length in calls)
 
 
-# -- the guards the single pass keeps -----------------------------------------
+# -- the checks the single pass keeps -----------------------------------------
 
-def guarded_models():
+def guarded_models(**keys):
     """A lossless config on a layout of its own, whose memos a test may fill."""
-    return ExperimentConfig(layout=fresh_reference_layout(), **DEGENERATE)
+    return ExperimentConfig(layout=fresh_reference_layout(), **DEGENERATE | keys)
 
 
 def first_cycle_errors(models, truth, error):
@@ -187,26 +153,38 @@ def first_cycle_errors(models, truth, error):
     return texts[0]
 
 
-@pytest.mark.parametrize("occupied,plan,words", [
-    ((), (Move(0, 7, 10.0),), "fill plan sources site 0 which belief marks empty"),
-    ((0, 7), (Move(0, 7, 10.0),), "fill plan targets site 7 which belief marks occupied"),
-    (range(7), tuple(Move(b, b + 6, 10.0) for b in range(7)),
-     "fill plan has 7 moves; a cycle holds at most 6"),
-], ids=["believed_empty_source", "believed_occupied_target", "too_many_moves"])
-def test_run_cycle_refuses_a_bad_fill_plan(occupied, plan, words):
-    models = guarded_models()
+def chained(models, mask):
+    """The planner's plan for ``mask`` and one more move, out of its first
+    destination into a target it leaves empty: after a failed first move
+    that source holds no atom."""
+    layout, bits = models.layout, models.layout.site_bits
+    plan = plan_target_fill(MaskOccupancy(layout, mask))
+    filled = mask | sum(bits[m.dst] for m in plan)
+    first = plan[0].dst
+    empty = next(t for t in layout.target_ids if not filled & bits[t])
+    return plan + (Move(first, empty, layout.site_distance(first, empty)),)
+
+
+# Plans the planner refuses to make (tests/test_planner.py), planted in the
+# memo: conservation, checked at the end of every cycle, is the backstop. A
+# move out of an empty trap makes an atom, a move into a full one loses one.
+@pytest.mark.parametrize("occupied,plan,p_transport,excess", [
+    ((), (Move(0, 7, 10.0),), 1.0, 2),
+    ((0, 7), (Move(0, 7, 10.0),), 1.0, -1),
+    (range(7), tuple(Move(b, b + 6, 10.0) for b in range(7)), 1.0, -1),
+    ((0, 1, 2), chained, 0.0, 1),
+], ids=["believed_empty_source", "believed_occupied_target", "too_many_moves", "chained"])
+def test_run_cycle_refuses_a_bad_fill_plan(occupied, plan, p_transport, excess):
+    models = guarded_models(p_transport=p_transport)
     truth = bits(models, *occupied)
+    if callable(plan):
+        plan = plan(models, truth)
     models.layout.plan_memo[truth, "global"] = plan
-    assert first_cycle_errors(models, truth, PlanConflictError) == words
-
-
-def test_run_cycle_refuses_a_believed_occupied_refill_site():
-    models = guarded_models()
-    layout = models.layout
-    full = layout.buffer_bits | layout.target_bits  # nothing to fill
-    layout.refill_memo[layout.buffer_bits] = (3,)
-    text = first_cycle_errors(models, full, PlanConflictError)
-    assert text == "refill list contains site 3 which belief marks occupied"
+    text = first_cycle_errors(models, truth, EngineError)
+    supplied, accounted = map(int, re.match(
+        r"atom conservation violated: supplied (\d+) != accounted (\d+) ", text
+    ).groups())
+    assert accounted - supplied == excess
 
 
 def test_run_cycle_checks_conservation_every_cycle(monkeypatch):
