@@ -292,8 +292,47 @@ class TestFillStep:
             assert state.counters.transport_loss == loss
             assert state.truth == (bits(models, 0) if loss == 0 else 0)
 
+    def test_transport_into_occupied_site_raises(self):
+        # the step trusts its plan; a move into a truly full trap merges two
+        # atoms into one, and the atom balance is the check that catches it
+        models = models_with(**DEGENERATE)
+        rng = RngStream(10, 0)
+        state = init_sequence(models, rng)
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
+        state.truth = state.belief = bits(models, 0)
+        state.truth |= bits(models, 7)  # desynced: belief says empty
+        state.n_initial_reservoir += 2  # both atoms supplied by the load
+        check_conservation(state)
+        plan = (Move(0, 7, 10.0),)
+        step_fill_targets(state, plan, models, rng)
+        supplied = state.n_initial_reservoir
+        with pytest.raises(EngineError, match=(
+            f"atom conservation violated: supplied {supplied} != accounted {supplied - 1} "
+        )):
+            check_conservation(state)
+
 
 class TestRefillStep:
+    def test_conflict_on_believed_occupied(self):
+        # the step trusts its order, which the planner builds from believed-
+        # empty buffers, and reads only truth for each listed site: a full
+        # one is skipped, a stale-belief empty one is refilled; belief is
+        # left as it was and the atom balance holds
+        models = models_with(**DEGENERATE)
+        rng = RngStream(11, 0)
+        state = init_sequence(models, rng)
+        rng.next_row(models.slots)  # the cycle's row, as run_cycle draws it
+        state.truth = bits(models, 3)
+        state.n_initial_reservoir += 1
+        state.belief = bits(models, 3, 4)
+        log = EventLog()
+        step_refill_buffers(state, [3, 4], models, rng, log)
+        assert [(row[8], row[11]) for row in log.rows] == [(3, "skip"), (4, "delivered")]
+        assert state.truth == bits(models, 3, 4)
+        assert state.belief == bits(models, 3, 4)
+        assert state.counters.delivered == 1
+        check_conservation(state)
+
     def test_skip_leaves_reservoir_alone(self):
         models = models_with(**DEGENERATE)
         rng = RngStream(12, 0)

@@ -187,6 +187,19 @@ def test_run_cycle_refuses_a_bad_fill_plan(occupied, plan, p_transport, excess):
     assert accounted - supplied == excess
 
 
+def test_run_cycle_refuses_a_believed_occupied_refill_site():
+    # a refill order naming a full buffer, planted in the memo: both cycles
+    # skip the site without an extraction, and the atom balance holds
+    models = guarded_models()
+    layout = models.layout
+    full = layout.buffer_bits | layout.target_bits  # nothing to fill
+    layout.refill_memo[layout.buffer_bits] = (3,)
+    rows = run_both(models, 5, 0, 1, full).rows
+    refills = [row for row in rows if row[2] == "refill"]
+    assert [(row[8], row[11]) for row in refills] == [(3, "skip")]
+    assert refills[0][4] == rows[0][4]  # the reservoir untouched
+
+
 def test_run_cycle_checks_conservation_every_cycle(monkeypatch):
     # an extraction that delivers an atom it never removed keeps the atom
     # balance, so only the delivered <= extracted check catches it
