@@ -7,9 +7,11 @@ short excerpt of the underlying event log.
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import EventLog, run_realization
 
-config = ExperimentConfig()
+# 11 reported cycles at seed 7: 12 engine cycles, the last image reading
+# out the 11th
+config = ExperimentConfig(master_seed=7, n_cycles=11)
 log = EventLog()
-records = run_realization(config, seed=7, n_cycles=12, log=log)
+records = run_realization(config, log=log)
 
 print("cycle  clock/s  reservoir  buffers  targets  extracted  delivered  complete")
 for rec in records:

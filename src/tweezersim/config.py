@@ -92,9 +92,11 @@ class ExperimentConfig:
     :meth:`build_models` checks every key and decides onto the config, as
     plain attributes outside equality that ``dataclasses.replace`` decides
     afresh, what the engine derives from the keys: the ``init_duration``,
-    ``cycle_duration`` and ``move_duration``; the ``p_blockade`` of a caught
-    ensemble whose saturated fill, read out at the next image, is
-    ``p_blockade_plateau``; the three decay windows of a cycle
+    ``cycle_duration``, ``move_duration`` and ``engine_cycles`` (``n_cycles``
+    and the one whose image reads out the last); the ``p_blockade`` of a
+    caught ensemble whose saturated fill, read out at the next image, is
+    ``p_blockade_plateau``, and ``min_ensemble_mean``, the least
+    ``mean_ensemble_at_full`` that reaches it; the three decay windows of a cycle
     (``image_window`` over ``t_image_loss``, or ``t_image`` where that is
     ``None``, ``fill_window`` over ``t_analysis_fill``, ``refill_window``
     over ``t_buffer_refill``, each a :class:`DecayWindow`); the extraction's
@@ -156,7 +158,7 @@ class ExperimentConfig:
         ``section.key``. Checks across keys: an array atom must survive from
         a refill to its readout, the plateau must be reachable with
         ``p_blockade`` at most 1, the fill window must hold the longest fill
-        plan, and the run's supply must stay bounded (:meth:`check_supply`).
+        plan, and a refilled reservoir must stay short of 1e18 atoms.
         """
         if not isinstance(self.layout, ArrayLayout):
             raise ConfigError(f"layout must be an ArrayLayout, got {self.layout!r}")
@@ -179,6 +181,7 @@ class ExperimentConfig:
             "init_duration": self.t_mot + self.t_molasses + self.t_reservoir_transfer,
             "cycle_duration": self.t_image + self.t_analysis_fill + self.t_buffer_refill,
             "move_duration": 2.0 * self.t_ramp + self.t_move,
+            "engine_cycles": self.n_cycles + 1,
         }
         image = self.t_image if self.t_image_loss is None else self.t_image_loss
         # The plateau is the fill fraction read out one image after a
@@ -193,18 +196,30 @@ class ExperimentConfig:
                 f"stochastic.lifetime_array_s {self.lifetime_array_s:.4g} s, so "
                 f"stochastic.p_blockade_plateau cannot be read back"
             )
-        # A caught ensemble (size >= 1, probability 1 - exp(-mean) at a
-        # full reservoir) yields one atom with probability p_blockade. The
-        # plateau at p_blockade 1 is 0 below a mean of about 1.1e-16.
-        reachable = (1.0 - math.exp(-self.mean_ensemble_at_full)) * observed
-        p_blockade = self.p_blockade_plateau / reachable if reachable else math.inf
+
+        def p_blockade_at(mean: float) -> float:
+            # A caught ensemble (size >= 1, probability 1 - exp(-mean) at a
+            # full reservoir) yields one atom with probability p_blockade.
+            # The plateau at p_blockade 1 is 0 below a mean of about 1.1e-16.
+            reachable = (1.0 - math.exp(-mean)) * observed
+            return self.p_blockade_plateau / reachable if reachable else math.inf
+
+        derived["p_blockade"] = p_blockade = p_blockade_at(self.mean_ensemble_at_full)
         if p_blockade > 1.0:
             raise ConfigError(
                 f"stochastic.p_blockade_plateau {self.p_blockade_plateau} unreachable with "
                 f"stochastic.mean_ensemble_at_full {self.mean_ensemble_at_full} "
                 f"(requires p_blockade {p_blockade:.4g} > 1)"
             )
-        derived["p_blockade"] = p_blockade
+        # The least mean the rule above admits, bisected between 0, which it
+        # refuses, and the configured mean, which it admits.
+        refused, least = 0.0, self.mean_ensemble_at_full
+        while refused < (mid := 0.5 * (refused + least)) < least:
+            if p_blockade_at(mid) > 1.0:
+                refused = mid
+            else:
+                least = mid
+        derived["min_ensemble_mean"] = least
         derived["ensembles"] = ensembles = EnsembleIndex(
             self.mean_ensemble_at_full, self.n_reference
         )
@@ -226,20 +241,13 @@ class ExperimentConfig:
                 f"timing.t_analysis_fill {self.t_analysis_fill} s cannot "
                 f"hold the longest fill plan: {n_moves} moves of {move:.4g} s"
             )
-        derived["initial_load"] = poisson_table(self.reservoir_mean)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-        self.check_supply(self.n_cycles + 1)  # the reported cycles and one more
-        return self
-
-    def check_supply(self, n_cycles: int) -> None:
-        """Refuse a run of ``n_cycles`` engine cycles whose refill could grow
-        the reservoir past 1e18 atoms, short of numpy's 64-bit counts: the
-        initial mean, the refill over every cycle and one rounding atom per
-        decay window."""
+        # The most atoms a refilled run could bring into the reservoir, held
+        # short of numpy's 64-bit counts: the initial mean, the refill over
+        # every engine cycle and one rounding atom per decay window.
+        n_cycles = derived["engine_cycles"]
         supply = (
             self.reservoir_mean + 3 * n_cycles
-            + self.refill_rate * n_cycles * self.cycle_duration
+            + self.refill_rate * n_cycles * derived["cycle_duration"]
         )
         if self.refill_rate > 0 and not supply <= _MAX_POISSON_MEAN:
             raise ConfigError(
@@ -247,6 +255,10 @@ class ExperimentConfig:
                 f"the reservoir to {supply:.3g} atoms in {n_cycles} engine "
                 f"cycles, past {_MAX_POISSON_MEAN:g}"
             )
+        derived["initial_load"] = poisson_table(self.reservoir_mean)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def resolved(self) -> dict:
         """Plain nested dict of every effective parameter, for run metadata.

@@ -629,24 +629,18 @@ def run_cycle(
 
 
 def run_realization(
-    models: ExperimentConfig,
-    seed: int,
-    n_cycles: int,
-    replica: int = 0,
-    log: EventLog | None = None,
+    config: ExperimentConfig, replica: int = 0, log: EventLog | None = None
 ) -> list[CycleRecord]:
-    """Run one realization of the model bundle ``models``, a checked
-    :class:`~tweezersim.config.ExperimentConfig`: preparation plus
-    ``n_cycles`` cycles.
+    """Run replica ``replica`` of the checked config ``config``, the model
+    bundle: preparation plus ``config.engine_cycles`` cycles, drawn from
+    the stream keyed by (``config.master_seed``, ``replica``).
 
-    Deterministic given (models, seed, replica); the records of two runs
-    with identical arguments are identical.
+    Deterministic given (config, replica); the records of two runs with
+    identical arguments are identical.
     """
-    if n_cycles < 1:
-        raise ValueError(f"n_cycles must be at least 1, got {n_cycles}")
-    models.check_supply(n_cycles)
-    rng = RngStream(seed, replica, n_rows=n_cycles)
-    state = init_sequence(models, rng)
+    n_cycles = config.engine_cycles
+    rng = RngStream(config.master_seed, replica, n_rows=n_cycles)
+    state = init_sequence(config, rng)
     if log is not None:
         log.add(*_state_row(state, "init"))
-    return [run_cycle(state, models, rng, log) for _ in range(n_cycles)]
+    return [run_cycle(state, config, rng, log) for _ in range(n_cycles)]

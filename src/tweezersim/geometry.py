@@ -1,8 +1,11 @@
 """Trap-array geometry: hexagonal lattices, the reference layout, and distances.
 
-All coordinates are in micrometers in the trap plane. A layout is immutable
-after construction and validated once, so it can be shared freely between
-concurrent simulation replicas.
+All coordinates are in micrometers in the trap plane. A layout's geometry is
+immutable after construction and validated once. The layout also carries
+the planner's memos (``plan_memo``, ``refill_memo``), which fill as runs
+read them; sharing it between replicas and configs is still safe, because
+a plan depends only on the layout, the belief mask and the strategy, so a
+memoised plan is the one the planner would make afresh.
 """
 
 from __future__ import annotations

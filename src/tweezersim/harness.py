@@ -6,7 +6,7 @@ CSV/JSON output writing.
 Reported cycle k covers the k-th full rearrangement round; its observables
 are read from the imaging step that opens round k+1, which is the first
 image that can see round k's fills and refills. Each realization therefore
-runs one extra engine cycle beyond the reported range.
+runs ``engine_cycles``, one engine cycle beyond the reported range.
 """
 
 from __future__ import annotations
@@ -81,12 +81,12 @@ def _success_matrix(complete: np.ndarray, definition: str) -> np.ndarray:
     """Per-replica success flags by cycle from completion observations.
 
     first-achievement: success at cycle k once completion was observed at
-    any cycle <= k. maintained: additionally still complete at k itself.
+    any cycle <= k. maintained: complete at k itself, which implies the
+    first.
     """
-    achieved = np.maximum.accumulate(complete, axis=1)
     if definition == "maintained":
-        return achieved & complete
-    return achieved
+        return complete
+    return np.maximum.accumulate(complete, axis=1)
 
 
 def run_experiment(
@@ -106,15 +106,13 @@ def run_experiment(
     """
     n_buffers = len(config.layout.buffer_ids)
     n_rep = config.n_replicas
-    n_engine_cycles = config.n_cycles + 1
-    complete = np.zeros((n_rep, n_engine_cycles), dtype=bool)
-    buffer_counts = np.zeros((n_rep, n_engine_cycles), dtype=np.int64)
-    reservoir_counts = np.zeros((n_rep, n_engine_cycles), dtype=np.int64)
+    shape = (n_rep, config.engine_cycles)
+    complete = np.zeros(shape, dtype=bool)
+    buffer_counts = np.zeros(shape, dtype=np.int64)
+    reservoir_counts = np.zeros(shape, dtype=np.int64)
     delivered = np.zeros(n_rep, dtype=np.int64)
     for i in range(n_rep):
-        records = run_realization(
-            config, config.master_seed, n_engine_cycles, replica=i, log=log
-        )
+        records = run_realization(config, replica=i, log=log)
         # one transposition of the records into CycleRecord's columns
         (_, complete[i], buffer_counts[i], _, reservoir_counts[i],
          *_) = zip(*records)
@@ -136,8 +134,8 @@ def run_experiment(
         norm_mean = norm.mean(axis=0)
         norm_std = norm.std(axis=0, ddof=1) if n_rep > 1 else np.zeros(norm.shape[1])
     else:
-        norm_mean = np.zeros(n_engine_cycles - 1)
-        norm_std = np.zeros(n_engine_cycles - 1)
+        norm_mean = np.zeros(config.n_cycles)
+        norm_std = np.zeros(config.n_cycles)
     stats = ExperimentStats(
         n_replicas=n_rep,
         cycles=tuple(range(1, config.n_cycles + 1)),
@@ -186,7 +184,9 @@ def calibrate_depletion(
 
     Mean delivered per realization decreases as the ensemble mean grows
     (bigger bites drain the reservoir sooner), so the root is bracketed by
-    evaluating both ends first. Every evaluation reuses the same master
+    evaluating both ends first. The lower end is raised to the config's
+    ``min_ensemble_mean`` where that is larger: below it no mean reaches
+    ``p_blockade_plateau``. Every evaluation reuses the same master
     seed (common random numbers), which keeps the response monotone in
     practice; a midpoint whose value falls outside the values at the current
     bracket ends raises :class:`CalibrationError` rather than being bisected
@@ -199,6 +199,14 @@ def calibrate_depletion(
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ConfigError(f"invalid bracket {bracket}")
+    least = config.min_ensemble_mean
+    if least >= hi:
+        raise CalibrationError(
+            f"stochastic.p_blockade_plateau {config.p_blockade_plateau} needs "
+            f"stochastic.mean_ensemble_at_full at least {least:.4g}, past the "
+            f"bracket's upper end {hi}"
+        )
+    lo = max(lo, least)
     if evaluate is None:
         def evaluate(m: float) -> float:
             return _mean_delivered(config, m, n_replicas)

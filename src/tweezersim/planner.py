@@ -38,10 +38,10 @@ class Move(NamedTuple):
 
 # Most entries each of a layout's two memos keeps: 2^13, the number of
 # believed occupancies of the 13-site reference layout. The fill memo is
-# keyed by (belief mask, strategy), the refill memo by the mask's buffer
-# bits. Both live on the layout object, so every bundle built on that
-# object shares them. A full memo keeps what it has and plans the rest
-# afresh.
+# keyed by (belief mask, strategy), so the cap covers one strategy's 8,192
+# reference masks; the refill memo is keyed by the mask's buffer bits.
+# Both live on the layout object, so every bundle built on that object
+# shares them. A full memo keeps what it has and plans the rest afresh.
 MEMO_CAP = 8192
 
 

@@ -90,7 +90,7 @@ def test_acceptance_3_cumulative_success(full_ensemble):
 
 def test_acceptance_4_timing(full_ensemble):
     cfg, _, _ = full_ensemble
-    records = run_realization(cfg, seed=cfg.master_seed, n_cycles=6)
+    records = run_realization(dataclasses.replace(cfg, n_cycles=5))  # 6 engine cycles
     gaps = [
         b.clock_at_image - a.clock_at_image
         for a, b in zip(records, records[1:])
@@ -183,9 +183,10 @@ def test_acceptance_7_invariant_soak(tmp_path_factory):
     for replica in range(200):
         cfg = _random_soak_config(rng)
         log = EventLog()
-        records = run_realization(
-            cfg, seed=rng.randint(0, 2**31), n_cycles=cfg.n_cycles, log=log
-        )
+        # the drawn n_cycles is the engine cycles run
+        records = run_realization(dataclasses.replace(
+            cfg, master_seed=rng.randint(0, 2**31), n_cycles=cfg.n_cycles - 1
+        ), log=log)
         for row in log.rows:
             assert row[4] >= 0  # reservoir population
             if row[2] == "image":
@@ -234,10 +235,12 @@ def test_acceptance_8_degenerate_trace():
         reservoir_mean=50_000.0,
         lifetime_array_s=math.inf,
         lifetime_reservoir_s=math.inf,
+        master_seed=97,
+        n_cycles=3,
     )
     hits = 0
     for replica in range(100):
-        records = run_realization(cfg, seed=97, n_cycles=4, replica=replica)
+        records = run_realization(cfg, replica=replica)
         flags = [r.target_complete for r in records]
         if flags == [False, False, True, True]:
             hits += 1

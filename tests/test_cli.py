@@ -162,6 +162,19 @@ def test_calibrate_reports_fit(capsys):
     assert "evaluations" in out
 
 
+def test_calibrate_reaches_a_plateau_the_bracket_end_cannot(tmp_path, capsys):
+    # at plateau 0.7 no ensemble mean below 1.24 reaches the plateau, so
+    # the search starts there, not at the bracket's lower end 1.0
+    ini = tmp_path / "plateau.ini"
+    ini.write_text("[stochastic]\np_blockade_plateau = 0.7\n")
+    code, out, err = run_cli(
+        capsys, "calibrate", "--config", str(ini), "--tolerance", "1.0", "--replicas", "40",
+    )
+    assert code == 0 and err == ""
+    mean = float(out.split("mean_ensemble_at_full = ")[1].split()[0])
+    assert 1.24 < mean <= 40.0
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[run]\nn_replicas = -3\n")

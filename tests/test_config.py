@@ -283,11 +283,44 @@ def test_refill_supply_bound_counts_the_run_length():
     assert ExperimentConfig(refill_rate=2.7e17).refill_rate == 2.7e17
     with pytest.raises(ConfigError, match=r"stochastic\.refill_rate .* 17 engine cycles"):
         ExperimentConfig(refill_rate=2.7e17, n_cycles=16)
+    # 1e18 atoms/s x 2 engine cycles x 0.23 s = 4.6e17: legal; 5 engine
+    # cycles could supply 1.15e18
+    assert ExperimentConfig(n_cycles=1, refill_rate=1e18).engine_cycles == 2
+    with pytest.raises(ConfigError, match=r"stochastic\.refill_rate .* 5 engine cycles"):
+        ExperimentConfig(n_cycles=4, refill_rate=1e18)
     with pytest.raises(ConfigError, match=r"stochastic\.refill_rate"):
         ExperimentConfig(refill_rate=1e18, lifetime_reservoir_s=math.inf)
     # without a refill the reservoir only shrinks: no bound past the mean's
     cfg = ExperimentConfig(reservoir_mean=1e18, n_cycles=10**6)
     assert cfg.reservoir_mean == 1e18
+
+
+@pytest.mark.parametrize(
+    "values,low,high",
+    [
+        ({}, 0.931, 0.932),
+        ({"p_blockade_plateau": 0.7}, 1.243, 1.244),
+        ({"p_blockade_plateau": 0.95, "lifetime_array_s": 50.0}, 3.06, 3.07),
+        ({"t_image_loss": 0.01}, 0.913, 0.914),
+        # an empty plateau: any ensemble that is ever nonempty, where
+        # 1 - exp(-mean) first rounds above 0
+        ({"p_blockade_plateau": 0.0}, 5e-17, 6e-17),
+        # the whole readout survival: only a mean at which 1 - exp(-mean)
+        # rounds to 1
+        ({"p_blockade_plateau": 1.0, "lifetime_array_s": math.inf,
+          "mean_ensemble_at_full": 40.0}, 37.0, 38.0),
+    ],
+    ids=["defaults", "plateau-0.7", "plateau-0.95", "t_image_loss-0.01", "plateau-0", "plateau-1"],
+)
+def test_min_ensemble_mean_is_the_least_mean_reaching_the_plateau(values, low, high):
+    cfg = ExperimentConfig(**values)
+    least = cfg.min_ensemble_mean
+    assert low < least < high
+    reached = dataclasses.replace(cfg, mean_ensemble_at_full=least)
+    assert reached.p_blockade <= 1.0 and reached.min_ensemble_mean == least
+    # the next mean below reaches the plateau only with p_blockade > 1
+    with pytest.raises(ConfigError, match=r"p_blockade_plateau .* unreachable"):
+        dataclasses.replace(cfg, mean_ensemble_at_full=math.nextafter(least, 0.0))
 
 
 def test_infinite_lifetimes_stay_legal():

@@ -220,7 +220,7 @@ def test_init_sequence_population_statistics():
 
 def test_site_ids_need_not_start_at_zero():
     # ids shifted by one keep every order, so the run is the same
-    reference = models_with()
+    reference = models_with(master_seed=21, n_cycles=5)
     layout = reference.layout
     shifted = dataclasses.replace(
         layout, sites=tuple(dataclasses.replace(s, id=s.id + 1) for s in layout.sites)
@@ -228,8 +228,8 @@ def test_site_ids_need_not_start_at_zero():
     assert shifted.site_bits == {sid + 1: bit for sid, bit in layout.site_bits.items()}
     logs = EventLog(), EventLog()
     records = [
-        run_realization(models, seed=21, n_cycles=6, log=log)
-        for models, log in zip((reference, models_with(layout=shifted)), logs)
+        run_realization(models, log=log)
+        for models, log in zip((reference, dataclasses.replace(reference, layout=shifted)), logs)
     ]
     assert records[0] == records[1]
     assert [row[5:7] for row in logs[0].rows] == [row[5:7] for row in logs[1].rows]
@@ -472,7 +472,7 @@ def test_cycle_record_is_an_immutable_tuple_of_fixed_fields():
 
 
 def test_cycle_clock_spacing():
-    records = run_realization(ExperimentConfig(), seed=16, n_cycles=6)
+    records = run_realization(ExperimentConfig(master_seed=16, n_cycles=5))
     clocks = [r.clock_at_image for r in records]
     for a, b in zip(clocks, clocks[1:]):
         assert b - a == pytest.approx(0.230)
@@ -510,11 +510,11 @@ class RecordingStream(RngStream):
         return row
 
 
-def recorded_stream(monkeypatch, models, seed, n_cycles, replica=0):
+def recorded_stream(monkeypatch, models, replica=0):
     """The stream ``run_realization`` read, with the rows it handed out."""
     RecordingStream.made = []
     monkeypatch.setattr(engine, "RngStream", RecordingStream)
-    run_realization(models, seed=seed, n_cycles=n_cycles, replica=replica)
+    run_realization(models, replica=replica)
     (rng,) = RecordingStream.made
     return rng
 
@@ -544,14 +544,15 @@ def row_by_the_per_site_rule(models, uniforms):
     "overrides,width",
     [({}, 71), ({"layout": hex_layout()}, 3 * 93 + 2 * 40 + 2 * 40)],  # 40 buffers, 51 targets
 )
-@pytest.mark.parametrize("n_cycles", [1, 16, 130])
+@pytest.mark.parametrize("n_cycles", [2, 16, 130])
 def test_realization_reads_one_leading_uniform_and_one_row_per_cycle(
     monkeypatch, overrides, width, n_cycles
 ):
-    # 130 cycles take three chunks of rows: 64, 64 and 2
-    models = models_with(**overrides)
+    # n_cycles engine cycles, the least a config runs being 2; 130 cycles
+    # take three chunks of rows: 64, 64 and 2
+    models = models_with(**overrides, master_seed=42, n_cycles=n_cycles - 1)
     assert models.slots.width == width
-    rng = recorded_stream(monkeypatch, models, 42, n_cycles, replica=7)
+    rng = recorded_stream(monkeypatch, models, replica=7)
     fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((42, 7))))
     expected = fresh.random(1 + width * n_cycles).tolist()
     assert rng.cycle == len(rng.rows) == n_cycles
@@ -574,9 +575,9 @@ def test_realization_reads_one_leading_uniform_and_one_row_per_cycle(
 def test_configs_differing_in_outcomes_read_identical_rows(monkeypatch, outcomes):
     streams, records = [], []
     for overrides in outcomes:
-        models = models_with(**overrides)
-        streams.append(recorded_stream(monkeypatch, models, 5, 20, replica=3))
-        records.append(run_realization(models, seed=5, n_cycles=20, replica=3))
+        models = models_with(**overrides, master_seed=5, n_cycles=19)
+        streams.append(recorded_stream(monkeypatch, models, replica=3))
+        records.append(run_realization(models, replica=3))
     assert records[0] != records[1]  # the outcomes differ
     assert streams[0].uniforms == streams[1].uniforms
     assert streams[0]._gen.bit_generator.state == streams[1]._gen.bit_generator.state
@@ -605,31 +606,17 @@ def test_cycle_slots_tile_the_row():
 
 
 def test_run_realization_deterministic():
-    models = ExperimentConfig()
-    a = run_realization(models, seed=17, n_cycles=5, replica=3)
-    b = run_realization(models, seed=17, n_cycles=5, replica=3)
+    models = ExperimentConfig(master_seed=17, n_cycles=4)
+    a = run_realization(models, replica=3)
+    b = run_realization(models, replica=3)
     assert a == b
-    c = run_realization(models, seed=17, n_cycles=5, replica=4)
+    c = run_realization(models, replica=4)
     assert a != c
 
 
-def test_run_realization_rejects_zero_cycles():
-    with pytest.raises(ValueError):
-        run_realization(ExperimentConfig(), seed=1, n_cycles=0)
-
-
-def test_run_realization_bounds_the_refill_over_its_own_cycles():
-    # 1e18 atoms/s x 2 engine cycles x 0.23 s = 4.6e17: a legal config
-    models = ExperimentConfig(n_cycles=1, refill_rate=1e18)
-    assert len(run_realization(models, seed=1, n_cycles=2)) == 2
-    # 5 cycles could supply 1.15e18 atoms
-    with pytest.raises(ValueError, match=r"stochastic\.refill_rate .* 5 engine cycles"):
-        run_realization(models, seed=1, n_cycles=5)
-
-
 def test_degenerate_trace_exact():
-    cfg = dataclasses.replace(ExperimentConfig(), **DEGENERATE)
-    records = run_realization(cfg, seed=18, n_cycles=4)
+    cfg = models_with(**DEGENERATE, master_seed=18, n_cycles=3)
+    records = run_realization(cfg)
     by_cycle = [
         (r.n_buffer_filled, r.n_target_filled, r.target_complete)
         for r in records
@@ -645,7 +632,7 @@ def test_degenerate_trace_exact():
 
 def test_event_log_structure():
     log = EventLog()
-    run_realization(ExperimentConfig(), seed=19, n_cycles=2, log=log)
+    run_realization(ExperimentConfig(master_seed=19, n_cycles=1), log=log)
     assert log.COLUMNS[0] == "replica"
     steps = [row[2] for row in log.rows]
     assert steps[0] == "init"
@@ -661,9 +648,9 @@ def test_event_log_structure():
 def test_fill_rows_carry_move_duration():
     # every move lasts the configured ramp-translate-ramp time; rows
     # without a move leave the field blank
-    models = ExperimentConfig(t_ramp=100e-6, t_move=250e-6)
+    models = ExperimentConfig(t_ramp=100e-6, t_move=250e-6, master_seed=19, n_cycles=3)
     log = EventLog()
-    run_realization(models, seed=19, n_cycles=4, log=log)
+    run_realization(models, log=log)
     duration = models.move_duration
     assert duration == pytest.approx(450e-6)
     moves = [row for row in log.rows if row[2] == "fill" and row[7] != ""]
@@ -673,9 +660,9 @@ def test_fill_rows_carry_move_duration():
 
 
 def test_refill_hook_feeds_reservoir():
-    cfg = dataclasses.replace(ExperimentConfig(), refill_rate=20.0)
+    cfg = models_with(refill_rate=20.0, master_seed=20, n_cycles=9)
     log = EventLog()
-    records = run_realization(cfg, seed=20, n_cycles=10, log=log)
+    records = run_realization(cfg, log=log)
     assert records[-1].n_reservoir > 0
     # conservation ran inside every cycle; the hook must have fired
     final_res = [row[4] for row in log.rows][-1]
@@ -698,7 +685,7 @@ KIND_LAYOUTS = {
     whole_second_preparation=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
     replica=st.integers(0, 2**20),
-    n_cycles=st.integers(1, 6),
+    n_cycles=st.integers(1, 5),
 )
 def test_log_values_have_exactly_their_declared_kind(
     layout, fill_strategy, p_stay_on_failure, refill_rate,
@@ -710,10 +697,11 @@ def test_log_values_have_exactly_their_declared_kind(
     timing = dict(t_mot=2, t_molasses=0, t_reservoir_transfer=0) if whole_second_preparation else {}
     cfg = ExperimentConfig(
         layout=KIND_LAYOUTS[layout], fill_strategy=fill_strategy,
-        p_stay_on_failure=p_stay_on_failure, refill_rate=refill_rate, **timing,
+        p_stay_on_failure=p_stay_on_failure, refill_rate=refill_rate,
+        master_seed=seed, n_cycles=n_cycles, **timing,
     )
     log = EventLog()
-    run_realization(cfg, seed, n_cycles, replica=replica, log=log)
+    run_realization(cfg, replica=replica, log=log)
     for (name, kind), column in zip(EventLog.KINDS.items(), log.columns):
         strays = [v for v in column if type(v) is not str and type(v) is not kind]
         assert not strays, (name, kind, strays[:3])
@@ -723,7 +711,7 @@ def test_log_values_have_exactly_their_declared_kind(
 @given(seed=st.integers(0, 2**31 - 1))
 def test_counters_monotone_and_reservoir_nonnegative(seed):
     log = EventLog()
-    records = run_realization(ExperimentConfig(), seed=seed, n_cycles=4, log=log)
+    records = run_realization(ExperimentConfig(master_seed=seed, n_cycles=3), log=log)
     assert len(records) == 4
     for prev, cur in zip(records, records[1:]):
         assert cur.extracted_cum >= prev.extracted_cum
@@ -735,17 +723,17 @@ def test_counters_monotone_and_reservoir_nonnegative(seed):
 
 
 def test_event_log_retains_at_most_120_bytes_per_row():
-    models = ExperimentConfig()
+    models = ExperimentConfig(master_seed=5)  # 16 engine cycles
     replicas = range(300)
     for replica in replicas:  # fill the layout's plan memo before measuring
-        run_realization(models, 5, 16, replica=replica)
+        run_realization(models, replica=replica)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         log = EventLog()
         for replica in replicas:
-            run_realization(models, 5, 16, replica=replica, log=log)
+            run_realization(models, replica=replica, log=log)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -756,7 +744,7 @@ def test_event_log_retains_at_most_120_bytes_per_row():
 
 def test_event_log_rows_keep_their_types():
     log = EventLog()
-    run_realization(ExperimentConfig(), seed=19, n_cycles=6, log=log)
+    run_realization(ExperimentConfig(master_seed=19, n_cycles=5), log=log)
     rows = log.rows
     assert len(rows) == len(log)
     for row in rows:
@@ -840,11 +828,11 @@ def test_streaming_event_log_hands_wide_masks_to_the_sink_exactly():
 
 
 def test_event_log_masks_match_records_past_63_sites():
-    models = big_hex_models()
+    models = ExperimentConfig(layout=hex_layout(), master_seed=8, n_cycles=3)
     layout = models.layout
     target_bits = sum(layout.site_bits[t] for t in layout.target_ids)
     log = EventLog()
-    records = run_realization(models, seed=8, n_cycles=4, log=log)
+    records = run_realization(models, log=log)
     images = [row for row in log.rows if row[2] == "image"]
     assert max(row[5] for row in images) >= 1 << 63
     for row, record in zip(images, records):

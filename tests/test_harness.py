@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import tweezersim
 from tweezersim import harness
 from tweezersim.config import ConfigError, ExperimentConfig
-from tweezersim.engine import EventLog
+from tweezersim.engine import EventLog, run_realization
 from tweezersim.harness import (
     CalibrationError,
     binomial_halfwidth,
@@ -103,8 +103,22 @@ def test_growing_the_ensemble_keeps_earlier_replicas(n, k, extra, **values):
         log=EventLog(),
     )
     assert {row[0] for row in large.rows} == set(range(n + k))
-    last = cfg.n_cycles + 1  # the engine cycle reading out the last reported one
+    last = cfg.engine_cycles  # the engine cycle reading out the last reported one
     assert small.rows == [row for row in large.rows if row[0] < n and row[1] <= last]
+
+
+def test_each_replica_of_an_ensemble_is_its_own_realization():
+    # replica i of an ensemble logs exactly the rows of run_realization's
+    # replica i of the same config, however many replicas the ensemble has
+    cfg = ExperimentConfig(n_replicas=6, n_cycles=4, master_seed=2024)
+    _, ensemble = run_experiment(cfg, log=EventLog())
+    _, grown = run_experiment(dataclasses.replace(cfg, n_replicas=9), log=EventLog())
+    for i in range(cfg.n_replicas):
+        alone = EventLog()
+        run_realization(cfg, replica=i, log=alone)
+        assert [row[2] for row in alone.rows[:2]] == ["init", "image"]
+        assert [row for row in ensemble.rows if row[0] == i] == alone.rows
+        assert [row for row in grown.rows if row[0] == i] == alone.rows
 
 
 class TestRunExperiment:
@@ -232,6 +246,26 @@ class TestCalibration:
                 bracket=(1.0, 4.0),
                 evaluate=lambda m: 20.0 if m < 2.0 else 1.0,
             )
+
+    def test_search_starts_at_the_least_mean_reaching_the_plateau(self):
+        # at plateau 0.7 a mean below 1.24 cannot reach it, so the bracket's
+        # lower end 1.0 is raised to the config's least mean
+        config = ExperimentConfig(p_blockade_plateau=0.7)
+        calls = []
+
+        def g(m):
+            calls.append(m)
+            return 20.0 / m
+
+        res = calibrate_depletion(config, target_delivered=10.0, tolerance=0.01, evaluate=g)
+        assert calls[:2] == [config.min_ensemble_mean, 40.0]
+        assert res.mean_ensemble_at_full == pytest.approx(2.0, abs=0.05)
+        # and a least mean past the upper end leaves nothing to search
+        with pytest.raises(CalibrationError, match=r"stochastic\.p_blockade_plateau 0\.98 "):
+            calibrate_depletion(
+                ExperimentConfig(p_blockade_plateau=0.98), bracket=(1.0, 4.0), evaluate=g
+            )
+        assert len(calls) == res.evaluations
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ buffers covering every vacancy, the share of complete images is
 ``pi**n_targets`` (``oracles.steady_complete_fraction``), a reference from
 outside the engine at the reference layout."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,9 +27,10 @@ def measure(models, n_replicas, n_cycles, batch):
     batch means, the number of images whose buffers fell short of the
     vacancies, and the number of images."""
     n_targets = len(models.layout.target_ids)
+    run = dataclasses.replace(models, master_seed=SEED, n_cycles=n_cycles - 1)
     complete, short = [], 0
     for replica in range(n_replicas):
-        records = run_realization(models, SEED, n_cycles, replica=replica)[BURN_IN:]
+        records = run_realization(run, replica=replica)[BURN_IN:]
         complete.append([r.target_complete for r in records])
         short += sum(r.n_buffer_filled < n_targets - r.n_target_filled for r in records)
     batches = np.array(complete, dtype=float).reshape(n_replicas, -1, batch).mean(axis=2)

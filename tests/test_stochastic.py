@@ -460,11 +460,11 @@ def test_a_bundle_indexes_at_most_the_cap_and_reads_the_search_past_it(cap, monk
     # bundle's indices hold at most that many doubles in all and share one
     # budget; the first table past it empties the budget, and every value
     # past it is read through the helpers
-    cfg = ExperimentConfig(n_replicas=1, n_cycles=300, refill_rate=100.0)
-    expected = run_realization(cfg, seed=3, n_cycles=300)
+    cfg = ExperimentConfig(n_replicas=1, n_cycles=299, master_seed=3, refill_rate=100.0)
+    expected = run_realization(cfg)  # 300 engine cycles
     monkeypatch.setattr(stochastic, "CDF_TABLE_CAP", cap)
     models = dataclasses.replace(cfg)  # a fresh bundle, built under the cap
-    assert run_realization(models, seed=3, n_cycles=300) == expected
+    assert run_realization(models) == expected
     total, indices = referenced(models)
     assert total <= cap
     assert all(index.budget is models.ensembles.budget for index in indices)
@@ -486,8 +486,8 @@ def test_huge_reservoirs_allocate_nothing_in_proportion_to_the_count(overrides, 
     # by count. Once numpy's samplers are warm, a realization peaks at a
     # few KiB, where one list of 1e5 counts alone takes 800 KB
     def realize():
-        models = ExperimentConfig(n_cycles=1, **overrides)
-        run_realization(models, seed=1, n_cycles=cycles)
+        models = ExperimentConfig(master_seed=1, n_cycles=cycles - 1, **overrides)
+        run_realization(models)
         return models
 
     realize()
