@@ -54,12 +54,14 @@ _SUCCESS_DEFINITIONS = {
 }
 
 
-# annotated type of a field -> the values it takes (never a bool) and their name
+# annotated type of a field -> the values it takes (never a bool), their name,
+# and the type the config stores them as (a numpy scalar would reach the
+# writers otherwise)
 _KINDS = {
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a number"),
-    "float | None": (numbers.Real, "a number or None"),
-    "str": (str, "a string"),
+    "int": (numbers.Integral, "an integer", int),
+    "float": (numbers.Real, "a number", float),
+    "float | None": (numbers.Real, "a number or None", float),
+    "str": (str, "a string", str),
 }
 
 # The ranges a key is held to: the words its error says, and a test written
@@ -88,7 +90,9 @@ class ExperimentConfig:
     frozen, checked once when built, and the model bundle the engine reads.
 
     Each field tagged by :func:`_key` is one INI key (times in seconds): the
-    tag gives its section and its range, the annotation its type.
+    tag gives its section and its range, the annotation its type, which
+    the value is stored as (an ``np.int64`` as an ``int``), so no numpy
+    scalar reaches the writers.
     :meth:`build_models` checks every key and decides onto the config, as
     plain attributes outside equality that ``dataclasses.replace`` decides
     afresh, what the engine derives from the keys: the ``init_duration``,
@@ -101,9 +105,9 @@ class ExperimentConfig:
     ``None``, ``fill_window`` over ``t_analysis_fill``, ``refill_window``
     over ``t_buffer_refill``, each a :class:`DecayWindow`); the extraction's
     ensemble tables by reservoir count (``ensembles``, an ``EnsembleIndex``
-    whose table budget the windows' thinning indices share); the Poisson
-    table of the initial load at ``reservoir_mean`` (``initial_load``,
-    outside that budget); and the cycle's row of uniforms (``slots``, a
+    with a table bound of its own, as each window's thinning index has);
+    the Poisson table of the initial load at ``reservoir_mean``
+    (``initial_load``); and the cycle's row of uniforms (``slots``, a
     :class:`CycleSlots`: the slot of each draw, and the ``RowForm`` the
     stream hands the row out in).
     """
@@ -166,12 +170,13 @@ class ExperimentConfig:
             name, value = f"{f.metadata['section']}.{f.name}", getattr(self, f.name)
             if value is None and f.type == "float | None":
                 continue
-            kinds, noun = _KINDS[f.type]
+            kinds, noun, cast = _KINDS[f.type]
             if not isinstance(value, kinds) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be {noun}, got {value!r}")
             for words, test in f.metadata["rules"]:
                 if not test(value):
                     raise ConfigError(f"{name} must be {words}, got {value!r}")
+            object.__setattr__(self, f.name, cast(value))
         if self.t_image_loss is not None and not self.t_image_loss <= self.t_image:
             raise ConfigError(
                 f"timing.t_image_loss {self.t_image_loss} s must not exceed "
@@ -220,16 +225,13 @@ class ExperimentConfig:
             else:
                 least = mid
         derived["min_ensemble_mean"] = least
-        derived["ensembles"] = ensembles = EnsembleIndex(
-            self.mean_ensemble_at_full, self.n_reference
-        )
+        derived["ensembles"] = EnsembleIndex(self.mean_ensemble_at_full, self.n_reference)
         windows = tuple(
             DecayWindow(
                 length,
                 survival_probability(length, self.lifetime_array_s),
                 survival_probability(length, self.lifetime_reservoir_s),
                 self.refill_rate * length,
-                ensembles.budget,
             )
             for length in (image, self.t_analysis_fill, self.t_buffer_refill)
         )

@@ -287,7 +287,7 @@ def init_sequence(models: ExperimentConfig, rng: RngStream) -> SystemState:
         truth=0,
         belief=0,
         n_reservoir=n0,
-        clock=float(models.init_duration),  # a float, as KINDS says
+        clock=models.init_duration,
         replica=rng.replica,
         n_initial_reservoir=n0,
     )

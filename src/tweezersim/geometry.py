@@ -11,6 +11,7 @@ memoised plan is the one the planner would make afresh.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +48,9 @@ class Position:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"positions must be finite, got ({self.x}, {self.y})")
+        # stored as floats: run_meta.json's writer refuses numpy scalars
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
 
     def __iter__(self):
         yield self.x
@@ -68,6 +72,10 @@ class TrapSite:
     id: int
     pos: Position
     role: SiteRole
+
+    def __post_init__(self):
+        # stored as an int: run_meta.json's writer refuses numpy scalars
+        object.__setattr__(self, "id", operator.index(self.id))
 
 
 # Unit steps of the hexagonal lattice, flat sides facing +-x: site columns are
@@ -156,6 +164,7 @@ class ArrayLayout:
         for key in ("base_pitch", "effective_pitch", "scan_range"):
             if not 0 < getattr(self, key) < math.inf:
                 raise LayoutError(key, f"must be finite and positive, got {getattr(self, key)}")
+            object.__setattr__(self, key, float(getattr(self, key)))
         ratio = self.effective_pitch / self.base_pitch
         if not (math.isclose(ratio, 1.0, rel_tol=1e-9) or math.isclose(ratio, 2.0, rel_tol=1e-9)):
             raise LayoutError(

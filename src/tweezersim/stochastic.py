@@ -9,13 +9,13 @@ search for the value from 0. A model bundle holds the one store of their
 tables, each the running sums of that search, read by bisection and
 indexed by an int count (:class:`CountIndex`): a decay window's thinning
 by reservoir count, the extraction's ensemble by reservoir count up to
-``n_reference``. A bundle's indices hold at most ``CDF_TABLE_CAP`` doubles
-(1 MiB); past that, and for a uniform at or above a table's last sum, a
-draw reads through the helpers, so every value is the search's. The
-engine's draws take plain counts, the window or index that holds their
-law, and a slot of the stream's current row, and return what they drew;
-they change none of their arguments but an index's lazily filled
-entries, so the caller owns all state.
+``n_reference``. Each index holds at most ``CDF_TABLE_CAP`` doubles, so
+a bundle's four hold at most 1 MiB; past that, and for a uniform at or
+above a table's last sum, a draw reads through the helpers, so every
+value is the search's. The engine's draws take plain counts, the window
+or index that holds their law, and a slot of the stream's current row,
+and return what they drew; they change none of their arguments but an
+index's lazily filled entries, so the caller owns all state.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,9 +54,10 @@ ROW_CHUNK = 64
 # a few hundred steps at most. Larger means are drawn by numpy's samplers.
 SEARCH_MAX_MEAN = 500.0
 
-# A model bundle's count indices hold at most this many doubles of
-# inverse-CDF tables in all (1 MiB).
-CDF_TABLE_CAP = 2**17
+# A count index holds at most this many doubles of inverse-CDF tables
+# (256 KiB). The fullest index of any benchmark workload holds about half
+# of it: steady_state's image-window thinning, 16,347 doubles at seed 42.
+CDF_TABLE_CAP = 2**15
 
 # A loss mask is built from words of this many bits: the largest word, 2**63
 # - 1, is still an int64, so one integer matmul gives every word of a chunk.
@@ -333,26 +334,24 @@ def binomial_icdf(
 class CountIndex(dict):
     """The inverse-CDF tables of a family of laws by an int count: entry
     ``n`` is :meth:`table` of ``n``, the table of the count's law, built on
-    its first read. ``budget``, a one-element list shared by a model
-    bundle's indices, holds the doubles they may still hold; without one,
-    an index starts a budget of ``CDF_TABLE_CAP`` of its own. A table
-    that does not fit is handed out once and empties the budget; past it,
-    as for a law read from none, a count reads an empty table, which is
-    not stored, and its value is left to the helpers. Keyed by count, not
-    sized by it: a reservoir may legally hold 1e18 atoms.
+    its first read. ``room`` is the doubles the index may still hold, at
+    most ``CDF_TABLE_CAP``. A table that does not fit is handed out once
+    and leaves no room; past it, as for a law read from none, a count reads
+    an empty table, which is not stored, and its value is left to the
+    helpers. Keyed by count, not sized by it: a reservoir may legally hold
+    1e18 atoms.
     """
 
-    def __init__(self, budget: list[int] | None = None):
+    def __init__(self):
         super().__init__()
-        self.budget = [CDF_TABLE_CAP] if budget is None else budget
+        self.room = CDF_TABLE_CAP
 
     def __missing__(self, n: int) -> array:
-        budget = self.budget
-        cdfs = self.table(n) if budget[0] else _NO_TABLE
-        if len(cdfs) > budget[0]:
-            budget[0] = 0  # full: no table is built past this one
+        cdfs = self.table(n) if self.room else _NO_TABLE
+        if len(cdfs) > self.room:
+            self.room = 0  # full: no table is built past this one
         elif cdfs:
-            budget[0] -= len(cdfs)
+            self.room -= len(cdfs)
             self[n] = cdfs
         return cdfs
 
@@ -364,8 +363,8 @@ class ThinningIndex(CountIndex):
     ``u`` itself (``p`` above 1/2, where it reads ``1 - u``, or a mean
     above the search limit), the entry is empty."""
 
-    def __init__(self, p: float, budget: list[int] | None = None):
-        super().__init__(budget)
+    def __init__(self, p: float):
+        super().__init__()
         self.p = p
 
     def table(self, n: int) -> array:
@@ -383,10 +382,8 @@ class EnsembleIndex(CountIndex):
     reservoir reads the entry at ``n_reference``. Above the search limit
     the entry is empty."""
 
-    def __init__(
-        self, mean_at_full: float, n_reference: int, budget: list[int] | None = None
-    ):
-        super().__init__(budget)
+    def __init__(self, mean_at_full: float, n_reference: int):
+        super().__init__()
         self.mean_at_full = mean_at_full
         self.n_reference = n_reference
 
@@ -407,27 +404,25 @@ class DecayWindow:
     mean number of atoms the reservoir refill adds in it
     (``refill_rate * length``), split into its whole part
     (``refill_whole``) and the rest (``refill_fraction``) for the
-    stochastic rounding. ``thinning`` is the window's
+    stochastic rounding. ``thinning`` is the window's own
     :class:`ThinningIndex` of the reservoir's loss, at ``1 -
-    reservoir_survival``, under the bundle's table ``budget`` (a budget of
-    its own where none is given); it takes no part in equality.
+    reservoir_survival``; it takes no part in equality.
     """
 
     length: float
     array_survival: float
     reservoir_survival: float
     refill_mean: float
-    budget: InitVar[list[int] | None] = None
     refill_whole: int = field(init=False)
     refill_fraction: float = field(init=False)
     thinning: ThinningIndex = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, budget):
+    def __post_init__(self):
         whole = int(self.refill_mean)
         for name, value in (
             ("refill_whole", whole),
             ("refill_fraction", self.refill_mean - whole),
-            ("thinning", ThinningIndex(1.0 - self.reservoir_survival, budget)),
+            ("thinning", ThinningIndex(1.0 - self.reservoir_survival)),
         ):
             object.__setattr__(self, name, value)
 

@@ -19,6 +19,7 @@ from tweezersim.config import (
     load_config,
 )
 from tweezersim.geometry import ArrayLayout, Position, SiteRole, TrapSite, reference_layout
+from tweezersim.stochastic import poisson_table
 
 
 def write_ini(tmp_path, body, name="run.ini"):
@@ -87,6 +88,22 @@ def test_replaced_models_equal_models_of_the_replaced_config(key, value):
         "p_transport", "p_stay_on_failure", "n_reference", "fill_strategy"
     )
     assert (derived_values(replaced) == derived_values(cfg)) == read_as_is
+
+
+def test_a_replaced_config_never_reads_its_parents_tables():
+    # each calibration evaluation runs dataclasses.replace(config,
+    # mean_ensemble_at_full=m, ...): once the parent has read its ensemble
+    # entry, the replaced bundle must still index tables of its own
+    cfg = ExperimentConfig()
+    assert cfg.ensembles[cfg.n_reference] == poisson_table(cfg.mean_ensemble_at_full)
+    replaced = dataclasses.replace(cfg, mean_ensemble_at_full=20.0, n_replicas=500)
+
+    def indices(models):
+        windows = (models.image_window, models.fill_window, models.refill_window)
+        return [models.ensembles, *(w.thinning for w in windows)]
+
+    assert not {id(index) for index in indices(cfg)} & {id(index) for index in indices(replaced)}
+    assert replaced.ensembles[replaced.n_reference] == poisson_table(20.0)
 
 
 @pytest.mark.parametrize("key,value,message", [

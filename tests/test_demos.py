@@ -21,9 +21,10 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     # a demo may write into its working directory (demo 03 writes
-    # demo_output/), so each runs in its own empty one
+    # demo_output/), so each runs in its own empty one; the subprocess does
+    # not inherit pytest's filterwarnings, so every warning is made an error
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -112,10 +112,12 @@ class TestDerivedModelValues:
                 mean, int(mean), mean - int(mean)
             )
             assert window.refill_whole > 0
-            # thinning at the window's loss probability, under the bundle's
-            # one table budget
+            # thinning at the window's loss probability, in an index of its own
             assert window.thinning.p == 1.0 - window.reservoir_survival
-            assert window.thinning.budget is ensembles.budget
+        indices = [ensembles] + [
+            w.thinning for w in (models.image_window, models.fill_window, models.refill_window)
+        ]
+        assert len(set(map(id, indices))) == 4
 
     def test_window_survival_follows_replaced_timing(self):
         models = models_with()

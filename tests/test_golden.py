@@ -10,11 +10,13 @@ import hashlib
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tweezersim import stochastic
 from tweezersim.config import ExperimentConfig
 from tweezersim.engine import EventLog
+from tweezersim.geometry import ArrayLayout, Position, SiteRole, TrapSite
 from tweezersim.harness import run_experiment, write_outputs
 
 from conftest import hex_layout, two_site_layout
@@ -105,6 +107,36 @@ def test_outputs_match_golden_hashes(case, tmp_path):
     assert (sha256(paths["fig4"]), sha256(paths["events"])) == (fig4, events)
     if case in RUN_META:
         assert sha256(paths["run_meta"]) == RUN_META[case]
+
+
+def test_numpy_scalars_write_the_bytes_of_equal_python_values(tmp_path):
+    # the config stores each key as its annotated type and a layout its
+    # sizes and coordinates as floats, its ids as ints, so no numpy scalar
+    # reaches a writer: the equal Python-typed run writes the same bytes
+    # (every real here is a float32 exactly)
+    def layout(real, integer):
+        return ArrayLayout(
+            sites=(
+                TrapSite(integer(0), Position(real(0.0), real(0.0)), SiteRole.BUFFER),
+                TrapSite(integer(1), Position(real(15.75), real(0.0)), SiteRole.TARGET),
+            ),
+            reservoir_pos=Position(real(-41.0), real(0.0)),
+            scan_range=real(250.0), base_pitch=real(15.75), effective_pitch=real(15.75),
+        )
+
+    def written(name, real, integer):
+        cfg = ExperimentConfig(
+            n_replicas=integer(3), n_cycles=integer(4), master_seed=integer(11),
+            n_reference=integer(80), reservoir_mean=integer(80),
+            p_transport=real(0.75), t_image=real(0.125), t_image_loss=real(0.0625),
+            t_ramp=real(2**-13), refill_rate=real(40.0), layout=layout(real, integer),
+        )
+        stats, log = run_experiment(cfg, log=EventLog())
+        paths = write_outputs(stats, log, str(tmp_path / name), cfg)
+        return {key: (tmp_path / name / path).read_bytes() for key, path in paths.items()}
+
+    assert written("numpy", np.float32, np.int64) == written("python", float, int)
+    assert written("float64", np.float64, np.int32) == written("python", float, int)
 
 
 def test_draws_above_the_search_limit_match_golden_hashes(tmp_path, monkeypatch):

@@ -456,23 +456,26 @@ def referenced(models):
 
 @pytest.mark.parametrize("cap", [0, 60, 500, CDF_TABLE_CAP])
 def test_a_bundle_indexes_at_most_the_cap_and_reads_the_search_past_it(cap, monkeypatch):
-    # a refilled reservoir visits hundreds of counts; whatever the cap, the
-    # bundle's indices hold at most that many doubles in all and share one
-    # budget; the first table past it empties the budget, and every value
-    # past it is read through the helpers
+    # a refilled reservoir visits hundreds of counts; whatever the cap, each
+    # of the bundle's indices holds at most that many doubles; the first
+    # table past it leaves the index no room, and every value past it is
+    # read through the helpers
     cfg = ExperimentConfig(n_replicas=1, n_cycles=299, master_seed=3, refill_rate=100.0)
     expected = run_realization(cfg)  # 300 engine cycles
     monkeypatch.setattr(stochastic, "CDF_TABLE_CAP", cap)
     models = dataclasses.replace(cfg)  # a fresh bundle, built under the cap
     assert run_realization(models) == expected
-    total, indices = referenced(models)
-    assert total <= cap
-    assert all(index.budget is models.ensembles.budget for index in indices)
-    assert models.ensembles.budget == ([cap - total] if cap == CDF_TABLE_CAP else [0])
+    _, indices = referenced(models)
+    for index in indices:
+        held = sum(len(cdfs) for cdfs in index.values())
+        assert held <= cap
+        if cap == CDF_TABLE_CAP:
+            assert index.room == cap - held
+        else:  # full: a count not yet indexed builds no table
+            assert index.room == 0
+            assert len(index[12345]) == 0 and 12345 not in index
     if cap == CDF_TABLE_CAP:
-        assert sum(map(len, indices)) > 100  # the index is in use
-    else:  # full: a count not yet indexed builds no table
-        assert len(models.fill_window.thinning[12345]) == 0
+        assert sum(map(len, indices)) > 100  # the indices are in use
 
 
 @pytest.mark.parametrize(
