@@ -454,12 +454,13 @@ def referenced(models):
     return sum(len(cdfs) for index in indices for cdfs in index.values()), indices
 
 
-@pytest.mark.parametrize("cap", [0, 60, 500, CDF_TABLE_CAP])
+@pytest.mark.parametrize("cap", [0, 60, 500, CDF_TABLE_CAP, 4 * CDF_TABLE_CAP])
 def test_a_bundle_indexes_at_most_the_cap_and_reads_the_search_past_it(cap, monkeypatch):
     # a refilled reservoir visits hundreds of counts; whatever the cap, each
     # of the bundle's indices holds at most that many doubles; the first
     # table past it leaves the index no room, and every value past it is
-    # read through the helpers
+    # read through the helpers. The default cap and four times it (the
+    # most a bundle's four indices hold in all) are never reached here
     cfg = ExperimentConfig(n_replicas=1, n_cycles=299, master_seed=3, refill_rate=100.0)
     expected = run_realization(cfg)  # 300 engine cycles
     monkeypatch.setattr(stochastic, "CDF_TABLE_CAP", cap)
@@ -469,12 +470,12 @@ def test_a_bundle_indexes_at_most_the_cap_and_reads_the_search_past_it(cap, monk
     for index in indices:
         held = sum(len(cdfs) for cdfs in index.values())
         assert held <= cap
-        if cap == CDF_TABLE_CAP:
+        if cap >= CDF_TABLE_CAP:
             assert index.room == cap - held
         else:  # full: a count not yet indexed builds no table
             assert index.room == 0
             assert len(index[12345]) == 0 and 12345 not in index
-    if cap == CDF_TABLE_CAP:
+    if cap >= CDF_TABLE_CAP:
         assert sum(map(len, indices)) > 100  # the indices are in use
 
 
