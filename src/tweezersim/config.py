@@ -176,7 +176,13 @@ class ExperimentConfig:
             for words, test in f.metadata["rules"]:
                 if not test(value):
                     raise ConfigError(f"{name} must be {words}, got {value!r}")
-            object.__setattr__(self, f.name, cast(value))
+            try:
+                value = cast(value)
+            except OverflowError:  # an int past the largest float
+                raise ConfigError(
+                    f"{name} must fit in a float, got an int of {value.bit_length()} bits"
+                ) from None
+            object.__setattr__(self, f.name, value)
         if self.t_image_loss is not None and not self.t_image_loss <= self.t_image:
             raise ConfigError(
                 f"timing.t_image_loss {self.t_image_loss} s must not exceed "

@@ -140,6 +140,10 @@ class RngStream:
     draws them up to ``ROW_CHUNK`` at a time and none beyond; without it,
     one at a time. ``Generator.random((k, width))`` gives the same numbers
     as ``k`` rows drawn one by one, so the chunking changes no value.
+    :meth:`draw_group` builds the streams of a group of replicas with their
+    one leading uniform and first chunk of rows drawn ahead, the same
+    values in the same order. Once a stream has drawn rows it refuses a
+    leading uniform it has not already read, which would follow them.
 
     Two streams built from the same pair produce bit-identical sequences;
     adding replicas never perturbs existing ones.
@@ -150,12 +154,39 @@ class RngStream:
         self.replica = int(replica)
         seq = np.random.SeedSequence((self.master_seed, self.replica))
         self._gen = np.random.Generator(np.random.PCG64(seq))
+        self.n_rows = n_rows  # the rows announced, or None
         self.cycle = 0  # rows handed out so far: the engine cycle of ``row``
         self.row: tuple | None = None
         self.form: RowForm | None = None  # the form of ``row`` and of the rows ahead
         self._ahead: list[tuple] = []  # drawn rows not yet handed out, last first
         self._rows_left = n_rows or 0  # announced rows not yet drawn
-        self._drawn = 0  # leading uniforms read so far
+        self.drawn = 0  # leading uniforms handed out so far
+        self._lead_ahead: float | None = None  # a leading uniform read ahead
+
+    @classmethod
+    def draw_group(
+        cls, master_seed: int, replicas, n_rows: int, form: RowForm
+    ) -> list[RngStream]:
+        """The streams of ``replicas``, each announced for ``n_rows`` rows,
+        seeded back to back, each with its one leading uniform and its
+        first ``min(ROW_CHUNK, n_rows)`` rows already drawn: the rows into
+        one block, handed out in ``form`` by one :meth:`RowForm.rows`
+        call. Each stream hands out the values a lone ``RngStream(
+        master_seed, replica, n_rows)`` would, the uniform first; it draws
+        its later chunks itself."""
+        streams = [cls(master_seed, replica, n_rows) for replica in replicas]
+        k = min(ROW_CHUNK, max(n_rows, 1))
+        block = np.empty((len(streams) * k, form.width))
+        for at, stream in zip(range(0, len(block), k), streams):
+            stream._lead_ahead = stream._gen.random()
+            stream._gen.random(out=block[at:at + k])
+            stream._rows_left -= k
+        rows = form.rows(block)
+        for at, stream in zip(range(0, len(rows), k), streams):
+            stream._ahead = ahead = rows[at:at + k]
+            ahead.reverse()
+            stream.form = form
+        return streams
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, replica={self.replica})"
@@ -194,8 +225,17 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(seq))
 
     def _lead(self) -> float:
-        self._drawn += 1
-        return self._gen.random()
+        u = self._lead_ahead
+        if u is not None:
+            self._lead_ahead = None
+        elif self.form is None:
+            u = self._gen.random()
+        else:
+            raise ValueError(
+                f"{self!r} has drawn rows: a leading uniform now would follow them"
+            )
+        self.drawn += 1
+        return u
 
     def random(self) -> float:
         """The next leading uniform."""
@@ -205,11 +245,11 @@ class RngStream:
         return self._lead() < p
 
     def poisson(self, mean: float) -> int:
-        slot = self._drawn  # its child is keyed by (cycle 0, this uniform's place)
+        slot = self.drawn  # its child is keyed by (cycle 0, this uniform's place)
         return poisson_icdf(self._lead(), mean, self, slot)
 
     def binomial(self, n: int, p: float) -> int:
-        slot = self._drawn
+        slot = self.drawn
         return binomial_icdf(self._lead(), n, p, self, slot)
 
 

@@ -294,6 +294,17 @@ def test_ints_and_numpy_scalars_are_taken(field, value):
     assert getattr(ExperimentConfig(**{field: value}), field) == value
 
 
+@pytest.mark.parametrize("key", [
+    "stochastic.lifetime_array_s", "stochastic.refill_rate", "timing.t_mot",
+])
+def test_an_int_past_the_largest_float_names_its_key(key):
+    # 10**400 passes each key's range, compared exactly as an int, and
+    # has no float to be stored as
+    message = rf"^{re.escape(key)} must fit in a float, got an int of 1329 bits$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{key.partition(".")[2]: 10**400})
+
+
 def test_refill_supply_bound_counts_the_run_length():
     # 2.7e17 atoms/s x 16 cycles x 0.23 s = 9.9e17 atoms: legal; one more
     # reported cycle takes the supply past 1e18

@@ -30,6 +30,8 @@ from tweezersim.stochastic import (
     survival_probability,
 )
 
+from conftest import hex_layout
+
 MODELS = ExperimentConfig()
 # reservoir survival over half a second at the reference lifetime of 5 s
 P_HALF_SECOND = survival_probability(0.5, MODELS.lifetime_reservoir_s)
@@ -104,6 +106,66 @@ class TestRngStream:
         words = r"rows of CycleSlots\(35, .* still ahead, not of RowForm\(71, \(\), 0\)"
         with pytest.raises(ValueError, match=words):
             rng.next_row(PLAIN[71])
+
+
+HEX = ExperimentConfig(layout=hex_layout())
+
+
+@pytest.mark.parametrize("models", [MODELS, HEX], ids=["reference", "hex-91"])
+@pytest.mark.parametrize("n_rows", [1, 16, 64, 70, 130])
+def test_a_group_draws_what_lone_streams_draw(models, n_rows):
+    # the group's first chunks are drawn into one block and handed out in
+    # one pass, hex-91's masks over two 63-bit words; each stream then
+    # hands out its leading uniform, its rows and its later chunks as a
+    # lone stream does, and draws no uniform more
+    replicas = range(3, 8)
+    group = RngStream.draw_group(42, replicas, n_rows, models.slots)
+    assert [rng.replica for rng in group] == list(replicas)
+    for rng in group:
+        alone = RngStream(42, rng.replica, n_rows)
+        assert (rng.master_seed, rng.n_rows, rng.cycle) == (42, n_rows, 0)
+        assert rng.random() == alone.random()
+        for _ in range(n_rows):
+            assert rng.next_row(models.slots) == alone.next_row(models.slots)
+        assert rng._gen.bit_generator.state == alone._gen.bit_generator.state
+
+
+def test_a_stream_with_rows_drawn_refuses_a_leading_uniform():
+    (ahead,) = RngStream.draw_group(42, [0], 16, MODELS.slots)
+    ahead.random()  # the one read ahead
+    lone = RngStream(42, 0, 16)
+    lone.random()
+    lone.next_row(MODELS.slots)
+    for rng in (ahead, lone):
+        for draw in (rng.random, lambda: rng.poisson(3.0), lambda: rng.bernoulli(0.5)):
+            with pytest.raises(ValueError, match="has drawn rows: a leading uniform"):
+                draw()
+    assert ahead.drawn == lone.drawn == 1
+
+
+@pytest.mark.parametrize("stream,words", [
+    (lambda: RngStream.draw_group(42, [4], 16, MODELS.slots)[0], r"master_seed=42, replica=4\)"),
+    (lambda: RngStream(7, 3, 16), "master_seed=7"),
+    (lambda: RngStream(42, 3, 17), "of 17 rows"),
+    (lambda: RngStream(42, 3), "of None rows"),
+])
+def test_run_realization_refuses_another_stream(stream, words):
+    with pytest.raises(ValueError, match=words):
+        run_realization(MODELS, 3, None, stream())
+
+
+def test_run_realization_refuses_a_stream_already_read():
+    read = RngStream(42, 3, 16)
+    read.random()
+    started = RngStream.draw_group(42, [3], 16, MODELS.slots)[0]
+    started.random()
+    started.next_row(MODELS.slots)
+    for rng, words in ((read, "1 leading uniforms and 0 rows"),
+                       (started, "1 leading uniforms and 1 rows")):
+        with pytest.raises(ValueError, match=words):
+            run_realization(MODELS, 3, None, rng)
+    fresh = RngStream.draw_group(42, [3], 16, MODELS.slots)[0]
+    assert run_realization(MODELS, 3, None, fresh) == run_realization(MODELS, 3)
 
 
 def test_survival_probability_closed_form():
