@@ -12,7 +12,10 @@ from __future__ import annotations
 import configparser
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .engine import CycleSlots
 from .geometry import ArrayLayout, LayoutError, Position, SiteRole, TrapSite, reference_layout
@@ -159,17 +162,27 @@ class ExperimentConfig:
         return it; construction runs it once.
 
         Each error is a :class:`ConfigError` that names the offending
-        ``section.key``. Checks across keys: an array atom must survive from
-        a refill to its readout, the plateau must be reachable with
+        ``section.key``; an int too long for Python to write out is refused
+        first, by its size in bits. Checks across keys: the run's arrays
+        must be ones numpy can index, an array atom must survive from a
+        refill to its readout, the plateau must be reachable with
         ``p_blockade`` at most 1, the fill window must hold the longest fill
         plan, and a refilled reservoir must stay short of 1e18 atoms.
         """
         if not isinstance(self.layout, ArrayLayout):
             raise ConfigError(f"layout must be an ArrayLayout, got {self.layout!r}")
+        # the most digits Python writes an int out in (0: no limit)
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        too_long = 10**digits if digits else math.inf
         for f in _TAGGED:
             name, value = f"{f.metadata['section']}.{f.name}", getattr(self, f.name)
             if value is None and f.type == "float | None":
                 continue
+            if isinstance(value, int) and abs(value) >= too_long:
+                raise ConfigError(
+                    f"{name} must have at most {digits} digits, got an int of "
+                    f"{value.bit_length()} bits"
+                )
             kinds, noun, cast = _KINDS[f.type]
             if not isinstance(value, kinds) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be {noun}, got {value!r}")
@@ -194,6 +207,15 @@ class ExperimentConfig:
             "move_duration": 2.0 * self.t_ramp + self.t_move,
             "engine_cycles": self.n_cycles + 1,
         }
+        # run_experiment counts each engine cycle of each replica in int64
+        # arrays, whose size in bytes numpy holds in an intp
+        n_bytes = self.n_replicas * derived["engine_cycles"] * np.dtype(np.int64).itemsize
+        if n_bytes > (most := np.iinfo(np.intp).max):
+            raise ConfigError(
+                f"run.n_replicas {self.n_replicas} x run.n_cycles + 1 = "
+                f"{derived['engine_cycles']} engine cycles of int64 counts is "
+                f"{n_bytes} bytes, past the {most} bytes numpy can index"
+            )
         image = self.t_image if self.t_image_loss is None else self.t_image_loss
         # The plateau is the fill fraction read out one image after a
         # refill, so invert the decay accumulated over that window out of it.

@@ -640,7 +640,7 @@ def run_realization(
 
     ``rng`` may give that stream, built for ``config.engine_cycles`` rows
     and with nothing handed out yet, such as one of
-    :meth:`RngStream.draw_group`; any other stream is a ``ValueError``.
+    :meth:`RngStream.groups`; any other stream is a ``ValueError``.
     Without it the realization builds its own. Deterministic given
     (config, replica); the records of two runs with identical arguments
     are identical.
@@ -648,14 +648,7 @@ def run_realization(
     n_cycles = config.engine_cycles
     if rng is None:
         rng = RngStream(config.master_seed, replica, n_rows=n_cycles)
-    elif (rng.master_seed, rng.replica, rng.n_rows, rng.drawn, rng.cycle) != (
-        config.master_seed, replica, n_cycles, 0, 0
-    ):
-        raise ValueError(
-            f"replica {replica} of master seed {config.master_seed} runs on a "
-            f"fresh stream of {n_cycles} rows, not {rng!r} of {rng.n_rows} rows "
-            f"with {rng.drawn} leading uniforms and {rng.cycle} rows handed out"
-        )
+    rng.require_fresh(config.master_seed, replica, n_cycles)
     state = init_sequence(config, rng)
     if log is not None:
         log.add(*_state_row(state, "init"))

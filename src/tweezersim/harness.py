@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .engine import EventLog, run_realization
-from .stochastic import ROW_CHUNK, RngStream
+from .stochastic import RngStream
 
 __all__ = [
     "ExperimentStats",
@@ -90,14 +90,6 @@ def _success_matrix(complete: np.ndarray, definition: str) -> np.ndarray:
     return np.maximum.accumulate(complete, axis=1)
 
 
-# An ensemble's replicas run in groups of consecutive replicas whose
-# streams hold at most this many rows ahead (RngStream.draw_group): 8
-# replicas of 16 engine cycles, 2 of a run past ROW_CHUNK cycles. Groups
-# of 8 ran the reference ensemble as fast as groups of 16 and calibrate
-# faster, at half the rows held ahead; 32 were slower.
-_GROUP_ROWS = 128
-
-
 def run_experiment(
     config: ExperimentConfig, log: EventLog | None = None
 ) -> tuple[ExperimentStats, EventLog | None]:
@@ -109,12 +101,12 @@ def run_experiment(
     block of rows, so it never holds more than a block plus one replica.
 
     The replicas run on ``config`` itself, the model bundle it became when
-    it was built and checked, in groups of consecutive replicas: a group's
-    streams are built together by :meth:`RngStream.draw_group`, each
-    replica runs on its own, and the group's columns of observables are
-    kept. Deterministic for a fixed config: replica i always draws from the
-    stream keyed by (master_seed, i), the same values whatever its group,
-    so enlarging the ensemble never perturbs earlier replicas.
+    it was built and checked, in the groups of :meth:`RngStream.groups`:
+    each replica runs on its own stream, and a group's columns of
+    observables are kept. Deterministic for a fixed config: replica i
+    always draws from the stream keyed by (master_seed, i), the same
+    values whatever its group, so enlarging the ensemble never perturbs
+    earlier replicas.
     """
     n_buffers = len(config.layout.buffer_ids)
     n_rep, n_cycles = config.n_replicas, config.engine_cycles
@@ -123,10 +115,7 @@ def run_experiment(
     buffer_counts = np.zeros(shape, dtype=np.int64)
     reservoir_counts = np.zeros(shape, dtype=np.int64)
     delivered = np.zeros(n_rep, dtype=np.int64)
-    group = max(1, _GROUP_ROWS // min(ROW_CHUNK, n_cycles))
-    for start in range(0, n_rep, group):
-        replicas = range(start, min(start + group, n_rep))
-        streams = RngStream.draw_group(config.master_seed, replicas, n_cycles, config.slots)
+    for replicas, streams in RngStream.groups(config.master_seed, n_rep, n_cycles, config.slots):
         kept = []
         for i, rng in zip(replicas, streams):
             records = run_realization(config, i, log, rng)
@@ -135,7 +124,7 @@ def run_experiment(
             kept.append((done, buffers, reservoir, cum[-1]))
             if log is not None:
                 log.flush(_CHUNK_ROWS)
-        rows = slice(start, replicas.stop)
+        rows = slice(replicas.start, replicas.stop)
         complete[rows], buffer_counts[rows], reservoir_counts[rows], delivered[rows] = zip(*kept)
     success = _success_matrix(complete, config.success_definition).mean(axis=0)[1:]
     halfwidth = binomial_halfwidth if config.ci_method == "normal" else wilson_halfwidth

@@ -49,6 +49,13 @@ __all__ = [
 # long realization never holds all of its uniforms at once.
 ROW_CHUNK = 64
 
+# An ensemble's streams are built in groups of consecutive replicas holding
+# at most this many rows ahead (RngStream.groups): 8 replicas of 16 engine
+# cycles, 2 of a run past ROW_CHUNK cycles. Groups of 8 ran the reference
+# ensemble as fast as groups of 16 and calibrate faster, at half the rows
+# held ahead; 32 were slower.
+_GROUP_ROWS = 128
+
 # Poisson and binomial values are searched for while the searched mean is at
 # most this: exp(-500) ~ 7e-218 is still a normal double, and a search takes
 # a few hundred steps at most. Larger means are drawn by numpy's samplers.
@@ -140,10 +147,10 @@ class RngStream:
     draws them up to ``ROW_CHUNK`` at a time and none beyond; without it,
     one at a time. ``Generator.random((k, width))`` gives the same numbers
     as ``k`` rows drawn one by one, so the chunking changes no value.
-    :meth:`draw_group` builds the streams of a group of replicas with their
-    one leading uniform and first chunk of rows drawn ahead, the same
-    values in the same order. Once a stream has drawn rows it refuses a
-    leading uniform it has not already read, which would follow them.
+    :meth:`groups` builds an ensemble's streams with their one leading
+    uniform and first chunk of rows drawn ahead, the same values in the
+    same order. Once a stream has drawn rows it refuses a leading uniform
+    it has not already read, which would follow them.
 
     Two streams built from the same pair produce bit-identical sequences;
     adding replicas never perturbs existing ones.
@@ -154,39 +161,39 @@ class RngStream:
         self.replica = int(replica)
         seq = np.random.SeedSequence((self.master_seed, self.replica))
         self._gen = np.random.Generator(np.random.PCG64(seq))
-        self.n_rows = n_rows  # the rows announced, or None
+        self.n_rows = n_rows  # rows announced, or None; with none ahead, ``cycle`` are drawn
         self.cycle = 0  # rows handed out so far: the engine cycle of ``row``
         self.row: tuple | None = None
         self.form: RowForm | None = None  # the form of ``row`` and of the rows ahead
         self._ahead: list[tuple] = []  # drawn rows not yet handed out, last first
-        self._rows_left = n_rows or 0  # announced rows not yet drawn
         self.drawn = 0  # leading uniforms handed out so far
         self._lead_ahead: float | None = None  # a leading uniform read ahead
 
     @classmethod
-    def draw_group(
-        cls, master_seed: int, replicas, n_rows: int, form: RowForm
-    ) -> list[RngStream]:
-        """The streams of ``replicas``, each announced for ``n_rows`` rows,
-        seeded back to back, each with its one leading uniform and its
-        first ``min(ROW_CHUNK, n_rows)`` rows already drawn: the rows into
-        one block, handed out in ``form`` by one :meth:`RowForm.rows`
-        call. Each stream hands out the values a lone ``RngStream(
-        master_seed, replica, n_rows)`` would, the uniform first; it draws
-        its later chunks itself."""
-        streams = [cls(master_seed, replica, n_rows) for replica in replicas]
+    def groups(cls, master_seed: int, n_replicas: int, n_rows: int, form: RowForm):
+        """Yield ``(replicas, streams)`` for replicas ``0 .. n_replicas - 1``
+        in groups of ``_GROUP_ROWS // k`` consecutive replicas, each stream
+        for ``n_rows`` rows with its leading uniform and first ``k =
+        min(ROW_CHUNK, n_rows)`` rows drawn: a group's rows into one block,
+        handed out in ``form`` by one :meth:`RowForm.rows` call. Each stream
+        hands out the values a lone ``RngStream(master_seed, replica,
+        n_rows)`` would, the uniform first, and draws its later chunks."""
         k = min(ROW_CHUNK, max(n_rows, 1))
-        block = np.empty((len(streams) * k, form.width))
-        for at, stream in zip(range(0, len(block), k), streams):
-            stream._lead_ahead = stream._gen.random()
-            stream._gen.random(out=block[at:at + k])
-            stream._rows_left -= k
-        rows = form.rows(block)
-        for at, stream in zip(range(0, len(rows), k), streams):
-            stream._ahead = ahead = rows[at:at + k]
-            ahead.reverse()
-            stream.form = form
-        return streams
+        size = _GROUP_ROWS // k
+        for start in range(0, n_replicas, size):
+            replicas = range(start, min(start + size, n_replicas))
+            streams = [cls(master_seed, replica, n_rows) for replica in replicas]
+            block = np.empty((len(streams) * k, form.width))
+            for at, stream in zip(range(0, len(block), k), streams):
+                stream._lead_ahead = stream._gen.random()
+                stream._gen.random(out=block[at:at + k])
+            rows = form.rows(block)
+            for at, stream in zip(range(0, len(rows), k), streams):
+                stream._ahead = ahead = rows[at:at + k]
+                ahead.reverse()
+                stream.form = form
+            del block, rows  # a row is then freed once its stream hands it out
+            yield replicas, streams
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, replica={self.replica})"
@@ -200,8 +207,7 @@ class RngStream:
         stream hands out rows of one form."""
         ahead = self._ahead
         if not ahead:
-            k = min(ROW_CHUNK, max(self._rows_left, 1))
-            self._rows_left -= k
+            k = min(ROW_CHUNK, max((self.n_rows or 0) - self.cycle, 1))
             ahead.extend(reversed(form.rows(self._gen.random((k, form.width)))))
             self.form = form
         elif form is not self.form:
@@ -223,6 +229,18 @@ class RngStream:
             (self.master_seed, self.replica), spawn_key=(self.cycle, column)
         )
         return np.random.Generator(np.random.PCG64(seq))
+
+    def require_fresh(self, master_seed: int, replica: int, n_rows: int) -> None:
+        """A ``ValueError`` unless this is the unread stream of (``master_seed``,
+        ``replica``) for ``n_rows`` rows; a uniform read ahead is unread."""
+        if (self.master_seed, self.replica, self.n_rows, self.drawn, self.cycle) != (
+            master_seed, replica, n_rows, 0, 0
+        ):
+            raise ValueError(
+                f"replica {replica} of master seed {master_seed} runs on a "
+                f"fresh stream of {n_rows} rows, not {self!r} of {self.n_rows} rows "
+                f"with {self.drawn} leading uniforms and {self.cycle} rows handed out"
+            )
 
     def _lead(self) -> float:
         u = self._lead_ahead

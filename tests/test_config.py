@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -303,6 +304,38 @@ def test_an_int_past_the_largest_float_names_its_key(key):
     message = rf"^{re.escape(key)} must fit in a float, got an int of 1329 bits$"
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**{key.partition(".")[2]: 10**400})
+
+
+@pytest.mark.parametrize("key", [
+    "stochastic.p_transport", "run.master_seed", "run.success_definition",
+])
+def test_an_int_too_long_to_write_out_names_its_key(key):
+    # 10**limit, one digit past what Python writes out, fails p_transport's
+    # range and the kind of success_definition, and would pass master_seed's
+    # range only to fail the run's JSON record: each is refused first, by
+    # its size in bits, never written into a message
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter writes out ints of any length")
+    bits = (10**limit).bit_length()
+    message = rf"^{re.escape(key)} must have at most {limit} digits, got an int of {bits} bits$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{key.partition(".")[2]: 10**limit})
+    assert ExperimentConfig(master_seed=10**limit - 1).master_seed == 10**limit - 1
+
+
+@pytest.mark.parametrize(
+    "values", [{"n_replicas": 2**70}, {"n_cycles": 2**60}, {"n_replicas": 2**56}],
+    ids=["replicas", "cycles", "first-refused"],
+)
+def test_a_run_numpy_cannot_index_names_its_keys(values):
+    # 2**56 replicas of 16 engine cycles are 2**63 bytes of int64 counts, one
+    # past the largest intp: the first such ensemble numpy refuses to shape
+    with pytest.raises(ValueError, match="too big"):
+        np.empty((2**56, 16), dtype=np.int64)
+    with pytest.raises(ConfigError, match=r"^run\.n_replicas \d+ x run\.n_cycles \+ 1"):
+        ExperimentConfig(**values)
+    assert ExperimentConfig(n_replicas=2**56 - 1).n_replicas == 2**56 - 1
 
 
 def test_refill_supply_bound_counts_the_run_length():

@@ -121,39 +121,23 @@ def test_each_replica_of_an_ensemble_is_its_own_realization():
         assert [row for row in grown.rows if row[0] == i] == alone.rows
 
 
-class GroupedStreams(harness.RngStream):
-    """Streams whose groups record how many replicas they hold."""
-
-    sizes = []
-
-    @classmethod
-    def draw_group(cls, master_seed, replicas, n_rows, form):
-        cls.sizes.append(len(replicas))
-        return super().draw_group(master_seed, replicas, n_rows, form)
-
-
-# replicas of 16 engine cycles past two full groups; of 70 cycles, whose
-# grouped first chunk of 64 rows is followed by each stream's own chunk
-@pytest.mark.parametrize("n_cycles,n_groups,extra", [(15, 2, 5), (69, 2, 1), (15, 0, 1)],
+# replicas of 16 engine cycles past two full groups of 8; of 70 cycles,
+# in groups of 2 whose grouped first chunk of 64 rows is followed by each
+# stream's own chunk (tests/test_stochastic.py checks the group sizes)
+@pytest.mark.parametrize("n_cycles,n_replicas", [(15, 21), (69, 5), (15, 1)],
                          ids=["two-groups-and-part", "past-a-chunk", "one-replica"])
 def test_replicas_across_groups_are_their_own_realizations(
-    monkeypatch, n_cycles, n_groups, extra
+    monkeypatch, n_cycles, n_replicas
 ):
-    group = harness._GROUP_ROWS // min(harness.ROW_CHUNK, n_cycles + 1)
-    cfg = ExperimentConfig(
-        n_replicas=n_groups * group + extra, n_cycles=n_cycles, master_seed=2024
-    )
+    cfg = ExperimentConfig(n_replicas=n_replicas, n_cycles=n_cycles, master_seed=2024)
     records = {}
 
     def recorded(config, replica, log, rng):
         records[replica] = run_realization(config, replica, log, rng)
         return records[replica]
 
-    GroupedStreams.sizes = []
-    monkeypatch.setattr(harness, "RngStream", GroupedStreams)
     monkeypatch.setattr(harness, "run_realization", recorded)
     _, ensemble = run_experiment(cfg, log=EventLog())
-    assert GroupedStreams.sizes == [group] * n_groups + [extra]
     assert sorted(records) == list(range(cfg.n_replicas))
     for i in range(cfg.n_replicas):
         alone = EventLog()

@@ -111,27 +111,44 @@ class TestRngStream:
 HEX = ExperimentConfig(layout=hex_layout())
 
 
+# replicas a group holds at a run of n_rows engine cycles: 128 rows ahead,
+# in first chunks of at most 64 rows
+GROUP_SIZES = {1: 128, 16: 8, 64: 2, 70: 2, 130: 2, 2501: 2}
+
+
 @pytest.mark.parametrize("models", [MODELS, HEX], ids=["reference", "hex-91"])
-@pytest.mark.parametrize("n_rows", [1, 16, 64, 70, 130])
+@pytest.mark.parametrize("n_rows", [1, 16, 64, 70, 130, 2501])
 def test_a_group_draws_what_lone_streams_draw(models, n_rows):
-    # the group's first chunks are drawn into one block and handed out in
-    # one pass, hex-91's masks over two 63-bit words; each stream then
-    # hands out its leading uniform, its rows and its later chunks as a
-    # lone stream does, and draws no uniform more
-    replicas = range(3, 8)
-    group = RngStream.draw_group(42, replicas, n_rows, models.slots)
-    assert [rng.replica for rng in group] == list(replicas)
-    for rng in group:
-        alone = RngStream(42, rng.replica, n_rows)
-        assert (rng.master_seed, rng.n_rows, rng.cycle) == (42, n_rows, 0)
-        assert rng.random() == alone.random()
-        for _ in range(n_rows):
-            assert rng.next_row(models.slots) == alone.next_row(models.slots)
-        assert rng._gen.bit_generator.state == alone._gen.bit_generator.state
+    # groups of consecutive replicas, the last one short; each group's first
+    # chunks are drawn into one block and handed out in one pass, hex-91's
+    # masks over two 63-bit words; each stream then hands out its leading
+    # uniform, its rows and its later chunks as a lone stream does, and
+    # draws no uniform more
+    size = GROUP_SIZES[n_rows]
+    groups = list(RngStream.groups(42, 2 * size + 1, n_rows, models.slots))
+    assert [replicas for replicas, _ in groups] == [
+        range(size), range(size, 2 * size), range(2 * size, 2 * size + 1)
+    ]
+    for replicas, streams in groups:
+        assert [rng.replica for rng in streams] == list(replicas)
+        for rng in streams:
+            alone = RngStream(42, rng.replica, n_rows)
+            assert (rng.master_seed, rng.n_rows, rng.cycle) == (42, n_rows, 0)
+            assert rng.random() == alone.random()
+            for _ in range(n_rows):
+                assert rng.next_row(models.slots) == alone.next_row(models.slots)
+            assert rng._gen.bit_generator.state == alone._gen.bit_generator.state
+
+
+def grouped(replica: int) -> RngStream:
+    """Replica ``replica``'s stream as ``RngStream.groups`` builds it for an
+    ensemble of ``replica + 1`` of 16 rows, the reference rows ahead."""
+    *_, (_, streams) = RngStream.groups(42, replica + 1, 16, MODELS.slots)
+    return streams[-1]
 
 
 def test_a_stream_with_rows_drawn_refuses_a_leading_uniform():
-    (ahead,) = RngStream.draw_group(42, [0], 16, MODELS.slots)
+    ahead = grouped(0)
     ahead.random()  # the one read ahead
     lone = RngStream(42, 0, 16)
     lone.random()
@@ -144,7 +161,7 @@ def test_a_stream_with_rows_drawn_refuses_a_leading_uniform():
 
 
 @pytest.mark.parametrize("stream,words", [
-    (lambda: RngStream.draw_group(42, [4], 16, MODELS.slots)[0], r"master_seed=42, replica=4\)"),
+    (lambda: grouped(4), r"master_seed=42, replica=4\)"),
     (lambda: RngStream(7, 3, 16), "master_seed=7"),
     (lambda: RngStream(42, 3, 17), "of 17 rows"),
     (lambda: RngStream(42, 3), "of None rows"),
@@ -157,14 +174,14 @@ def test_run_realization_refuses_another_stream(stream, words):
 def test_run_realization_refuses_a_stream_already_read():
     read = RngStream(42, 3, 16)
     read.random()
-    started = RngStream.draw_group(42, [3], 16, MODELS.slots)[0]
+    started = grouped(3)
     started.random()
     started.next_row(MODELS.slots)
     for rng, words in ((read, "1 leading uniforms and 0 rows"),
                        (started, "1 leading uniforms and 1 rows")):
         with pytest.raises(ValueError, match=words):
             run_realization(MODELS, 3, None, rng)
-    fresh = RngStream.draw_group(42, [3], 16, MODELS.slots)[0]
+    fresh = grouped(3)
     assert run_realization(MODELS, 3, None, fresh) == run_realization(MODELS, 3)
 
 
