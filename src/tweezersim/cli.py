@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
-    if args.config:
+    if args.config is not None:
         return load_config(args.config)
     return ExperimentConfig()
 
@@ -97,11 +97,11 @@ def _run_simulate(args) -> int:
     config = _apply_overrides(_load(args), args)
     # with --out, events.csv is open before the first replica runs and is
     # written while the ensemble runs
-    events = stream_events(args.out) if args.out else contextlib.nullcontext()
+    events = stream_events(args.out) if args.out is not None else contextlib.nullcontext()
     with events as log:
         stats, log = run_experiment(config, log=log)
         _print_table(config, stats)
-        if args.out:
+        if args.out is not None:
             paths = write_outputs(stats, log, args.out, config)
             for name in ("fig4", "events", "run_meta"):
                 print(f"wrote {paths[name]}")

@@ -303,7 +303,9 @@ def _decay_step(
     state: SystemState, window: DecayWindow, rng: RngStream, slot: int
 ) -> None:
     """One-body losses over ``window`` for array atoms and the reservoir,
-    plus the window's reservoir refill; a window of length 0 does nothing.
+    plus the window's reservoir refill; a window of length 0 does nothing,
+    and is skipped here so that :func:`run_cycle`, which runs it, is checked
+    to agree.
 
     Truth-only: the controller never sees decay until the next image. The
     window reads the current row from ``slot`` on (``ExperimentConfig.slots``,
@@ -483,6 +485,11 @@ def run_cycle(
     :func:`step_refill_buffers` and :func:`check_conservation` do, with the
     same draws from the same slots and the same errors; those functions are
     its scalar reference.
+
+    Every decay window runs, a zero-length one too: its own laws make it a
+    no-op (:class:`~tweezersim.stochastic.DecayWindow`), where
+    :func:`_decay_step` skips it by its guard, so the reference cycle checks
+    that the two agree.
     """
     slots, layout = models.slots, models.layout
     row = rng.next_row(slots)
@@ -498,16 +505,15 @@ def run_cycle(
     # image: the image window's decay, then belief reset to truth (perfect
     # detection); the decay is truth-only, as in every window below
     window, slot = models.image_window, slots.image
-    if window.length > 0.0:
-        dead = truth & row[slot + 2]
-        if dead:
-            truth ^= dead
-            array_decay += dead.bit_count()
-        lost, added = reservoir_decay(rng, n_res, window, slot)
-        if lost or added:
-            n_res += added - lost
-            reservoir_decay_loss += lost
-            refilled += added
+    dead = truth & row[slot + 2]
+    if dead:
+        truth ^= dead
+        array_decay += dead.bit_count()
+    lost, added = reservoir_decay(rng, n_res, window, slot)
+    if lost or added:
+        n_res += added - lost
+        reservoir_decay_loss += lost
+        refilled += added
     clock += models.t_image
     belief = truth
     if log is not None:
@@ -550,16 +556,15 @@ def run_cycle(
     if log is not None and not plan:
         log.add(replica, cycle, "fill", clock, n_res, truth, belief)
     window, slot = models.fill_window, slots.fill
-    if window.length > 0.0:
-        dead = truth & row[slot + 2]
-        if dead:
-            truth ^= dead
-            array_decay += dead.bit_count()
-        lost, added = reservoir_decay(rng, n_res, window, slot)
-        if lost or added:
-            n_res += added - lost
-            reservoir_decay_loss += lost
-            refilled += added
+    dead = truth & row[slot + 2]
+    if dead:
+        truth ^= dead
+        array_decay += dead.bit_count()
+    lost, added = reservoir_decay(rng, n_res, window, slot)
+    if lost or added:
+        n_res += added - lost
+        reservoir_decay_loss += lost
+        refilled += added
     clock += models.t_analysis_fill
 
     # refill: one extraction per believed-empty buffer, nearest first;
@@ -594,16 +599,15 @@ def run_cycle(
     if log is not None and not order:
         log.add(replica, cycle, "refill", clock, n_res, truth, belief)
     window, slot = models.refill_window, slots.refill
-    if window.length > 0.0:
-        dead = truth & row[slot + 2]
-        if dead:
-            truth ^= dead
-            array_decay += dead.bit_count()
-        lost, added = reservoir_decay(rng, n_res, window, slot)
-        if lost or added:
-            n_res += added - lost
-            reservoir_decay_loss += lost
-            refilled += added
+    dead = truth & row[slot + 2]
+    if dead:
+        truth ^= dead
+        array_decay += dead.bit_count()
+    lost, added = reservoir_decay(rng, n_res, window, slot)
+    if lost or added:
+        n_res += added - lost
+        reservoir_decay_loss += lost
+        refilled += added
     clock += models.t_buffer_refill
 
     state.cycle_index, state.truth, state.belief = cycle, truth, belief

@@ -21,6 +21,7 @@ index's lazily filled entries, so the caller owns all state.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -132,13 +133,25 @@ class RowForm:
         return list(zip(*columns))
 
 
+def _stream_key(name: str, value) -> int:
+    """``value`` as half of a stream's key: an int (by ``operator.index``,
+    so not a float, which ``int()`` would truncate, nor a bool) of at least
+    0; anything else is an error naming the key."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    key = operator.index(value)
+    if key < 0:
+        raise ValueError(f"{name} must be nonnegative, got {key}")
+    return key
+
+
 class RngStream:
     """Deterministic pseudo-random stream keyed by (master seed, replica).
 
     One PCG64 generator seeded by ``SeedSequence((master_seed, replica))``
-    feeds a realization: first its leading uniforms, read in order by
-    :meth:`random` and the draws built on it (the engine reads one, for the
-    initial load), then one row of uniforms per engine cycle
+    feeds a realization: first its leading uniforms, each read by
+    :meth:`random`, which the draws built on it call too (the engine reads
+    one, for the initial load), then one row of uniforms per engine cycle
     (:meth:`next_row`), handed out in a :class:`RowForm`. The engine reads
     every draw of a cycle from a fixed slot of that cycle's row and skips
     the slots it does not need, so the stream advances by the same amount
@@ -153,12 +166,14 @@ class RngStream:
     it has not already read, which would follow them.
 
     Two streams built from the same pair produce bit-identical sequences;
-    adding replicas never perturbs existing ones.
+    adding replicas never perturbs existing ones. Both keys are
+    nonnegative ints, taken as they are: a float, a bool or a negative
+    key is an error naming it, never another replica's stream.
     """
 
     def __init__(self, master_seed: int, replica: int = 0, n_rows: int | None = None):
-        self.master_seed = int(master_seed)
-        self.replica = int(replica)
+        self.master_seed = _stream_key("master_seed", master_seed)
+        self.replica = _stream_key("replica", replica)
         seq = np.random.SeedSequence((self.master_seed, self.replica))
         self._gen = np.random.Generator(np.random.PCG64(seq))
         self.n_rows = n_rows  # rows announced, or None; with none ahead, ``cycle`` are drawn
@@ -242,7 +257,8 @@ class RngStream:
                 f"with {self.drawn} leading uniforms and {self.cycle} rows handed out"
             )
 
-    def _lead(self) -> float:
+    def random(self) -> float:
+        """The next leading uniform; the draws below each read one."""
         u = self._lead_ahead
         if u is not None:
             self._lead_ahead = None
@@ -255,30 +271,16 @@ class RngStream:
         self.drawn += 1
         return u
 
-    def random(self) -> float:
-        """The next leading uniform."""
-        return self._lead()
-
     def bernoulli(self, p: float) -> bool:
-        return self._lead() < p
+        return self.random() < p
 
     def poisson(self, mean: float) -> int:
         slot = self.drawn  # its child is keyed by (cycle 0, this uniform's place)
-        return poisson_icdf(self._lead(), mean, self, slot)
+        return poisson_icdf(self.random(), mean, self, slot)
 
     def binomial(self, n: int, p: float) -> int:
         slot = self.drawn
-        return binomial_icdf(self._lead(), n, p, self, slot)
-
-
-def _child(rng: RngStream | None, slot: int, mean: float) -> np.random.Generator:
-    """The generator of a draw whose searched ``mean`` is above the limit."""
-    if rng is None:
-        raise ValueError(
-            f"searched mean {mean:g} is above SEARCH_MAX_MEAN = {SEARCH_MAX_MEAN:g}: "
-            f"pass the stream whose child generator draws the value"
-        )
-    return rng.child(slot)
+        return binomial_icdf(self.random(), n, p, self, slot)
 
 
 # The table of a law read from none: its value is left to the helpers.
@@ -331,7 +333,7 @@ def poisson_table(mean: float) -> array:
     return _table(mean, math.exp(-mean), lambda k: mean / k, math.inf)
 
 
-def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int = 0) -> int:
+def poisson_icdf(u: float, mean: float, rng: RngStream, slot: int) -> int:
     """The Poisson(``mean``) value of the uniform ``u``: the smallest ``k``
     whose cumulative probability exceeds ``u`` (the inverse-CDF method;
     Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
@@ -343,11 +345,12 @@ def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int 
     to 0, so ``u`` just below 1 ends it too.
 
     Above ``SEARCH_MAX_MEAN`` ``u`` is not read: the value is drawn by
-    numpy's sampler from ``rng.child(slot)``, and without ``rng`` it is a
-    ``ValueError``.
+    numpy's sampler from ``rng.child(slot)``, the child generator of the
+    stream ``rng`` at the uniform's ``slot``. Every draw has a stream and
+    a slot, so both are required.
     """
     if mean > SEARCH_MAX_MEAN:
-        return int(_child(rng, slot, mean).poisson(mean))
+        return int(rng.child(slot).poisson(mean))
     k = 0
     p = cdf = math.exp(-mean)
     while cdf <= u and p:
@@ -357,9 +360,7 @@ def poisson_icdf(u: float, mean: float, rng: RngStream | None = None, slot: int 
     return k
 
 
-def binomial_icdf(
-    u: float, n: int, p: float, rng: RngStream | None = None, slot: int = 0
-) -> int:
+def binomial_icdf(u: float, n: int, p: float, rng: RngStream, slot: int) -> int:
     """The Binomial(``n``, ``p``) value of the uniform ``u``, searched for
     like :func:`poisson_icdf` by the running sum that a
     :class:`ThinningIndex` table keeps, and ending at ``k = n`` too. It
@@ -369,13 +370,12 @@ def binomial_icdf(
 
     When the searched mean ``n * min(p, 1 - p)`` exceeds
     ``SEARCH_MAX_MEAN``, ``u`` is not read: the value is drawn by numpy's
-    sampler from ``rng.child(slot)``, and without ``rng`` it is a
-    ``ValueError``.
+    sampler from ``rng.child(slot)``, as for :func:`poisson_icdf`.
     """
     flip = p > 0.5
     q = 1.0 - p if flip else p
     if n * q > SEARCH_MAX_MEAN:
-        return int(_child(rng, slot, n * q).binomial(n, p))
+        return int(rng.child(slot).binomial(n, p))
     if flip:
         u = 1.0 - u
     ratio = q / (1.0 - q)
@@ -465,6 +465,12 @@ class DecayWindow:
     stochastic rounding. ``thinning`` is the window's own
     :class:`ThinningIndex` of the reservoir's loss, at ``1 -
     reservoir_survival``; it takes no part in equality.
+
+    A window of length 0 changes nothing by these laws alone, so the
+    engine runs it like any other: both survivals are ``exp(-0 /
+    lifetime) = 1``, so its loss mask is 0 (no uniform is at or above 1)
+    and :func:`reservoir_decay` reads no thinning uniform, and its refill
+    mean is 0, so it adds no atom and reads no rounding uniform.
     """
 
     length: float

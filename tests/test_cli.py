@@ -326,6 +326,19 @@ def test_missing_config_file_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,words", [
+    (("simulate", "--replicas", "5", "--out", ""), "error: cannot create output directory :"),
+    (("simulate", "--replicas", "5", "--config", ""), "error: cannot read config file :"),
+    (("calibrate", "--config", ""), "error: cannot read config file :"),
+], ids=["simulate-out", "simulate-config", "calibrate-config"])
+def test_an_empty_path_exits_2(capsys, argv, words):
+    # an empty path is a path that cannot be used, not a missing option
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(words)
+    assert out == ""
+
+
 def test_negative_seed_exits_2(capsys):
     code, _, err = run_cli(capsys, "simulate", "--replicas", "5", "--seed", "-1")
     assert code == 2

@@ -37,6 +37,9 @@ MODELS = ExperimentConfig()
 P_HALF_SECOND = survival_probability(0.5, MODELS.lifetime_reservoir_s)
 # rows handed out as plain floats, for the draws that read a few slots
 PLAIN = {width: RowForm(width) for width in (1, 2, 4, 10, 71)}
+# the stream and slot a helper is given where its searched mean is at most
+# SEARCH_MAX_MEAN, so no child generator of it is drawn from
+ANY = (RngStream(42, 5), 0)
 
 
 def window(p_survive, refill_mean=0.0):
@@ -77,8 +80,8 @@ class TestRngStream:
         bulk, scalar = RngStream(seed, replica), RngStream(seed, replica)
         generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, replica))))
         for _ in range(7):
-            assert bulk.binomial(80, 0.97) == binomial_icdf(scalar.random(), 80, 0.97)
-            assert bulk.poisson(13.56) == poisson_icdf(scalar.random(), 13.56)
+            assert bulk.binomial(80, 0.97) == binomial_icdf(scalar.random(), 80, 0.97, *ANY)
+            assert bulk.poisson(13.56) == poisson_icdf(scalar.random(), 13.56, *ANY)
             assert bulk.bernoulli(0.753) == (scalar.random() < 0.753)
         assert bulk.random() == scalar.random() == generator.random(22)[-1]
         chunked = RngStream(seed, replica, n_rows=3)
@@ -99,6 +102,27 @@ class TestRngStream:
             assert [short.next_row(form) for _ in range(4)] == [
                 long.next_row(form) for _ in range(4)
             ]
+
+    @pytest.mark.parametrize("seed,replica,error,words", [
+        (7, 1.5, TypeError, "replica must be an int, got 1.5"),
+        (7.9, 1, TypeError, "master_seed must be an int, got 7.9"),
+        (True, 0, TypeError, "master_seed must be an int, got True"),
+        (7, False, TypeError, "replica must be an int, got False"),
+        (7, "1", TypeError, "replica must be an int, got '1'"),
+        (7, -1, ValueError, "replica must be nonnegative, got -1"),
+        (-7, 0, ValueError, "master_seed must be nonnegative, got -7"),
+    ], ids=["float-replica", "float-seed", "bool-seed", "bool-replica", "str-replica",
+            "negative-replica", "negative-seed"])
+    def test_a_key_that_is_not_a_nonnegative_int_is_refused(self, seed, replica, error, words):
+        # int() would have made 1.5 replica 1, 7.9 seed 7 and True seed 1:
+        # another key's stream under the caller's label
+        with pytest.raises(error, match=f"^{words}$"):
+            RngStream(seed, replica)
+
+    def test_an_index_type_is_the_same_key(self):
+        a, b = RngStream(np.int64(7), np.uint8(3)), RngStream(7, 3)
+        assert (type(a.master_seed), type(a.replica)) == (int, int)
+        assert repr(a) == repr(b) and a.random() == b.random()
 
     def test_a_stream_hands_out_rows_of_one_form(self):
         rng = RngStream(42, 9, n_rows=2)
@@ -169,6 +193,12 @@ def test_a_stream_with_rows_drawn_refuses_a_leading_uniform():
 def test_run_realization_refuses_another_stream(stream, words):
     with pytest.raises(ValueError, match=words):
         run_realization(MODELS, 3, None, stream())
+
+
+@pytest.mark.parametrize("replica,error", [(-1, ValueError), (2.0, TypeError)])
+def test_run_realization_names_a_bad_replica(replica, error):
+    with pytest.raises(error, match="^replica must be"):
+        run_realization(MODELS, replica)
 
 
 def test_run_realization_refuses_a_stream_already_read():
@@ -299,7 +329,7 @@ class TestSampleExtraction:
         )
         for n in (1, 3, 40, 80, 200):
             u, v = rng.next_row(PLAIN[4])[2:]
-            k = min(poisson_icdf(u, mean_at_full * min(1.0, n / n_reference)), n)
+            k = min(poisson_icdf(u, mean_at_full * min(1.0, n / n_reference), rng, 2), n)
             delivered = k >= 1 and v < p_blockade
             assert sample_extraction(rng, n, *self.LAW, 2) == (k, delivered)
 
@@ -339,7 +369,7 @@ class TestReservoirDecay:
         u = rng.next_row(PLAIN[2])[0]
         lost, added = reservoir_decay(rng, 100, window(P_HALF_SECOND), 0)
         assert lost >= 0 and added == 0
-        assert lost == binomial_icdf(u, 100, 1.0 - math.exp(-0.5 / 5.0))
+        assert lost == binomial_icdf(u, 100, 1.0 - math.exp(-0.5 / 5.0), rng, 0)
 
     def test_loss_statistics(self):
         p_lose = 1 - math.exp(-0.5 / 5.0)
@@ -394,7 +424,7 @@ def assert_stratified_law(draw, pmf):
 
 @pytest.mark.parametrize("mean", [0.05, 1.0, 13.1875, 80.0, 499.0])
 def test_poisson_icdf_exact_law(mean):
-    assert_stratified_law(lambda u: poisson_icdf(u, mean), lambda k: poisson_pmf(k, mean))
+    assert_stratified_law(lambda u: poisson_icdf(u, mean, *ANY), lambda k: poisson_pmf(k, mean))
 
 
 # (494, 0.0257...) is the image window's thinning of a refilled reservoir
@@ -402,7 +432,9 @@ def test_poisson_icdf_exact_law(mean):
     "n,p", [(80, 0.974), (670, 0.974), (7, 0.3), (494, 0.025664910391250628)]
 )
 def test_binomial_icdf_exact_law(n, p):
-    assert_stratified_law(lambda u: binomial_icdf(u, n, p), lambda k: binomial_pmf(k, n, p))
+    assert_stratified_law(
+        lambda u: binomial_icdf(u, n, p, *ANY), lambda k: binomial_pmf(k, n, p)
+    )
 
 
 def probes(cdfs):
@@ -427,7 +459,7 @@ def assert_entry_reads(cdfs, search):
 @example(mean=80.0)
 @example(mean=SEARCH_MAX_MEAN)
 def test_poisson_table_reads_the_search_value(mean):
-    assert_entry_reads(EnsembleIndex(mean, 1)[1], lambda u: poisson_icdf(u, mean))
+    assert_entry_reads(EnsembleIndex(mean, 1)[1], lambda u: poisson_icdf(u, mean, *ANY))
 
 
 @settings(max_examples=30, deadline=None)
@@ -438,7 +470,7 @@ def test_poisson_table_reads_the_search_value(mean):
 @example(n=7, q=0.0)
 def test_binomial_table_reads_the_search_value(n, q):
     q = min(q, (SEARCH_MAX_MEAN - 1) / n) if n else q  # n q <= 499
-    assert_entry_reads(ThinningIndex(q)[n], lambda u: binomial_icdf(u, n, q))
+    assert_entry_reads(ThinningIndex(q)[n], lambda u: binomial_icdf(u, n, q, *ANY))
 
 
 @pytest.mark.parametrize("mean", [0.0, 0.05, 80.0, SEARCH_MAX_MEAN, 600.0])
@@ -608,9 +640,9 @@ def test_icdf_monotone_in_range_and_terminating(u, v, mean, n, q, flip):
     lo, hi = sorted((u, v))
     q = min(q, (SEARCH_MAX_MEAN - 1) / n) if n else q  # keep to the searched path
     p = 1.0 - q if flip else q
-    k = [poisson_icdf(w, mean) for w in (lo, hi, TOP)]
+    k = [poisson_icdf(w, mean, *ANY) for w in (lo, hi, TOP)]
     assert 0 <= k[0] <= k[1] <= k[2]
-    k = [binomial_icdf(w, n, p) for w in (0.0, lo, hi, TOP)]
+    k = [binomial_icdf(w, n, p, *ANY) for w in (0.0, lo, hi, TOP)]
     assert 0 <= k[0] <= k[1] <= k[2] <= k[3] <= n
 
 
@@ -647,13 +679,3 @@ def test_the_child_key_is_the_column_in_the_full_row():
         rng.next_row(form)
         assert rng.child(2).bit_generator.seed_seq.spawn_key == (cycle, 6)
         assert rng.child(0).bit_generator.seed_seq.spawn_key == (cycle, 0)
-
-
-@pytest.mark.parametrize(
-    "draw,mean",
-    [(lambda: poisson_icdf(0.5, 600.0), "600"), (lambda: binomial_icdf(0.5, 5000, 0.5), "2500")],
-    ids=["poisson", "binomial"],
-)
-def test_above_the_search_limit_without_a_stream_is_refused(draw, mean):
-    with pytest.raises(ValueError, match=rf"searched mean {mean} .* SEARCH_MAX_MEAN = 500"):
-        draw()
